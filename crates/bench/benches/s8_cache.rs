@@ -15,11 +15,8 @@
 //! * `warm_memory` — every job served from a pre-populated in-process
 //!   [`MemoryCache`] (key hashing + record clone + merge);
 //! * `warm_dir_bin` — every job served from a pre-populated on-disk
-//!   [`DirCache`] in its default binary record format (one read plus one
-//!   borrowing decode per cell);
-//! * `warm_dir_json` — the same on-disk cache writing the JSON fallback
-//!   format (adds one text parse per cell — the cost the binary format
-//!   exists to remove);
+//!   [`DirCache`] of binary records (one read plus one borrowing decode
+//!   per cell);
 //! * `verify` — `cache_verify` audit mode: executes everything *and*
 //!   compares against the cache (the paper-style spot check; expected to
 //!   cost about one cold run).
@@ -34,7 +31,7 @@ use std::sync::Arc;
 
 use comptest::core::campaign::CampaignEntry;
 use comptest::dut::{Behavior, Device, PinBinding, PortValue};
-use comptest::engine::{DirCache, MemoryCache, RecordFormat};
+use comptest::engine::{DirCache, MemoryCache};
 use comptest::prelude::*;
 use comptest_bench::summary::time_median;
 use comptest_model::{PinId, SimTime};
@@ -165,30 +162,21 @@ fn cold_vs_warm(c: &mut Criterion) {
             |b, _| b.iter(|| black_box(warm_memory.run(&SerialExecutor).unwrap())),
         );
 
-        // Warm on-disk cache, one arm per record format: binary (default
-        // write format) and the JSON fallback, each in its own store.
-        let mut dirs = Vec::new();
-        for (arm, format) in [
-            ("warm_dir_bin", RecordFormat::Binary),
-            ("warm_dir_json", RecordFormat::Json),
-        ] {
-            let dir = std::env::temp_dir().join(format!(
-                "comptest-s8-{}-{n_tests}-{arm}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let cache = DirCache::open(&dir)
-                .expect("bench cache dir")
-                .with_format(format);
-            let warm_dir = Campaign::new(&entries, &stands)
-                .granularity(Granularity::Test)
-                .cache(Arc::new(cache));
-            assert_eq!(warm_dir.run(&SerialExecutor).unwrap(), reference);
-            group.bench_with_input(BenchmarkId::new(arm, n_tests), &n_tests, |b, _| {
-                b.iter(|| black_box(warm_dir.run(&SerialExecutor).unwrap()))
-            });
-            dirs.push(dir);
-        }
+        // Warm on-disk cache.
+        let dir = std::env::temp_dir().join(format!(
+            "comptest-s8-{}-{n_tests}-warm_dir_bin",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let warm_dir = Campaign::new(&entries, &stands)
+            .granularity(Granularity::Test)
+            .cache(Arc::new(DirCache::open(&dir).expect("bench cache dir")));
+        assert_eq!(warm_dir.run(&SerialExecutor).unwrap(), reference);
+        group.bench_with_input(
+            BenchmarkId::new("warm_dir_bin", n_tests),
+            &n_tests,
+            |b, _| b.iter(|| black_box(warm_dir.run(&SerialExecutor).unwrap())),
+        );
 
         // Audit mode: execute everything and compare against the cache.
         let verify = Campaign::new(&entries, &stands)
@@ -199,9 +187,7 @@ fn cold_vs_warm(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("verify", n_tests), &n_tests, |b, _| {
             b.iter(|| black_box(verify.run(&SerialExecutor).unwrap()))
         });
-        for dir in dirs {
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
     group.finish();
 }
@@ -239,22 +225,18 @@ fn emit_summary(_c: &mut Criterion) {
         }),
     );
 
-    for (arm, format) in [
-        ("warm_dir_bin", RecordFormat::Binary),
-        ("warm_dir_json", RecordFormat::Json),
-    ] {
-        let dir =
-            std::env::temp_dir().join(format!("comptest-s8-sum-{arm}-{}", std::process::id()));
+    {
+        let dir = std::env::temp_dir().join(format!(
+            "comptest-s8-sum-warm_dir_bin-{}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = DirCache::open(&dir)
-            .expect("bench cache dir")
-            .with_format(format);
         let warm_dir = Campaign::new(&entries, &stands)
             .granularity(Granularity::Test)
-            .cache(Arc::new(cache));
+            .cache(Arc::new(DirCache::open(&dir).expect("bench cache dir")));
         assert_eq!(warm_dir.run(&SerialExecutor).unwrap(), reference);
         summary.record(
-            arm,
+            "warm_dir_bin",
             time_median(ITERS, || black_box(warm_dir.run(&SerialExecutor).unwrap())),
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -91,10 +91,7 @@ impl CampaignCell {
     /// a cell could not run, not just that it could not.
     pub fn status(&self) -> String {
         match &self.outcome {
-            Ok(r) => {
-                let (p, f, e) = r.counts();
-                format!("{} ({p}P/{f}F/{e}E)", r.verdict())
-            }
+            Ok(r) => suite_status(r.verdict(), r.counts()),
             Err(reason) => not_runnable_status(reason),
         }
     }
@@ -121,6 +118,32 @@ pub fn not_runnable_status(reason: &str) -> String {
         short.push('…');
     }
     format!("NOT RUNNABLE ({short})")
+}
+
+fn suite_status(verdict: Verdict, (p, f, e): (usize, usize, usize)) -> String {
+    format!("{verdict} ({p}P/{f}F/{e}E)")
+}
+
+/// The [`CampaignCell::status`] line and failed flag of the cell that
+/// `outcomes` (per-test outcomes in suite order) merge into, computed
+/// without building the cell: the first planning error decides the cell,
+/// exactly where [`merge_test_outcomes`] stops.
+pub fn cell_status(outcomes: &[TestJobOutcome]) -> (String, bool) {
+    let mut verdict = Verdict::Pass;
+    let mut counts = (0, 0, 0);
+    for outcome in outcomes {
+        let result = match outcome {
+            Ok(result) => result.verdict(),
+            Err(reason) => return (not_runnable_status(reason), true),
+        };
+        match result {
+            Verdict::Pass => counts.0 += 1,
+            Verdict::Fail => counts.1 += 1,
+            Verdict::Error => counts.2 += 1,
+        }
+        verdict = verdict.max(result);
+    }
+    (suite_status(verdict, counts), verdict != Verdict::Pass)
 }
 
 /// The campaign result matrix.

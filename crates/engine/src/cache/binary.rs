@@ -1,10 +1,8 @@
 //! The binary on-disk record codec: length-prefixed, field-tagged, decoded
 //! in one pass over a single borrowed byte buffer.
 //!
-//! This is the [`DirCache`](super::DirCache)'s default record encoding
-//! (see [`RecordFormat`](super::RecordFormat)); the JSON codec remains for
-//! reading pre-existing entries and for `--cache-format json`. The design
-//! follows the packed-value idiom: a tagged byte layout that a reader
+//! This is the [`DirCache`](super::DirCache)'s one record encoding. The
+//! design follows the packed-value idiom: a tagged byte layout that a reader
 //! walks directly — no intermediate value tree, no string escaping, no
 //! float formatting. Decode borrows from the one `Vec<u8>` the cache read
 //! from disk: varint lengths are bounds-checked against the remaining
@@ -94,8 +92,7 @@ pub const MAGIC: [u8; 3] = *b"CCR";
 
 /// Binary format version; bump on any layout change. Unknown versions
 /// read as misses; version 1 (pre-footprint) records remain readable —
-/// they are exactly version-2 records without the footprint section. (The
-/// JSON codec's records carry their own independent version field.)
+/// they are exactly version-2 records without the footprint section.
 pub const VERSION: u8 = 2;
 
 /// The oldest version [`decode`] still accepts.

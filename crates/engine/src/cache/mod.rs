@@ -13,17 +13,19 @@
 //! Design points:
 //!
 //! * **Records are per cell, granularity-agnostic.** A [`CellRecord`]
-//!   holds per-test outcomes (full [`TestResult`]s including traces and
-//!   simulated step timing, so reports from a warm run carry the same
-//!   timing a cold run would). Because every test runs against a fresh
-//!   power-cycled DUT, a record written by a test-granular run serves a
-//!   cell-granular one and vice versa — the same independence argument
-//!   behind the engine's byte-identity guarantee.
-//! * **A record may be a prefix.** Cell-granular execution stops at the
-//!   first planning error, so tests after it are unknown; the record
-//!   stores the determined prefix. Test-granular lookups hit any stored
-//!   index; cell-granular lookups hit only when the record *determines*
-//!   the cell outcome (it ends in a planning error, or covers every test).
+//!   holds per-test outcomes (full [`TestResult`](comptest_core::TestResult)s
+//!   including traces and simulated step timing, so reports from a warm
+//!   run carry the same timing a cold run would). Because every test runs
+//!   against a fresh power-cycled DUT, a record written by a test-granular
+//!   run serves a cell-granular one and vice versa — the same independence
+//!   argument behind the engine's byte-identity guarantee.
+//! * **A record may be a prefix.** A job stops at its first planning
+//!   error, so a cell-granular run never learns the tests after it; the
+//!   record stores the determined prefix. A job hits when the record
+//!   determines every test the job would run
+//!   ([`CellRecord::job_outcomes`]): one test for a test-granular job; the
+//!   whole cell — complete, or ending in a planning error — for a
+//!   cell-granular one.
 //! * **Anything unreadable is a miss.** Corrupt, truncated or
 //!   wrong-version entries decode to an error and the cell simply
 //!   executes; only an unusable cache *directory* raises
@@ -33,7 +35,7 @@
 //!   [`EngineEvent::CellCached`](crate::EngineEvent::CellCached) and a
 //!   cached failure trips the `stop_on_first_fail` latch exactly like an
 //!   executed one, so warm runs cancel the same deterministic suffix.
-//! * **`cache_verify` audits instead of skipping.** Every cell executes,
+//! * **`cache_verify` audits instead of skipping.** Every job executes,
 //!   executed outcomes are compared to cached ones, and
 //!   [`CampaignHandle::join`](crate::CampaignHandle::join) raises
 //!   [`CoreError::CacheMismatch`] when any diverged — the paper-style
@@ -41,9 +43,8 @@
 //! * **Hits build no devices.** Records are pre-loaded before jobs are
 //!   packaged and are immutable for the launch, so admission is a
 //!   deterministic function of them; packaging asks
-//!   `CacheRuntime::will_hit_*` and skips constructing the per-job DUT
-//!   device for every predicted hit — a fully warm run builds zero
-//!   devices.
+//!   `CacheRuntime::will_hit` and skips constructing the DUT devices of
+//!   every predicted hit — a fully warm run builds zero devices.
 //!
 //! # What invalidates the cache
 //!
@@ -74,55 +75,43 @@
 //! both without aliasing; switching modes is safe but starts cold on the
 //! first run.
 //!
-//! # On-disk record formats
+//! # On-disk records
 //!
-//! [`DirCache`] stores one file per [`CellKey`] and speaks two encodings,
-//! negotiated per entry by file extension ([`RecordFormat`]):
+//! [`DirCache`] stores one `<key>.bin` file per [`CellKey`]: a
+//! length-prefixed, field-tagged layout decoded in one pass over the
+//! single `Vec<u8>` read from disk:
 //!
-//! * **Binary (`<key>.bin`, the default write format).** A
-//!   length-prefixed, field-tagged layout decoded in one pass over the
-//!   single `Vec<u8>` read from disk:
+//! ```text
+//! magic "CCR" | version u8 | flags u8 | varint total | varint n_tests
+//! | [ footprint section, if flags bit 1 ]
+//! | n_tests × ( varint len | tagged outcome body )
+//! ```
 //!
-//!   ```text
-//!   magic "CCR" | version u8 | flags u8 | varint total | varint n_tests
-//!   | [ footprint section, if flags bit 1 ]
-//!   | n_tests × ( varint len | tagged outcome body )
-//!   ```
+//! Varint lengths are bounds-checked before use, strings are
+//! UTF-8-validated in place, floats are raw `to_bits` LE words, and the
+//! fixed-position header alone answers hit/miss (coverage and
+//! determinedness) without decoding any per-test payload. The full
+//! field-by-field layout and the versioning rules live in the [`binary`]
+//! module docs. A version bump makes stale files decode as errors →
+//! misses; they re-execute and are rewritten in the current version.
 //!
-//!   Varint lengths are bounds-checked before use, strings are
-//!   UTF-8-validated in place, floats are raw `to_bits` LE words, and the
-//!   fixed-position header alone answers hit/miss (coverage and
-//!   determinedness) without decoding any per-test payload. The full
-//!   field-by-field layout and the versioning rules live in the
-//!   [`binary`] module docs.
-//! * **JSON (`<key>.json`).** The original hand-rolled JSON codec, still
-//!   written under `--cache-format json` and always readable: lookups fall
-//!   back to the other extension, so pre-binary caches keep hitting —
-//!   migration never turns valid entries into silent misses.
-//!
-//! Whichever format is written, `store` removes a **pre-existing**
-//! other-format file for the key after its rename lands, so the latest
-//! write wins even across writers configured differently — while a file
-//! that appeared *during* the store (a concurrent writer in the other
-//! format) is left alone rather than deleted out from under its writer.
-//! Version bumps (either codec) make stale files decode as errors →
-//! misses; they re-execute and are rewritten in the current format.
+//! Earlier releases could also write `<key>.json` records. Those files
+//! are never read: a leftover `.json` entry is a plain miss, so its cell
+//! re-executes and is rewritten as `.bin`.
 
 pub mod binary;
-mod codec;
-pub(crate) use crate::codec as json;
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 
-use comptest_core::campaign::{CampaignCell, TestJobOutcome};
+use comptest_core::campaign::TestJobOutcome;
 use comptest_core::error::CoreError;
 use comptest_core::hash::{CellKey, Footprint};
-use comptest_core::{SuiteResult, TestResult};
 
 use crate::campaign::{Campaign, Granularity};
 use crate::events::{emit, EngineEvent};
@@ -213,52 +202,19 @@ impl CellRecord {
         self.is_complete() || matches!(self.tests.last(), Some(Err(_)))
     }
 
-    /// The whole-cell outcome, if the record determines it: the fold stops
-    /// at the first planning error (exactly where sequential cell
-    /// execution stops), otherwise every test must be present.
-    pub fn cell_outcome(&self, suite: &str, stand: &str) -> Option<CampaignCell> {
-        if !self.is_determined() {
-            return None;
-        }
-        Some(fold_cell(
-            suite.to_owned(),
-            stand.to_owned(),
-            self.tests.iter().cloned(),
-        ))
-    }
-}
-
-/// Folds per-test outcomes into the canonical [`CampaignCell`]: results
-/// accumulate until the first planning error ends the cell as
-/// `Err(reason)` — byte-identical to sequential cell execution. The one
-/// fold shared by cache hits and every executor's cold path.
-pub(crate) fn fold_cell(
-    suite: String,
-    stand: String,
-    tests: impl IntoIterator<Item = TestJobOutcome>,
-) -> CampaignCell {
-    let mut results: Vec<TestResult> = Vec::new();
-    let mut planning_error = None;
-    for outcome in tests {
-        match outcome {
-            Ok(result) => results.push(result),
-            Err(reason) => {
-                planning_error = Some(reason);
+    /// The outcomes a job running the suite's tests `tests` would produce,
+    /// if the record determines them: every test in order, up to and
+    /// including the first planning error (where a job stops). `None` when
+    /// the record lacks a test the job would run.
+    pub fn job_outcomes(&self, tests: Range<usize>) -> Option<&[TestJobOutcome]> {
+        let (start, mut end) = (tests.start, tests.start);
+        for test in tests {
+            end = test + 1;
+            if self.tests.get(test)?.is_err() {
                 break;
             }
         }
-    }
-    let outcome = match planning_error {
-        Some(reason) => Err(reason),
-        None => Ok(SuiteResult {
-            suite: suite.clone(),
-            results,
-        }),
-    };
-    CampaignCell {
-        suite,
-        stand,
-        outcome,
+        self.tests.get(start..end)
     }
 }
 
@@ -292,19 +248,17 @@ pub trait CampaignCache: fmt::Debug + Send + Sync {
         }
     }
 
-    /// Like [`CampaignCache::lookup`], annotated with I/O accounting: how
-    /// many encoded bytes were read and which [`RecordFormat`] served the
-    /// entry. The engine feeds these into the `cache_bytes_read` and
-    /// per-format hit counters.
+    /// Like [`CampaignCache::lookup`], annotated with how many encoded
+    /// bytes were read. The engine feeds this into the `cache_bytes_read`
+    /// counter.
     ///
     /// The default implementation performs no I/O it could measure and
-    /// reports zero bytes and no format; stores that actually read
-    /// encoded records (like [`DirCache`]) should override it.
+    /// reports zero bytes; stores that actually read encoded records (like
+    /// [`DirCache`]) should override it.
     fn lookup_io(&self, key: &CellKey) -> LookupInfo {
         LookupInfo {
             lookup: self.lookup(key),
             bytes: 0,
-            format: None,
         }
     }
 
@@ -318,37 +272,8 @@ pub trait CampaignCache: fmt::Debug + Send + Sync {
     }
 }
 
-/// The on-disk record encodings a [`DirCache`] can read and write. See
-/// the [module docs](self#on-disk-record-formats) for the negotiation
-/// rules and the [`binary`] module for the binary layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordFormat {
-    /// Length-prefixed, field-tagged binary records (`.bin`, default).
-    Binary,
-    /// Hand-rolled JSON records (`.json`, the pre-binary format).
-    Json,
-}
-
-impl RecordFormat {
-    fn extension(self) -> &'static str {
-        match self {
-            RecordFormat::Binary => "bin",
-            RecordFormat::Json => "json",
-        }
-    }
-
-    /// The other format — what lookups fall back to and stores clean up.
-    fn other(self) -> Self {
-        match self {
-            RecordFormat::Binary => RecordFormat::Json,
-            RecordFormat::Json => RecordFormat::Binary,
-        }
-    }
-}
-
 /// A [`CampaignCache::lookup_io`] result: the lookup outcome plus the
-/// encoded bytes read and the format that served (or failed to serve)
-/// the entry.
+/// encoded bytes read.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LookupInfo {
     /// The lookup outcome.
@@ -356,9 +281,6 @@ pub struct LookupInfo {
     /// Encoded bytes read from the backing store (0 when nothing was
     /// read, e.g. a miss or an in-memory cache).
     pub bytes: u64,
-    /// The record format involved, when the backing store distinguishes
-    /// formats (in-memory caches report `None`).
-    pub format: Option<RecordFormat>,
 }
 
 /// Outcome of a [`CampaignCache::lookup`]: a usable record, a plain
@@ -413,20 +335,16 @@ impl CampaignCache for MemoryCache {
     }
 }
 
-/// An on-disk cache: one record file per cell key under a directory,
-/// shared across processes and campaign runs. Records are binary by
-/// default ([`RecordFormat::Binary`], see the
-/// [module docs](self#on-disk-record-formats)); lookups read either
-/// format, so a cache written before the binary codec — or by a
-/// differently configured writer — keeps hitting. Writes go through a
-/// temporary file in the same directory followed by an atomic rename, so
-/// concurrent runs and crashes never leave a half-written record —
-/// readers see the old record or the new one, and a torn file can only be
-/// a leftover `.tmp` no reader ever opens.
+/// An on-disk cache: one binary record file per cell key under a
+/// directory, shared across processes and campaign runs (see the
+/// [module docs](self#on-disk-records)). Writes go through a temporary
+/// file in the same directory followed by an atomic rename, so concurrent
+/// runs and crashes never leave a half-written record — readers see the
+/// old record or the new one, and a torn file can only be a leftover
+/// `.tmp` no reader ever opens.
 #[derive(Debug)]
 pub struct DirCache {
     dir: PathBuf,
-    format: RecordFormat,
 }
 
 /// Temp-name disambiguator shared by every [`DirCache`] in the process:
@@ -435,18 +353,8 @@ pub struct DirCache {
 /// the same `.tmp` name, so the counter cannot live per instance.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// Serializes the publish step of [`DirCache::store`] (rename +
-/// stale-other-format cleanup) across every instance in the process.
-/// Without it two racing writers in different formats can *each* see the
-/// other's old file as stale and delete the other's *new* file after both
-/// renames land — leaving zero records for a key both just wrote. Held
-/// only around two cheap filesystem calls; record encoding and the temp
-/// write stay outside.
-static PUBLISH_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 impl DirCache {
-    /// Opens (creating if needed) a cache directory, writing
-    /// [`RecordFormat::Binary`] records.
+    /// Opens (creating if needed) a cache directory.
     ///
     /// # Errors
     ///
@@ -467,22 +375,7 @@ impl DirCache {
                 message: format!("{} is not a directory", dir.display()),
             });
         }
-        Ok(Self {
-            dir,
-            format: RecordFormat::Binary,
-        })
-    }
-
-    /// Sets the format new records are written in (builder style). Reads
-    /// are unaffected: both formats always hit.
-    pub fn with_format(mut self, format: RecordFormat) -> Self {
-        self.format = format;
-        self
-    }
-
-    /// The format new records are written in.
-    pub fn format(&self) -> RecordFormat {
-        self.format
+        Ok(Self { dir })
     }
 
     /// The cache directory.
@@ -490,14 +383,9 @@ impl DirCache {
         &self.dir
     }
 
-    /// The record file path a `store` would write for a key (lookups also
-    /// fall back to the other format's path).
+    /// The record file path of a key.
     pub fn entry_path(&self, key: &CellKey) -> PathBuf {
-        self.format_path(key, self.format)
-    }
-
-    fn format_path(&self, key: &CellKey, format: RecordFormat) -> PathBuf {
-        self.dir.join(format!("{key}.{}", format.extension()))
+        self.dir.join(format!("{key}.bin"))
     }
 }
 
@@ -514,16 +402,29 @@ impl CampaignCache for DirCache {
     }
 
     fn lookup_io(&self, key: &CellKey) -> LookupInfo {
-        // A concurrent store can rename its record into the format we
-        // already checked and clean up the format we are about to check —
-        // a transient false miss for a key that had a record throughout.
-        // One retry closes that window (a second store cannot land the
-        // same way twice in a row for the same reader); true misses pay
-        // two extra not-found probes, which preload noise absorbs.
-        let first = self.scan_formats(key);
-        match first.lookup {
-            CacheLookup::Miss => self.scan_formats(key),
-            _ => first,
+        let bytes = match std::fs::read(self.entry_path(key)) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return LookupInfo {
+                    lookup: CacheLookup::Miss,
+                    bytes: 0,
+                }
+            }
+            // Present but unreadable (permissions, I/O error): the store
+            // has the entry and cannot serve it — report rot.
+            Err(_) => {
+                return LookupInfo {
+                    lookup: CacheLookup::Corrupt,
+                    bytes: 0,
+                }
+            }
+        };
+        LookupInfo {
+            lookup: match binary::decode(&bytes) {
+                Ok(record) => CacheLookup::Hit(record),
+                Err(_) => CacheLookup::Corrupt,
+            },
+            bytes: bytes.len() as u64,
         }
     }
 
@@ -539,101 +440,36 @@ impl CampaignCache for DirCache {
             std::process::id(),
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
-        let bytes = match self.format {
-            RecordFormat::Binary => binary::encode(record),
-            RecordFormat::Json => codec::encode(record).into_bytes(),
-        };
+        let bytes = binary::encode(record);
         let written = bytes.len() as u64;
         // Best-effort: a cache that cannot persist (full disk, revoked
         // permissions) degrades to a smaller cache, never a failed run —
         // but whatever happens, the temp file must not survive (a
         // partially written one would otherwise accumulate per attempt).
-        if std::fs::write(&tmp, bytes).is_err() {
+        if std::fs::write(&tmp, bytes).is_err()
+            || std::fs::rename(&tmp, self.entry_path(key)).is_err()
+        {
             let _ = std::fs::remove_file(&tmp);
             return 0;
-        }
-        // Publish atomically with respect to other in-process writers: an
-        // other-format file observed *at rename time* is genuinely stale
-        // (its writer renamed before us), so removing it is exactly
-        // "latest write wins" — while a writer that publishes after us
-        // will see and remove ours, never the other way around. A file
-        // that only appears mid-store (no pre-existing entry) belongs to
-        // a concurrent out-of-process writer and is left alone.
-        let guard = PUBLISH_LOCK.lock().expect("cache publish lock");
-        let other = self.format_path(key, self.format.other());
-        let other_stale = other.exists();
-        if std::fs::rename(&tmp, self.entry_path(key)).is_err() {
-            drop(guard);
-            let _ = std::fs::remove_file(&tmp);
-            return 0;
-        }
-        if other_stale {
-            let _ = std::fs::remove_file(other);
         }
         written
     }
 }
 
-impl DirCache {
-    /// One pass over both record formats — preferring the write format
-    /// (it is what this writer last stored), falling back to the other so
-    /// entries from older caches or differently configured writers are
-    /// never silent misses.
-    fn scan_formats(&self, key: &CellKey) -> LookupInfo {
-        for format in [self.format, self.format.other()] {
-            let bytes = match std::fs::read(self.format_path(key, format)) {
-                Ok(bytes) => bytes,
-                // Absent in this format: try the other.
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                // Present but unreadable (permissions, I/O error): the
-                // store has the entry and cannot serve it — report rot.
-                Err(_) => {
-                    return LookupInfo {
-                        lookup: CacheLookup::Corrupt,
-                        bytes: 0,
-                        format: Some(format),
-                    }
-                }
-            };
-            let decoded = match format {
-                RecordFormat::Binary => binary::decode(&bytes).ok(),
-                RecordFormat::Json => std::str::from_utf8(&bytes)
-                    .ok()
-                    .and_then(|text| codec::decode(text).ok()),
-            };
-            return LookupInfo {
-                lookup: match decoded {
-                    Some(record) => CacheLookup::Hit(record),
-                    None => CacheLookup::Corrupt,
-                },
-                bytes: bytes.len() as u64,
-                format: Some(format),
-            };
-        }
-        LookupInfo {
-            lookup: CacheLookup::Miss,
-            bytes: 0,
-            format: None,
-        }
-    }
-}
-
-/// Per-cell accumulator for test-granular runs: collects outcomes (cached
-/// and executed) until the cell is fully covered, then stores once.
+/// Per-cell store accumulator: collects the outcomes of the cell's jobs
+/// (cached and executed) until every job reported, then stores once.
 struct Collector {
     outcomes: Vec<Option<TestJobOutcome>>,
-    filled: usize,
+    /// Jobs of the cell that have not reported yet.
+    pending: usize,
     /// At least one outcome came from execution (a fully-warm cell is
     /// never re-stored — 10k identical writes would erase the warm win).
     executed: bool,
-    stored: bool,
 }
 
 /// The cache state of one launched campaign run, shared by every worker:
-/// pre-computed keys, pre-loaded records, per-cell store accumulators
-/// (test-granular runs only — cell-granular jobs report their whole cell
-/// at once and need no accumulation) and the `cache_verify` mismatch
-/// count.
+/// pre-computed keys, pre-loaded records, per-cell store accumulators and
+/// the `cache_verify` mismatch count.
 ///
 /// Loading happens once on the launch thread (one I/O pass in
 /// deterministic cell order); workers only read records and accumulate
@@ -649,12 +485,6 @@ pub(crate) struct CacheRuntime {
     /// or when capture was skipped) — attached to stored records.
     footprints: Vec<Option<Footprint>>,
     records: Vec<Option<CellRecord>>,
-    /// The format that served each preloaded record (`None` for misses
-    /// and format-less caches) — what the per-format hit counters report.
-    formats: Vec<Option<RecordFormat>>,
-    /// Per-cell suite test count (the stored record's `total`).
-    totals: Vec<usize>,
-    /// Per-cell accumulators; empty for cell-granular runs.
     collectors: Vec<Mutex<Collector>>,
     /// Cells whose stored entry existed but could not be decoded:
     /// `(cell, suite, stand)`, collected at preload so every launch path
@@ -671,8 +501,8 @@ pub(crate) struct CacheRuntime {
 impl CacheRuntime {
     /// Pre-loads every cell's record using the campaign's precomputed
     /// [`CellKey`]s (hashed once per campaign *value* in the `OnceLock`
-    /// key store, not once per launch). `collect_tests` is true for
-    /// test-granular runs, which need the per-cell store accumulators.
+    /// key store, not once per launch), and sizes each cell's store
+    /// accumulator to its job count at the campaign's granularity.
     /// Corrupt entries are treated as misses, remembered for warning
     /// events, and counted on `obs`. Every lookup that fails to produce a
     /// usable record counts as `cells_invalidated` (the cells this run
@@ -684,57 +514,45 @@ impl CacheRuntime {
         keyset: &KeySet,
         obs: &Recorder,
     ) -> Arc<Self> {
-        let verify = campaign.cache_verify;
-        let collect_tests = campaign.granularity == Granularity::Test;
-        let keying = campaign.cache_keying;
-        let entries = campaign.entries;
-        let stands = campaign.stands;
         let keys = &keyset.keys;
         let footprints = &keyset.footprints;
-        debug_assert_eq!(keys.len(), entries.len() * stands.len());
+        debug_assert_eq!(keys.len(), campaign.entries.len() * campaign.stands.len());
         debug_assert_eq!(footprints.len(), keys.len());
         let mut records = Vec::with_capacity(keys.len());
-        let mut formats = Vec::with_capacity(keys.len());
-        let mut totals = Vec::with_capacity(keys.len());
-        let mut collectors = Vec::new();
+        let mut collectors = Vec::with_capacity(keys.len());
         let mut corrupt = Vec::new();
         let mut bytes_read = 0u64;
         let mut footprint_bytes = 0u64;
         let mut cell = 0;
-        for entry in entries {
-            for stand in stands {
+        for entry in campaign.entries {
+            for stand in campaign.stands {
                 if let Some(fp) = &footprints[cell] {
                     footprint_bytes += binary::footprint_bytes(fp);
                 }
                 let info = cache.lookup_io(&keys[cell]);
                 bytes_read += info.bytes;
                 records.push(match info.lookup {
-                    CacheLookup::Hit(record) => {
-                        formats.push(info.format);
-                        Some(record)
-                    }
+                    CacheLookup::Hit(record) => Some(record),
                     CacheLookup::Miss => {
                         obs.inc(Counter::CellsInvalidated);
-                        formats.push(None);
                         None
                     }
                     CacheLookup::Corrupt => {
                         obs.inc(Counter::CacheCorruptEntries);
                         obs.inc(Counter::CellsInvalidated);
                         corrupt.push((cell, entry.suite.name.clone(), stand.name().to_owned()));
-                        formats.push(None);
                         None
                     }
                 });
-                totals.push(entry.suite.tests.len());
-                if collect_tests {
-                    collectors.push(Mutex::new(Collector {
-                        outcomes: vec![None; entry.suite.tests.len()],
-                        filled: 0,
-                        executed: false,
-                        stored: false,
-                    }));
-                }
+                let tests = entry.suite.tests.len();
+                collectors.push(Mutex::new(Collector {
+                    outcomes: vec![None; tests],
+                    pending: match campaign.granularity {
+                        Granularity::Cell => 1,
+                        Granularity::Test => tests,
+                    },
+                    executed: false,
+                }));
                 cell += 1;
             }
         }
@@ -742,13 +560,11 @@ impl CacheRuntime {
         obs.add(Counter::FootprintBytes, footprint_bytes);
         Arc::new(Self {
             cache,
-            verify,
-            keying,
+            verify: campaign.cache_verify,
+            keying: campaign.cache_keying,
             keys: keys.to_vec(),
             footprints: footprints.to_vec(),
             records,
-            formats,
-            totals,
             collectors,
             corrupt,
             mismatches: AtomicUsize::new(0),
@@ -772,159 +588,94 @@ impl CacheRuntime {
         }
     }
 
-    /// Whether [`CacheRuntime::admit_test`] will serve this (cell, test)
-    /// job from the cache. Records are pre-loaded before packaging and
-    /// immutable for the launch, so this prediction is exact — packaging
-    /// uses it to skip building DUT devices for jobs that will never run.
-    pub(crate) fn will_hit_test(&self, cell: usize, test: usize) -> bool {
+    /// Whether [`CacheRuntime::admit`] will serve the job running `tests`
+    /// of `cell`. Records are pre-loaded before packaging and immutable
+    /// for the launch, so this prediction is exact — packaging uses it to
+    /// skip building DUT devices for jobs that will never run.
+    pub(crate) fn will_hit(&self, cell: usize, tests: Range<usize>) -> bool {
         !self.verify
             && self.records[cell]
                 .as_ref()
-                .is_some_and(|r| r.test_outcome(test).is_some())
+                .is_some_and(|r| r.job_outcomes(tests).is_some())
     }
 
-    /// Whether [`CacheRuntime::admit_cell`] will serve this whole cell
-    /// from the cache — the cell-granular counterpart of
-    /// [`CacheRuntime::will_hit_test`].
-    pub(crate) fn will_hit_cell(&self, cell: usize) -> bool {
-        !self.verify
-            && self.records[cell]
-                .as_ref()
-                .is_some_and(CellRecord::is_determined)
-    }
-
-    /// Bumps the per-format hit counter for a cell served from a
-    /// format-aware store (format-less caches count only `cache_hits`),
-    /// plus `cache_hits_footprint` when the run keys by footprint.
-    fn count_format_hit(&self, cell: usize) {
-        if self.keying == CacheKeying::Footprint {
-            self.obs.inc(Counter::CacheHitsFootprint);
-        }
-        match self.formats[cell] {
-            Some(RecordFormat::Binary) => self.obs.inc(Counter::CacheHitsBin),
-            Some(RecordFormat::Json) => self.obs.inc(Counter::CacheHitsJson),
-            None => {}
-        }
-    }
-
-    /// Test-granular admission: the cached outcome for one (cell, test)
-    /// job, or `None` (miss / verify mode — the job must execute). A hit
-    /// also feeds the cell's store accumulator so mixed warm/cold cells
-    /// can complete their record.
-    pub(crate) fn admit_test(&self, cell: usize, test: usize) -> Option<TestJobOutcome> {
+    /// Admission: the cached outcomes of the job running `tests` of
+    /// `cell`, or `None` (miss / verify mode — the job must execute). A
+    /// hit on a partial record also feeds the cell's store accumulator,
+    /// so mixed warm/cold cells can complete their record.
+    pub(crate) fn admit(&self, cell: usize, tests: Range<usize>) -> Option<Vec<TestJobOutcome>> {
         if self.verify {
             return None;
         }
         let record = self.records[cell].as_ref()?;
-        let outcome = record.test_outcome(test)?.clone();
-        self.count_format_hit(cell);
+        let outcomes = record.job_outcomes(tests.clone())?.to_vec();
+        if self.keying == CacheKeying::Footprint {
+            self.obs.inc(Counter::CacheHitsFootprint);
+        }
         // A complete record can never need re-storing, so fully-warm cells
         // skip the accumulator entirely (a 10k-test warm run would
-        // otherwise clone every outcome twice for nothing); partial
-        // records keep feeding it so mixed warm/cold cells can finish
-        // their record.
+        // otherwise clone every outcome twice for nothing).
         if !record.is_complete() {
-            self.note(cell, test, &outcome, false);
+            self.note(cell, tests.start, &outcomes, false);
         }
-        Some(outcome)
+        Some(outcomes)
     }
 
-    /// Cell-granular admission: the determined whole-cell outcome, or
-    /// `None` (miss / undetermined record / verify mode).
-    pub(crate) fn admit_cell(&self, cell: usize, suite: &str, stand: &str) -> Option<CampaignCell> {
+    /// Reports one *executed* job's outcomes (its tests from suite index
+    /// `first` on): feeds the store accumulator and, in verify mode,
+    /// counts a mismatch when the cached outcomes for the same tests
+    /// differ.
+    pub(crate) fn finish(&self, cell: usize, first: usize, outcomes: &[TestJobOutcome]) {
         if self.verify {
-            return None;
-        }
-        let outcome = self.records[cell].as_ref()?.cell_outcome(suite, stand)?;
-        self.count_format_hit(cell);
-        Some(outcome)
-    }
-
-    /// Reports one *executed* test outcome: feeds the store accumulator
-    /// and, in verify mode, compares against the cached outcome.
-    pub(crate) fn finish_test(&self, cell: usize, test: usize, outcome: &TestJobOutcome) {
-        if self.verify {
+            let tests = first..first + outcomes.len();
             if let Some(cached) = self.records[cell]
                 .as_ref()
-                .and_then(|r| r.test_outcome(test))
+                .and_then(|r| r.job_outcomes(tests))
             {
-                if cached != outcome {
+                if cached != outcomes {
                     self.mismatches.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
-        self.note(cell, test, outcome, true);
-    }
-
-    /// Reports one *executed* cell's determined per-test outcomes: stores
-    /// the record and, in verify mode, compares the folded cell outcome
-    /// against the cached one.
-    pub(crate) fn finish_cell(
-        &self,
-        cell: usize,
-        suite: &str,
-        stand: &str,
-        tests: &[TestJobOutcome],
-    ) {
-        if self.verify {
-            if let Some(cached) = self.records[cell]
-                .as_ref()
-                .and_then(|r| r.cell_outcome(suite, stand))
-            {
-                let executed = fold_cell(suite.to_owned(), stand.to_owned(), tests.to_vec());
-                if cached != executed {
-                    self.mismatches.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        let written = self.cache.store_io(
-            &self.keys[cell],
-            &CellRecord {
-                total: self.totals[cell],
-                tests: tests.to_vec(),
-                footprint: self.footprints[cell].clone(),
-            },
-        );
-        self.obs.add(Counter::CacheBytesWritten, written);
-    }
-
-    /// Number of cached-vs-executed divergences seen in verify mode.
-    pub(crate) fn mismatches(&self) -> usize {
-        self.mismatches.load(Ordering::Relaxed)
+        self.note(cell, first, outcomes, true);
     }
 
     /// Raises [`CoreError::CacheMismatch`] if verify mode saw divergences
-    /// — called by every executor's join.
+    /// — called by the join.
     pub(crate) fn check_verified(&self) -> Result<(), CoreError> {
-        match self.mismatches() {
+        match self.mismatches.load(Ordering::Relaxed) {
             0 => Ok(()),
             mismatches => Err(CoreError::CacheMismatch { mismatches }),
         }
     }
 
-    fn note(&self, cell: usize, test: usize, outcome: &TestJobOutcome, executed: bool) {
+    /// Accumulates one job's outcomes; once every job of the cell reported
+    /// and at least one executed, stores the determined prefix — the
+    /// outcomes up to the first test no job produced.
+    fn note(&self, cell: usize, first: usize, outcomes: &[TestJobOutcome], executed: bool) {
         let mut c = self.collectors[cell].lock().expect("collector");
-        if c.outcomes[test].is_none() {
-            c.outcomes[test] = Some(outcome.clone());
-            c.filled += 1;
+        if c.pending == 0 {
+            // Every job of the cell already reported.
+            return;
         }
+        for (slot, outcome) in c.outcomes[first..].iter_mut().zip(outcomes) {
+            slot.get_or_insert_with(|| outcome.clone());
+        }
+        c.pending -= 1;
         c.executed |= executed;
-        if c.filled == c.outcomes.len() && c.executed && !c.stored {
-            c.stored = true;
-            let tests: Vec<TestJobOutcome> = c
-                .outcomes
-                .iter()
-                .map(|o| o.clone().expect("filled"))
-                .collect();
-            let record = CellRecord {
-                total: tests.len(),
-                tests,
-                footprint: self.footprints[cell].clone(),
-            };
-            drop(c);
-            let written = self.cache.store_io(&self.keys[cell], &record);
-            self.obs.add(Counter::CacheBytesWritten, written);
+        if c.pending > 0 || !c.executed {
+            return;
         }
+        let total = c.outcomes.len();
+        let tests: Vec<TestJobOutcome> = c.outcomes.iter_mut().map_while(Option::take).collect();
+        drop(c);
+        let record = CellRecord {
+            total,
+            tests,
+            footprint: self.footprints[cell].clone(),
+        };
+        let written = self.cache.store_io(&self.keys[cell], &record);
+        self.obs.add(Counter::CacheBytesWritten, written);
     }
 }
 
@@ -944,7 +695,7 @@ impl fmt::Debug for CacheRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use comptest_core::Trace;
+    use comptest_core::{TestResult, Trace};
 
     fn result(test: &str) -> TestResult {
         TestResult {
@@ -977,7 +728,7 @@ mod tests {
             tests: vec![Ok(result("a")), Err("no resource supports get_u".into())],
             footprint: None,
         };
-        let decoded = codec::decode(&codec::encode(&record)).unwrap();
+        let decoded = binary::decode(&binary::encode(&record)).unwrap();
         assert_eq!(decoded, record);
     }
 
@@ -999,7 +750,7 @@ mod tests {
             tests: vec![Ok(result("a")), Err("boom".into())],
             footprint: None,
         };
-        assert!(with_error.cell_outcome("s", "x").is_some());
+        assert_eq!(with_error.job_outcomes(0..3).map(<[_]>::len), Some(2));
         assert_eq!(with_error.test_outcome(0), Some(&Ok(result("a"))));
         assert!(with_error.test_outcome(2).is_none());
 
@@ -1008,10 +759,7 @@ mod tests {
             tests: vec![Ok(result("a")), Ok(result("b"))],
             footprint: None,
         };
-        assert!(
-            undetermined.cell_outcome("s", "x").is_none(),
-            "missing tail"
-        );
+        assert!(undetermined.job_outcomes(0..3).is_none(), "missing tail");
         assert!(
             undetermined.test_outcome(1).is_some(),
             "per-test still hits"
@@ -1022,8 +770,14 @@ mod tests {
             tests: vec![Ok(result("a")), Ok(result("b"))],
             footprint: None,
         };
-        let cell = complete.cell_outcome("s", "x").unwrap();
-        assert_eq!(cell.outcome.as_ref().unwrap().results.len(), 2);
+        assert_eq!(complete.job_outcomes(0..2).map(<[_]>::len), Some(2));
+        assert_eq!(complete.job_outcomes(1..2).map(<[_]>::len), Some(1));
+        let empty = CellRecord {
+            total: 0,
+            tests: vec![],
+            footprint: None,
+        };
+        assert_eq!(empty.job_outcomes(0..0), Some(&[][..]), "an empty cell");
     }
 
     #[test]
@@ -1047,7 +801,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("comptest-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = DirCache::open(&dir).unwrap();
-        assert_eq!(cache.format(), RecordFormat::Binary);
         let record = CellRecord {
             total: 1,
             tests: vec![Ok(result("a"))],
@@ -1087,58 +840,38 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Records written by earlier releases as `<key>.json` are never
+    /// read: the entry is a plain miss, and the re-executed cell is
+    /// stored as `.bin`.
     #[test]
-    fn dir_cache_reads_both_formats_and_latest_write_wins() {
+    fn dir_cache_treats_leftover_json_entries_as_misses() {
         let dir =
-            std::env::temp_dir().join(format!("comptest-cache-fmt-test-{}", std::process::id()));
+            std::env::temp_dir().join(format!("comptest-cache-json-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        let cache = DirCache::open(&dir).unwrap();
+        let json = dir.join(format!("{}.json", key(1)));
+        std::fs::write(&json, "{\"version\": 1, \"total\": 1, \"tests\": []}").unwrap();
+        let info = cache.lookup_io(&key(1));
+        assert_eq!((info.lookup, info.bytes), (CacheLookup::Miss, 0));
+
         let record = CellRecord {
             total: 2,
             tests: vec![Ok(result("a")), Err("boom".into())],
             footprint: None,
         };
-
-        // A JSON-written entry hits through a binary-default cache…
-        let json_cache = DirCache::open(&dir)
-            .unwrap()
-            .with_format(RecordFormat::Json);
-        assert_eq!(json_cache.entry_path(&key(1)).extension().unwrap(), "json");
-        json_cache.store(&key(1), &record);
-        let bin_cache = DirCache::open(&dir).unwrap();
-        let info = bin_cache.lookup_io(&key(1));
-        assert_eq!(info.lookup, CacheLookup::Hit(record.clone()));
-        assert_eq!(info.format, Some(RecordFormat::Json));
+        cache.store(&key(1), &record);
+        let path = cache.entry_path(&key(1));
+        assert_eq!(path.extension().unwrap(), "bin");
+        let info = cache.lookup_io(&key(1));
+        assert_eq!(info.lookup, CacheLookup::Hit(record));
         assert!(info.bytes > 0);
-
-        // …and a binary-written entry hits through a JSON-writing cache.
-        bin_cache.store(&key(2), &record);
-        let info = json_cache.lookup_io(&key(2));
-        assert_eq!(info.lookup, CacheLookup::Hit(record.clone()));
-        assert_eq!(info.format, Some(RecordFormat::Binary));
-
-        // Re-storing in the other format removes the stale file, so the
-        // latest write wins for every reader.
-        let updated = CellRecord {
-            total: 2,
-            tests: vec![Ok(result("b")), Err("boom".into())],
-            footprint: None,
-        };
-        bin_cache.store(&key(1), &updated);
-        assert!(!json_cache.entry_path(&key(1)).exists(), "stale JSON gone");
-        assert_eq!(json_cache.load(&key(1)), Some(updated));
-
-        // Misses report no bytes and no format.
-        let info = bin_cache.lookup_io(&key(9));
-        assert_eq!(info.lookup, CacheLookup::Miss);
-        assert_eq!((info.bytes, info.format), (0, None));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Many writers — separate `DirCache` instances, mixed formats, shared
-    /// keys — may interleave freely: every key must stay loadable at every
-    /// instant (atomic rename means readers see old or new, never torn),
-    /// the slower of two racing stores must not delete the faster one's
-    /// record, and no `.tmp` files may survive.
+    /// Many writers — separate `DirCache` instances, shared keys — may
+    /// interleave freely: every key must stay loadable at every
+    /// instant (atomic rename means readers see old or new, never torn)
+    /// and no `.tmp` files may survive.
     #[test]
     fn dir_cache_concurrent_writers_never_lose_the_winning_record() {
         let dir =
@@ -1160,17 +893,12 @@ mod tests {
                 scope.spawn(move || {
                     // Each thread its own instance — the temp-name counter
                     // must disambiguate across instances, not within one.
-                    let format = if t % 2 == 0 {
-                        RecordFormat::Binary
-                    } else {
-                        RecordFormat::Json
-                    };
-                    let cache = DirCache::open(dir).unwrap().with_format(format);
+                    let cache = DirCache::open(dir).unwrap();
                     for round in 0..ROUNDS {
                         let k = key((t + round) as u64 % KEYS);
                         cache.store(&k, record);
-                        // A concurrent reader (any format preference) must
-                        // never observe a torn or vanished record.
+                        // A concurrent reader must never observe a torn or
+                        // vanished record.
                         assert_eq!(
                             cache.load(&k),
                             Some(record.clone()),

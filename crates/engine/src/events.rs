@@ -10,9 +10,8 @@ use std::time::Duration;
 /// suite×stand cell, test-granular runs emit [`EngineEvent::TestStarted`] /
 /// [`EngineEvent::TestFinished`] per single test.
 ///
-/// Marked `#[non_exhaustive]`: future executors (the planned async
-/// event-loop engine, campaign caching) will add event kinds, so matches
-/// outside this crate need a wildcard arm —
+/// Marked `#[non_exhaustive]`: future executors may add event kinds, so
+/// matches outside this crate need a wildcard arm —
 /// `comptest_report::progress::progress_line` renders every variant and is
 /// the recommended way to print these.
 #[non_exhaustive]
@@ -123,25 +122,6 @@ pub enum EngineEvent {
         worker: usize,
         /// OS process id of the lost child.
         pid: u32,
-    },
-    /// The campaign is complete.
-    ///
-    /// Only the deprecated shim entry points emit this terminal marker; in
-    /// the builder API the event stream simply ends and
-    /// [`CampaignHandle::join`](crate::CampaignHandle::join) returns the
-    /// totals as a [`CampaignOutcome`](crate::CampaignOutcome).
-    CampaignDone {
-        /// Tests passed across the matrix.
-        passed: usize,
-        /// Tests failed across the matrix.
-        failed: usize,
-        /// Tests errored across the matrix.
-        errored: usize,
-        /// Cells that could not be planned.
-        not_runnable: usize,
-        /// Jobs cancelled before they ran: whole cells at cell
-        /// granularity, single tests at test granularity.
-        cancelled: usize,
     },
 }
 

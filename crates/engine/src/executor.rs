@@ -2,38 +2,46 @@
 //! in-order [`SerialExecutor`] reference and the [`PooledExecutor`] backed
 //! by a persistent [`WorkerPool`].
 //!
-//! All executors — serial, pooled and the async event loop — run the same
-//! *packaged* jobs produced by [`Prepared`]: scripts generated once per
-//! entry, stands cloned once, execution plans resolved lazily **once per
-//! (entry, test, stand) triple** through shared [`PlanSlot`]s that live on
-//! the [`Campaign`] value (so relaunching the same campaign — replay
-//! loops, watch mode, warm cache runs — never re-plans), and the campaign
-//! cache consulted at the exact admission point where a job would start.
+//! Every executor — serial, pooled, async and remote — runs one unit of
+//! work, the [`PackagedJob`]: a run of consecutive tests of one cell.
+//! [`Granularity`] is its batch size. `Test` packages batches of one
+//! test, `Cell` one batch holding the whole cell. A job runs its tests in
+//! order, each against a fresh power-cycled device, and stops after the
+//! first planning error — for a batch of one test that changes nothing.
+//!
+//! Jobs come from [`Prepared`]: scripts generated once per entry, stands
+//! cloned once, execution plans resolved lazily **once per (entry, test,
+//! stand) triple** through shared [`PlanSlot`]s that live on the
+//! [`Campaign`] value (so relaunching the same campaign — replay loops,
+//! watch mode, warm cache runs — never re-plans), and the campaign cache
+//! consulted at the exact admission point where a job would start. Every
+//! executor joins through [`join_jobs`], which folds the per-test outcomes
+//! with [`merge_test_outcomes`].
 
+use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use comptest_core::campaign::{
-    merge_test_outcomes, plan_cells, plan_script, plan_test_jobs, CampaignCell, CampaignEntry,
-    CampaignResult, TestJobOutcome,
+    cell_status, merge_test_outcomes, plan_cells, plan_script, CampaignEntry, TestJobOutcome,
 };
 use comptest_core::error::CoreError;
 use comptest_core::exec::{ExecOptions, RunState};
 use comptest_core::hash::{
     capture_footprint, hash_device, hash_exec_options, hash_stand, hash_suite, CellKey, Footprint,
 };
-use comptest_core::{StepProbe, TestRun};
+use comptest_core::{StepProbe, TestResult, TestRun};
 use comptest_dut::Device;
 use comptest_model::SimTime;
 use comptest_script::TestScript;
 use comptest_stand::{ExecutionPlan, TestStand};
 
-use crate::cache::{fold_cell, CacheKeying, CacheRuntime};
+use crate::cache::{CacheKeying, CacheRuntime};
 use crate::campaign::{Campaign, Granularity};
 use crate::events::{emit, EngineEvent};
 use crate::handle::{CampaignHandle, CampaignOutcome, EventStream, RunCancel};
-use crate::obs::{Counter, Gauge, Phase, Recorder, SpanCat};
+use crate::obs::{Counter, Gauge, Phase, Recorder, SpanCat, SpanHandle};
 use crate::pool::WorkerPool;
 
 /// A strategy for executing an already-validated [`Campaign`].
@@ -42,10 +50,10 @@ use crate::pool::WorkerPool;
 /// swappable without touching callers (pinned by the
 /// `executor_conformance` integration suite):
 ///
-/// * jobs come from the deterministic plans ([`plan_cells`] /
-///   [`plan_test_jobs`]) and outcomes merge back in that canonical order,
-///   so the joined [`CampaignResult`] is byte-identical across executors
-///   and worker counts;
+/// * jobs come from the deterministic cell plan ([`plan_cells`]) and
+///   outcomes merge back in canonical (cell, test) order, so the joined
+///   [`CampaignResult`](comptest_core::campaign::CampaignResult) is
+///   byte-identical across executors and worker counts;
 /// * the first codegen error surfaces from `launch` before any job runs;
 /// * cancellation is cooperative: the campaign's [`CancelToken`]
 ///   (`campaign.cancel`) and the per-run latch behind
@@ -255,21 +263,21 @@ impl KeyStore {
 /// Everything a launch shares across jobs, prepared once on the launch
 /// thread: generated scripts (the codegen precheck), owned stands, the
 /// campaign's plan slots, and the cache runtime with pre-loaded records.
-pub(crate) struct Prepared {
+struct Prepared {
     scripts: Vec<Vec<Arc<TestScript>>>,
     stands: Vec<Arc<TestStand>>,
     slots: Vec<Arc<PlanSlot>>,
     /// Cumulative test counts: `offsets[e]` = tests of entries `0..e`.
     offsets: Vec<usize>,
     n_stands: usize,
-    pub(crate) cache: Option<Arc<CacheRuntime>>,
+    cache: Option<Arc<CacheRuntime>>,
 }
 
 impl Prepared {
     /// Generates all scripts (surfacing the first codegen error before any
     /// job runs), clones stands once, binds the campaign's plan slots and
     /// pre-loads cache records in deterministic cell order.
-    pub(crate) fn new(campaign: &Campaign<'_, '_>) -> Result<Self, CoreError> {
+    fn new(campaign: &Campaign<'_, '_>) -> Result<Self, CoreError> {
         let obs = &campaign.obs;
         let scripts = obs.time_phase(Phase::Codegen, || {
             campaign.scripts.get_or_generate(campaign.entries)
@@ -313,66 +321,71 @@ impl Prepared {
         Arc::clone(&self.slots[(self.offsets[entry] + test) * self.n_stands + stand])
     }
 
-    /// Packages the deterministic test-job list: scripts and stands are
+    /// Packages the deterministic job list at `granularity`: cells in plan
+    /// order, each cut into [`batches`]. Scripts and stands are
     /// `Arc`-shared, plan slots are shared per (entry, test, stand), and
-    /// every job that will actually *execute* gets its own freshly built
-    /// device (the serial pipeline power-cycles the DUT per test; building
-    /// up front keeps worker tasks `'static`). Records are pre-loaded and
-    /// immutable for the launch, so admission is predictable here:
-    /// predicted cache hits skip device construction entirely — a fully
-    /// warm run builds zero devices.
-    pub(crate) fn package_jobs(&self, entries: &[CampaignEntry<'_>]) -> Vec<PackagedJob> {
-        let counts: Vec<usize> = entries.iter().map(|e| e.suite.tests.len()).collect();
-        plan_test_jobs(&counts, self.n_stands)
-            .into_iter()
-            .map(|j| {
+    /// every job that will actually *execute* gets one freshly built
+    /// device per test (the serial pipeline power-cycles the DUT per test;
+    /// building up front keeps worker tasks `'static`). Records are
+    /// pre-loaded and immutable for the launch, so admission is
+    /// predictable here: predicted cache hits skip device construction
+    /// entirely — a fully warm run builds zero devices.
+    ///
+    /// Also returns, per job, the range of the flat (cell, test) merge
+    /// order its outcomes fill.
+    fn package(
+        &self,
+        entries: &[CampaignEntry<'_>],
+        granularity: Granularity,
+    ) -> (Vec<PackagedJob>, Vec<Range<usize>>) {
+        let mut jobs = Vec::new();
+        let mut layout = Vec::new();
+        let mut base = 0usize;
+        for cell in plan_cells(entries.len(), self.n_stands) {
+            let entry = &entries[cell.entry];
+            let n_tests = entry.suite.tests.len();
+            for tests in batches(granularity, n_tests) {
                 let hit = self
                     .cache
                     .as_ref()
-                    .is_some_and(|c| c.will_hit_test(j.cell, j.test));
-                PackagedJob {
-                    job: j.job,
-                    cell: j.cell,
-                    test: j.test,
-                    entry: j.entry,
-                    suite: entries[j.entry].suite.name.clone(),
-                    stand_name: self.stands[j.stand].name().to_owned(),
-                    name: entries[j.entry].suite.tests[j.test].name.clone(),
-                    script: Arc::clone(&self.scripts[j.entry][j.test]),
-                    stand: Arc::clone(&self.stands[j.stand]),
-                    plan: self.slot(j.entry, j.test, j.stand),
-                    device: (!hit).then(|| entries[j.entry].device_factory.build()),
-                }
-            })
-            .collect()
-    }
-
-    /// Packages the deterministic cell list for cell-granular runs. As
-    /// with [`Prepared::package_jobs`], predicted whole-cell cache hits
-    /// skip device construction for every test of the cell.
-    pub(crate) fn package_cells(&self, entries: &[CampaignEntry<'_>]) -> Vec<PackagedCell> {
-        plan_cells(entries.len(), self.n_stands)
-            .into_iter()
-            .map(|j| {
-                let hit = self.cache.as_ref().is_some_and(|c| c.will_hit_cell(j.cell));
-                PackagedCell {
-                    cell: j.cell,
-                    entry: j.entry,
-                    suite: entries[j.entry].suite.name.clone(),
-                    stand_name: self.stands[j.stand].name().to_owned(),
-                    stand: Arc::clone(&self.stands[j.stand]),
-                    tests: self.scripts[j.entry]
-                        .iter()
-                        .enumerate()
-                        .map(|(t, script)| PackagedTest {
-                            script: Arc::clone(script),
-                            plan: self.slot(j.entry, t, j.stand),
-                            device: (!hit).then(|| entries[j.entry].device_factory.build()),
+                    .is_some_and(|c| c.will_hit(cell.cell, tests.clone()));
+                layout.push(base + tests.start..base + tests.end);
+                jobs.push(PackagedJob {
+                    job: jobs.len(),
+                    cell: cell.cell,
+                    entry: cell.entry,
+                    first: tests.start,
+                    suite: entry.suite.name.clone(),
+                    stand_name: self.stands[cell.stand].name().to_owned(),
+                    stand: Arc::clone(&self.stands[cell.stand]),
+                    tests: tests
+                        .clone()
+                        .map(|t| JobTest {
+                            script: Arc::clone(&self.scripts[cell.entry][t]),
+                            plan: self.slot(cell.entry, t, cell.stand),
                         })
                         .collect(),
-                }
-            })
-            .collect()
+                    devices: if hit {
+                        Vec::new()
+                    } else {
+                        tests.map(|_| entry.device_factory.build()).collect()
+                    },
+                });
+            }
+            base += n_tests;
+        }
+        (jobs, layout)
+    }
+}
+
+/// The engine's unit of work, as a batch size: the suite-index ranges of
+/// the jobs a cell with `tests` tests is cut into. [`Granularity::Test`]
+/// makes one job per test; [`Granularity::Cell`] one job for the whole
+/// cell, so even a cell without tests is one job.
+fn batches(granularity: Granularity, tests: usize) -> Vec<Range<usize>> {
+    match granularity {
+        Granularity::Cell => std::iter::once(0..tests).collect(),
+        Granularity::Test => (0..tests).map(|t| t..t + 1).collect(),
     }
 }
 
@@ -390,13 +403,49 @@ fn shared_scripts(entries: &[CampaignEntry<'_>]) -> Result<Vec<Vec<Arc<TestScrip
         .collect()
 }
 
-/// The job-side context every worker shares: execution options,
-/// cancellation state, the stop-on-first-fail policy, the cache runtime
-/// and the observability recorder. Cloning is cheap (`Arc`s and plain
-/// data).
+/// One packaged job — a run of consecutive tests of one cell — with
+/// everything a worker (pool thread, async shard, remote process) needs,
+/// owned.
+pub(crate) struct PackagedJob {
+    /// Index into the deterministic job list.
+    pub(crate) job: usize,
+    pub(crate) cell: usize,
+    /// Index into the campaign's entries — lets the join rebuild devices
+    /// through the entry's `DeviceFactory` when a predicted hit strands.
+    pub(crate) entry: usize,
+    /// Suite index of the job's first test.
+    pub(crate) first: usize,
+    pub(crate) suite: String,
+    pub(crate) stand_name: String,
+    pub(crate) stand: Arc<TestStand>,
+    pub(crate) tests: Vec<JobTest>,
+    /// One fresh DUT per test, in order — empty when packaging predicted
+    /// a cache hit (admission then serves the job without one).
+    pub(crate) devices: Vec<Device>,
+}
+
+impl PackagedJob {
+    /// Suite indices of the job's tests.
+    pub(crate) fn test_range(&self) -> Range<usize> {
+        self.first..self.first + self.tests.len()
+    }
+}
+
+/// One test of a packaged job: its script and the campaign's shared plan
+/// slot for it on the job's stand.
+pub(crate) struct JobTest {
+    pub(crate) script: Arc<TestScript>,
+    pub(crate) plan: Arc<PlanSlot>,
+}
+
+/// The job-side context every worker shares: execution options, the
+/// campaign's granularity (which decides the event shape), cancellation
+/// state, the stop-on-first-fail policy, the cache runtime and the
+/// observability recorder. Cloning is cheap (`Arc`s and plain data).
 #[derive(Clone)]
 pub(crate) struct JobCtx {
     pub(crate) exec: ExecOptions,
+    pub(crate) granularity: Granularity,
     pub(crate) cancel: RunCancel,
     pub(crate) stop: bool,
     pub(crate) cache: Option<Arc<CacheRuntime>>,
@@ -408,12 +457,13 @@ pub(crate) struct JobCtx {
 }
 
 impl JobCtx {
-    pub(crate) fn new(campaign: &Campaign<'_, '_>, prepared: &Prepared) -> Self {
+    fn new(campaign: &Campaign<'_, '_>, prepared: &Prepared) -> Self {
         campaign
             .obs
             .add(Counter::JobsPlanned, campaign.job_count() as u64);
         Self {
             exec: campaign.exec,
+            granularity: campaign.granularity,
             cancel: RunCancel::new(campaign.cancel.clone()),
             stop: campaign.stop_on_first_fail,
             cache: prepared.cache.clone(),
@@ -424,122 +474,465 @@ impl JobCtx {
 
     /// Emits the cache-corruption warnings collected at preload, if any —
     /// called by every launch path right after its event channel exists.
-    pub(crate) fn emit_cache_warnings(&self, events: &Sender<EngineEvent>) {
+    fn emit_cache_warnings(&self, events: &Sender<EngineEvent>) {
         if let Some(runtime) = &self.cache {
             runtime.emit_corrupt_warnings(events);
         }
     }
 
-    /// Serves one test-granular job from the cache if possible: emits
-    /// [`EngineEvent::CellCached`], trips the stop latch on a cached
-    /// failure and reports the outcome. Returns `true` when the job was
-    /// served — the one hit sequence shared by the blocking and async
-    /// admission paths, so hit semantics cannot drift between executors.
-    pub(crate) fn try_cached_test(
+    /// Admits one job at the point where it would start — the one
+    /// admission sequence of every executor, so hit semantics cannot
+    /// drift between them. A cancelled run acknowledges the job; a cache
+    /// hit emits [`EngineEvent::CellCached`], trips the stop latch on a
+    /// cached failure and reports the cached outcomes; a predicted hit
+    /// that missed (another process evicted or rewrote the record) strands
+    /// the job back to the join, because worker tasks cannot borrow the
+    /// campaign's device factories and the join can. Returns the job when
+    /// it must execute.
+    pub(crate) fn admit(
         &self,
-        job: &PackagedJob,
+        job: PackagedJob,
         events: &Sender<EngineEvent>,
-        results: &Sender<JobMsg<TestJobOutcome>>,
-    ) -> bool {
-        let Some(runtime) = &self.cache else {
-            return false;
-        };
-        let Some(outcome) = runtime.admit_test(job.cell, job.test) else {
-            self.obs.inc(Counter::CacheMisses);
-            return false;
-        };
-        self.obs.inc(Counter::CacheHits);
-        self.obs.inc(Counter::JobsCached);
-        let (status, failed) = outcome_status(&outcome);
-        emit(
-            events,
-            EngineEvent::CellCached {
-                cell: job.cell,
-                test: Some(job.test),
-                suite: job.suite.clone(),
-                stand: job.stand_name.clone(),
-                status,
-            },
-        );
-        if failed && self.stop {
-            self.cancel.trip();
+        results: &Sender<JobMsg>,
+    ) -> Option<PackagedJob> {
+        if self.cancel.is_cancelled() {
+            let _ = results.send(JobMsg::Cancelled);
+            return None;
         }
-        let _ = results.send(JobMsg::Done(job.job, outcome));
-        true
+        if let Some(runtime) = &self.cache {
+            match runtime.admit(job.cell, job.test_range()) {
+                Some(outcomes) => {
+                    self.obs.inc(Counter::CacheHits);
+                    self.obs.inc(Counter::JobsCached);
+                    let (status, failed) = self.job_status(&outcomes);
+                    emit(
+                        events,
+                        EngineEvent::CellCached {
+                            cell: job.cell,
+                            test: (self.granularity == Granularity::Test).then_some(job.first),
+                            suite: job.suite,
+                            stand: job.stand_name,
+                            status,
+                        },
+                    );
+                    if failed && self.stop {
+                        self.cancel.trip();
+                    }
+                    let _ = results.send(JobMsg::Done(job.job, outcomes));
+                    return None;
+                }
+                None => self.obs.inc(Counter::CacheMisses),
+            }
+        }
+        if job.devices.len() < job.tests.len() {
+            let _ = results.send(JobMsg::Stranded(Box::new(job)));
+            return None;
+        }
+        Some(job)
     }
 
-    /// Serves one whole-cell job from the cache if possible — the
-    /// cell-granular counterpart of [`JobCtx::try_cached_test`].
-    pub(crate) fn try_cached_cell(
-        &self,
-        cell: &PackagedCell,
-        events: &Sender<EngineEvent>,
-        results: &Sender<JobMsg<CampaignCell>>,
-    ) -> bool {
-        let Some(runtime) = &self.cache else {
-            return false;
-        };
-        let Some(cached) = runtime.admit_cell(cell.cell, &cell.suite, &cell.stand_name) else {
-            self.obs.inc(Counter::CacheMisses);
-            return false;
-        };
-        self.obs.inc(Counter::CacheHits);
-        self.obs.inc(Counter::JobsCached);
-        emit(
-            events,
-            EngineEvent::CellCached {
-                cell: cell.cell,
-                test: None,
-                suite: cached.suite.clone(),
-                stand: cached.stand.clone(),
-                status: cached.status(),
-            },
-        );
-        if !cached.passed() && self.stop {
-            self.cancel.trip();
+    /// Status line and failed flag of a job's outcomes at the campaign's
+    /// granularity: the test's verdict, or the status of the cell the
+    /// outcomes merge into.
+    fn job_status(&self, outcomes: &[TestJobOutcome]) -> (String, bool) {
+        match (self.granularity, outcomes) {
+            (Granularity::Test, [outcome]) => outcome_status(outcome),
+            _ => cell_status(outcomes),
         }
-        let _ = results.send(JobMsg::Done(cell.cell, cached));
-        true
     }
 }
 
-/// Resolves the shared plan slot and executes against the device — the
-/// single plan-then-run step every blocking execution path goes through
-/// (the async executor resolves the same slots but parks a [`TestRun`]
-/// instead of driving to completion). With observability enabled the run
-/// is driven step by step through a probe-attached [`TestRun`], which
+/// Drives one resolved plan against its fresh device. With observability
+/// enabled the run is stepped through a probe-attached [`TestRun`], which
 /// records per-step spans and worker-utilization time; the result is
 /// byte-identical to the plain `execute` fast path either way.
-pub(crate) fn plan_and_execute(
-    slot: &PlanSlot,
-    script: &TestScript,
-    stand: &TestStand,
-    device: &mut Device,
-    ctx: &JobCtx,
-) -> TestJobOutcome {
-    match slot.resolve(script, stand, &ctx.obs) {
-        Ok(plan) => Ok(match &ctx.step_probe {
-            None => comptest_core::execute(&plan, device, &ctx.exec),
-            Some(probe) => {
-                let mut run =
-                    TestRun::new(plan.as_ref(), device, &ctx.exec).with_probe(Arc::clone(probe));
-                loop {
-                    if let RunState::Finished(result) = run.step() {
-                        break result;
-                    }
+fn execute_plan(plan: &ExecutionPlan, device: &mut Device, ctx: &JobCtx) -> TestResult {
+    match &ctx.step_probe {
+        None => comptest_core::execute(plan, device, &ctx.exec),
+        Some(probe) => {
+            let mut run = TestRun::new(plan, device, &ctx.exec).with_probe(Arc::clone(probe));
+            loop {
+                if let RunState::Finished(result) = run.step() {
+                    break result;
                 }
             }
-        }),
-        Err(reason) => Err(reason),
+        }
     }
 }
 
 /// The simulated end time of one outcome (`0` for planning failures) —
 /// what `test_sim_micros` metrics record.
-pub(crate) fn outcome_sim_end(outcome: &TestJobOutcome) -> SimTime {
+fn outcome_sim_end(outcome: &TestJobOutcome) -> SimTime {
     match outcome {
         Ok(result) => result.sim_duration(),
         Err(_) => SimTime::ZERO,
+    }
+}
+
+/// Short status line and failed flag of one test outcome — one
+/// implementation for every executor, so events agree byte-for-byte. The
+/// planning-failure reason is rendered the same way cell status lines
+/// render it (`NOT RUNNABLE (<first line, truncated>)`), so live per-test
+/// progress says *why* a test could not run.
+fn outcome_status(outcome: &TestJobOutcome) -> (String, bool) {
+    let status = match outcome {
+        Ok(result) => result.verdict().to_string(),
+        Err(reason) => comptest_core::campaign::not_runnable_status(reason),
+    };
+    let failed = !matches!(outcome, Ok(r) if r.passed());
+    (status, failed)
+}
+
+/// One admitted job while its tests run: the events, spans, gauges and
+/// counters of a job, kept identical on every executor. The blocking
+/// executors drive it in one loop ([`execute`]), the async executor one
+/// step at a time, and the remote executor replays a worker's results
+/// through it.
+pub(crate) struct JobRun {
+    job: usize,
+    cell: usize,
+    first: usize,
+    /// Suite index of the next test to begin.
+    next: usize,
+    suite: String,
+    stand_name: String,
+    stand: Arc<TestStand>,
+    pending: std::iter::Zip<std::vec::IntoIter<JobTest>, std::vec::IntoIter<Device>>,
+    outcomes: Vec<TestJobOutcome>,
+    failed: bool,
+    /// The cell span, open at cell granularity only.
+    span: Option<SpanHandle>,
+    /// The span of the test begun last, open until it ends.
+    test_span: Option<SpanHandle>,
+}
+
+impl JobRun {
+    /// Starts an admitted job: `JobStarted` and the cell span at cell
+    /// granularity, and the in-flight gauge.
+    pub(crate) fn start(job: PackagedJob, ctx: &JobCtx, events: &Sender<EngineEvent>) -> Self {
+        let span = (ctx.granularity == Granularity::Cell).then(|| {
+            emit(
+                events,
+                EngineEvent::JobStarted {
+                    cell: job.cell,
+                    suite: job.suite.clone(),
+                    stand: job.stand_name.clone(),
+                },
+            );
+            ctx.obs.span_begin(SpanCat::Cell, || {
+                format!("{} on {}", job.suite, job.stand_name)
+            })
+        });
+        ctx.obs.gauge_add(Gauge::InflightJobs, 1);
+        Self {
+            job: job.job,
+            cell: job.cell,
+            first: job.first,
+            next: job.first,
+            outcomes: Vec::with_capacity(job.tests.len()),
+            pending: job.tests.into_iter().zip(job.devices),
+            suite: job.suite,
+            stand_name: job.stand_name,
+            stand: job.stand,
+            failed: false,
+            span,
+            test_span: None,
+        }
+    }
+
+    /// Begins the job's next test — its span, and `TestStarted` at test
+    /// granularity — handing out the test with its fresh device; `None`
+    /// once every test began.
+    pub(crate) fn begin_test(
+        &mut self,
+        ctx: &JobCtx,
+        events: &Sender<EngineEvent>,
+    ) -> Option<(JobTest, Device)> {
+        let (test, device) = self.pending.next()?;
+        if ctx.granularity == Granularity::Test {
+            emit(
+                events,
+                EngineEvent::TestStarted {
+                    cell: self.cell,
+                    test: self.next,
+                    suite: self.suite.clone(),
+                    stand: self.stand_name.clone(),
+                    name: test.script.name.clone(),
+                },
+            );
+        }
+        self.test_span = Some(ctx.obs.span_begin(SpanCat::Test, || {
+            format!("{}::{}", self.suite, test.script.name)
+        }));
+        Some((test, device))
+    }
+
+    /// The plan of `test` on the job's stand, resolved through its shared
+    /// slot (planned at most once per campaign value).
+    pub(crate) fn plan(&self, test: &JobTest, ctx: &JobCtx) -> Result<Arc<ExecutionPlan>, String> {
+        test.plan.resolve(&test.script, &self.stand, &ctx.obs)
+    }
+
+    /// Ends the test begun last with its outcome and wall time: counters,
+    /// timings, its span, and `TestFinished` at test granularity. Returns
+    /// whether the job goes on — a planning error ends it, exactly where
+    /// sequential cell execution stops.
+    pub(crate) fn end_test(
+        &mut self,
+        test: &JobTest,
+        outcome: TestJobOutcome,
+        wall: Duration,
+        ctx: &JobCtx,
+        events: &Sender<EngineEvent>,
+    ) -> bool {
+        let (status, failed) = outcome_status(&outcome);
+        ctx.obs.inc(Counter::TestsExecuted);
+        ctx.obs.test_timing(wall, outcome_sim_end(&outcome));
+        if let Some(span) = self.test_span.take() {
+            ctx.obs.span_end(span, || Some(status.clone()));
+        }
+        if ctx.granularity == Granularity::Test {
+            emit(
+                events,
+                EngineEvent::TestFinished {
+                    cell: self.cell,
+                    test: self.next,
+                    suite: self.suite.clone(),
+                    stand: self.stand_name.clone(),
+                    name: test.script.name.clone(),
+                    status,
+                    failed,
+                    duration: wall,
+                },
+            );
+        }
+        self.failed |= failed;
+        self.next += 1;
+        let go_on = outcome.is_ok();
+        self.outcomes.push(outcome);
+        go_on
+    }
+
+    /// Finishes the job: feeds the cache (store + verify), closes the cell
+    /// span with `JobFinished` at cell granularity, trips
+    /// `stop_on_first_fail` on a failure and reports the outcomes to the
+    /// join.
+    pub(crate) fn finish(
+        self,
+        ctx: &JobCtx,
+        events: &Sender<EngineEvent>,
+        results: &Sender<JobMsg>,
+    ) {
+        if let Some(runtime) = &ctx.cache {
+            runtime.finish(self.cell, self.first, &self.outcomes);
+        }
+        ctx.obs.gauge_add(Gauge::InflightJobs, -1);
+        ctx.obs.inc(Counter::JobsExecuted);
+        if let Some(span) = self.span {
+            let (status, failed) = cell_status(&self.outcomes);
+            ctx.obs.span_end(span, || Some(status.clone()));
+            emit(
+                events,
+                EngineEvent::JobFinished {
+                    cell: self.cell,
+                    suite: self.suite,
+                    stand: self.stand_name,
+                    status,
+                    failed,
+                },
+            );
+        }
+        if self.failed && ctx.stop {
+            ctx.cancel.trip();
+        }
+        let _ = results.send(JobMsg::Done(self.job, self.outcomes));
+    }
+
+    /// Abandons the job at a step boundary (the async executor's
+    /// cancellation): open spans close as cancelled, finished tests are
+    /// discarded, and the join counts the job cancelled.
+    pub(crate) fn abandon(self, ctx: &JobCtx, results: &Sender<JobMsg>) {
+        for span in [self.test_span, self.span].into_iter().flatten() {
+            ctx.obs.span_end(span, || Some("cancelled".into()));
+        }
+        ctx.obs.gauge_add(Gauge::InflightJobs, -1);
+        let _ = results.send(JobMsg::Cancelled);
+    }
+}
+
+/// Runs an admitted job to completion on the calling thread: its tests in
+/// order, each planned through its shared slot and executed against its
+/// own device, stopping after the first planning error. Every blocking
+/// path — the serial loop, pool workers, the remote fallback, join-time
+/// rescue and the worker process — goes through here.
+pub(crate) fn execute(
+    job: PackagedJob,
+    ctx: &JobCtx,
+    events: &Sender<EngineEvent>,
+    results: &Sender<JobMsg>,
+) {
+    let mut run = JobRun::start(job, ctx, events);
+    while let Some((test, mut device)) = run.begin_test(ctx, events) {
+        let started = Instant::now();
+        let outcome = run
+            .plan(&test, ctx)
+            .map(|plan| execute_plan(&plan, &mut device, ctx));
+        if !run.end_test(&test, outcome, started.elapsed(), ctx, events) {
+            break;
+        }
+    }
+    run.finish(ctx, events, results);
+}
+
+/// Admits one job and, unless admission resolved it, executes it.
+pub(crate) fn run_job(
+    job: PackagedJob,
+    ctx: &JobCtx,
+    events: &Sender<EngineEvent>,
+    results: &Sender<JobMsg>,
+) {
+    if let Some(job) = ctx.admit(job, events, results) {
+        execute(job, ctx, events, results);
+    }
+}
+
+/// What a job reports to the join — exactly one message per job.
+pub(crate) enum JobMsg {
+    /// Outcomes of job `usize`, one per test it ran.
+    Done(usize, Vec<TestJobOutcome>),
+    /// The job observed cancellation and never ran (or, on the async
+    /// executor, was abandoned at a step boundary).
+    Cancelled,
+    /// The job missed the cache at admission although packaging predicted
+    /// a hit (and therefore built no devices); the join rescues it.
+    Stranded(Box<PackagedJob>),
+    /// The job is gone for good (remote retries exhausted, or a panic in
+    /// the remote executor's in-process fallback); the label names it in
+    /// [`CoreError::JobsLost`].
+    Lost(String),
+}
+
+/// The launch path every executor shares: [`Prepared`] (codegen precheck,
+/// plan slots, cache preload), the job list at the campaign's
+/// granularity, and a handle joining through [`join_jobs`]. `drive` hands
+/// the jobs to the executor's workers and returns the `workers` gauge
+/// claim the join releases.
+pub(crate) fn launch_jobs<'a>(
+    campaign: &Campaign<'a, '_>,
+    drive: impl FnOnce(Vec<PackagedJob>, &JobCtx, Sender<EngineEvent>, Sender<JobMsg>) -> i64,
+) -> Result<CampaignHandle<'a>, CoreError> {
+    let prepared = Prepared::new(campaign)?;
+    let (jobs, layout) = prepared.package(campaign.entries, campaign.granularity);
+    let ctx = JobCtx::new(campaign, &prepared);
+    let (events_tx, events_rx) = mpsc::channel();
+    let (results_tx, results_rx) = mpsc::channel();
+    ctx.emit_cache_warnings(&events_tx);
+    // `drive` owns the launch-side senders, so both streams end with the
+    // last job.
+    let claimed_workers = drive(jobs, &ctx, events_tx, results_tx);
+    let (entries, stands) = (campaign.entries, campaign.stands);
+    let run_token = ctx.cancel.run_token();
+    Ok(CampaignHandle::new(
+        EventStream::new(events_rx),
+        run_token,
+        Box::new(move || {
+            let outcome = join_jobs(results_rx, &layout, entries, stands, &ctx);
+            ctx.obs.gauge_add(Gauge::Workers, -claimed_workers);
+            outcome
+        }),
+    ))
+}
+
+/// The join every executor shares. Takes exactly one message per job,
+/// runs stranded jobs on this thread (the one place that can borrow the
+/// campaign's device factories), drops each job's outcomes into its
+/// `layout` range of the flat (cell, test) order and folds them with
+/// [`merge_test_outcomes`]. A job that neither reported nor acknowledged
+/// cancellation died mid-job (a panic caught by the pool): that surfaces
+/// as [`CoreError::JobsLost`], never as a silently truncated — possibly
+/// all-green — result.
+fn join_jobs(
+    results: Receiver<JobMsg>,
+    layout: &[Range<usize>],
+    entries: &[CampaignEntry<'_>],
+    stands: &[&TestStand],
+    ctx: &JobCtx,
+) -> Result<CampaignOutcome, CoreError> {
+    let total = entries.iter().map(|e| e.suite.tests.len()).sum::<usize>() * stands.len();
+    let mut slots: Vec<Option<TestJobOutcome>> = (0..total).map(|_| None).collect();
+    let mut ran = vec![false; layout.len()];
+    let mut acknowledged = 0usize;
+    let mut lost = Vec::new();
+    for msg in results.iter().take(layout.len()) {
+        let (job, outcomes) = match msg {
+            JobMsg::Done(job, outcomes) => (job, outcomes),
+            JobMsg::Stranded(job) => match rescue(*job, entries, ctx) {
+                Some(done) => done,
+                None => continue,
+            },
+            JobMsg::Cancelled => {
+                acknowledged += 1;
+                continue;
+            }
+            JobMsg::Lost(label) => {
+                lost.push(label);
+                continue;
+            }
+        };
+        ran[job] = true;
+        for (slot, outcome) in layout[job].clone().zip(outcomes) {
+            slots[slot] = Some(outcome);
+        }
+    }
+    if !lost.is_empty() {
+        return Err(CoreError::JobsLost {
+            lost: lost.len(),
+            jobs: lost,
+        });
+    }
+    let cancelled = ran.iter().filter(|ran| !**ran).count();
+    if cancelled > acknowledged {
+        return Err(CoreError::JobsLost {
+            lost: cancelled - acknowledged,
+            jobs: Vec::new(),
+        });
+    }
+    let (mut result, _) = merge_test_outcomes(entries, stands, slots);
+    if ctx.granularity == Granularity::Cell {
+        // The merge keeps every cell without tests (at test granularity
+        // there is nothing to cancel in one). Here each is a job of its
+        // own, and a cancelled one must not appear.
+        let mut merged = layout
+            .iter()
+            .zip(&ran)
+            .filter(|(tests, ran)| **ran || tests.is_empty());
+        result
+            .cells
+            .retain(|_| merged.next().is_some_and(|(_, ran)| *ran));
+    }
+    if let Some(runtime) = &ctx.cache {
+        runtime.check_verified()?;
+    }
+    Ok(CampaignOutcome { result, cancelled })
+}
+
+/// Runs a stranded job on the join thread with devices rebuilt through its
+/// entry's factory. Its events go nowhere (the worker that stranded it
+/// held the campaign's event sender); the merged result is byte-identical
+/// to a worker execution.
+fn rescue(
+    mut job: PackagedJob,
+    entries: &[CampaignEntry<'_>],
+    ctx: &JobCtx,
+) -> Option<(usize, Vec<TestJobOutcome>)> {
+    let factory = &entries[job.entry].device_factory;
+    job.devices = job.tests.iter().map(|_| factory.build()).collect();
+    let (events, _) = mpsc::channel();
+    let (results, done) = mpsc::channel();
+    execute(job, ctx, &events, &results);
+    match done.try_recv() {
+        Ok(JobMsg::Done(job, outcomes)) => Some((job, outcomes)),
+        _ => None,
     }
 }
 
@@ -557,89 +950,16 @@ pub struct SerialExecutor;
 
 impl CampaignExecutor for SerialExecutor {
     fn launch<'a>(&self, campaign: &Campaign<'a, '_>) -> Result<CampaignHandle<'a>, CoreError> {
-        let prepared = Prepared::new(campaign)?;
-        let ctx = JobCtx::new(campaign, &prepared);
-        // Gauges are additive so concurrent campaigns sharing one
-        // recorder (the serving case) sum instead of stomping each other;
-        // the claim is released once this launch's jobs have run.
-        ctx.obs.gauge_add(Gauge::Workers, 1);
-        let run_token = ctx.cancel.run_token();
-        match campaign.granularity {
-            Granularity::Cell => {
-                let (events_tx, events_rx) = mpsc::channel();
-                let (results_tx, results_rx) = mpsc::channel();
-                ctx.emit_cache_warnings(&events_tx);
-                let cells = prepared.package_cells(campaign.entries);
-                let n_cells = cells.len();
-                for cell in cells {
-                    run_packaged_cell(cell, &ctx, &events_tx, &results_tx);
-                }
-                drop(events_tx);
-                drop(results_tx);
-                ctx.obs.gauge_add(Gauge::Workers, -1);
-                let entries = campaign.entries;
-                Ok(CampaignHandle::new(
-                    EventStream::new(events_rx),
-                    run_token,
-                    Box::new(move || {
-                        let (mut slots, acknowledged, strands) = collect(results_rx, n_cells);
-                        rescue_cell_strands(strands, entries, &ctx, &mut slots);
-                        let outcome = fold_cell_slots(slots, acknowledged)?;
-                        check_verified(&ctx.cache)?;
-                        Ok(outcome)
-                    }),
-                ))
+        launch_jobs(campaign, |jobs, ctx, events, results| {
+            // Gauges are additive so concurrent campaigns sharing one
+            // recorder (the serving case) sum instead of stomping each
+            // other; the join releases the claim.
+            ctx.obs.gauge_add(Gauge::Workers, 1);
+            for job in jobs {
+                run_job(job, ctx, &events, &results);
             }
-            Granularity::Test => {
-                let (events_tx, events_rx) = mpsc::channel();
-                let (results_tx, results_rx) = mpsc::channel();
-                ctx.emit_cache_warnings(&events_tx);
-                let jobs = prepared.package_jobs(campaign.entries);
-                let n_jobs = jobs.len();
-                for job in jobs {
-                    run_packaged_test(job, &ctx, &events_tx, &results_tx);
-                }
-                drop(events_tx);
-                drop(results_tx);
-                ctx.obs.gauge_add(Gauge::Workers, -1);
-                let entries = campaign.entries;
-                let stands = campaign.stands;
-                Ok(CampaignHandle::new(
-                    EventStream::new(events_rx),
-                    run_token,
-                    Box::new(move || {
-                        let (mut slots, acknowledged, strands) = collect(results_rx, n_jobs);
-                        rescue_test_strands(strands, entries, &ctx, &mut slots);
-                        let (result, cancelled) = merge_test_outcomes(entries, stands, slots);
-                        check_lost(cancelled, acknowledged)?;
-                        check_verified(&ctx.cache)?;
-                        Ok(CampaignOutcome { result, cancelled })
-                    }),
-                ))
-            }
-        }
-    }
-}
-
-/// Short status line and failed flag of one test outcome — one
-/// implementation for every executor, so events agree byte-for-byte. The
-/// planning-failure reason is rendered the same way cell status lines
-/// render it (`NOT RUNNABLE (<first line, truncated>)`), so live per-test
-/// progress says *why* a test could not run.
-pub(crate) fn outcome_status(outcome: &TestJobOutcome) -> (String, bool) {
-    let status = match outcome {
-        Ok(result) => result.verdict().to_string(),
-        Err(reason) => comptest_core::campaign::not_runnable_status(reason),
-    };
-    let failed = !matches!(outcome, Ok(r) if r.passed());
-    (status, failed)
-}
-
-/// Raises the verify-mode mismatch error, if a cache runtime is active.
-pub(crate) fn check_verified(cache: &Option<Arc<CacheRuntime>>) -> Result<(), CoreError> {
-    match cache {
-        Some(runtime) => runtime.check_verified(),
-        None => Ok(()),
+            1
+        })
     }
 }
 
@@ -667,8 +987,8 @@ impl PooledExecutor {
     /// a persistent executor serving many campaigns is sized by its owner.
     /// When building a fresh executor for one campaign, size it to
     /// [`Campaign::job_count`] (`workers.min(campaign.job_count())`, as
-    /// the CLI and the deprecated shims do) so excess threads are not
-    /// constructed only to park on the queue.
+    /// the CLI does) so excess threads are not constructed only to park on
+    /// the queue.
     ///
     /// # Panics
     ///
@@ -708,498 +1028,29 @@ impl CampaignExecutor for PooledExecutor {
 
 impl CampaignExecutor for WorkerPool {
     fn launch<'a>(&self, campaign: &Campaign<'a, '_>) -> Result<CampaignHandle<'a>, CoreError> {
-        match campaign.granularity {
-            Granularity::Cell => launch_pooled_cells(self, campaign),
-            Granularity::Test => launch_pooled_tests(self, campaign),
-        }
-    }
-}
-
-/// What a packaged job reports back to the joining collector.
-pub(crate) enum JobMsg<T> {
-    /// Outcome of slot `usize`.
-    Done(usize, T),
-    /// The job observed cancellation and never ran (or, on the async
-    /// executor, was abandoned at a step boundary).
-    Cancelled,
-    /// The job missed the cache at admission although packaging predicted
-    /// a hit (and therefore skipped its device build); the join rescues it
-    /// with a freshly built device.
-    Stranded(Strand),
-}
-
-/// A job handed back to the join because its predicted cache hit did not
-/// materialize at admission. Packaging skips device construction for
-/// predicted hits, and worker tasks are `'static` closures that cannot
-/// borrow the campaign's [`DeviceFactory`](comptest_core::campaign::DeviceFactory) —
-/// so the job travels back to the join thread, which *can* borrow the
-/// entries and rebuild the device there. Slower than the fast path, but
-/// the previous behaviour was a panic.
-pub(crate) enum Strand {
-    /// A test-granular job (only ever sent on test-outcome channels).
-    Test(Box<PackagedJob>),
-    /// A cell-granular job (only ever sent on cell-outcome channels).
-    Cell(Box<PackagedCell>),
-}
-
-/// Drains exactly `jobs` collector messages into merge slots, counting
-/// acknowledged cancellations and gathering stranded jobs for the join's
-/// rescue pass (every job sends exactly one message, stranded or not).
-pub(crate) fn collect<T>(
-    results: Receiver<JobMsg<T>>,
-    jobs: usize,
-) -> (Vec<Option<T>>, usize, Vec<Strand>) {
-    let mut slots: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
-    let mut acknowledged = 0usize;
-    let mut strands = Vec::new();
-    for msg in results.iter().take(jobs) {
-        match msg {
-            JobMsg::Done(slot, outcome) => slots[slot] = Some(outcome),
-            JobMsg::Cancelled => acknowledged += 1,
-            JobMsg::Stranded(strand) => strands.push(strand),
-        }
-    }
-    (slots, acknowledged, strands)
-}
-
-/// Executes stranded test jobs on the join thread: rebuild the device via
-/// the campaign's entry factory, run through the shared plan slot, feed
-/// the cache, fill the merge slot. The event stream has already closed by
-/// join time, so rescue emits no per-test events (the merged result is
-/// still byte-identical to a worker execution).
-pub(crate) fn rescue_test_strands(
-    strands: Vec<Strand>,
-    entries: &[CampaignEntry<'_>],
-    ctx: &JobCtx,
-    slots: &mut [Option<TestJobOutcome>],
-) {
-    for strand in strands {
-        let Strand::Test(mut job) = strand else {
-            // Channels are typed per granularity, so a cell strand cannot
-            // arrive here; leave the slot empty (surfaced as JobsLost)
-            // rather than panic.
-            continue;
-        };
-        let mut device = match job.device.take() {
-            Some(device) => device,
-            None => entries[job.entry].device_factory.build(),
-        };
-        let started = Instant::now();
-        let outcome = plan_and_execute(&job.plan, &job.script, &job.stand, &mut device, ctx);
-        if let Some(runtime) = &ctx.cache {
-            runtime.finish_test(job.cell, job.test, &outcome);
-        }
-        ctx.obs.inc(Counter::JobsExecuted);
-        ctx.obs.inc(Counter::TestsExecuted);
-        ctx.obs
-            .test_timing(started.elapsed(), outcome_sim_end(&outcome));
-        slots[job.job] = Some(outcome);
-    }
-}
-
-/// Cell-granular counterpart of [`rescue_test_strands`]: runs the cell's
-/// tests in order against rebuilt devices, with the same first-planning-
-/// error truncation the worker path applies.
-pub(crate) fn rescue_cell_strands(
-    strands: Vec<Strand>,
-    entries: &[CampaignEntry<'_>],
-    ctx: &JobCtx,
-    slots: &mut [Option<CampaignCell>],
-) {
-    for strand in strands {
-        let Strand::Cell(boxed) = strand else {
-            continue;
-        };
-        let PackagedCell {
-            cell: slot,
-            entry,
-            suite,
-            stand_name,
-            stand,
-            tests,
-        } = *boxed;
-        let mut outcomes: Vec<TestJobOutcome> = Vec::with_capacity(tests.len());
-        for mut test in tests {
-            let mut device = match test.device.take() {
-                Some(device) => device,
-                None => entries[entry].device_factory.build(),
-            };
-            let started = Instant::now();
-            let outcome = plan_and_execute(&test.plan, &test.script, &stand, &mut device, ctx);
-            if ctx.obs.is_enabled() {
-                ctx.obs.inc(Counter::TestsExecuted);
-                ctx.obs
-                    .test_timing(started.elapsed(), outcome_sim_end(&outcome));
+        let lane = campaign.lane;
+        launch_jobs(campaign, |jobs, ctx, events, results| {
+            // Additive claim (not `gauge_set`): concurrent campaigns
+            // sharing one recorder on one pool sum their claims and the
+            // gauge returns to zero once every one of them joins.
+            let claimed_workers = self.workers() as i64;
+            ctx.obs.gauge_add(Gauge::Workers, claimed_workers);
+            for job in jobs {
+                let ctx = ctx.clone();
+                let events = events.clone();
+                let results = results.clone();
+                ctx.obs.gauge_add(Gauge::QueueDepth, 1);
+                self.submit_task(
+                    lane,
+                    Box::new(move || {
+                        ctx.obs.gauge_add(Gauge::QueueDepth, -1);
+                        run_job(job, &ctx, &events, &results);
+                    }),
+                );
             }
-            let stop_cell = outcome.is_err();
-            outcomes.push(outcome);
-            if stop_cell {
-                break;
-            }
-        }
-        if let Some(runtime) = &ctx.cache {
-            runtime.finish_cell(slot, &suite, &stand_name, &outcomes);
-        }
-        ctx.obs.inc(Counter::JobsExecuted);
-        slots[slot] = Some(fold_cell(suite, stand_name, outcomes));
+            claimed_workers
+        })
     }
-}
-
-/// Every job either reports an outcome or acknowledges cancellation; a
-/// slot missing *without* an acknowledgement means a worker died mid-job
-/// (a panic caught by the pool). Surface it instead of returning a
-/// silently truncated — possibly all-green — result.
-pub(crate) fn check_lost(cancelled: usize, acknowledged: usize) -> Result<(), CoreError> {
-    let lost = cancelled.saturating_sub(acknowledged);
-    if lost > 0 {
-        return Err(CoreError::JobsLost {
-            lost,
-            jobs: Vec::new(),
-        });
-    }
-    Ok(())
-}
-
-/// One packaged test job: everything a worker (pool thread or async shard)
-/// needs, owned.
-pub(crate) struct PackagedJob {
-    pub(crate) job: usize,
-    pub(crate) cell: usize,
-    pub(crate) test: usize,
-    /// Index into the campaign's entries — lets the join rebuild a device
-    /// through the entry's `DeviceFactory` when a predicted hit strands.
-    pub(crate) entry: usize,
-    pub(crate) suite: String,
-    pub(crate) stand_name: String,
-    pub(crate) name: String,
-    pub(crate) script: Arc<TestScript>,
-    pub(crate) stand: Arc<TestStand>,
-    pub(crate) plan: Arc<PlanSlot>,
-    /// The fresh DUT — `None` when packaging predicted a cache hit (the
-    /// job resolves at admission and never needs one).
-    pub(crate) device: Option<Device>,
-}
-
-impl PackagedJob {
-    /// Takes the packaged device. `None` means packaging predicted a cache
-    /// hit (so skipped the device build) but admission missed anyway —
-    /// possible whenever the store is shared (another process evicted or
-    /// rewrote the record between packaging and execution). Callers strand
-    /// the job back to the join instead of panicking.
-    pub(crate) fn take_device(&mut self) -> Option<Device> {
-        self.device.take()
-    }
-
-    /// Resolves the shared plan slot for this job's (script, stand) pair.
-    pub(crate) fn resolve_plan(&self, obs: &Recorder) -> Result<Arc<ExecutionPlan>, String> {
-        self.plan.resolve(&self.script, &self.stand, obs)
-    }
-}
-
-/// Executes one packaged test job (worker side): consult the cache at
-/// admission, otherwise resolve the shared plan, run against the fresh
-/// device, stream per-test events.
-pub(crate) fn run_packaged_test(
-    mut job: PackagedJob,
-    ctx: &JobCtx,
-    events: &Sender<EngineEvent>,
-    results: &Sender<JobMsg<TestJobOutcome>>,
-) {
-    if ctx.cancel.is_cancelled() {
-        let _ = results.send(JobMsg::Cancelled);
-        return;
-    }
-    if ctx.try_cached_test(&job, events, results) {
-        return;
-    }
-    // Predicted hit, actual miss, no device to run with: hand the job back
-    // to the join (which can borrow the campaign's device factories) before
-    // any started event leaks out.
-    let Some(mut device) = job.take_device() else {
-        let _ = results.send(JobMsg::Stranded(Strand::Test(Box::new(job))));
-        return;
-    };
-    emit(
-        events,
-        EngineEvent::TestStarted {
-            cell: job.cell,
-            test: job.test,
-            suite: job.suite.clone(),
-            stand: job.stand_name.clone(),
-            name: job.name.clone(),
-        },
-    );
-    let span = ctx
-        .obs
-        .span_begin(SpanCat::Test, || format!("{}::{}", job.suite, job.name));
-    ctx.obs.gauge_add(Gauge::InflightJobs, 1);
-    let started = Instant::now();
-    let outcome = plan_and_execute(&job.plan, &job.script, &job.stand, &mut device, ctx);
-    let wall = started.elapsed();
-    if let Some(runtime) = &ctx.cache {
-        runtime.finish_test(job.cell, job.test, &outcome);
-    }
-    let (status, failed) = outcome_status(&outcome);
-    ctx.obs.gauge_add(Gauge::InflightJobs, -1);
-    ctx.obs.inc(Counter::JobsExecuted);
-    ctx.obs.inc(Counter::TestsExecuted);
-    ctx.obs.test_timing(wall, outcome_sim_end(&outcome));
-    ctx.obs.span_end(span, || Some(status.clone()));
-    emit(
-        events,
-        EngineEvent::TestFinished {
-            cell: job.cell,
-            test: job.test,
-            suite: job.suite,
-            stand: job.stand_name,
-            name: job.name,
-            status,
-            failed,
-            duration: wall,
-        },
-    );
-    if failed && ctx.stop {
-        ctx.cancel.trip();
-    }
-    let _ = results.send(JobMsg::Done(job.job, outcome));
-}
-
-/// Test-granular pooled launch: package every (entry, stand, test) triple,
-/// submit, and join by merging through [`merge_test_outcomes`].
-fn launch_pooled_tests<'a>(
-    pool: &WorkerPool,
-    campaign: &Campaign<'a, '_>,
-) -> Result<CampaignHandle<'a>, CoreError> {
-    let prepared = Prepared::new(campaign)?;
-    let jobs = prepared.package_jobs(campaign.entries);
-    let n_jobs = jobs.len();
-    let ctx = JobCtx::new(campaign, &prepared);
-    // Additive claim (not `gauge_set`): concurrent campaigns sharing one
-    // recorder on one pool sum their claims and the gauge returns to zero
-    // once every one of them joins.
-    let claimed_workers = pool.workers() as i64;
-    ctx.obs.gauge_add(Gauge::Workers, claimed_workers);
-    let (events_tx, events_rx) = mpsc::channel();
-    let (results_tx, results_rx) = mpsc::channel();
-    ctx.emit_cache_warnings(&events_tx);
-    for job in jobs {
-        let ctx = ctx.clone();
-        let events = events_tx.clone();
-        let results = results_tx.clone();
-        ctx.obs.gauge_add(Gauge::QueueDepth, 1);
-        pool.submit_task(
-            campaign.lane,
-            Box::new(move || {
-                ctx.obs.gauge_add(Gauge::QueueDepth, -1);
-                run_packaged_test(job, &ctx, &events, &results);
-            }),
-        );
-    }
-    // Drop the launch-side senders so both streams end with the last job.
-    drop(events_tx);
-    drop(results_tx);
-
-    let entries = campaign.entries;
-    let stands = campaign.stands;
-    let run_token = ctx.cancel.run_token();
-    Ok(CampaignHandle::new(
-        EventStream::new(events_rx),
-        run_token,
-        Box::new(move || {
-            let (mut slots, acknowledged, strands) = collect(results_rx, n_jobs);
-            ctx.obs.gauge_add(Gauge::Workers, -claimed_workers);
-            rescue_test_strands(strands, entries, &ctx, &mut slots);
-            let (result, cancelled) = merge_test_outcomes(entries, stands, slots);
-            check_lost(cancelled, acknowledged)?;
-            check_verified(&ctx.cache)?;
-            Ok(CampaignOutcome { result, cancelled })
-        }),
-    ))
-}
-
-/// One test of a packaged cell: script, shared plan slot and a fresh
-/// device (`None` when the whole cell was predicted to hit the cache).
-pub(crate) struct PackagedTest {
-    pub(crate) script: Arc<TestScript>,
-    pub(crate) plan: Arc<PlanSlot>,
-    pub(crate) device: Option<Device>,
-}
-
-impl PackagedTest {
-    /// Takes the packaged device; `None` when the cell was packaged for a
-    /// predicted hit that did not materialize at admission (the caller
-    /// strands the whole cell instead of panicking).
-    pub(crate) fn take_device(&mut self) -> Option<Device> {
-        self.device.take()
-    }
-}
-
-/// One packaged cell job: the whole suite×stand cell, owned.
-pub(crate) struct PackagedCell {
-    pub(crate) cell: usize,
-    /// Index into the campaign's entries — lets the join rebuild devices
-    /// through the entry's `DeviceFactory` when a predicted hit strands.
-    pub(crate) entry: usize,
-    pub(crate) suite: String,
-    pub(crate) stand_name: String,
-    pub(crate) stand: Arc<TestStand>,
-    pub(crate) tests: Vec<PackagedTest>,
-}
-
-/// Executes one packaged cell (worker side): consult the cache at
-/// admission, otherwise run the suite's tests in order — each against its
-/// own fresh device, stopping at the first planning error — and report the
-/// determined per-test outcomes to the cache before folding them into the
-/// historical cell outcome byte for byte.
-pub(crate) fn run_packaged_cell(
-    cell: PackagedCell,
-    ctx: &JobCtx,
-    events: &Sender<EngineEvent>,
-    results: &Sender<JobMsg<CampaignCell>>,
-) {
-    if ctx.cancel.is_cancelled() {
-        let _ = results.send(JobMsg::Cancelled);
-        return;
-    }
-    if ctx.try_cached_cell(&cell, events, results) {
-        return;
-    }
-    // Predicted hit, actual miss: the cell was packaged without devices
-    // (packaging decides per whole cell, so it is all-or-none). Strand it
-    // back to the join before any started event leaks out.
-    if cell.tests.iter().any(|t| t.device.is_none()) {
-        let _ = results.send(JobMsg::Stranded(Strand::Cell(Box::new(cell))));
-        return;
-    }
-    emit(
-        events,
-        EngineEvent::JobStarted {
-            cell: cell.cell,
-            suite: cell.suite.clone(),
-            stand: cell.stand_name.clone(),
-        },
-    );
-    let cell_span = ctx.obs.span_begin(SpanCat::Cell, || {
-        format!("{} on {}", cell.suite, cell.stand_name)
-    });
-    ctx.obs.gauge_add(Gauge::InflightJobs, 1);
-    let mut outcomes: Vec<TestJobOutcome> = Vec::with_capacity(cell.tests.len());
-    for mut test in cell.tests {
-        let Some(mut device) = test.take_device() else {
-            // Unreachable after the pre-loop check; degrade to a planning
-            // failure ending the cell rather than panic the worker.
-            outcomes.push(Err("internal: packaged test lost its device".into()));
-            break;
-        };
-        let PackagedTest { script, plan, .. } = test;
-        let test_span = ctx
-            .obs
-            .span_begin(SpanCat::Test, || format!("{}::{}", cell.suite, script.name));
-        let started = Instant::now();
-        let outcome = plan_and_execute(&plan, &script, &cell.stand, &mut device, ctx);
-        if ctx.obs.is_enabled() {
-            ctx.obs.inc(Counter::TestsExecuted);
-            ctx.obs
-                .test_timing(started.elapsed(), outcome_sim_end(&outcome));
-            ctx.obs
-                .span_end(test_span, || Some(outcome_status(&outcome).0));
-        }
-        let stop_cell = outcome.is_err();
-        outcomes.push(outcome);
-        if stop_cell {
-            break;
-        }
-    }
-    if let Some(runtime) = &ctx.cache {
-        runtime.finish_cell(cell.cell, &cell.suite, &cell.stand_name, &outcomes);
-    }
-    let campaign_cell = fold_cell(cell.suite, cell.stand_name, outcomes);
-    let failed = !campaign_cell.passed();
-    ctx.obs.gauge_add(Gauge::InflightJobs, -1);
-    ctx.obs.inc(Counter::JobsExecuted);
-    ctx.obs.span_end(cell_span, || Some(campaign_cell.status()));
-    emit(
-        events,
-        EngineEvent::JobFinished {
-            cell: cell.cell,
-            suite: campaign_cell.suite.clone(),
-            stand: campaign_cell.stand.clone(),
-            status: campaign_cell.status(),
-            failed,
-        },
-    );
-    if failed && ctx.stop {
-        ctx.cancel.trip();
-    }
-    let _ = results.send(JobMsg::Done(cell.cell, campaign_cell));
-}
-
-/// Cell-granular pooled launch: one packaged job per suite×stand cell.
-fn launch_pooled_cells<'a>(
-    pool: &WorkerPool,
-    campaign: &Campaign<'a, '_>,
-) -> Result<CampaignHandle<'a>, CoreError> {
-    let prepared = Prepared::new(campaign)?;
-    let cells = prepared.package_cells(campaign.entries);
-    let n_cells = cells.len();
-    let ctx = JobCtx::new(campaign, &prepared);
-    // Additive claim, mirroring `launch_pooled_tests` (see the comment
-    // there).
-    let claimed_workers = pool.workers() as i64;
-    ctx.obs.gauge_add(Gauge::Workers, claimed_workers);
-    let (events_tx, events_rx) = mpsc::channel();
-    let (results_tx, results_rx) = mpsc::channel();
-    ctx.emit_cache_warnings(&events_tx);
-    for cell in cells {
-        let ctx = ctx.clone();
-        let events = events_tx.clone();
-        let results = results_tx.clone();
-        ctx.obs.gauge_add(Gauge::QueueDepth, 1);
-        pool.submit_task(
-            campaign.lane,
-            Box::new(move || {
-                ctx.obs.gauge_add(Gauge::QueueDepth, -1);
-                run_packaged_cell(cell, &ctx, &events, &results);
-            }),
-        );
-    }
-    drop(events_tx);
-    drop(results_tx);
-
-    let entries = campaign.entries;
-    let run_token = ctx.cancel.run_token();
-    Ok(CampaignHandle::new(
-        EventStream::new(events_rx),
-        run_token,
-        Box::new(move || {
-            let (mut slots, acknowledged, strands) = collect(results_rx, n_cells);
-            ctx.obs.gauge_add(Gauge::Workers, -claimed_workers);
-            rescue_cell_strands(strands, entries, &ctx, &mut slots);
-            let outcome = fold_cell_slots(slots, acknowledged)?;
-            check_verified(&ctx.cache)?;
-            Ok(outcome)
-        }),
-    ))
-}
-
-/// Folds cell-granular merge slots into the deterministic outcome (missing
-/// slots are cancelled cells), verifying every gap was an acknowledged
-/// cancellation. Shared by the serial, pooled and async cell-granular
-/// joins.
-pub(crate) fn fold_cell_slots(
-    slots: Vec<Option<CampaignCell>>,
-    acknowledged: usize,
-) -> Result<CampaignOutcome, CoreError> {
-    let mut result = CampaignResult::default();
-    let mut cancelled = 0usize;
-    for slot in slots {
-        match slot {
-            Some(cell) => result.cells.push(cell),
-            None => cancelled += 1,
-        }
-    }
-    check_lost(cancelled, acknowledged)?;
-    Ok(CampaignOutcome { result, cancelled })
 }
 
 #[cfg(test)]
@@ -1252,13 +1103,13 @@ step, dt,  DS_FL, NIGHT, INT_ILL
             .collect()
     }
 
-    /// Regression for the panic at `take_device` (`"cache-miss job packaged
-    /// without a device"`): package against a warm store (every job
-    /// predicts a hit, so no devices are built), then execute against an
-    /// empty store — the record was evicted between packaging and
-    /// admission, legal whenever the store is shared between processes.
-    /// The job must strand back to the join, get a rebuilt device from the
-    /// entry's factory, and merge byte-identical to a cold run.
+    /// A predicted cache hit that misses at admission: package against a
+    /// warm store (every job predicts a hit, so no devices are built), then
+    /// execute against an empty store — the record was evicted between
+    /// packaging and admission, legal whenever the store is shared between
+    /// processes. At either granularity the jobs must strand back to the
+    /// join, get rebuilt devices from the entry's factory, and merge
+    /// byte-identical to a cold run.
     #[test]
     fn evicted_prediction_strands_and_rescues_test_jobs() {
         let wb = Workbook::parse_str("a.cts", WB).unwrap();
@@ -1267,104 +1118,62 @@ step, dt,  DS_FL, NIGHT, INT_ILL
         let stand = stand();
         let stands: Vec<&TestStand> = vec![&stand];
 
-        // Reference: a cold serial run without any cache.
-        let cold = Campaign::new(&entries, &stands)
-            .granularity(Granularity::Test)
-            .run(&SerialExecutor)
-            .unwrap();
+        for granularity in [Granularity::Cell, Granularity::Test] {
+            // Reference: a cold serial run without any cache.
+            let cold = Campaign::new(&entries, &stands)
+                .granularity(granularity)
+                .run(&SerialExecutor)
+                .unwrap();
 
-        // Warm a store, then package against it.
-        let warm_store: Arc<dyn CampaignCache> = Arc::new(MemoryCache::new());
-        Campaign::new(&entries, &stands)
-            .granularity(Granularity::Test)
-            .cache(Arc::clone(&warm_store))
-            .run(&SerialExecutor)
-            .unwrap();
-        let warm = Campaign::new(&entries, &stands)
-            .granularity(Granularity::Test)
-            .cache(Arc::clone(&warm_store));
-        let prepared = Prepared::new(&warm).unwrap();
-        let jobs = prepared.package_jobs(warm.entries);
-        assert!(!jobs.is_empty());
-        assert!(
-            jobs.iter().all(|j| j.device.is_none()),
-            "warm packaging must skip device builds"
-        );
+            // Warm a store, then package against it.
+            let warm_store: Arc<dyn CampaignCache> = Arc::new(MemoryCache::new());
+            Campaign::new(&entries, &stands)
+                .granularity(granularity)
+                .cache(Arc::clone(&warm_store))
+                .run(&SerialExecutor)
+                .unwrap();
+            let warm = Campaign::new(&entries, &stands)
+                .granularity(granularity)
+                .cache(Arc::clone(&warm_store));
+            let prepared = Prepared::new(&warm).unwrap();
+            let (jobs, layout) = prepared.package(warm.entries, granularity);
+            assert!(!jobs.is_empty());
+            assert!(
+                jobs.iter().all(|j| j.devices.is_empty()),
+                "{granularity}: warm packaging must skip device builds"
+            );
 
-        // Execute the predicted-hit jobs with the record evicted.
-        let evicted = Campaign::new(&entries, &stands)
-            .granularity(Granularity::Test)
-            .cache(Arc::new(MemoryCache::new()) as Arc<dyn CampaignCache>);
-        let prepared_evicted = Prepared::new(&evicted).unwrap();
-        let ctx = JobCtx::new(&evicted, &prepared_evicted);
-        let (events_tx, _events_rx) = mpsc::channel();
-        let (results_tx, results_rx) = mpsc::channel();
-        let n = jobs.len();
-        for job in jobs {
-            run_packaged_test(job, &ctx, &events_tx, &results_tx);
+            // Execute the predicted-hit jobs with the record evicted.
+            let evicted = Campaign::new(&entries, &stands)
+                .granularity(granularity)
+                .cache(Arc::new(MemoryCache::new()) as Arc<dyn CampaignCache>);
+            let prepared_evicted = Prepared::new(&evicted).unwrap();
+            let ctx = JobCtx::new(&evicted, &prepared_evicted);
+            let (events_tx, _events_rx) = mpsc::channel();
+            let (results_tx, results_rx) = mpsc::channel();
+            let n = jobs.len();
+            for job in jobs {
+                run_job(job, &ctx, &events_tx, &results_tx);
+            }
+            drop(results_tx);
+            let msgs: Vec<JobMsg> = results_rx.iter().collect();
+            assert_eq!(msgs.len(), n);
+            assert!(
+                msgs.iter().all(|m| matches!(m, JobMsg::Stranded(_))),
+                "{granularity}: every job must strand, not panic"
+            );
+            let (replay_tx, replay_rx) = mpsc::channel();
+            for msg in msgs {
+                replay_tx.send(msg).unwrap();
+            }
+            drop(replay_tx);
+            let outcome =
+                join_jobs(replay_rx, &layout, evicted.entries, evicted.stands, &ctx).unwrap();
+            assert_eq!(outcome.cancelled, 0);
+            assert_eq!(
+                outcome.result, cold,
+                "{granularity}: rescued outcomes must match a cold run"
+            );
         }
-        drop(results_tx);
-        let (mut slots, acknowledged, strands) = collect(results_rx, n);
-        assert_eq!(strands.len(), n, "every job must strand, not panic");
-        assert_eq!(acknowledged, 0);
-        rescue_test_strands(strands, evicted.entries, &ctx, &mut slots);
-        let (result, cancelled) = merge_test_outcomes(evicted.entries, evicted.stands, slots);
-        assert_eq!(cancelled, 0);
-        assert_eq!(result, cold, "rescued outcomes must match a cold run");
-    }
-
-    /// Cell-granular twin of the eviction regression: the whole packaged
-    /// cell (no devices) strands instead of panicking in the per-test
-    /// `take_device`, and the rescue reproduces the cold result.
-    #[test]
-    fn evicted_prediction_strands_and_rescues_cells() {
-        let wb = Workbook::parse_str("a.cts", WB).unwrap();
-        let suites = vec![wb.suite];
-        let entries = entries(&suites);
-        let stand = stand();
-        let stands: Vec<&TestStand> = vec![&stand];
-
-        let cold = Campaign::new(&entries, &stands)
-            .granularity(Granularity::Cell)
-            .run(&SerialExecutor)
-            .unwrap();
-
-        let warm_store: Arc<dyn CampaignCache> = Arc::new(MemoryCache::new());
-        Campaign::new(&entries, &stands)
-            .granularity(Granularity::Cell)
-            .cache(Arc::clone(&warm_store))
-            .run(&SerialExecutor)
-            .unwrap();
-        let warm = Campaign::new(&entries, &stands)
-            .granularity(Granularity::Cell)
-            .cache(Arc::clone(&warm_store));
-        let prepared = Prepared::new(&warm).unwrap();
-        let cells = prepared.package_cells(warm.entries);
-        assert!(!cells.is_empty());
-        assert!(
-            cells
-                .iter()
-                .all(|c| c.tests.iter().all(|t| t.device.is_none())),
-            "warm packaging must skip device builds"
-        );
-
-        let evicted = Campaign::new(&entries, &stands)
-            .granularity(Granularity::Cell)
-            .cache(Arc::new(MemoryCache::new()) as Arc<dyn CampaignCache>);
-        let prepared_evicted = Prepared::new(&evicted).unwrap();
-        let ctx = JobCtx::new(&evicted, &prepared_evicted);
-        let (events_tx, _events_rx) = mpsc::channel();
-        let (results_tx, results_rx) = mpsc::channel();
-        let n = cells.len();
-        for cell in cells {
-            run_packaged_cell(cell, &ctx, &events_tx, &results_tx);
-        }
-        drop(results_tx);
-        let (mut slots, acknowledged, strands) = collect(results_rx, n);
-        assert_eq!(strands.len(), n, "every cell must strand, not panic");
-        rescue_cell_strands(strands, evicted.entries, &ctx, &mut slots);
-        let outcome = fold_cell_slots(slots, acknowledged).unwrap();
-        assert_eq!(outcome.cancelled, 0);
-        assert_eq!(outcome.result, cold, "rescued cells must match a cold run");
     }
 }

@@ -6,13 +6,13 @@
 //! parallel — and because every test runs against a fresh power-cycled
 //! DUT, so are the tests *inside* a cell. This crate turns
 //! `comptest-core`'s deterministic job plans into wall-clock speedup
-//! through three pieces:
+//! through these pieces:
 //!
 //! * a [`Campaign`] builder describing one run — entries × stands,
-//!   [`ExecOptions`], scheduling [`Granularity`], `stop_on_first_fail` and
-//!   an optional external [`CancelToken`] — which owns validation (empty
-//!   matrices and duplicate stand names are rejected before anything
-//!   runs);
+//!   [`ExecOptions`](comptest_core::exec::ExecOptions), scheduling
+//!   [`Granularity`], `stop_on_first_fail` and an optional external
+//!   [`CancelToken`] — which owns validation (empty matrices and
+//!   duplicate stand names are rejected before anything runs);
 //! * a [`CampaignExecutor`] trait with four implementations —
 //!   [`SerialExecutor`] (in-order on the calling thread, the determinism
 //!   reference), [`PooledExecutor`] (a persistent [`WorkerPool`] that
@@ -34,16 +34,16 @@
 //! * a [`CampaignHandle`] returned by [`Campaign::launch`]: a typed
 //!   [`EventStream`] of [`EngineEvent`]s, cooperative cancellation via
 //!   [`CancelToken`], and a [`CampaignHandle::join`] folding every
-//!   worker's outcome back **in deterministic (cell, test) order**, so an
-//!   N-worker run at either granularity is byte-identical to serial
+//!   worker's outcome back **in deterministic (cell, test) order** through
+//!   [`merge_test_outcomes`](comptest_core::campaign::merge_test_outcomes),
+//!   so an N-worker run at either granularity is byte-identical to serial
 //!   execution;
 //! * a content-addressed campaign [`cache`]: cells keyed by stable
 //!   structural hashes of (suite, stand, DUT config, exec options) —
 //!   [`CellKey`], computed in `comptest_core::hash` — with an in-process
 //!   [`MemoryCache`] and an on-disk [`DirCache`] (atomic
-//!   write-then-rename records — length-prefixed binary by default,
-//!   readable-either-way JSON for compatibility, see
-//!   [`cache::RecordFormat`]; anything unreadable is a miss).
+//!   write-then-rename, length-prefixed binary records; anything
+//!   unreadable is a miss).
 //!   Installed via [`Campaign::cache`], every executor consults it at job
 //!   admission: hits emit [`EngineEvent::CellCached`], merge
 //!   byte-identical to a cold run (full results, traces and sim timing
@@ -76,9 +76,20 @@
 //! precise rules, the salt semantics and the record-format details live
 //! in [the cache module docs](cache#what-invalidates-the-cache).
 //!
-//! The PR-1/PR-2 free functions ([`run_campaign_parallel`],
-//! [`run_campaign_with_pool`], and `comptest_core`'s serial
-//! `run_campaign`) survive as deprecated shims over this API.
+//! # Granularity is a batch size
+//!
+//! Every executor runs one unit of work: a *job*, a run of consecutive
+//! tests of one cell, executed in order against fresh devices and stopped
+//! after the first planning error. [`Granularity`] only chooses how many
+//! tests a job batches. [`Granularity::Test`] makes batches of one test —
+//! a large workbook spreads over every worker, and cancellation cuts in
+//! between tests. [`Granularity::Cell`] makes one batch per cell — the
+//! lowest overhead, and the cell is the unit of cancellation. The
+//! granularity also fixes the event shape: `JobStarted`/`JobFinished` per
+//! cell, or `TestStarted`/`TestFinished` per test, and
+//! [`EngineEvent::CellCached`]'s `test` is `None` or `Some`. Admission,
+//! the cache, spans and the join are the same code either way, which is
+//! why both granularities merge the same bytes.
 //!
 //! # Observability
 //!
@@ -120,7 +131,6 @@
 //! | `tests_executed` | individual tests driven to a verdict (per job at test granularity, per suite member at cell granularity) |
 //! | `steps_executed` | test steps driven through the DUT |
 //! | `cache_hits` / `cache_misses` | cache lookups by outcome |
-//! | `cache_hits_bin` / `cache_hits_json` | hits by on-disk record format (subsets of `cache_hits`; in-memory hits count only the total) |
 //! | `cache_hits_footprint` | admission hits while the campaign keys by [`CacheKeying::Footprint`] (equals `cache_hits` there; `0` under full keying) |
 //! | `cells_invalidated` | cells whose preload lookup found no usable record — exactly the cells this run re-executes |
 //! | `footprint_bytes` | summed encoded size of the campaign's captured dependency footprints |
@@ -133,11 +143,8 @@
 //!
 //! Invariants a joined campaign satisfies: `jobs_executed + jobs_cached
 //! == jobs_planned` (without cancellation) and `spans_opened ==
-//! spans_closed` (always). One asymmetry to know: at cell granularity the
-//! async executor records cell and step spans but no per-test spans or
-//! per-test wall timings (tests interleave step-by-step there, so a
-//! per-test wall clock would measure scheduling, not work);
-//! `tests_executed` still counts every test.
+//! spans_closed` (always). Every executor records one test span and one
+//! wall timing per executed test, at either granularity.
 //!
 //! # Distributed execution
 //!
@@ -146,11 +153,11 @@
 //! threads. The parent keeps everything stateful — planning, cache
 //! admission (only misses ship), event ordering, result merging — and
 //! sends each cache-missing job to a worker as a few length-prefixed
-//! binary frames: stand and script text interned once per worker, then a
-//! run request carrying the device *recipe*
+//! binary frames: stand and script text interned once per worker, then
+//! one run request per job carrying the device *recipe*
 //! ([`DeviceSpec`](comptest_dut::DeviceSpec)). Workers execute through
 //! the same planning/execution path as every local executor and stream
-//! progress events plus a result record (the cache's binary codec) back,
+//! progress events plus one result record (the cache's binary codec) back,
 //! so merged results stay byte-identical to serial at both granularities
 //! and under every cache mode.
 //!
@@ -272,7 +279,6 @@ pub mod remote;
 pub use async_exec::AsyncExecutor;
 pub use cache::{
     CacheKeying, CacheLookup, CampaignCache, CellRecord, DirCache, LookupInfo, MemoryCache,
-    RecordFormat,
 };
 pub use campaign::{Campaign, Granularity};
 pub use events::EngineEvent;
@@ -285,173 +291,12 @@ pub use remote::{worker_main, RemoteExecutor, HOLD_MS_ENV};
 pub use comptest_core::campaign::{plan_cells, plan_test_jobs, CellJob, TestJob};
 pub use comptest_core::hash::{CellKey, Footprint, FootprintKey};
 
-use std::sync::mpsc::Sender;
-
-use comptest_core::campaign::{CampaignEntry, CampaignResult};
-use comptest_core::error::CoreError;
-use comptest_core::exec::ExecOptions;
-use comptest_stand::TestStand;
-
-/// Engine configuration for the **deprecated** free-function entry points
-/// (`ExecOptions`-style: plain data, `Default` + builders). The builder
-/// API spreads these across [`Campaign`] (granularity, stop-on-first-fail)
-/// and the executor (worker count).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineOptions {
-    /// Worker threads draining the job queue. `1` forces strictly serial,
-    /// in-order execution — the reference mode for determinism checks.
-    /// `0` is treated as `1` everywhere (see [`EngineOptions::effective_workers`]).
-    pub workers: usize,
-    /// Cancel remaining jobs as soon as one fails (or is not runnable).
-    /// See [`Campaign::stop_on_first_fail`] for the semantics.
-    pub stop_on_first_fail: bool,
-    /// Scheduling granularity (default: [`Granularity::Cell`]).
-    pub granularity: Granularity,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        Self {
-            workers: 1,
-            stop_on_first_fail: false,
-            granularity: Granularity::default(),
-        }
-    }
-}
-
-impl EngineOptions {
-    /// Options with an explicit worker count (`0` is clamped to `1`).
-    pub fn with_workers(workers: usize) -> Self {
-        Self {
-            workers: workers.max(1),
-            ..Self::default()
-        }
-    }
-
-    /// Enables early cancellation (builder style).
-    pub fn stop_on_first_fail(mut self, stop: bool) -> Self {
-        self.stop_on_first_fail = stop;
-        self
-    }
-
-    /// Sets the scheduling granularity (builder style).
-    pub fn granularity(mut self, granularity: Granularity) -> Self {
-        self.granularity = granularity;
-        self
-    }
-
-    /// The worker count the engine will actually use: `workers`, but never
-    /// `0` — a hand-built `EngineOptions { workers: 0, .. }` must not
-    /// deadlock a pool with no threads.
-    pub fn effective_workers(&self) -> usize {
-        self.workers.max(1)
-    }
-}
-
-/// Shim body shared by the deprecated entry points: launch on the new API,
-/// forward events to the caller's bare channel, synthesize the historical
-/// terminal [`EngineEvent::CampaignDone`].
-fn shim_run(
-    campaign: &Campaign<'_, '_>,
-    executor: &dyn CampaignExecutor,
-    events: Option<&Sender<EngineEvent>>,
-) -> Result<CampaignResult, CoreError> {
-    let mut handle = campaign.launch(executor)?;
-    let forwarder = events.map(|tx| {
-        let stream = handle.events();
-        let tx = tx.clone();
-        std::thread::spawn(move || {
-            for event in stream {
-                if tx.send(event).is_err() {
-                    break;
-                }
-            }
-        })
-    });
-    let outcome = handle.join();
-    if let Some(thread) = forwarder {
-        let _ = thread.join();
-    }
-    let outcome = outcome?;
-    if let Some(tx) = events {
-        let (passed, failed, errored, not_runnable) = outcome.result.totals();
-        let _ = tx.send(EngineEvent::CampaignDone {
-            passed,
-            failed,
-            errored,
-            not_runnable,
-            cancelled: outcome.cancelled,
-        });
-    }
-    Ok(outcome.result)
-}
-
-/// Runs a campaign at [`Granularity::Test`] on a caller-provided persistent
-/// [`WorkerPool`].
-///
-/// Deprecated shim over the builder API — and stricter than the PR-2
-/// original: the campaign is validated first, so empty matrices and
-/// duplicate stand names now error instead of running vacuously.
-///
-/// # Errors
-///
-/// Everything [`Campaign::launch`] and [`CampaignHandle::join`] raise.
-#[deprecated(
-    since = "0.1.0",
-    note = "use Campaign::new(entries, stands).granularity(Granularity::Test).launch(&pool) — \
-            WorkerPool implements CampaignExecutor"
-)]
-pub fn run_campaign_with_pool(
-    pool: &WorkerPool,
-    entries: &[CampaignEntry<'_>],
-    stands: &[&TestStand],
-    options: &EngineOptions,
-    exec: &ExecOptions,
-    events: Option<&Sender<EngineEvent>>,
-) -> Result<CampaignResult, CoreError> {
-    // As in PR 2: this entry point *is* the test-granular engine, and the
-    // pool's size — not `options.workers` — decides the parallelism.
-    let campaign = Campaign::new(entries, stands)
-        .exec_options(*exec)
-        .granularity(Granularity::Test)
-        .stop_on_first_fail(options.stop_on_first_fail);
-    shim_run(&campaign, pool, events)
-}
-
-/// Runs the campaign matrix on a fresh worker pool at the granularity
-/// selected in [`EngineOptions::granularity`].
-///
-/// Deprecated shim over the builder API — and stricter than the PR-1
-/// original: the campaign is validated first, so empty matrices and
-/// duplicate stand names now error instead of running vacuously.
-///
-/// # Errors
-///
-/// Everything [`Campaign::launch`] and [`CampaignHandle::join`] raise.
-#[deprecated(
-    since = "0.1.0",
-    note = "use Campaign::new(entries, stands).launch(&PooledExecutor::new(workers)) instead"
-)]
-pub fn run_campaign_parallel(
-    entries: &[CampaignEntry<'_>],
-    stands: &[&TestStand],
-    options: &EngineOptions,
-    exec: &ExecOptions,
-    events: Option<&Sender<EngineEvent>>,
-) -> Result<CampaignResult, CoreError> {
-    let campaign = Campaign::new(entries, stands)
-        .exec_options(*exec)
-        .granularity(options.granularity)
-        .stop_on_first_fail(options.stop_on_first_fail);
-    // As in PR 1: never spawn more threads than there are jobs to drain.
-    let workers = options.effective_workers().min(campaign.job_count().max(1));
-    shim_run(&campaign, &PooledExecutor::new(workers), events)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use comptest_core::campaign::CampaignEntry;
     use comptest_sheets::Workbook;
+    use comptest_stand::TestStand;
     use std::sync::mpsc;
 
     const WB_PASS: &str = "\
@@ -659,10 +504,6 @@ step, dt,  DS_FL, NIGHT, INT_ILL
             .filter(|e| matches!(e, EngineEvent::JobFinished { failed: false, .. }))
             .count();
         assert_eq!((starts, finishes), (1, 1));
-        // The builder API has no terminal event; join() carries the totals.
-        assert!(!events
-            .iter()
-            .any(|e| matches!(e, EngineEvent::CampaignDone { .. })));
     }
 
     #[test]
@@ -775,6 +616,37 @@ step, dt,  DS_FL, NIGHT, INT_ILL
         }
     }
 
+    /// A cell without tests is one job at cell granularity and no job at
+    /// test granularity: a cancelled run omits it in the first case and
+    /// keeps it (there was nothing to cancel) in the second.
+    #[test]
+    fn empty_cells_follow_the_granularity_under_cancellation() {
+        let text = WB_PASS.split("[test night_on]").next().unwrap();
+        let suites = vec![Workbook::parse_str("e.cts", text).unwrap().suite];
+        assert!(suites[0].tests.is_empty());
+        let entries = entries(&suites);
+        let stand = stand();
+        let stands = [&stand];
+        let token = CancelToken::new();
+        token.cancel();
+        for (granularity, cells, cancelled) in
+            [(Granularity::Cell, 0, 1), (Granularity::Test, 1, 0)]
+        {
+            let campaign = Campaign::new(&entries, &stands)
+                .granularity(granularity)
+                .cancel_token(token.clone());
+            for executor in [
+                &SerialExecutor as &dyn CampaignExecutor,
+                &PooledExecutor::new(2),
+                &AsyncExecutor::new(4),
+            ] {
+                let outcome = campaign.launch(executor).unwrap().join().unwrap();
+                assert_eq!(outcome.result.cells.len(), cells, "{granularity}");
+                assert_eq!(outcome.cancelled, cancelled, "{granularity}");
+            }
+        }
+    }
+
     #[test]
     fn handle_cancel_skips_queued_jobs() {
         // Cancel through the handle before the single worker can drain the
@@ -802,13 +674,7 @@ step, dt,  DS_FL, NIGHT, INT_ILL
 
     #[test]
     fn zero_workers_is_clamped_in_the_option_layers() {
-        assert_eq!(EngineOptions::with_workers(0).workers, 1);
-        // A hand-built options struct must not deadlock the engine either.
-        let options = EngineOptions {
-            workers: 0,
-            ..EngineOptions::default()
-        };
-        assert_eq!(options.effective_workers(), 1);
+        // A zero-thread pool must not deadlock the engine.
         assert_eq!(WorkerPool::new(0).workers(), 1);
     }
 
@@ -1050,110 +916,6 @@ step, dt,  DS_FL, NIGHT, INT_ILL
                 .any(|e| matches!(e, EngineEvent::JobStarted { .. })),
             "no per-cell events at test granularity"
         );
-    }
-
-    /// The deprecated entry points are shims over the builder API: same
-    /// results, plus the historical synthesized `CampaignDone` event.
-    #[allow(deprecated)]
-    mod shims {
-        use super::*;
-
-        #[test]
-        fn run_campaign_parallel_matches_the_builder_api() {
-            let suites = suites_pass_fail();
-            let entries = entries(&suites);
-            let stand_a = stand();
-            let stand_b = stand_named("HIL-A2");
-            let stands = [&stand_a, &stand_b];
-            let reference = Campaign::new(&entries, &stands)
-                .run(&SerialExecutor)
-                .unwrap();
-            for granularity in [Granularity::Cell, Granularity::Test] {
-                for workers in [1usize, 4] {
-                    let shim = run_campaign_parallel(
-                        &entries,
-                        &stands,
-                        &EngineOptions::with_workers(workers).granularity(granularity),
-                        &ExecOptions::default(),
-                        None,
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        shim, reference,
-                        "granularity {granularity}, {workers} workers"
-                    );
-                }
-            }
-        }
-
-        #[test]
-        fn run_campaign_with_pool_matches_and_reuses_the_pool() {
-            let suites = vec![Workbook::parse_str("a.cts", WB_PASS).unwrap().suite];
-            let entries = entries(&suites);
-            let stand = stand();
-            let reference = Campaign::new(&entries, &[&stand])
-                .run(&SerialExecutor)
-                .unwrap();
-            let pool = WorkerPool::new(3);
-            for round in 0..2 {
-                let shim = run_campaign_with_pool(
-                    &pool,
-                    &entries,
-                    &[&stand],
-                    &EngineOptions::default(),
-                    &ExecOptions::default(),
-                    None,
-                )
-                .unwrap();
-                assert_eq!(shim, reference, "round {round}");
-            }
-        }
-
-        #[test]
-        fn shims_still_emit_the_terminal_campaign_done_event() {
-            let suites = vec![Workbook::parse_str("a.cts", WB_PASS).unwrap().suite];
-            let entries = entries(&suites);
-            let stand = stand();
-            let (tx, rx) = mpsc::channel();
-            let result = run_campaign_parallel(
-                &entries,
-                &[&stand],
-                &EngineOptions::with_workers(2),
-                &ExecOptions::default(),
-                Some(&tx),
-            )
-            .unwrap();
-            drop(tx);
-            assert!(result.all_green());
-            let events: Vec<EngineEvent> = rx.into_iter().collect();
-            match events.last() {
-                Some(EngineEvent::CampaignDone {
-                    passed,
-                    failed,
-                    cancelled,
-                    ..
-                }) => assert_eq!((*passed, *failed, *cancelled), (2, 0, 0)),
-                other => panic!("expected CampaignDone last, got {other:?}"),
-            }
-        }
-
-        #[test]
-        fn shims_validate_like_the_builder() {
-            let suites = vec![Workbook::parse_str("a.cts", WB_PASS).unwrap().suite];
-            let entries = entries(&suites);
-            let stand = stand();
-            // Duplicate stands were silently accepted by the PR-1 engine;
-            // the shims now inherit the builder's validation.
-            let err = run_campaign_parallel(
-                &entries,
-                &[&stand, &stand],
-                &EngineOptions::default(),
-                &ExecOptions::default(),
-                None,
-            )
-            .unwrap_err();
-            assert!(matches!(err, CoreError::InvalidCampaign(_)));
-        }
     }
 
     /// Multi-tenant behaviour: the lane-fair pool queue and the additive

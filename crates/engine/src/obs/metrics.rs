@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::cache::json::Value;
+use crate::codec::Value;
 
 /// Monotonic event counters. The names (see [`Counter::name`]) are the
 /// stable identifiers exported in the metrics JSON and summary table.
@@ -36,12 +36,6 @@ pub(crate) enum Counter {
     StepsExecuted,
     /// Cache admissions served from a record.
     CacheHits,
-    /// Cache hits served from binary-format records (subset of
-    /// `cache_hits`; format-less caches count only the total).
-    CacheHitsBin,
-    /// Cache hits served from JSON-format records (subset of
-    /// `cache_hits`).
-    CacheHitsJson,
     /// Cache admissions that had to execute (absent, undetermined record,
     /// or verify mode).
     CacheMisses,
@@ -75,7 +69,7 @@ pub(crate) enum Counter {
 }
 
 impl Counter {
-    pub(crate) const ALL: [Counter; 23] = [
+    pub(crate) const ALL: [Counter; 21] = [
         Counter::JobsPlanned,
         Counter::JobsExecuted,
         Counter::JobsCached,
@@ -84,8 +78,6 @@ impl Counter {
         Counter::TestsExecuted,
         Counter::StepsExecuted,
         Counter::CacheHits,
-        Counter::CacheHitsBin,
-        Counter::CacheHitsJson,
         Counter::CacheMisses,
         Counter::CacheCorruptEntries,
         Counter::CacheBytesRead,
@@ -111,8 +103,6 @@ impl Counter {
             Counter::TestsExecuted => "tests_executed",
             Counter::StepsExecuted => "steps_executed",
             Counter::CacheHits => "cache_hits",
-            Counter::CacheHitsBin => "cache_hits_bin",
-            Counter::CacheHitsJson => "cache_hits_json",
             Counter::CacheMisses => "cache_misses",
             Counter::CacheCorruptEntries => "cache_corrupt_entries",
             Counter::CacheBytesRead => "cache_bytes_read",

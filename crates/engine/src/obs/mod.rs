@@ -373,7 +373,7 @@ mod tests {
         // campaign span + test pair + phase + step, plus 2 metadata events.
         assert_eq!(obs.span_events(), 5);
         let trace = obs.chrome_trace_json().unwrap();
-        crate::cache::json::parse(&trace).expect("valid JSON");
+        crate::codec::parse(&trace).expect("valid JSON");
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
-use crate::cache::json::Value;
+use crate::codec::Value;
 
 /// Span categories; also the Chrome `cat` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -332,7 +332,7 @@ mod tests {
         assert_eq!(buf.len(), 4);
 
         let json = buf.chrome_trace();
-        let parsed = crate::cache::json::parse(&json).expect("exporter emits valid JSON");
+        let parsed = crate::codec::parse(&json).expect("exporter emits valid JSON");
         let events = parsed.as_array().expect("top level is an array");
         // 1 process_name + 1 thread_name + 4 records.
         assert_eq!(events.len(), 6);

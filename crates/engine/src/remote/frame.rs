@@ -25,6 +25,7 @@ use comptest_dut::DeviceSpec;
 use comptest_dut::ElectricalConfig;
 use comptest_model::{CanFrameId, SimTime};
 
+use crate::campaign::Granularity;
 use crate::events::EngineEvent;
 
 /// Protocol magic carried by the `Hello` handshake frame.
@@ -33,7 +34,7 @@ pub(crate) const MAGIC: [u8; 3] = *b"CWP";
 /// Protocol version; bumped on any wire-layout change. A worker that sees
 /// a different version refuses the handshake with an `Error` frame, so a
 /// mixed-version parent/worker pair fails loudly instead of corrupting.
-pub(crate) const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 2;
 
 /// Upper bound on one frame's payload, validated before allocating. Real
 /// frames are a few KiB (a stand text, a script XML, a result record); a
@@ -276,17 +277,41 @@ fn read_spec(r: &mut Reader<'_>) -> Result<DeviceSpec, FrameError> {
 // Parent → worker frames
 // ---------------------------------------------------------------------------
 
+/// One job for a worker: the scripts in suite order, each run against its
+/// own fresh device realized from `spec`, stopping after the first
+/// planning error.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct RunRequest {
+    /// Job index, echoed back in `Done`.
+    pub(crate) job: usize,
+    /// Deterministic cell index (event payloads).
+    pub(crate) cell: usize,
+    /// Suite index of the job's first test (event payloads).
+    pub(crate) first: usize,
+    /// Suite name (event payloads).
+    pub(crate) suite: String,
+    /// Interned script ids in suite order.
+    pub(crate) scripts: Vec<u64>,
+    /// Interned stand id.
+    pub(crate) stand: u64,
+    /// Registry device recipe, one fresh device per test.
+    pub(crate) spec: DeviceSpec,
+}
+
 /// Frames the parent sends to a worker child over its stdin.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum ToWorker {
-    /// Handshake: protocol magic + version and the campaign's execution
-    /// options. Always the first frame on the pipe.
+    /// Handshake: protocol magic + version, the campaign's execution
+    /// options and its granularity. Always the first frame on the pipe.
     Hello {
         /// The campaign's execution options, applied to every job.
         exec: ExecOptions,
+        /// The campaign's granularity: decides which progress events the
+        /// worker streams (per cell or per test).
+        granularity: Granularity,
     },
-    /// Interns one test stand under `id`; later `RunTest`/`RunCell` frames
-    /// reference it by id. Sent at most once per (worker, stand).
+    /// Interns one test stand under `id`; later `Run` frames reference it
+    /// by id. Sent at most once per (worker, stand).
     Stand {
         /// Parent-assigned intern id.
         id: u64,
@@ -307,40 +332,8 @@ pub(crate) enum ToWorker {
         /// keeping remote results byte-identical to serial.
         names: Vec<String>,
     },
-    /// Executes one test-granular job against a fresh device realized from
-    /// `spec`.
-    RunTest {
-        /// Merge-slot index, echoed back in `TestDone`.
-        job: usize,
-        /// Deterministic cell index (event payloads).
-        cell: usize,
-        /// Test index within its suite (event payloads).
-        test: usize,
-        /// Suite name (event payloads).
-        suite: String,
-        /// Test name (event payloads).
-        name: String,
-        /// Interned script id.
-        script: u64,
-        /// Interned stand id.
-        stand: u64,
-        /// Registry device recipe for the fresh DUT.
-        spec: DeviceSpec,
-    },
-    /// Executes one whole suite×stand cell: the scripts in suite order,
-    /// each against its own fresh device realized from `spec`.
-    RunCell {
-        /// Merge-slot (cell) index, echoed back in `CellDone`.
-        cell: usize,
-        /// Suite name (event payloads).
-        suite: String,
-        /// Interned script ids in suite order.
-        scripts: Vec<u64>,
-        /// Interned stand id.
-        stand: u64,
-        /// Registry device recipe, one fresh device per test.
-        spec: DeviceSpec,
-    },
+    /// Executes one job.
+    Run(RunRequest),
     /// Cooperative cancel fan-out: finish nothing more, exit cleanly.
     Shutdown,
 }
@@ -349,7 +342,7 @@ impl ToWorker {
     pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         match self {
-            ToWorker::Hello { exec } => {
+            ToWorker::Hello { exec, granularity } => {
                 out.push(0);
                 out.extend_from_slice(&MAGIC);
                 out.push(VERSION);
@@ -361,6 +354,10 @@ impl ToWorker {
                     }
                 }
                 put_bool(&mut out, exec.stop_on_failure);
+                out.push(match granularity {
+                    Granularity::Cell => 0,
+                    Granularity::Test => 1,
+                });
             }
             ToWorker::Stand { id, text } => {
                 out.push(1);
@@ -376,35 +373,19 @@ impl ToWorker {
                     put_str(&mut out, name);
                 }
             }
-            ToWorker::RunTest {
+            ToWorker::Run(RunRequest {
                 job,
                 cell,
-                test,
-                suite,
-                name,
-                script,
-                stand,
-                spec,
-            } => {
-                out.push(3);
-                put_varint(&mut out, *job as u64);
-                put_varint(&mut out, *cell as u64);
-                put_varint(&mut out, *test as u64);
-                put_str(&mut out, suite);
-                put_str(&mut out, name);
-                put_varint(&mut out, *script);
-                put_varint(&mut out, *stand);
-                put_spec(&mut out, spec);
-            }
-            ToWorker::RunCell {
-                cell,
+                first,
                 suite,
                 scripts,
                 stand,
                 spec,
-            } => {
-                out.push(4);
+            }) => {
+                out.push(3);
+                put_varint(&mut out, *job as u64);
                 put_varint(&mut out, *cell as u64);
+                put_varint(&mut out, *first as u64);
                 put_str(&mut out, suite);
                 put_varint(&mut out, scripts.len() as u64);
                 for id in scripts {
@@ -413,7 +394,7 @@ impl ToWorker {
                 put_varint(&mut out, *stand);
                 put_spec(&mut out, spec);
             }
-            ToWorker::Shutdown => out.push(5),
+            ToWorker::Shutdown => out.push(4),
         }
         out
     }
@@ -436,11 +417,18 @@ impl ToWorker {
                     },
                     other => return err(format!("bad sample mode tag {other}")),
                 };
+                let stop_on_failure = r.bool()?;
+                let granularity = match r.u8()? {
+                    0 => Granularity::Cell,
+                    1 => Granularity::Test,
+                    other => return err(format!("bad granularity tag {other}")),
+                };
                 ToWorker::Hello {
                     exec: ExecOptions {
                         sample,
-                        stop_on_failure: r.bool()?,
+                        stop_on_failure,
                     },
+                    granularity,
                 }
             }
             1 => ToWorker::Stand {
@@ -457,33 +445,27 @@ impl ToWorker {
                 }
                 ToWorker::Script { id, xml, names }
             }
-            3 => ToWorker::RunTest {
-                job: read_usize(&mut r)?,
-                cell: read_usize(&mut r)?,
-                test: read_usize(&mut r)?,
-                suite: r.str()?,
-                name: r.str()?,
-                script: r.varint()?,
-                stand: r.varint()?,
-                spec: read_spec(&mut r)?,
-            },
-            4 => {
+            3 => {
+                let job = read_usize(&mut r)?;
                 let cell = read_usize(&mut r)?;
+                let first = read_usize(&mut r)?;
                 let suite = r.str()?;
                 let n = r.len()?;
                 let mut scripts = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
                     scripts.push(r.varint()?);
                 }
-                ToWorker::RunCell {
+                ToWorker::Run(RunRequest {
+                    job,
                     cell,
+                    first,
                     suite,
                     scripts,
                     stand: r.varint()?,
                     spec: read_spec(&mut r)?,
-                }
+                })
             }
-            5 => ToWorker::Shutdown,
+            4 => ToWorker::Shutdown,
             other => return err(format!("bad parent frame tag {other}")),
         };
         r.done()?;
@@ -506,23 +488,15 @@ pub(crate) enum FromWorker {
     /// A live progress event from the job currently executing; the parent
     /// forwards it verbatim into the campaign's event stream.
     Event(EngineEvent),
-    /// Outcome of a `RunTest` frame: the `job` slot plus the outcome as an
-    /// encoded single-test cache record (`cache::binary` layout, so the
-    /// result round-trips bit-exactly — the same property the cache's
+    /// Outcome of a `Run` frame: the job's per-test outcomes (possibly a
+    /// prefix ending in a planning error, exactly like local execution)
+    /// as an encoded cache record (`cache::binary` layout, so the result
+    /// round-trips bit-exactly — the same property the cache's
     /// byte-identity conformance pins down).
-    TestDone {
-        /// Echoed merge-slot index.
+    Done {
+        /// Echoed job index.
         job: usize,
-        /// `cache::binary`-encoded record holding the one outcome.
-        record: Vec<u8>,
-    },
-    /// Outcome of a `RunCell` frame: the per-test outcomes (possibly a
-    /// truncated prefix, exactly like local cell execution) as an encoded
-    /// cache record.
-    CellDone {
-        /// Echoed cell index.
-        cell: usize,
-        /// `cache::binary`-encoded record with the cell's outcomes.
+        /// `cache::binary`-encoded record with the job's outcomes.
         record: Vec<u8>,
     },
     /// Fatal worker-side problem (protocol violation, unrealizable device
@@ -548,18 +522,13 @@ impl FromWorker {
                 out.push(1);
                 put_event(&mut out, event)?;
             }
-            FromWorker::TestDone { job, record } => {
+            FromWorker::Done { job, record } => {
                 out.push(2);
                 put_varint(&mut out, *job as u64);
                 put_bytes(&mut out, record);
             }
-            FromWorker::CellDone { cell, record } => {
-                out.push(3);
-                put_varint(&mut out, *cell as u64);
-                put_bytes(&mut out, record);
-            }
             FromWorker::Error { message } => {
-                out.push(4);
+                out.push(3);
                 put_str(&mut out, message);
             }
         }
@@ -571,15 +540,11 @@ impl FromWorker {
         let frame = match r.u8()? {
             0 => FromWorker::Ready { version: r.u8()? },
             1 => FromWorker::Event(read_event(&mut r)?),
-            2 => FromWorker::TestDone {
+            2 => FromWorker::Done {
                 job: read_usize(&mut r)?,
                 record: r.bytes()?,
             },
-            3 => FromWorker::CellDone {
-                cell: read_usize(&mut r)?,
-                record: r.bytes()?,
-            },
-            4 => FromWorker::Error { message: r.str()? },
+            3 => FromWorker::Error { message: r.str()? },
             other => return err(format!("bad worker frame tag {other}")),
         };
         r.done()?;
@@ -710,6 +675,7 @@ mod tests {
                     },
                     stop_on_failure: true,
                 },
+                granularity: Granularity::Test,
             },
             ToWorker::Stand {
                 id: 3,
@@ -720,23 +686,24 @@ mod tests {
                 xml: "<testscript name=\"t\"/>".into(),
                 names: vec!["INT_ILL".into(), "Ds_Fl".into()],
             },
-            ToWorker::RunTest {
+            ToWorker::Run(RunRequest {
                 job: 7,
                 cell: 2,
-                test: 1,
+                first: 1,
                 suite: "lamp".into(),
-                name: "night_on".into(),
-                script: 9,
+                scripts: vec![9],
                 stand: 3,
                 spec: spec(),
-            },
-            ToWorker::RunCell {
+            }),
+            ToWorker::Run(RunRequest {
+                job: 4,
                 cell: 4,
+                first: 0,
                 suite: "lamp".into(),
                 scripts: vec![9, 10, 11],
                 stand: 3,
                 spec: spec(),
-            },
+            }),
             ToWorker::Shutdown,
         ];
         for frame in frames {
@@ -778,12 +745,12 @@ mod tests {
                 status: "PASS (2P/0F/0E)".into(),
                 failed: false,
             }),
-            FromWorker::TestDone {
+            FromWorker::Done {
                 job: 5,
                 record: vec![1, 2, 3],
             },
-            FromWorker::CellDone {
-                cell: 2,
+            FromWorker::Done {
+                job: 2,
                 record: vec![],
             },
             FromWorker::Error {
@@ -799,16 +766,15 @@ mod tests {
     #[test]
     fn hostile_bytes_never_panic() {
         // Truncations of a valid frame at every length.
-        let valid = ToWorker::RunTest {
+        let valid = ToWorker::Run(RunRequest {
             job: 7,
             cell: 2,
-            test: 1,
+            first: 1,
             suite: "lamp".into(),
-            name: "night_on".into(),
-            script: 9,
+            scripts: vec![9, 10],
             stand: 3,
             spec: spec(),
-        }
+        })
         .encode();
         for n in 0..valid.len() {
             let _ = ToWorker::decode(&valid[..n]);
@@ -825,6 +791,7 @@ mod tests {
             vec![1, 0, 2, 0xff, 0xfe],
             vec![0, b'X', b'Y', b'Z', 1, 0, 0],
             vec![0, b'C', b'W', b'P', 99, 0, 0],
+            vec![0, b'C', b'W', b'P', VERSION, 0, 0, 7],
             vec![2, 1, 0x85],
             vec![4, 0, 0xff, 0xff, 0x7f],
         ];

@@ -14,15 +14,22 @@
 //!   merges outcomes byte-identical to every local executor;
 //! * each **worker** ([`worker_main`]) interns stands and scripts once,
 //!   realizes a fresh device per test from the shipped
-//!   [`DeviceSpec`](comptest_dut::DeviceSpec), and executes through the
-//!   same `plan_and_execute` path as local execution.
+//!   [`DeviceSpec`](comptest_dut::DeviceSpec), and runs the job through
+//!   the same job runner as local execution.
+//!
+//! A job travels as one `Run` frame (its cell, first test, script ids,
+//! stand id and device recipe) and comes back as one `Done` frame
+//! carrying its outcomes; the campaign's granularity rides once in the
+//! `Hello` handshake and decides the event shape the worker streams.
 //!
 //! # Robustness
 //!
 //! * **Worker death** (EOF, decode error, non-zero exit) is detected per
-//!   worker; the in-flight job is retried on a surviving or respawned
-//!   worker with exponential backoff, counted by the `jobs_retried`
-//!   metric. A job whose retries are exhausted is reported in
+//!   worker process; the in-flight job is retried on a surviving or
+//!   respawned worker with exponential backoff, counted by the
+//!   `jobs_retried` metric. Reader threads tag every report with the
+//!   process's generation, so a late death report from a slot's earlier
+//!   occupant never retires the healthy worker that replaced it. A job whose retries are exhausted is reported in
 //!   [`CoreError::JobsLost`](comptest_core::CoreError::JobsLost) **with
 //!   its label**, keeping
 //!   `jobs_executed + jobs_cached + jobs_cancelled == jobs_planned`
@@ -43,24 +50,20 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use comptest_core::campaign::{merge_test_outcomes, CampaignCell, TestJobOutcome};
+use comptest_core::campaign::TestJobOutcome;
 use comptest_core::error::CoreError;
-use comptest_dut::DeviceSpec;
+use comptest_dut::{Device, DeviceSpec};
 
-use crate::cache::fold_cell;
 use crate::campaign::{Campaign, Granularity};
 use crate::events::{emit, EngineEvent};
 use crate::executor::{
-    check_lost, check_verified, collect, fold_cell_slots, outcome_sim_end, outcome_status,
-    rescue_cell_strands, rescue_test_strands, CampaignExecutor, JobCtx, JobMsg, PackagedCell,
-    PackagedJob, Prepared, Strand,
+    execute, launch_jobs, CampaignExecutor, JobCtx, JobMsg, JobRun, PackagedJob,
 };
-use crate::handle::{CampaignHandle, CampaignOutcome, EventStream};
-use crate::obs::{Counter, Gauge, SpanCat};
-use frame::{read_frame, write_frame, FromWorker, ToWorker};
+use crate::handle::CampaignHandle;
+use crate::obs::{Counter, Gauge};
+use frame::{read_frame, write_frame, FromWorker, RunRequest, ToWorker};
 pub use worker::{worker_main, HOLD_MS_ENV};
 
 /// The distinct source-sheet spellings of a script's signal names, in
@@ -222,83 +225,14 @@ impl RemoteExecutor {
 
 impl CampaignExecutor for RemoteExecutor {
     fn launch<'a>(&self, campaign: &Campaign<'a, '_>) -> Result<CampaignHandle<'a>, CoreError> {
-        let prepared = Prepared::new(campaign)?;
-        let ctx = JobCtx::new(campaign, &prepared);
-        let (events_tx, events_rx) = mpsc::channel();
-        ctx.emit_cache_warnings(&events_tx);
-        let lost = Arc::new(Mutex::new(Vec::<String>::new()));
         let cfg = self.config();
-        let run_token = ctx.cancel.run_token();
-        ctx.obs.gauge_add(Gauge::Workers, cfg.workers as i64);
-        let claimed_workers = cfg.workers as i64;
-        match campaign.granularity {
-            Granularity::Test => {
-                let jobs = prepared.package_jobs(campaign.entries);
-                let n_jobs = jobs.len();
-                let (results_tx, results_rx) = mpsc::channel();
-                {
-                    let ctx = ctx.clone();
-                    let lost = Arc::clone(&lost);
-                    std::thread::spawn(move || {
-                        Orchestrator::new(cfg, ctx, events_tx, results_tx, lost).run(jobs);
-                    });
-                }
-                let entries = campaign.entries;
-                let stands = campaign.stands;
-                Ok(CampaignHandle::new(
-                    EventStream::new(events_rx),
-                    run_token,
-                    Box::new(move || {
-                        let (mut slots, acknowledged, strands) = collect(results_rx, n_jobs);
-                        ctx.obs.gauge_add(Gauge::Workers, -claimed_workers);
-                        rescue_test_strands(strands, entries, &ctx, &mut slots);
-                        let lost = std::mem::take(&mut *lost.lock().unwrap());
-                        if !lost.is_empty() {
-                            return Err(CoreError::JobsLost {
-                                lost: lost.len(),
-                                jobs: lost,
-                            });
-                        }
-                        let (result, cancelled) = merge_test_outcomes(entries, stands, slots);
-                        check_lost(cancelled, acknowledged)?;
-                        check_verified(&ctx.cache)?;
-                        Ok(CampaignOutcome { result, cancelled })
-                    }),
-                ))
-            }
-            Granularity::Cell => {
-                let cells = prepared.package_cells(campaign.entries);
-                let n_cells = cells.len();
-                let (results_tx, results_rx) = mpsc::channel();
-                {
-                    let ctx = ctx.clone();
-                    let lost = Arc::clone(&lost);
-                    std::thread::spawn(move || {
-                        Orchestrator::new(cfg, ctx, events_tx, results_tx, lost).run(cells);
-                    });
-                }
-                let entries = campaign.entries;
-                Ok(CampaignHandle::new(
-                    EventStream::new(events_rx),
-                    run_token,
-                    Box::new(move || {
-                        let (mut slots, acknowledged, strands) = collect(results_rx, n_cells);
-                        ctx.obs.gauge_add(Gauge::Workers, -claimed_workers);
-                        rescue_cell_strands(strands, entries, &ctx, &mut slots);
-                        let lost = std::mem::take(&mut *lost.lock().unwrap());
-                        if !lost.is_empty() {
-                            return Err(CoreError::JobsLost {
-                                lost: lost.len(),
-                                jobs: lost,
-                            });
-                        }
-                        let outcome = fold_cell_slots(slots, acknowledged)?;
-                        check_verified(&ctx.cache)?;
-                        Ok(outcome)
-                    }),
-                ))
-            }
-        }
+        launch_jobs(campaign, |jobs, ctx, events, results| {
+            let claimed_workers = cfg.workers as i64;
+            ctx.obs.gauge_add(Gauge::Workers, claimed_workers);
+            let ctx = ctx.clone();
+            std::thread::spawn(move || Orchestrator::new(cfg, ctx, events, results).run(jobs));
+            claimed_workers
+        })
     }
 }
 
@@ -311,302 +245,112 @@ struct OrchestratorConfig {
     envs: Vec<(String, String)>,
 }
 
-/// One schedulable unit of remote work — a test-granular job or a whole
-/// cell — with the operations the orchestrator needs. Implemented by
-/// [`PackagedJob`] and [`PackagedCell`]; the scheduling loop is shared.
-trait RemoteUnit: Sized + Send + 'static {
-    /// What the merge collects for this granularity.
-    type Output: Send + 'static;
-
-    /// `suite::test` / `suite @ stand` label for `JobsLost` attribution.
-    fn label(&self) -> String;
-
-    /// Cancel-check plus cache admission at dispatch time; `true` when
-    /// the unit resolved without executing.
-    fn admit(
-        &self,
-        ctx: &JobCtx,
-        events: &Sender<EngineEvent>,
-        results: &Sender<JobMsg<Self::Output>>,
-    ) -> bool;
-
-    /// `true` when packaging predicted a hit and built no device; the
-    /// unit strands back to the join instead of shipping.
-    fn stranded(&self) -> bool;
-
-    fn into_strand(self) -> Strand;
-
-    /// The registry device recipe — `None` for custom/fault-wrapped
-    /// devices, which run in-process instead of remotely.
-    fn spec(&self) -> Option<DeviceSpec>;
-
-    /// Frames that ship this unit to `conn` (interning anything the
-    /// worker has not seen yet).
-    fn ship(
-        &self,
-        spec: DeviceSpec,
-        interner: &mut Interner,
-        conn: &mut WorkerConn,
-    ) -> Vec<ToWorker>;
-
-    /// In-process execution — the degradation path.
-    fn run_local(
-        self,
-        ctx: &JobCtx,
-        events: &Sender<EngineEvent>,
-        results: &Sender<JobMsg<Self::Output>>,
-    );
-
-    /// Consumes the worker's result record: cache store, counters, stop
-    /// latch, collector message. A decode failure bubbles up so the
-    /// caller treats the worker as dead (and retries the unit).
-    fn finish_remote(
-        &self,
-        record: &[u8],
-        wall: Duration,
-        ctx: &JobCtx,
-        results: &Sender<JobMsg<Self::Output>>,
-    ) -> Result<(), String>;
+/// `suite::test` for a test-granular job, `suite @ stand` for a
+/// cell-granular one — how [`CoreError::JobsLost`] names a lost job.
+fn label(job: &PackagedJob, granularity: Granularity) -> String {
+    match (granularity, job.tests.as_slice()) {
+        (Granularity::Test, [test]) => format!("{}::{}", job.suite, test.script.name),
+        _ => format!("{} @ {}", job.suite, job.stand_name),
+    }
 }
 
-impl RemoteUnit for PackagedJob {
-    type Output = TestJobOutcome;
+/// The registry recipe every device of the job shares — `None` for
+/// custom or fault-wrapped devices (and for jobs without tests, which have
+/// nothing to execute remotely), which run in-process instead.
+fn device_spec(job: &PackagedJob) -> Option<DeviceSpec> {
+    let mut specs = job.devices.iter().map(Device::spec);
+    let first = specs.next()??;
+    specs
+        .all(|spec| spec.as_ref() == Some(&first))
+        .then_some(first)
+}
 
-    fn label(&self) -> String {
-        format!("{}::{}", self.suite, self.name)
-    }
-
-    fn admit(
-        &self,
-        ctx: &JobCtx,
-        events: &Sender<EngineEvent>,
-        results: &Sender<JobMsg<TestJobOutcome>>,
-    ) -> bool {
-        if ctx.cancel.is_cancelled() {
-            let _ = results.send(JobMsg::Cancelled);
-            return true;
-        }
-        ctx.try_cached_test(self, events, results)
-    }
-
-    fn stranded(&self) -> bool {
-        self.device.is_none()
-    }
-
-    fn into_strand(self) -> Strand {
-        Strand::Test(Box::new(self))
-    }
-
-    fn spec(&self) -> Option<DeviceSpec> {
-        self.device.as_ref().and_then(|d| d.spec())
-    }
-
-    fn ship(
-        &self,
-        spec: DeviceSpec,
-        interner: &mut Interner,
-        conn: &mut WorkerConn,
-    ) -> Vec<ToWorker> {
-        let mut frames = Vec::new();
-        let stand = interner.stand(&self.stand_name, || {
-            comptest_stand::write_stand(&self.stand)
+/// Frames that ship `job` to `conn`: the stand and every script the worker
+/// has not seen yet, then the one run request.
+fn ship(
+    job: &PackagedJob,
+    spec: DeviceSpec,
+    interner: &mut Interner,
+    conn: &mut WorkerConn,
+) -> Vec<ToWorker> {
+    let mut frames = Vec::new();
+    let stand = interner.stand(&job.stand_name, || comptest_stand::write_stand(&job.stand));
+    if conn.sent_stands.insert(stand.id) {
+        frames.push(ToWorker::Stand {
+            id: stand.id,
+            text: stand.payload,
         });
-        if conn.sent_stands.insert(stand.id) {
-            frames.push(ToWorker::Stand {
-                id: stand.id,
-                text: stand.payload,
-            });
-        }
-        let script = interner.script(&self.suite, &self.script.name, || self.script.to_xml());
+    }
+    let mut scripts = Vec::with_capacity(job.tests.len());
+    for test in &job.tests {
+        let script = interner.script(&job.suite, &test.script.name, || test.script.to_xml());
         if conn.sent_scripts.insert(script.id) {
             frames.push(ToWorker::Script {
                 id: script.id,
                 xml: script.payload,
-                names: signal_spellings(&self.script),
+                names: signal_spellings(&test.script),
             });
         }
-        frames.push(ToWorker::RunTest {
-            job: self.job,
-            cell: self.cell,
-            test: self.test,
-            suite: self.suite.clone(),
-            name: self.name.clone(),
-            script: script.id,
-            stand: stand.id,
-            spec,
-        });
-        frames
+        scripts.push(script.id);
     }
-
-    fn run_local(
-        self,
-        ctx: &JobCtx,
-        events: &Sender<EngineEvent>,
-        results: &Sender<JobMsg<TestJobOutcome>>,
-    ) {
-        crate::executor::run_packaged_test(self, ctx, events, results);
-    }
-
-    fn finish_remote(
-        &self,
-        record: &[u8],
-        wall: Duration,
-        ctx: &JobCtx,
-        results: &Sender<JobMsg<TestJobOutcome>>,
-    ) -> Result<(), String> {
-        let mut outcomes = worker::decode_outcomes(record)?;
-        let outcome = outcomes.pop().ok_or("empty test result record")?;
-        if !outcomes.is_empty() {
-            return Err("test result record held more than one outcome".into());
-        }
-        if let Some(runtime) = &ctx.cache {
-            runtime.finish_test(self.cell, self.test, &outcome);
-        }
-        let (status, failed) = outcome_status(&outcome);
-        // Spans open and close at receipt: the remote wall time is real,
-        // but the parent's trace timeline must stay self-consistent.
-        let span = ctx
-            .obs
-            .span_begin(SpanCat::Test, || format!("{}::{}", self.suite, self.name));
-        ctx.obs.span_end(span, || Some(status));
-        ctx.obs.inc(Counter::JobsExecuted);
-        ctx.obs.inc(Counter::TestsExecuted);
-        // Steps ran in the worker, whose recorder dies with it; the step
-        // results in the record are the parent's source of truth.
-        ctx.obs.add(
-            Counter::StepsExecuted,
-            count_steps(std::slice::from_ref(&outcome)),
-        );
-        ctx.obs.test_timing(wall, outcome_sim_end(&outcome));
-        if failed && ctx.stop {
-            ctx.cancel.trip();
-        }
-        let _ = results.send(JobMsg::Done(self.job, outcome));
-        Ok(())
-    }
+    frames.push(ToWorker::Run(RunRequest {
+        job: job.job,
+        cell: job.cell,
+        first: job.first,
+        suite: job.suite.clone(),
+        scripts,
+        stand: stand.id,
+        spec,
+    }));
+    frames
 }
 
-impl RemoteUnit for PackagedCell {
-    type Output = CampaignCell;
-
-    fn label(&self) -> String {
-        format!("{} @ {}", self.suite, self.stand_name)
+/// Decodes a worker's result record for `job` and checks it is something
+/// the job can produce: its tests in order, stopping early only after a
+/// planning error. Anything else means the worker is lying or corrupt.
+fn decode_result(job: &PackagedJob, record: &[u8]) -> Result<Vec<TestJobOutcome>, String> {
+    let outcomes = worker::decode_outcomes(record)?;
+    let expected = outcomes
+        .iter()
+        .position(Result::is_err)
+        .map_or(job.tests.len(), |stop| stop + 1);
+    if outcomes.len() != expected || expected > job.tests.len() {
+        return Err(format!(
+            "result record holds {} outcomes for a job of {} tests",
+            outcomes.len(),
+            job.tests.len()
+        ));
     }
+    Ok(outcomes)
+}
 
-    fn admit(
-        &self,
-        ctx: &JobCtx,
-        events: &Sender<EngineEvent>,
-        results: &Sender<JobMsg<CampaignCell>>,
-    ) -> bool {
-        if ctx.cancel.is_cancelled() {
-            let _ = results.send(JobMsg::Cancelled);
-            return true;
-        }
-        ctx.try_cached_cell(self, events, results)
+/// Replays a worker's outcomes through the shared job bookkeeping: cache
+/// store and verify, counters, spans (opened and closed at receipt — the
+/// remote wall time is real, but the parent's trace timeline must stay
+/// self-consistent), the stop latch and the join message. The worker
+/// already streamed the job's events, so the replay's go nowhere. The
+/// worker reports one wall time per job; each test is charged an equal
+/// share of it.
+fn finish_remote(
+    job: PackagedJob,
+    outcomes: Vec<TestJobOutcome>,
+    wall: Duration,
+    ctx: &JobCtx,
+    results: &Sender<JobMsg>,
+) {
+    let share = wall / u32::try_from(outcomes.len().max(1)).unwrap_or(u32::MAX);
+    // Steps ran in the worker, whose recorder dies with it; the step
+    // results in the record are the parent's source of truth.
+    ctx.obs.add(Counter::StepsExecuted, count_steps(&outcomes));
+    let (replayed, _) = mpsc::channel();
+    let mut run = JobRun::start(job, ctx, &replayed);
+    for outcome in outcomes {
+        let Some((test, _device)) = run.begin_test(ctx, &replayed) else {
+            break;
+        };
+        run.end_test(&test, outcome, share, ctx, &replayed);
     }
-
-    fn stranded(&self) -> bool {
-        self.tests.iter().any(|t| t.device.is_none())
-    }
-
-    fn into_strand(self) -> Strand {
-        Strand::Cell(Box::new(self))
-    }
-
-    fn spec(&self) -> Option<DeviceSpec> {
-        // All tests of a cell share one entry, hence one device recipe; an
-        // empty cell has nothing to execute remotely and runs (trivially)
-        // in-process.
-        let mut specs = self.tests.iter().map(|t| t.device.as_ref()?.spec());
-        let first = specs.next()??;
-        for spec in specs {
-            if spec.as_ref() != Some(&first) {
-                return None;
-            }
-        }
-        Some(first)
-    }
-
-    fn ship(
-        &self,
-        spec: DeviceSpec,
-        interner: &mut Interner,
-        conn: &mut WorkerConn,
-    ) -> Vec<ToWorker> {
-        let mut frames = Vec::new();
-        let stand = interner.stand(&self.stand_name, || {
-            comptest_stand::write_stand(&self.stand)
-        });
-        if conn.sent_stands.insert(stand.id) {
-            frames.push(ToWorker::Stand {
-                id: stand.id,
-                text: stand.payload,
-            });
-        }
-        let mut scripts = Vec::with_capacity(self.tests.len());
-        for test in &self.tests {
-            let script = interner.script(&self.suite, &test.script.name, || test.script.to_xml());
-            if conn.sent_scripts.insert(script.id) {
-                frames.push(ToWorker::Script {
-                    id: script.id,
-                    xml: script.payload,
-                    names: signal_spellings(&test.script),
-                });
-            }
-            scripts.push(script.id);
-        }
-        frames.push(ToWorker::RunCell {
-            cell: self.cell,
-            suite: self.suite.clone(),
-            scripts,
-            stand: stand.id,
-            spec,
-        });
-        frames
-    }
-
-    fn run_local(
-        self,
-        ctx: &JobCtx,
-        events: &Sender<EngineEvent>,
-        results: &Sender<JobMsg<CampaignCell>>,
-    ) {
-        crate::executor::run_packaged_cell(self, ctx, events, results);
-    }
-
-    fn finish_remote(
-        &self,
-        record: &[u8],
-        wall: Duration,
-        ctx: &JobCtx,
-        results: &Sender<JobMsg<CampaignCell>>,
-    ) -> Result<(), String> {
-        let outcomes = worker::decode_outcomes(record)?;
-        if outcomes.len() > self.tests.len() {
-            return Err("cell result record held more outcomes than tests".into());
-        }
-        if let Some(runtime) = &ctx.cache {
-            runtime.finish_cell(self.cell, &self.suite, &self.stand_name, &outcomes);
-        }
-        let span = ctx.obs.span_begin(SpanCat::Cell, || {
-            format!("{} on {}", self.suite, self.stand_name)
-        });
-        ctx.obs.inc(Counter::JobsExecuted);
-        ctx.obs.add(Counter::TestsExecuted, outcomes.len() as u64);
-        ctx.obs.add(Counter::StepsExecuted, count_steps(&outcomes));
-        if let Some(last_sim) = outcomes.last().map(outcome_sim_end) {
-            ctx.obs.test_timing(wall, last_sim);
-        }
-        let cell = fold_cell(self.suite.clone(), self.stand_name.clone(), outcomes);
-        let failed = !cell.passed();
-        ctx.obs.span_end(span, || Some(cell.status()));
-        if failed && ctx.stop {
-            ctx.cancel.trip();
-        }
-        let _ = results.send(JobMsg::Done(self.cell, cell));
-        Ok(())
-    }
+    run.finish(ctx, &replayed, results);
 }
 
 /// Executed steps carried home in a result record — the parent-side
@@ -653,19 +397,28 @@ impl Interner {
     }
 }
 
-/// What a worker's reader thread reports to the orchestrator.
+/// What a worker's reader thread reports to the orchestrator. Each
+/// message names the worker process by its slot *and* its generation (the
+/// spawn it came from): a slot is refilled after a death, and a late
+/// message from the slot's earlier occupant must not be mistaken for news
+/// about the healthy worker that replaced it.
 enum WorkerMsg {
-    Frame(usize, FromWorker),
-    /// EOF or an undecodable frame — the worker is unusable.
-    Dead(usize),
+    Frame {
+        slot: usize,
+        generation: usize,
+        frame: FromWorker,
+    },
+    /// EOF or an undecodable frame — that worker process is unusable.
+    Dead { slot: usize, generation: usize },
 }
 
-/// One live worker process: the child, its stdin, and what it has been
-/// sent so far.
+/// One live worker process: the child, its stdin, its generation and what
+/// it has been sent so far.
 struct WorkerConn {
     child: Child,
     stdin: Option<ChildStdin>,
     pid: u32,
+    generation: usize,
     sent_stands: std::collections::HashSet<u64>,
     sent_scripts: std::collections::HashSet<u64>,
 }
@@ -683,39 +436,39 @@ impl WorkerConn {
     }
 }
 
-/// One in-flight dispatch: the unit (kept for retry), its attempt count
+/// One in-flight dispatch: the job (kept for retry), its attempt count
 /// and the dispatch instant (wall-clock metrics at receipt).
-struct InFlight<U> {
-    unit: U,
+struct InFlight {
+    job: PackagedJob,
     attempts: usize,
     dispatched: Instant,
 }
 
-/// The scheduling loop shared by both granularities. Owns the queue, the
-/// worker slots and the channels; runs on its own thread so `launch`
-/// returns a live handle immediately.
-struct Orchestrator<U: RemoteUnit> {
+/// The scheduling loop. Owns the queue, the worker slots and the
+/// channels; runs on its own thread so `launch` returns a live handle
+/// immediately.
+struct Orchestrator {
     cfg: OrchestratorConfig,
     ctx: JobCtx,
     events: Sender<EngineEvent>,
-    results: Sender<JobMsg<U::Output>>,
-    lost: Arc<Mutex<Vec<String>>>,
+    results: Sender<JobMsg>,
     interner: Interner,
     /// Worker slots: `None` until first spawn or after a death.
     slots: Vec<Option<WorkerConn>>,
-    inflight: Vec<Option<InFlight<U>>>,
+    inflight: Vec<Option<InFlight>>,
     msg_tx: Sender<WorkerMsg>,
     msg_rx: Receiver<WorkerMsg>,
+    /// Processes spawned so far; the latest spawn's count is its
+    /// generation.
     spawned: usize,
 }
 
-impl<U: RemoteUnit> Orchestrator<U> {
+impl Orchestrator {
     fn new(
         cfg: OrchestratorConfig,
         ctx: JobCtx,
         events: Sender<EngineEvent>,
-        results: Sender<JobMsg<U::Output>>,
-        lost: Arc<Mutex<Vec<String>>>,
+        results: Sender<JobMsg>,
     ) -> Self {
         let (msg_tx, msg_rx) = mpsc::channel();
         let workers = cfg.workers;
@@ -724,7 +477,6 @@ impl<U: RemoteUnit> Orchestrator<U> {
             ctx,
             events,
             results,
-            lost,
             interner: Interner::default(),
             slots: (0..workers).map(|_| None).collect(),
             inflight: (0..workers).map(|_| None).collect(),
@@ -740,58 +492,72 @@ impl<U: RemoteUnit> Orchestrator<U> {
         self.cfg.workers * 2 + 2
     }
 
-    fn run(mut self, units: Vec<U>) {
-        let mut queue: VecDeque<(U, usize)> = units.into_iter().map(|u| (u, 0)).collect();
+    fn run(mut self, jobs: Vec<PackagedJob>) {
+        let mut queue: VecDeque<(PackagedJob, usize)> = jobs.into_iter().map(|j| (j, 0)).collect();
         loop {
             self.dispatch_ready(&mut queue);
             if queue.is_empty() && self.inflight.iter().all(Option::is_none) {
                 break;
             }
-            match self.msg_rx.recv() {
-                Ok(WorkerMsg::Frame(slot, frame)) => self.on_frame(slot, frame, &mut queue),
-                Ok(WorkerMsg::Dead(slot)) => self.on_death(slot, &mut queue),
-                // All reader threads gone while work remains: no workers
-                // were ever live. `dispatch_ready` degrades the rest to
-                // in-process execution on the next pass.
-                Err(_) => {
-                    if queue.is_empty() {
-                        break;
-                    }
+            // The orchestrator holds a sender itself, so the channel never
+            // disconnects; a message either concerns the worker process
+            // now in its slot or is stale and dropped.
+            let Ok(msg) = self.msg_rx.recv() else {
+                break;
+            };
+            match msg {
+                WorkerMsg::Frame {
+                    slot,
+                    generation,
+                    frame,
+                } if self.is_current(slot, generation) => self.on_frame(slot, frame, &mut queue),
+                WorkerMsg::Dead { slot, generation } if self.is_current(slot, generation) => {
+                    self.on_death(slot, &mut queue)
                 }
+                WorkerMsg::Frame { .. } | WorkerMsg::Dead { .. } => {}
             }
         }
         self.shutdown();
     }
 
+    /// Whether `generation` is the worker process occupying `slot` now.
+    fn is_current(&self, slot: usize, generation: usize) -> bool {
+        self.slots[slot]
+            .as_ref()
+            .is_some_and(|conn| conn.generation == generation)
+    }
+
     /// Fills every idle worker in plan order. Admission (cancel + cache)
     /// happens here — at dispatch time, not packaging time — so a stop
     /// latch tripped by an earlier result truncates exactly like the
-    /// local executors.
-    fn dispatch_ready(&mut self, queue: &mut VecDeque<(U, usize)>) {
-        while let Some((unit, attempts)) = queue.pop_front() {
-            if attempts == 0 && unit.admit(&self.ctx, &self.events, &self.results) {
-                continue;
-            }
-            if unit.stranded() {
-                let _ = self.results.send(JobMsg::Stranded(unit.into_strand()));
-                continue;
-            }
-            let Some(spec) = unit.spec() else {
-                self.run_local_caught(unit);
+    /// local executors. Retries were admitted on their first dispatch.
+    fn dispatch_ready(&mut self, queue: &mut VecDeque<(PackagedJob, usize)>) {
+        while let Some((job, attempts)) = queue.pop_front() {
+            let job = match attempts {
+                0 => match self.ctx.admit(job, &self.events, &self.results) {
+                    Some(job) => job,
+                    None => continue,
+                },
+                _ => job,
+            };
+            let Some(spec) = device_spec(&job) else {
+                self.run_local_caught(job);
                 continue;
             };
             match self.idle_worker() {
                 Some(slot) => {
-                    if let Err(dead_slot) = self.ship_to(slot, &unit, spec) {
-                        // The write failed: the worker is dead. Requeue
-                        // the unit (the death handler will also run when
-                        // the reader reports EOF) and try again.
-                        queue.push_front((unit, attempts));
-                        self.on_death(dead_slot, queue);
+                    let conn = self.slots[slot].as_mut().expect("idle worker slot is live");
+                    let frames = ship(&job, spec, &mut self.interner, conn);
+                    if conn.write_frames(&frames).is_err() {
+                        // The write failed: the worker is dead. Requeue the
+                        // job and retire the worker now; its reader's own
+                        // `Dead` report arrives stale and is dropped.
+                        queue.push_front((job, attempts));
+                        self.on_death(slot, queue);
                         continue;
                     }
                     self.inflight[slot] = Some(InFlight {
-                        unit,
+                        job,
                         attempts,
                         dispatched: Instant::now(),
                     });
@@ -799,12 +565,12 @@ impl<U: RemoteUnit> Orchestrator<U> {
                 None if self.live_workers() == 0 => {
                     // Zero workers and none can spawn: degrade the whole
                     // queue to in-process execution.
-                    self.run_local_caught(unit);
+                    self.run_local_caught(job);
                 }
                 None => {
-                    // All live workers busy: put the unit back and wait
-                    // for a result.
-                    queue.push_front((unit, attempts));
+                    // All live workers busy: put the job back and wait for
+                    // a result.
+                    queue.push_front((job, attempts));
                     return;
                 }
             }
@@ -837,6 +603,7 @@ impl<U: RemoteUnit> Orchestrator<U> {
     fn spawn_worker(&mut self, slot: usize) -> Result<(), ()> {
         let command = self.cfg.command.as_ref().ok_or(())?;
         self.spawned += 1;
+        let generation = self.spawned;
         let mut cmd = Command::new(&command[0]);
         cmd.args(&command[1..])
             .stdin(Stdio::piped())
@@ -850,6 +617,7 @@ impl<U: RemoteUnit> Orchestrator<U> {
         let stdout = child.stdout.take().ok_or(())?;
         let hello = ToWorker::Hello {
             exec: self.ctx.exec,
+            granularity: self.ctx.granularity,
         };
         if write_frame(&mut stdin, &hello.encode()).is_err() {
             let _ = child.kill();
@@ -860,25 +628,22 @@ impl<U: RemoteUnit> Orchestrator<U> {
         let msg_tx = self.msg_tx.clone();
         std::thread::spawn(move || {
             let mut stdout = stdout;
-            loop {
-                match read_frame(&mut stdout) {
-                    Ok(Some(payload)) => match FromWorker::decode(&payload) {
-                        Ok(frame) => {
-                            if msg_tx.send(WorkerMsg::Frame(slot, frame)).is_err() {
-                                return;
-                            }
-                        }
-                        Err(_) => {
-                            let _ = msg_tx.send(WorkerMsg::Dead(slot));
-                            return;
-                        }
-                    },
-                    Ok(None) | Err(_) => {
-                        let _ = msg_tx.send(WorkerMsg::Dead(slot));
-                        return;
-                    }
+            // EOF, a read error or an undecodable frame all end the same
+            // way: the worker is unusable.
+            while let Ok(Some(payload)) = read_frame(&mut stdout) {
+                let Ok(frame) = FromWorker::decode(&payload) else {
+                    break;
+                };
+                let msg = WorkerMsg::Frame {
+                    slot,
+                    generation,
+                    frame,
+                };
+                if msg_tx.send(msg).is_err() {
+                    return;
                 }
             }
+            let _ = msg_tx.send(WorkerMsg::Dead { slot, generation });
         });
         emit(
             &self.events,
@@ -888,39 +653,46 @@ impl<U: RemoteUnit> Orchestrator<U> {
             child,
             stdin: Some(stdin),
             pid,
+            generation,
             sent_stands: Default::default(),
             sent_scripts: Default::default(),
         });
         Ok(())
     }
 
-    /// Ships one unit to the worker in `slot`; `Err(slot)` when the pipe
-    /// write failed (worker dead).
-    fn ship_to(&mut self, slot: usize, unit: &U, spec: DeviceSpec) -> Result<(), usize> {
-        let conn = self.slots[slot].as_mut().expect("shipping to empty slot");
-        let frames = unit.ship(spec, &mut self.interner, conn);
-        conn.write_frames(&frames).map_err(|_| slot)
-    }
-
-    fn on_frame(&mut self, slot: usize, frame: FromWorker, queue: &mut VecDeque<(U, usize)>) {
+    fn on_frame(
+        &mut self,
+        slot: usize,
+        frame: FromWorker,
+        queue: &mut VecDeque<(PackagedJob, usize)>,
+    ) {
         match frame {
             FromWorker::Ready { .. } => {}
             FromWorker::Event(event) => emit(&self.events, event),
-            FromWorker::TestDone { record, .. } | FromWorker::CellDone { record, .. } => {
+            FromWorker::Done { job, record } => {
                 let Some(inflight) = self.inflight[slot].take() else {
                     // A result with nothing in flight: protocol breach.
                     self.on_death(slot, queue);
                     return;
                 };
-                let wall = inflight.dispatched.elapsed();
-                match inflight
-                    .unit
-                    .finish_remote(&record, wall, &self.ctx, &self.results)
-                {
-                    Ok(()) => {}
+                let outcomes = match inflight.job.job == job {
+                    true => decode_result(&inflight.job, &record),
+                    false => Err(format!(
+                        "result for job {job}, expected {}",
+                        inflight.job.job
+                    )),
+                };
+                match outcomes {
+                    Ok(outcomes) => finish_remote(
+                        inflight.job,
+                        outcomes,
+                        inflight.dispatched.elapsed(),
+                        &self.ctx,
+                        &self.results,
+                    ),
                     Err(_) => {
-                        // Undecodable result: the worker is lying or
-                        // corrupt. Retry the unit elsewhere.
+                        // The worker is lying or corrupt. Retry the job
+                        // elsewhere.
                         self.inflight[slot] = Some(inflight);
                         self.on_death(slot, queue);
                     }
@@ -933,9 +705,9 @@ impl<U: RemoteUnit> Orchestrator<U> {
         }
     }
 
-    /// Handles a worker death: reap the child, surface `WorkerLost`, and
-    /// retry (with backoff) or report the in-flight unit lost.
-    fn on_death(&mut self, slot: usize, queue: &mut VecDeque<(U, usize)>) {
+    /// Retires the worker in `slot`: reap the child, surface `WorkerLost`,
+    /// and retry (with backoff) or report the in-flight job lost.
+    fn on_death(&mut self, slot: usize, queue: &mut VecDeque<(PackagedJob, usize)>) {
         let Some(mut conn) = self.slots[slot].take() else {
             return;
         };
@@ -957,9 +729,10 @@ impl<U: RemoteUnit> Orchestrator<U> {
                 // surviving (or respawned) worker.
                 let exp = u32::try_from(attempts.saturating_sub(1)).unwrap_or(u32::MAX);
                 std::thread::sleep(self.cfg.backoff.saturating_mul(1 << exp.min(8)));
-                queue.push_front((inflight.unit, attempts));
+                queue.push_front((inflight.job, attempts));
             } else {
-                self.lost.lock().unwrap().push(inflight.unit.label());
+                let label = label(&inflight.job, self.ctx.granularity);
+                let _ = self.results.send(JobMsg::Lost(label));
             }
         }
     }
@@ -967,16 +740,13 @@ impl<U: RemoteUnit> Orchestrator<U> {
     /// In-process degradation inside a panic catch: a panicking DUT model
     /// must surface as a lost job (with its label), never tear down the
     /// orchestrator — the behaviour `catches_lost_jobs` conformance pins.
-    fn run_local_caught(&self, unit: U) {
-        let label = unit.label();
-        let ctx = &self.ctx;
-        let events = &self.events;
-        let results = &self.results;
-        let outcome = catch_unwind(AssertUnwindSafe(|| unit.run_local(ctx, events, results)));
-        if outcome.is_err() {
+    fn run_local_caught(&self, job: PackagedJob) {
+        let label = label(&job, self.ctx.granularity);
+        let (ctx, events, results) = (&self.ctx, &self.events, &self.results);
+        if catch_unwind(AssertUnwindSafe(|| execute(job, ctx, events, results))).is_err() {
             // Rebalance the gauge the panicking job left claimed.
             ctx.obs.gauge_add(Gauge::InflightJobs, -1);
-            self.lost.lock().unwrap().push(label);
+            let _ = results.send(JobMsg::Lost(label));
         }
     }
 

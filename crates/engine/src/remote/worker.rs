@@ -1,11 +1,11 @@
 //! The child side of the remote executor: `comptest worker`.
 //!
 //! A worker is a plain stdio filter: it reads [`ToWorker`] frames from
-//! stdin, executes the jobs through the exact same
-//! [`plan_and_execute`](crate::executor::plan_and_execute) path every
-//! local executor uses (so outcomes are byte-identical by construction),
-//! and writes [`FromWorker`] frames — live progress events followed by the
-//! result record — to stdout. Stands and scripts arrive once per worker as
+//! stdin, runs each job through the exact same
+//! [`execute`](crate::executor::execute) runner every local executor uses
+//! (so outcomes are byte-identical by construction), and writes
+//! [`FromWorker`] frames — live progress events followed by the result
+//! record — to stdout. Stands and scripts arrive once per worker as
 //! interning frames; execution plans are resolved at most once per
 //! (script, stand) pair, mirroring the parent's shared
 //! [`PlanSlot`](crate::executor::PlanSlot)s.
@@ -17,8 +17,8 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use comptest_core::campaign::TestJobOutcome;
 use comptest_core::exec::ExecOptions;
@@ -27,12 +27,12 @@ use comptest_script::TestScript;
 use comptest_stand::TestStand;
 
 use crate::cache::binary;
-use crate::cache::{fold_cell, CellRecord};
-use crate::events::EngineEvent;
-use crate::executor::{outcome_status, plan_and_execute, JobCtx, PlanSlot};
+use crate::cache::CellRecord;
+use crate::campaign::Granularity;
+use crate::executor::{execute, JobCtx, JobMsg, JobTest, PackagedJob, PlanSlot};
 use crate::handle::{CancelToken, RunCancel};
 use crate::obs::Recorder;
-use crate::remote::frame::{read_frame, write_frame, FromWorker, ToWorker, VERSION};
+use crate::remote::frame::{read_frame, write_frame, FromWorker, RunRequest, ToWorker, VERSION};
 
 /// Environment variable holding a per-job artificial delay in
 /// milliseconds. Used by the kill-a-worker tests and the CI smoke job to
@@ -49,9 +49,7 @@ pub const HOLD_MS_ENV: &str = "COMPTEST_WORKER_HOLD_MS";
 /// [`RemoteExecutor::command`](crate::remote::RemoteExecutor::command)
 /// can expose the same entry point.
 pub fn worker_main() -> i32 {
-    let stdin = io::stdin();
-    let stdout = io::stdout();
-    match serve(stdin.lock(), stdout.lock()) {
+    match serve(io::stdin().lock(), io::stdout()) {
         Ok(()) => 0,
         Err(error) => {
             eprintln!("comptest worker: {error}");
@@ -72,7 +70,7 @@ struct WorkerState {
 }
 
 impl WorkerState {
-    fn new(exec: ExecOptions) -> Self {
+    fn new(exec: ExecOptions, granularity: Granularity) -> Self {
         let hold = std::env::var(HOLD_MS_ENV)
             .ok()
             .and_then(|v| v.parse::<u64>().ok())
@@ -84,6 +82,7 @@ impl WorkerState {
             plans: HashMap::new(),
             ctx: JobCtx {
                 exec,
+                granularity,
                 cancel: RunCancel::new(CancelToken::new()),
                 stop: false,
                 cache: None,
@@ -122,21 +121,21 @@ impl WorkerState {
 
 /// The worker protocol loop over arbitrary streams (tests drive it with
 /// in-memory pipes).
-pub(crate) fn serve(mut input: impl Read, mut output: impl Write) -> Result<(), String> {
+pub(crate) fn serve(mut input: impl Read, mut output: impl Write + Send) -> Result<(), String> {
     // Handshake: the first frame must be a version-matched Hello.
     let first = read_frame(&mut input).map_err(|e| e.to_string())?;
     let Some(first) = first else {
         // Spawned and immediately abandoned; nothing to do.
         return Ok(());
     };
-    let exec = match ToWorker::decode(&first) {
-        Ok(ToWorker::Hello { exec }) => exec,
+    let (exec, granularity) = match ToWorker::decode(&first) {
+        Ok(ToWorker::Hello { exec, granularity }) => (exec, granularity),
         Ok(other) => return refuse(&mut output, format!("expected Hello, got {other:?}")),
         Err(error) => return refuse(&mut output, error.to_string()),
     };
     send(&mut output, &FromWorker::Ready { version: VERSION })?;
 
-    let mut state = WorkerState::new(exec);
+    let mut state = WorkerState::new(exec, granularity);
     loop {
         let Some(payload) = read_frame(&mut input).map_err(|e| e.to_string())? else {
             // Parent closed our stdin: cooperative shutdown.
@@ -165,49 +164,8 @@ pub(crate) fn serve(mut input: impl Read, mut output: impl Write) -> Result<(), 
                 }
                 Err(error) => return refuse(&mut output, format!("bad script: {error}")),
             },
-            ToWorker::RunTest {
-                job,
-                cell,
-                test,
-                suite,
-                name,
-                script,
-                stand,
-                spec,
-            } => {
-                let result = run_test(
-                    &mut state,
-                    &mut output,
-                    job,
-                    cell,
-                    test,
-                    &suite,
-                    &name,
-                    script,
-                    stand,
-                    &spec,
-                );
-                if let Err(error) = result {
-                    return refuse(&mut output, error);
-                }
-            }
-            ToWorker::RunCell {
-                cell,
-                suite,
-                scripts,
-                stand,
-                spec,
-            } => {
-                let result = run_cell(
-                    &mut state,
-                    &mut output,
-                    cell,
-                    &suite,
-                    &scripts,
-                    stand,
-                    &spec,
-                );
-                if let Err(error) = result {
+            ToWorker::Run(request) => {
+                if let Err(error) = run_job(&mut state, &mut output, request) {
                     return refuse(&mut output, error);
                 }
             }
@@ -230,114 +188,63 @@ fn send(output: &mut impl Write, frame: &FromWorker) -> Result<(), String> {
     write_frame(output, &payload).map_err(|e| e.to_string())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_test(
+/// Runs one job through the shared runner while a scoped forwarder thread
+/// streams its progress events to `output` live, then sends the result
+/// record.
+fn run_job(
     state: &mut WorkerState,
-    output: &mut impl Write,
-    job: usize,
-    cell: usize,
-    test: usize,
-    suite: &str,
-    name: &str,
-    script_id: u64,
-    stand_id: u64,
-    spec: &DeviceSpec,
+    output: &mut (impl Write + Send),
+    request: RunRequest,
 ) -> Result<(), String> {
     if let Some(hold) = state.hold {
         std::thread::sleep(hold);
     }
-    let script = Arc::clone(state.script(script_id)?);
-    let stand = Arc::clone(state.stand(stand_id)?);
-    let plan = state.plan(script_id, stand_id);
-    let mut device = state.device(spec)?;
+    let stand = Arc::clone(state.stand(request.stand)?);
+    let mut tests = Vec::with_capacity(request.scripts.len());
+    for &script in &request.scripts {
+        tests.push(JobTest {
+            script: Arc::clone(state.script(script)?),
+            plan: state.plan(script, request.stand),
+        });
+    }
+    let devices = tests
+        .iter()
+        .map(|_| state.device(&request.spec))
+        .collect::<Result<Vec<_>, String>>()?;
+    let job = PackagedJob {
+        job: request.job,
+        cell: request.cell,
+        entry: 0,
+        first: request.first,
+        suite: request.suite,
+        stand_name: stand.name().to_owned(),
+        stand,
+        tests,
+        devices,
+    };
+    let (events_tx, events_rx) = mpsc::channel();
+    let (results_tx, results_rx) = mpsc::channel();
+    let ctx = &state.ctx;
+    std::thread::scope(|scope| {
+        let forwarder = scope.spawn(|| {
+            events_rx
+                .into_iter()
+                .try_for_each(|event| send(output, &FromWorker::Event(event)))
+        });
+        execute(job, ctx, &events_tx, &results_tx);
+        drop(events_tx);
+        forwarder
+            .join()
+            .unwrap_or_else(|_| Err("event forwarder panicked".into()))
+    })?;
+    let Ok(JobMsg::Done(job, outcomes)) = results_rx.try_recv() else {
+        return Err("job produced no result".into());
+    };
     send(
         output,
-        &FromWorker::Event(EngineEvent::TestStarted {
-            cell,
-            test,
-            suite: suite.to_owned(),
-            stand: stand.name().to_owned(),
-            name: name.to_owned(),
-        }),
-    )?;
-    let started = Instant::now();
-    let outcome = plan_and_execute(&plan, &script, &stand, &mut device, &state.ctx);
-    let (status, failed) = outcome_status(&outcome);
-    send(
-        output,
-        &FromWorker::Event(EngineEvent::TestFinished {
-            cell,
-            test,
-            suite: suite.to_owned(),
-            stand: stand.name().to_owned(),
-            name: name.to_owned(),
-            status,
-            failed,
-            duration: started.elapsed(),
-        }),
-    )?;
-    send(
-        output,
-        &FromWorker::TestDone {
+        &FromWorker::Done {
             job,
-            record: encode_outcomes(1, vec![outcome]),
-        },
-    )
-}
-
-fn run_cell(
-    state: &mut WorkerState,
-    output: &mut impl Write,
-    cell: usize,
-    suite: &str,
-    script_ids: &[u64],
-    stand_id: u64,
-    spec: &DeviceSpec,
-) -> Result<(), String> {
-    if let Some(hold) = state.hold {
-        std::thread::sleep(hold);
-    }
-    let stand = Arc::clone(state.stand(stand_id)?);
-    send(
-        output,
-        &FromWorker::Event(EngineEvent::JobStarted {
-            cell,
-            suite: suite.to_owned(),
-            stand: stand.name().to_owned(),
-        }),
-    )?;
-    let mut outcomes: Vec<TestJobOutcome> = Vec::with_capacity(script_ids.len());
-    for &script_id in script_ids {
-        let script = Arc::clone(state.script(script_id)?);
-        let plan = state.plan(script_id, stand_id);
-        let mut device = state.device(spec)?;
-        let outcome = plan_and_execute(&plan, &script, &stand, &mut device, &state.ctx);
-        let stop_cell = outcome.is_err();
-        outcomes.push(outcome);
-        if stop_cell {
-            // First planning failure ends the cell, exactly like local
-            // execution.
-            break;
-        }
-    }
-    // Fold locally only to render the finished event; the parent re-folds
-    // the shipped outcomes itself.
-    let folded = fold_cell(suite.to_owned(), stand.name().to_owned(), outcomes.clone());
-    send(
-        output,
-        &FromWorker::Event(EngineEvent::JobFinished {
-            cell,
-            suite: suite.to_owned(),
-            stand: stand.name().to_owned(),
-            status: folded.status(),
-            failed: !folded.passed(),
-        }),
-    )?;
-    send(
-        output,
-        &FromWorker::CellDone {
-            cell,
-            record: encode_outcomes(script_ids.len(), outcomes),
+            record: encode_outcomes(request.scripts.len(), outcomes),
         },
     )
 }

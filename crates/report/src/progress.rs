@@ -49,33 +49,16 @@ pub fn progress_line(event: &EngineEvent) -> String {
         EngineEvent::CellCacheCorrupt { cell, suite, stand } => {
             format!("[{cell:>2}] {suite} on {stand}: warning: corrupt cache entry (re-executing)")
         }
-        EngineEvent::CampaignDone {
-            passed,
-            failed,
-            errored,
-            not_runnable,
-            cancelled,
-        } => totals_line(*passed, *failed, *errored, *not_runnable, *cancelled),
         // `EngineEvent` is non_exhaustive: render future event kinds
         // through Debug rather than dropping them silently.
         other => format!("{other:?}"),
     }
 }
 
-/// The terminal `done:` line for a joined campaign — the builder-API
-/// replacement for rendering [`EngineEvent::CampaignDone`].
+/// The terminal `done:` line for a joined campaign.
 pub fn summary_line(outcome: &CampaignOutcome) -> String {
     let (passed, failed, errored, not_runnable) = outcome.result.totals();
-    totals_line(passed, failed, errored, not_runnable, outcome.cancelled)
-}
-
-fn totals_line(
-    passed: usize,
-    failed: usize,
-    errored: usize,
-    not_runnable: usize,
-    cancelled: usize,
-) -> String {
+    let cancelled = outcome.cancelled;
     format!(
         "done: {passed} passed, {failed} failed, {errored} errored, \
          {not_runnable} not runnable, {cancelled} cancelled"
@@ -168,18 +151,6 @@ mod tests {
         assert_eq!(
             progress_line(&corrupt),
             "[ 2] lamp on HIL-A: warning: corrupt cache entry (re-executing)"
-        );
-
-        let done = EngineEvent::CampaignDone {
-            passed: 4,
-            failed: 1,
-            errored: 0,
-            not_runnable: 2,
-            cancelled: 3,
-        };
-        assert_eq!(
-            progress_line(&done),
-            "done: 4 passed, 1 failed, 0 errored, 2 not runnable, 3 cancelled"
         );
     }
 

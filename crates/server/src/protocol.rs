@@ -326,20 +326,6 @@ pub fn event_to_value(event: &EngineEvent) -> Value {
             ("suite", Value::str(suite.clone())),
             ("stand", Value::str(stand.clone())),
         ]),
-        EngineEvent::CampaignDone {
-            passed,
-            failed,
-            errored,
-            not_runnable,
-            cancelled,
-        } => obj(vec![
-            kind("campaign_done"),
-            ("passed", Value::u64(*passed as u64)),
-            ("failed", Value::u64(*failed as u64)),
-            ("errored", Value::u64(*errored as u64)),
-            ("not_runnable", Value::u64(*not_runnable as u64)),
-            ("cancelled", Value::u64(*cancelled as u64)),
-        ]),
         _ => obj(vec![kind("other")]),
     }
 }
@@ -400,13 +386,6 @@ pub fn event_from_value(value: &Value) -> Result<EngineEvent, JsonError> {
             cell: get_usize("cell")?,
             suite: get_str("suite")?,
             stand: get_str("stand")?,
-        }),
-        "campaign_done" => Ok(EngineEvent::CampaignDone {
-            passed: get_usize("passed")?,
-            failed: get_usize("failed")?,
-            errored: get_usize("errored")?,
-            not_runnable: get_usize("not_runnable")?,
-            cancelled: get_usize("cancelled")?,
         }),
         other => Err(JsonError(format!("unknown event kind {other:?}"))),
     }
@@ -750,13 +729,6 @@ mod tests {
                 cell: 3,
                 suite: "s".into(),
                 stand: "t".into(),
-            },
-            EngineEvent::CampaignDone {
-                passed: 1,
-                failed: 2,
-                errored: 3,
-                not_runnable: 4,
-                cancelled: 5,
             },
         ];
         for event in events {

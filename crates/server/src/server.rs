@@ -35,7 +35,7 @@ use comptest_dut::ecus;
 use comptest_engine::codec::{self, Value};
 use comptest_engine::{
     AsyncExecutor, Campaign, CampaignCache, CampaignOutcome, CancelToken, DirCache, EngineEvent,
-    RecordFormat, Recorder, WorkerPool,
+    Recorder, WorkerPool,
 };
 use comptest_model::TestSuite;
 use comptest_sheets::Workbook;
@@ -62,8 +62,6 @@ pub struct ServeConfig {
     /// Optional shared on-disk cell cache, consulted by every submission
     /// that asks for caching.
     pub cache_dir: Option<PathBuf>,
-    /// Record format the shared cache writes (reads always accept both).
-    pub cache_format: Option<RecordFormat>,
 }
 
 impl ServeConfig {
@@ -76,7 +74,6 @@ impl ServeConfig {
             concurrency: 64,
             max_active: 4,
             cache_dir: None,
-            cache_format: None,
         }
     }
 }
@@ -237,12 +234,9 @@ impl Server {
         }
         let cache = match &cfg.cache_dir {
             Some(dir) => {
-                let mut cache = DirCache::open(dir)
-                    .map_err(|e| format!("opening cache {}: {e}", dir.display()))?;
-                if let Some(format) = cfg.cache_format {
-                    cache = cache.with_format(format);
-                }
-                Some(Arc::new(cache))
+                Some(Arc::new(DirCache::open(dir).map_err(|e| {
+                    format!("opening cache {}: {e}", dir.display())
+                })?))
             }
             None => None,
         };
@@ -661,12 +655,11 @@ fn scheduler_loop(inner: Arc<Inner>) {
         let runner_inner = inner.clone();
         let handle =
             std::thread::spawn(move || run_campaign(runner_inner, id, job, cancel, obs, hub));
-        inner
-            .state
-            .lock()
-            .expect("service state lock")
-            .runners
-            .push(handle);
+        let mut st = inner.state.lock().expect("service state lock");
+        // Dropping a finished runner's handle releases its thread (stack
+        // included); only live runners are left for `drain` to join.
+        st.runners.retain(|runner| !runner.is_finished());
+        st.runners.push(handle);
     }
 }
 
@@ -938,5 +931,37 @@ mod tests {
         });
         assert_eq!(hub.inner.lock().unwrap().subs.len(), 0);
         assert_eq!(hub.inner.lock().unwrap().history.len(), 1);
+    }
+
+    /// Finished runner threads are released as new campaigns start, so a
+    /// long-lived daemon holds a bounded number of runner handles — not
+    /// one per campaign it ever ran, each pinning a dead thread's stack.
+    #[test]
+    fn finished_runners_are_released() {
+        let assets = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../assets");
+        let server = Server::new(ServeConfig {
+            workers: 1,
+            max_active: 1,
+            ..ServeConfig::new(assets.clone())
+        })
+        .unwrap();
+        let spec = CampaignSpec {
+            stands: vec![assets.join("stand_b.stand").display().to_string()],
+            suites: vec!["interior_light".into()],
+            cache: false,
+            ..CampaignSpec::default()
+        };
+        const CAMPAIGNS: usize = 24;
+        for _ in 0..CAMPAIGNS {
+            let id = server.submit(&spec).unwrap();
+            let last = server.subscribe(id).unwrap().into_iter().last();
+            assert!(matches!(last, Some(HubMsg::Done(_))));
+        }
+        let held = server.inner.state.lock().unwrap().runners.len();
+        assert!(
+            held <= 4,
+            "{held} runner handles held after {CAMPAIGNS} sequential campaigns"
+        );
+        server.shutdown();
     }
 }

@@ -11,7 +11,6 @@
 //!                   [--sample end-of-step|continuous:<interval_s>]
 //!                   [--stop-on-first-fail] [--junit out.xml]
 //!                   [--cache <dir>|memory|off] [--cache-verify]
-//!                   [--cache-format bin|json]
 //!                   [--cache-key full|footprint] [--cache-salt <salt>]
 //!                   [--trace-out trace.json] [--metrics]
 //!                   [--metrics-out metrics.json]
@@ -19,7 +18,7 @@
 //! comptest stands <stand.stand>...
 //! comptest worker    # remote-executor child; speaks frames on stdio
 //! comptest serve [--addr 127.0.0.1:7171] [--workers N] [--concurrency N]
-//!                [--max-active N] [--cache <dir>] [--cache-format bin|json]
+//!                [--max-active N] [--cache <dir>]
 //! comptest submit [--addr HOST:PORT] <stand.stand>... [--suite NAME]...
 //!                 [--granularity cell|test] [--executor pooled|async]
 //!                 [--stop-on-first-fail] [--no-cache] [--watch]
@@ -435,19 +434,6 @@ impl std::str::FromStr for CacheMode {
     }
 }
 
-/// Parses `--cache-format`: the on-disk record encoding a `--cache <dir>`
-/// cache writes (reads always accept both). Anything but the two known
-/// formats is rejected at parse.
-fn parse_cache_format(s: &str) -> Result<comptest::engine::RecordFormat, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "bin" => Ok(comptest::engine::RecordFormat::Binary),
-        "json" => Ok(comptest::engine::RecordFormat::Json),
-        other => Err(format!(
-            "unknown cache format {other:?}: expected bin or json"
-        )),
-    }
-}
-
 fn cmd_campaign(args: &[&str]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let mut stand_paths: Vec<&str> = Vec::new();
     let mut executor_kind = ExecutorKind::Pooled;
@@ -460,7 +446,6 @@ fn cmd_campaign(args: &[&str]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let mut junit: Option<&str> = None;
     let mut cache_mode = CacheMode::Off;
     let mut cache_verify = false;
-    let mut cache_format: Option<comptest::engine::RecordFormat> = None;
     let mut cache_keying: Option<comptest::engine::CacheKeying> = None;
     let mut cache_salt: Option<&str> = None;
     let mut trace_out: Option<&str> = None;
@@ -534,10 +519,6 @@ fn cmd_campaign(args: &[&str]) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 cache_mode = c.parse()?;
             }
             "--cache-verify" => cache_verify = true,
-            "--cache-format" => {
-                let f = need(it.next().copied(), "--cache-format (bin|json)")?;
-                cache_format = Some(parse_cache_format(f)?);
-            }
             "--cache-key" => {
                 let k = need(it.next().copied(), "--cache-key (full|footprint)")?;
                 cache_keying = Some(k.parse::<comptest::engine::CacheKeying>()?);
@@ -599,11 +580,6 @@ fn cmd_campaign(args: &[&str]) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 .into(),
         );
     }
-    // Record formats are an on-disk concern; on `off` or `memory` the flag
-    // would be silently ignored — reject the mistake instead.
-    if cache_format.is_some() && !matches!(cache_mode, CacheMode::Dir(_)) {
-        return Err("--cache-format only applies to an on-disk cache (pass --cache <dir>)".into());
-    }
     // Keying selects how cache keys are derived; without a cache there are
     // no keys to derive and the flag would be silently ignored.
     if cache_keying.is_some() && cache_mode == CacheMode::Off {
@@ -655,11 +631,7 @@ fn cmd_campaign(args: &[&str]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             campaign.cache(std::sync::Arc::new(comptest::engine::MemoryCache::new()))
         }
         CacheMode::Dir(dir) => {
-            let mut dir_cache = comptest::engine::DirCache::open(dir)?;
-            if let Some(format) = cache_format {
-                dir_cache = dir_cache.with_format(format);
-            }
-            campaign.cache(std::sync::Arc::new(dir_cache))
+            campaign.cache(std::sync::Arc::new(comptest::engine::DirCache::open(dir)?))
         }
     };
     let executor: Box<dyn CampaignExecutor> = match executor_kind {
@@ -774,10 +746,6 @@ fn cmd_serve(args: &[&str]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             }
             "--cache" => {
                 cfg.cache_dir = Some(need(it.next().copied(), "--cache dir")?.into());
-            }
-            "--cache-format" => {
-                let f = need(it.next().copied(), "--cache-format (bin|json)")?;
-                cfg.cache_format = Some(parse_cache_format(f)?);
             }
             other => return Err(format!("unknown serve flag {other:?}").into()),
         }

@@ -55,6 +55,14 @@
 //! supports cooperative cancellation ([`CancelToken`](prelude::CancelToken)
 //! or `stop_on_first_fail`).
 //!
+//! Every executor runs one unit of work — a job holding a run of
+//! consecutive tests of one cell — and
+//! [`Granularity`](prelude::Granularity) is its batch size:
+//! `Granularity::Test` runs batches of one test (a large workbook spreads
+//! over every worker; events arrive per test), `Granularity::Cell` runs
+//! one batch per cell (the lowest overhead; events arrive per cell).
+//! Either way the merged matrix is the same.
+//!
 //! ```
 //! use comptest::prelude::*;
 //! use comptest::core::campaign::CampaignEntry;
@@ -165,16 +173,11 @@
 //! cached failure still trips `stop_on_first_fail` and the exit code.
 //! `cache_verify(true)` is the audit mode: everything re-executes and the
 //! join errors if any cached outcome diverged. On the CLI:
-//! `comptest campaign … --cache <dir> [--cache-verify]
-//! [--cache-format bin|json]`.
+//! `comptest campaign … --cache <dir> [--cache-verify]`.
 //!
-//! On-disk records are length-prefixed binary by default (`bin`, the fast
-//! path: one read per record, no text parsing) with `json` available for
-//! humans and older tooling; either way a [`engine::DirCache`] *reads* both
-//! formats, so existing stores stay warm across the switch and
-//! `--cache-format` only chooses what gets written. See
-//! [`engine::RecordFormat`] and the [`engine::cache`] module docs for the
-//! record layout.
+//! On-disk records are length-prefixed binary (one read per record, no
+//! text parsing); see the [`engine::cache`] module docs for the record
+//! layout.
 //!
 //! ```
 //! use comptest::prelude::*;
@@ -319,7 +322,7 @@
 //!
 //! ```text
 //! comptest serve  [--addr 127.0.0.1:7171] [--workers N] [--concurrency N]
-//!                 [--max-active N] [--cache <dir>] [--cache-format bin|json]
+//!                 [--max-active N] [--cache <dir>]
 //! comptest submit [--addr …] <stand.stand>... [--suite NAME]...
 //!                 [--granularity cell|test] [--executor pooled|async]
 //!                 [--stop-on-first-fail] [--no-cache] [--watch]
@@ -332,10 +335,6 @@
 //! one-shot `comptest campaign` now drains cooperatively on Ctrl-C. See
 //! the [`server`] crate docs for the frame reference, lifecycle states
 //! and an in-process quickstart.
-//!
-//! The PR-1/PR-2 free functions (`run_campaign`, `run_campaign_parallel`,
-//! `run_campaign_with_pool`) still compile as `#[deprecated]` shims over
-//! this API, reachable through [`core`] and [`engine`] (not the prelude).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

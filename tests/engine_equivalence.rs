@@ -1,7 +1,7 @@
 //! Engine behaviours *around* the executor contract: event-stream
 //! coverage, report generation from campaign results, executor reuse, and
-//! the deprecated shim entry points that must keep matching the builder
-//! API they wrap.
+//! the historical serial `run_campaign` that anchors the builder API byte
+//! for byte.
 //!
 //! The executor contract itself — byte-identity to the serial reference,
 //! cancellation prefix-truncation, stop-on-first-fail, empty-matrix
@@ -144,80 +144,39 @@ fn campaign_junit_covers_the_matrix() {
     );
 }
 
-/// The deprecated entry points (the only remaining callers in the repo):
-/// they are thin shims over the builder API and must keep producing
-/// byte-identical results, including the historical serial `run_campaign`.
+/// `comptest_core`'s historical serial `run_campaign` (deprecated, kept as
+/// the byte-identity reference) anchors the builder API: every executor
+/// the old free functions used to wrap — a fresh pooled executor at both
+/// granularities, a bare persistent pool — must reproduce it exactly.
+#[test]
 #[allow(deprecated)]
-mod shims {
-    use super::*;
+fn serial_run_campaign_anchors_the_builder_api() {
     use comptest::core::campaign::run_campaign;
-    use comptest::engine::{run_campaign_parallel, run_campaign_with_pool, EngineOptions};
 
-    #[test]
-    fn all_three_shims_match_the_builder_api() {
-        let suites = load_suites();
-        let entries_vec = entries(&suites);
-        let stand_a = load_stand("stand_a.stand");
-        let stand_b = load_stand("stand_b.stand");
-        let stands = [&stand_a, &stand_b];
-        let reference = Campaign::new(&entries_vec, &stands)
-            .run(&SerialExecutor)
-            .unwrap();
+    let suites = load_suites();
+    let entries_vec = entries(&suites);
+    let stand_a = load_stand("stand_a.stand");
+    let stand_b = load_stand("stand_b.stand");
+    let stands = [&stand_a, &stand_b];
+    let anchor = run_campaign(&entries_vec, &stands, &ExecOptions::default()).unwrap();
 
-        // The historical serial driver anchors the builder API to the seed
-        // behaviour byte-for-byte.
-        let serial = run_campaign(&entries_vec, &stands, &ExecOptions::default()).unwrap();
-        assert_eq!(serial, reference, "serial shim diverged");
-
-        for granularity in [Granularity::Cell, Granularity::Test] {
-            let parallel = run_campaign_parallel(
-                &entries_vec,
-                &stands,
-                &EngineOptions::with_workers(4).granularity(granularity),
-                &ExecOptions::default(),
-                None,
-            )
-            .unwrap();
-            assert_eq!(parallel, reference, "parallel shim at {granularity}");
-        }
-
-        let pool = WorkerPool::new(4);
-        let with_pool = run_campaign_with_pool(
-            &pool,
-            &entries_vec,
-            &stands,
-            &EngineOptions::default(),
-            &ExecOptions::default(),
-            None,
-        )
-        .unwrap();
-        assert_eq!(with_pool, reference, "pool shim diverged");
+    let campaign = Campaign::new(&entries_vec, &stands);
+    assert_eq!(campaign.run(&SerialExecutor).unwrap(), anchor, "serial");
+    for granularity in [Granularity::Cell, Granularity::Test] {
+        let campaign = Campaign::new(&entries_vec, &stands).granularity(granularity);
+        assert_eq!(
+            campaign.run(&PooledExecutor::new(4)).unwrap(),
+            anchor,
+            "pooled at {granularity}"
+        );
     }
-
-    #[test]
-    fn shims_emit_the_historical_campaign_done_event() {
-        let suites = load_suites();
-        let entries_vec = entries(&suites);
-        let stand_b = load_stand("stand_b.stand");
-        let stands = [&stand_b];
-        let (tx, rx) = std::sync::mpsc::channel();
-        let result = run_campaign_parallel(
-            &entries_vec,
-            &stands,
-            &EngineOptions::with_workers(2),
-            &ExecOptions::default(),
-            Some(&tx),
-        )
-        .unwrap();
-        drop(tx);
-        assert!(result.all_green());
-        let events: Vec<EngineEvent> = rx.into_iter().collect();
-        assert!(
-            matches!(
-                events.last(),
-                Some(EngineEvent::CampaignDone { cancelled: 0, .. })
-            ),
-            "shims keep the terminal CampaignDone marker"
+    let pool = WorkerPool::new(4);
+    let on_pool = Campaign::new(&entries_vec, &stands).granularity(Granularity::Test);
+    for round in 0..2 {
+        assert_eq!(
+            on_pool.run(&pool).unwrap(),
+            anchor,
+            "bare pool, round {round}"
         );
     }
 }

@@ -951,20 +951,78 @@ fn conformance_obs_counters_balance_under_stop_on_first_fail() {
     }
 }
 
-/// Overwrites every cache record in `dir` with an undecodable body for its
-/// format — present but corrupt, not missing — and returns how many files
-/// were hit. Binary records keep a valid magic/version and truncate
-/// mid-varint; JSON records truncate mid-document.
+/// Counts the async-begin events of one span category in a Chrome trace.
+fn span_begins(trace: &str, cat: &str) -> usize {
+    let trace = comptest::engine::codec::parse(trace).expect("trace is valid JSON");
+    trace
+        .as_array()
+        .expect("trace is an event array")
+        .iter()
+        .filter(|event| {
+            event.field("ph").and_then(|ph| ph.as_str()).ok() == Some("b")
+                && event.field("cat").and_then(|c| c.as_str()).ok() == Some(cat)
+        })
+        .count()
+}
+
+/// Every executor records one test span and one wall timing per executed
+/// test at either granularity — including the async executor at cell
+/// granularity, where a cell's tests interleave step by step with other
+/// cells'.
+#[test]
+fn conformance_every_executed_test_gets_a_span_and_a_timing() {
+    let suites = load_suites();
+    let entries = entries(&suites);
+    let stand_a = load_stand("stand_a.stand");
+    let stand_b = load_stand("stand_b.stand");
+    let stands = [&stand_a, &stand_b];
+
+    for granularity in [Granularity::Cell, Granularity::Test] {
+        for subject in subjects() {
+            let label = format!("{granularity}/{}", subject.name);
+            let obs = Recorder::enabled();
+            Campaign::new(&entries, &stands)
+                .granularity(granularity)
+                .recorder(obs.clone())
+                .launch((subject.build)().as_ref())
+                .unwrap()
+                .join()
+                .unwrap();
+            let metrics = obs.metrics().unwrap();
+            let tests = metrics.counter("tests_executed");
+            assert!(tests > 0, "{label}");
+            let trace = obs.chrome_trace_json().unwrap();
+            assert_eq!(
+                span_begins(&trace, "test") as u64,
+                tests,
+                "{label}: one test span per executed test"
+            );
+            assert_eq!(
+                metrics.histograms["test_wall_micros"].count, tests,
+                "{label}: one wall timing per executed test"
+            );
+            if granularity == Granularity::Cell {
+                assert_eq!(
+                    span_begins(&trace, "cell") as u64,
+                    metrics.counter("jobs_executed"),
+                    "{label}: one cell span per executed cell"
+                );
+            }
+        }
+    }
+}
+
+/// Overwrites every cache record in `dir` with an undecodable body —
+/// present but corrupt, not missing — and returns how many files were
+/// hit. The garbage keeps a valid magic/version and truncates mid-varint.
 fn clobber_records(dir: &std::path::Path) -> usize {
     let mut clobbered = 0usize;
     for entry in std::fs::read_dir(dir).expect("cache dir listing") {
         let path = entry.expect("dir entry").path();
-        let garbage: &[u8] = match path.extension().and_then(|e| e.to_str()) {
-            Some("bin") => b"CCR\x01\x00\xff\xff\xff",
-            Some("json") => b"{\"version\": 1, \"tests\": [tru",
-            _ => continue,
-        };
-        std::fs::write(&path, garbage).expect("clobber record");
+        if path.extension().and_then(|e| e.to_str()) != Some("bin") {
+            continue;
+        }
+        std::fs::write(&path, b"CCR\x01\x00\xff\xff\xff").expect("clobber record");
         clobbered += 1;
     }
     clobbered
@@ -987,8 +1045,7 @@ fn conformance_corrupt_cache_entries_warn_count_and_reexecute() {
         .cache(Arc::new(DirCache::open(&cache_dir).expect("cache dir")));
     let _ = campaign.run(&SerialExecutor).unwrap(); // populate
 
-    // Corrupt every record on disk (binary by default): undecodable, not
-    // missing.
+    // Corrupt every record on disk: undecodable, not missing.
     let clobbered = clobber_records(&cache_dir);
     assert!(clobbered > 0, "populate run must have written records");
 
@@ -1032,32 +1089,6 @@ fn conformance_corrupt_cache_entries_warn_count_and_reexecute() {
             subject.name
         );
     }
-
-    // The JSON fallback format corrupts (and self-heals) the same way.
-    let json_dir = scratch.fresh_subdir();
-    let json_campaign = Campaign::new(&entries, &stands).cache(Arc::new(
-        DirCache::open(&json_dir)
-            .expect("cache dir")
-            .with_format(comptest::engine::RecordFormat::Json),
-    ));
-    let _ = json_campaign.run(&SerialExecutor).unwrap(); // populate
-    let json_clobbered = clobber_records(&json_dir);
-    assert_eq!(json_clobbered, clobbered, "same cells, same record count");
-    let obs = Recorder::enabled();
-    let outcome = Campaign::new(&entries, &stands)
-        .cache(Arc::new(
-            DirCache::open(&json_dir)
-                .expect("cache dir")
-                .with_format(comptest::engine::RecordFormat::Json),
-        ))
-        .recorder(obs.clone())
-        .run(&SerialExecutor)
-        .unwrap();
-    assert_eq!(outcome, reference, "json: corrupt entries must re-execute");
-    assert_eq!(
-        obs.metrics().unwrap().counter("cache_corrupt_entries"),
-        json_clobbered as u64
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -1104,116 +1135,6 @@ fn conformance_cache_records_are_executor_and_granularity_agnostic() {
         consume_tests.run(&PooledExecutor::new(4)).unwrap(),
         test_ref,
         "and cell-granular consumption must not have disturbed them"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Cross-format cache interchange: a store written in either on-disk record
-// format — or a mix — serves any DirCache regardless of its write format,
-// across executors and granularities.
-// ---------------------------------------------------------------------------
-
-fn dir_cache(dir: &std::path::Path, format: comptest::engine::RecordFormat) -> Arc<DirCache> {
-    Arc::new(DirCache::open(dir).expect("cache dir").with_format(format))
-}
-
-#[test]
-fn conformance_cache_records_interchange_across_formats() {
-    use comptest::engine::RecordFormat;
-
-    let scratch = TempDir::new("formats");
-    let suites = load_suites();
-    let entries = entries(&suites);
-    let stand_a = load_stand("stand_a.stand");
-    let stand_b = load_stand("stand_b.stand");
-    let stands = [&stand_a];
-    let cell_ref = Campaign::new(&entries, &stands)
-        .granularity(Granularity::Cell)
-        .run(&SerialExecutor)
-        .unwrap();
-
-    // Populate at test granularity in one format, consume at cell
-    // granularity through a cache writing the *other* format: every job a
-    // hit, byte-identical, and the per-format hit counter names the format
-    // actually on disk (reads negotiate; the write format is irrelevant).
-    for (write_fmt, read_fmt, hit_counter) in [
-        (RecordFormat::Json, RecordFormat::Binary, "cache_hits_json"),
-        (RecordFormat::Binary, RecordFormat::Json, "cache_hits_bin"),
-    ] {
-        let dir = scratch.fresh_subdir();
-        let populate = Campaign::new(&entries, &stands)
-            .granularity(Granularity::Test)
-            .cache(dir_cache(&dir, write_fmt));
-        let _ = populate.run(&AsyncExecutor::new(128)).unwrap();
-
-        let obs = Recorder::enabled();
-        let consume = Campaign::new(&entries, &stands)
-            .granularity(Granularity::Cell)
-            .cache(dir_cache(&dir, read_fmt))
-            .recorder(obs.clone());
-        assert_eq!(
-            consume.run(&PooledExecutor::new(4)).unwrap(),
-            cell_ref,
-            "{write_fmt:?}-written records must serve a {read_fmt:?}-writing cache"
-        );
-        let metrics = obs.metrics().unwrap();
-        assert_eq!(
-            metrics.counter("jobs_cached"),
-            metrics.counter("jobs_planned"),
-            "{write_fmt:?}→{read_fmt:?}: warm run must be all hits"
-        );
-        assert_eq!(
-            metrics.counter(hit_counter),
-            metrics.counter("cache_hits"),
-            "{write_fmt:?}→{read_fmt:?}: every hit decoded the stored format"
-        );
-    }
-
-    // A mixed-format store: one stand's cells written as JSON, the other's
-    // as binary, into the same directory. A single warm run over both
-    // stands hits every record and bumps both per-format counters.
-    let both = [&stand_a, &stand_b];
-    let mixed_ref = Campaign::new(&entries, &both)
-        .granularity(Granularity::Test)
-        .run(&SerialExecutor)
-        .unwrap();
-    let dir = scratch.fresh_subdir();
-    for (stand, format) in [
-        (&stand_a, RecordFormat::Json),
-        (&stand_b, RecordFormat::Binary),
-    ] {
-        let one_stand = [stand];
-        let populate = Campaign::new(&entries, &one_stand)
-            .granularity(Granularity::Test)
-            .cache(dir_cache(&dir, format));
-        let _ = populate.run(&SerialExecutor).unwrap();
-    }
-    let obs = Recorder::enabled();
-    let warm = Campaign::new(&entries, &both)
-        .granularity(Granularity::Test)
-        .cache(dir_cache(&dir, RecordFormat::Binary))
-        .recorder(obs.clone());
-    assert_eq!(
-        warm.run(&AsyncExecutor::new(64)).unwrap(),
-        mixed_ref,
-        "a mixed-format store must serve a combined campaign warm"
-    );
-    let metrics = obs.metrics().unwrap();
-    assert_eq!(
-        metrics.counter("jobs_cached"),
-        metrics.counter("jobs_planned"),
-        "mixed store: warm run must be all hits"
-    );
-    assert!(
-        metrics.counter("cache_hits_bin") > 0 && metrics.counter("cache_hits_json") > 0,
-        "mixed store must hit through both formats ({:?})",
-        metrics.counters
-    );
-    assert_eq!(
-        metrics.counter("cache_hits_bin") + metrics.counter("cache_hits_json"),
-        metrics.counter("cache_hits"),
-        "per-format hit counters must partition cache_hits ({:?})",
-        metrics.counters
     );
 }
 

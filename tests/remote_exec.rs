@@ -11,10 +11,13 @@
 //! * with retries disabled, the join reports `JobsLost` naming the exact
 //!   lost jobs instead of returning a silently truncated matrix;
 //! * a worker command that cannot spawn at all degrades gracefully to
-//!   in-process execution, still byte-identical.
+//!   in-process execution, still byte-identical;
+//! * a late death report from a slot's earlier worker process never
+//!   retires the healthy worker that replaced it.
 //!
-//! The worker holds each job for `COMPTEST_WORKER_HOLD_MS` so a kill
-//! lands while a job is reliably in flight.
+//! The kill tests hold each job for `COMPTEST_WORKER_HOLD_MS` so a kill
+//! lands while a job is reliably in flight; the stale-report test stages
+//! its failure with a wrapper script instead, without timing.
 
 use std::sync::mpsc;
 
@@ -202,5 +205,73 @@ fn unspawnable_worker_command_degrades_to_in_process_execution() {
     assert_eq!(
         outcome, reference,
         "in-process degradation must merge the exact serial bytes"
+    );
+}
+
+/// Regression for the worker-death cascade. The first worker process
+/// refuses its job with an `Error` frame (the real worker's reply to a
+/// frame it cannot decode), so the orchestrator retires it and respawns
+/// the slot for the retry. That process's reader thread then reports the
+/// same death a second time, and the report is only processed once the
+/// slot holds the healthy replacement. It must be dropped as stale:
+/// exactly one `WorkerLost`, one retry, and the serial bytes.
+#[test]
+fn stale_death_report_spares_the_respawned_worker() {
+    let suites = load_suites();
+    let entries = comptest::bundled_entries(&suites);
+    let stand_b = load_stand("stand_b.stand");
+    let stands = [&stand_b];
+    let reference = Campaign::new(&entries, &stands)
+        .granularity(Granularity::Test)
+        .run(&SerialExecutor)
+        .unwrap();
+
+    // The first process to create the marker directory feeds a one-byte
+    // frame with an unknown tag to a real worker, which answers with an
+    // `Error` frame; `cat` then holds the pipes open until the
+    // orchestrator kills it. Every later process is a plain worker.
+    let marker = std::env::temp_dir().join(format!("comptest-stale-death-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&marker);
+    let script = r#"if mkdir "$1" 2>/dev/null; then
+        printf '\001\000\000\000\143' | "$0" worker 2>/dev/null
+        exec cat >/dev/null
+    fi
+    exec "$0" worker"#;
+    let executor = RemoteExecutor::new(1).command(vec![
+        "sh".to_string(),
+        "-c".to_string(),
+        script.to_string(),
+        env!("CARGO_BIN_EXE_comptest").to_string(),
+        marker.display().to_string(),
+    ]);
+    let obs = Recorder::enabled();
+    let mut handle = Campaign::new(&entries, &stands)
+        .granularity(Granularity::Test)
+        .recorder(obs.clone())
+        .launch(&executor)
+        .unwrap();
+    let stream = handle.events();
+    let watcher = std::thread::spawn(move || {
+        stream
+            .filter(|event| matches!(event, EngineEvent::WorkerLost { .. }))
+            .count()
+    });
+    let outcome = handle.join();
+    let lost_events = watcher.join().expect("watcher thread");
+    let _ = std::fs::remove_dir_all(&marker);
+
+    let outcome = outcome.expect("a stale death report must not cost the job");
+    assert_eq!(lost_events, 1, "one refused job, one lost worker");
+    assert_eq!(
+        outcome.result, reference,
+        "the retried job must merge the exact serial bytes"
+    );
+    let metrics = obs.metrics().unwrap();
+    assert_eq!(metrics.counter("jobs_retried"), 1, "{:?}", metrics.counters);
+    assert_eq!(
+        metrics.counter("jobs_executed") + metrics.counter("jobs_cached"),
+        metrics.counter("jobs_planned"),
+        "{:?}",
+        metrics.counters
     );
 }
