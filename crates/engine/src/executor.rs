@@ -1109,71 +1109,78 @@ step, dt,  DS_FL, NIGHT, INT_ILL
     /// packaging and admission, legal whenever the store is shared between
     /// processes. At either granularity the jobs must strand back to the
     /// join, get rebuilt devices from the entry's factory, and merge
-    /// byte-identical to a cold run.
-    #[test]
-    fn evicted_prediction_strands_and_rescues_test_jobs() {
+    /// byte-identical to a cold run. Both granularities run the same
+    /// packaged-job path, so one body checks either.
+    fn assert_evicted_prediction_strands_and_rescues(granularity: Granularity) {
         let wb = Workbook::parse_str("a.cts", WB).unwrap();
         let suites = vec![wb.suite];
         let entries = entries(&suites);
         let stand = stand();
         let stands: Vec<&TestStand> = vec![&stand];
 
-        for granularity in [Granularity::Cell, Granularity::Test] {
-            // Reference: a cold serial run without any cache.
-            let cold = Campaign::new(&entries, &stands)
-                .granularity(granularity)
-                .run(&SerialExecutor)
-                .unwrap();
+        // Reference: a cold serial run without any cache.
+        let cold = Campaign::new(&entries, &stands)
+            .granularity(granularity)
+            .run(&SerialExecutor)
+            .unwrap();
 
-            // Warm a store, then package against it.
-            let warm_store: Arc<dyn CampaignCache> = Arc::new(MemoryCache::new());
-            Campaign::new(&entries, &stands)
-                .granularity(granularity)
-                .cache(Arc::clone(&warm_store))
-                .run(&SerialExecutor)
-                .unwrap();
-            let warm = Campaign::new(&entries, &stands)
-                .granularity(granularity)
-                .cache(Arc::clone(&warm_store));
-            let prepared = Prepared::new(&warm).unwrap();
-            let (jobs, layout) = prepared.package(warm.entries, granularity);
-            assert!(!jobs.is_empty());
-            assert!(
-                jobs.iter().all(|j| j.devices.is_empty()),
-                "{granularity}: warm packaging must skip device builds"
-            );
+        // Warm a store, then package against it.
+        let warm_store: Arc<dyn CampaignCache> = Arc::new(MemoryCache::new());
+        Campaign::new(&entries, &stands)
+            .granularity(granularity)
+            .cache(Arc::clone(&warm_store))
+            .run(&SerialExecutor)
+            .unwrap();
+        let warm = Campaign::new(&entries, &stands)
+            .granularity(granularity)
+            .cache(Arc::clone(&warm_store));
+        let prepared = Prepared::new(&warm).unwrap();
+        let (jobs, layout) = prepared.package(warm.entries, granularity);
+        assert!(!jobs.is_empty());
+        assert!(
+            jobs.iter().all(|j| j.devices.is_empty()),
+            "{granularity}: warm packaging must skip device builds"
+        );
 
-            // Execute the predicted-hit jobs with the record evicted.
-            let evicted = Campaign::new(&entries, &stands)
-                .granularity(granularity)
-                .cache(Arc::new(MemoryCache::new()) as Arc<dyn CampaignCache>);
-            let prepared_evicted = Prepared::new(&evicted).unwrap();
-            let ctx = JobCtx::new(&evicted, &prepared_evicted);
-            let (events_tx, _events_rx) = mpsc::channel();
-            let (results_tx, results_rx) = mpsc::channel();
-            let n = jobs.len();
-            for job in jobs {
-                run_job(job, &ctx, &events_tx, &results_tx);
-            }
-            drop(results_tx);
-            let msgs: Vec<JobMsg> = results_rx.iter().collect();
-            assert_eq!(msgs.len(), n);
-            assert!(
-                msgs.iter().all(|m| matches!(m, JobMsg::Stranded(_))),
-                "{granularity}: every job must strand, not panic"
-            );
-            let (replay_tx, replay_rx) = mpsc::channel();
-            for msg in msgs {
-                replay_tx.send(msg).unwrap();
-            }
-            drop(replay_tx);
-            let outcome =
-                join_jobs(replay_rx, &layout, evicted.entries, evicted.stands, &ctx).unwrap();
-            assert_eq!(outcome.cancelled, 0);
-            assert_eq!(
-                outcome.result, cold,
-                "{granularity}: rescued outcomes must match a cold run"
-            );
+        // Execute the predicted-hit jobs with the record evicted.
+        let evicted = Campaign::new(&entries, &stands)
+            .granularity(granularity)
+            .cache(Arc::new(MemoryCache::new()) as Arc<dyn CampaignCache>);
+        let prepared_evicted = Prepared::new(&evicted).unwrap();
+        let ctx = JobCtx::new(&evicted, &prepared_evicted);
+        let (events_tx, _events_rx) = mpsc::channel();
+        let (results_tx, results_rx) = mpsc::channel();
+        let n = jobs.len();
+        for job in jobs {
+            run_job(job, &ctx, &events_tx, &results_tx);
         }
+        drop(results_tx);
+        let msgs: Vec<JobMsg> = results_rx.iter().collect();
+        assert_eq!(msgs.len(), n);
+        assert!(
+            msgs.iter().all(|m| matches!(m, JobMsg::Stranded(_))),
+            "{granularity}: every job must strand, not panic"
+        );
+        let (replay_tx, replay_rx) = mpsc::channel();
+        for msg in msgs {
+            replay_tx.send(msg).unwrap();
+        }
+        drop(replay_tx);
+        let outcome = join_jobs(replay_rx, &layout, evicted.entries, evicted.stands, &ctx).unwrap();
+        assert_eq!(outcome.cancelled, 0);
+        assert_eq!(
+            outcome.result, cold,
+            "{granularity}: rescued outcomes must match a cold run"
+        );
+    }
+
+    #[test]
+    fn evicted_prediction_strands_and_rescues_test_jobs() {
+        assert_evicted_prediction_strands_and_rescues(Granularity::Test);
+    }
+
+    #[test]
+    fn evicted_prediction_strands_and_rescues_cells() {
+        assert_evicted_prediction_strands_and_rescues(Granularity::Cell);
     }
 }
