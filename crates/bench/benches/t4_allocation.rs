@@ -1,8 +1,10 @@
 //! E4/T4 — the connection matrix: resource-allocation scaling over pins ×
-//! resources × matrix density, plus the reroute-vs-greedy ablation.
+//! resources × matrix density, the reroute-vs-greedy ablation, and sparse
+//! block stands (many resources, one or two per pin).
 
 use std::hint::black_box;
 
+use comptest_bench::sparse_alloc_case;
 use comptest_model::MethodRegistry;
 use comptest_stand::{plan_with, AllocOptions};
 use comptest_workload::{gen_script, gen_stand, ScriptShape, SplitMix64, StandShape};
@@ -122,5 +124,30 @@ fn density_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, allocation_scaling, reroute_ablation, density_sweep);
+/// Many resources, one or two reaching each pin: the block-stand shape of
+/// the multi-block workloads, which random matrices at density ≥ 0.2 never
+/// produce.
+fn sparse_stand(c: &mut Criterion) {
+    let registry = MethodRegistry::builtin();
+    let mut group = c.benchmark_group("t4/sparse_stand");
+    for (blocks, signals) in [(16usize, 2usize), (64, 4)] {
+        let (stand, script) = sparse_alloc_case(blocks, signals);
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("{blocks}b_{}r", stand.resources().len())),
+            &(stand, script),
+            |b, (stand, script)| {
+                b.iter(|| black_box(plan_with(script, stand, AllocOptions::default(), &registry)))
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    allocation_scaling,
+    reroute_ablation,
+    density_sweep,
+    sparse_stand
+);
 criterion_main!(benches);

@@ -17,7 +17,9 @@ use comptest::core::portability::check_portability;
 use comptest::core::TraceEvent;
 use comptest::prelude::*;
 use comptest::report::{step_table, suite_text, TextTable};
-use comptest_bench::{build_device, cfg_for, fault_set, load_stand, load_suite, ECUS};
+use comptest_bench::{
+    build_device, cfg_for, fault_set, load_stand, load_suite, sparse_alloc_case, ECUS,
+};
 use comptest_model::Env;
 
 fn main() {
@@ -164,22 +166,41 @@ fn exp_t4() {
                 concurrency: resources,
             },
         );
-        // Warm once, then time a few repetitions.
-        let _ = comptest::stand::plan(&script, &stand);
-        let reps = 20;
-        let start = std::time::Instant::now();
-        for _ in 0..reps {
-            let _ = comptest::stand::plan(&script, &stand);
-        }
-        let per_plan = start.elapsed() / reps;
         sweep.row(vec![
             pins.to_string(),
             resources.to_string(),
             stand.matrix().len().to_string(),
-            format!("{per_plan:?}"),
+            format!("{:?}", time_plan(&script, &stand)),
         ]);
     }
     println!("{sweep}");
+
+    println!("sparse block stands (20 steps, one or two resources per pin):");
+    let mut sparse = TextTable::new(vec!["blocks", "resources", "crosspoints", "plan time"]);
+    for (blocks, signals) in [(16usize, 2usize), (64, 4)] {
+        let (stand, script) = sparse_alloc_case(blocks, signals);
+        if let Err(e) = comptest::stand::plan(&script, &stand) {
+            panic!("sparse block stand {blocks}x{signals} must plan: {e}");
+        }
+        sparse.row(vec![
+            blocks.to_string(),
+            stand.resources().len().to_string(),
+            stand.matrix().len().to_string(),
+            format!("{:?}", time_plan(&script, &stand)),
+        ]);
+    }
+    println!("{sparse}");
+}
+
+/// Mean wall time of one plan: warm once, then time a few repetitions.
+fn time_plan(script: &TestScript, stand: &TestStand) -> std::time::Duration {
+    let _ = comptest::stand::plan(script, stand);
+    let reps = 20;
+    let start = std::time::Instant::now();
+    for _ in 0..reps {
+        let _ = comptest::stand::plan(script, stand);
+    }
+    start.elapsed() / reps
 }
 
 fn push_action_row(table: &mut TextTable, step: &str, action: &comptest::stand::Action) {

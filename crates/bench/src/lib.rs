@@ -36,6 +36,35 @@ pub fn load_stand(file: &str) -> TestStand {
     TestStand::load(comptest::asset(file)).unwrap_or_else(|e| panic!("asset stand {file}: {e}"))
 }
 
+/// The sparse allocation case: a `blocks`-block
+/// [`block_stand`](comptest_workload::block_stand) with `signals` decades
+/// per block (one resource per input pin, one DVM per output pair) and a
+/// 20-step generated script for its last block. Every pin is reachable from
+/// one or two of the stand's `blocks × (signals + 1)` resources.
+///
+/// # Panics
+///
+/// Panics when `blocks` is zero.
+pub fn sparse_alloc_case(blocks: usize, signals: usize) -> (TestStand, TestScript) {
+    use comptest_workload::{block_stand, gen_workbook_text_prefixed, SplitMix64, WorkbookShape};
+    let prefixes: Vec<String> = (0..blocks).map(|k| format!("e{k}_")).collect();
+    let prefix_refs: Vec<&str> = prefixes.iter().map(String::as_str).collect();
+    let stand = block_stand(&prefix_refs, signals);
+    let shape = WorkbookShape {
+        signals,
+        tests: 1,
+        steps: 20,
+    };
+    let text = gen_workbook_text_prefixed(&mut SplitMix64::new(17), &shape, &prefixes[blocks - 1]);
+    let suite = Workbook::parse_str("sparse.cts", &text)
+        .expect("generated workbooks parse")
+        .suite;
+    let script = generate_all(&suite)
+        .expect("generated workbooks validate")
+        .remove(0);
+    (stand, script)
+}
+
 /// The electrical configuration matching a stand's supply rail.
 pub fn cfg_for(stand: &TestStand) -> ElectricalConfig {
     let mut cfg = ElectricalConfig::default();

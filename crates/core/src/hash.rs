@@ -646,8 +646,9 @@ pub fn capture_footprint(
 }
 
 /// Captures the footprint for one (entry, stand) cell from scratch:
-/// generates every test's script, plans it on the stand, builds one device
-/// from the entry's factory, and delegates to [`capture_footprint`].
+/// generates every test's script (validating the suite once), plans it on
+/// the stand, builds one device from the entry's factory, and delegates to
+/// [`capture_footprint`].
 ///
 /// Infallible by design: script-generation and planning failures fold into
 /// the plan digest as error strings and trigger the conservative
@@ -656,16 +657,12 @@ pub fn capture_footprint(
 /// launch, before any job runs.)
 pub fn footprint_for_cell(entry: &CampaignEntry<'_>, stand: &TestStand, salt: &str) -> Footprint {
     let device = entry.device_factory.build();
-    let plans: Vec<Result<ExecutionPlan, String>> = entry
-        .suite
-        .tests
-        .iter()
-        .map(
-            |test| match comptest_script::generate(entry.suite, &test.name) {
-                Ok(script) => crate::campaign::plan_script(&script, stand),
-                Err(e) => Err(e.to_string()),
-            },
-        )
+    let plans: Vec<Result<ExecutionPlan, String>> = comptest_script::generate_each(entry.suite)
+        .into_iter()
+        .map(|script| match script {
+            Ok(script) => crate::campaign::plan_script(&script, stand),
+            Err(e) => Err(e.to_string()),
+        })
         .collect();
     let plan_refs: Vec<Result<&ExecutionPlan, &str>> = plans
         .iter()
@@ -897,6 +894,50 @@ step, dt,  DS_FL, NIGHT, INT_ILL
         assert_eq!(footprint.exec_hash, full.exec_hash);
         assert_ne!(footprint.cell_key(), full, "disjoint hash domains");
         assert_eq!(footprint.to_string().len(), 16 * 4 + 3);
+    }
+
+    #[test]
+    fn planning_through_a_stand_leaves_its_hash_alone() {
+        let unplanned = stand();
+        let planned = stand();
+        let script = comptest_script::generate(&suite(), "night_on").unwrap();
+        comptest_stand::plan(&script, &planned).unwrap();
+        assert_eq!(hash_stand(&planned.clone()), hash_stand(&unplanned));
+    }
+
+    #[test]
+    fn footprint_equals_per_test_generation() {
+        // The reference keys every test through its own `generate` call,
+        // which re-validates the suite each time.
+        let reference = |entry: &CampaignEntry<'_>, stand: &TestStand| {
+            let plans: Vec<Result<ExecutionPlan, String>> = entry
+                .suite
+                .tests
+                .iter()
+                .map(|test| {
+                    comptest_script::generate(entry.suite, &test.name)
+                        .map_err(|e| e.to_string())
+                        .and_then(|script| crate::campaign::plan_script(&script, stand))
+                })
+                .collect();
+            let refs: Vec<Result<&ExecutionPlan, &str>> = plans
+                .iter()
+                .map(|p| p.as_ref().map_err(String::as_str))
+                .collect();
+            capture_footprint(&refs, &entry.device_factory.build(), "")
+        };
+        let valid = suite();
+        let mut invalid = suite();
+        invalid.tests[1].steps[0].dt = SimTime::ZERO;
+        for suite in [&valid, &invalid] {
+            let entry = lamp_entry(suite);
+            for stand in [stand(), TestStand::new("bare", Env::with_ubatt(12.0))] {
+                assert_eq!(
+                    footprint_for_cell(&entry, &stand, ""),
+                    reference(&entry, &stand)
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::units::Unit;
 
@@ -190,6 +191,14 @@ impl MethodRegistry {
             });
         }
         reg
+    }
+
+    /// The [`builtin`](Self::builtin) registry, built once per process and
+    /// shared, for hot paths (planning, codegen, lint) that would otherwise
+    /// rebuild it on every call.
+    pub fn shared_builtin() -> &'static MethodRegistry {
+        static BUILTIN: OnceLock<MethodRegistry> = OnceLock::new();
+        BUILTIN.get_or_init(Self::builtin)
     }
 
     /// Registers (or replaces) a method, returning any previous spec.

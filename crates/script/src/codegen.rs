@@ -24,7 +24,7 @@ use crate::model::{AttrValue, ScriptStep, Statement, TestScript};
 /// Returns [`CodegenError`] if the suite fails validation or the test does
 /// not exist.
 pub fn generate(suite: &TestSuite, test_name: &str) -> Result<TestScript, CodegenError> {
-    generate_with(suite, test_name, &MethodRegistry::builtin())
+    generate_with(suite, test_name, MethodRegistry::shared_builtin())
 }
 
 /// Generates scripts for every test of the suite.
@@ -38,16 +38,38 @@ pub fn generate(suite: &TestSuite, test_name: &str) -> Result<TestScript, Codege
 ///
 /// See [`generate`].
 pub fn generate_all(suite: &TestSuite) -> Result<Vec<TestScript>, CodegenError> {
-    let registry = MethodRegistry::builtin();
-    let issues = suite.validate(&registry);
-    if !issues.is_empty() {
-        return Err(CodegenError::Invalid { issues });
-    }
+    let registry = MethodRegistry::shared_builtin();
+    check_valid(suite, registry)?;
     suite
         .tests
         .iter()
-        .map(|t| generate_validated(suite, t, &registry))
+        .map(|t| generate_validated(suite, t, registry))
         .collect()
+}
+
+/// Generates every test's script, one result per test in suite order,
+/// validating the suite once. Unlike [`generate_all`] a failure stays with
+/// its test; an invalid suite yields its validation error for every test.
+pub fn generate_each(suite: &TestSuite) -> Vec<Result<TestScript, CodegenError>> {
+    let registry = MethodRegistry::shared_builtin();
+    match check_valid(suite, registry) {
+        Ok(()) => suite
+            .tests
+            .iter()
+            .map(|t| generate_validated(suite, t, registry))
+            .collect(),
+        Err(invalid) => suite.tests.iter().map(|_| Err(invalid.clone())).collect(),
+    }
+}
+
+/// Validates the suite, folding any issues into [`CodegenError::Invalid`].
+fn check_valid(suite: &TestSuite, registry: &MethodRegistry) -> Result<(), CodegenError> {
+    let issues = suite.validate(registry);
+    if issues.is_empty() {
+        Ok(())
+    } else {
+        Err(CodegenError::Invalid { issues })
+    }
 }
 
 /// Generates the script for one test with a custom method registry.
@@ -61,10 +83,7 @@ pub fn generate_with(
     test_name: &str,
     registry: &MethodRegistry,
 ) -> Result<TestScript, CodegenError> {
-    let issues = suite.validate(registry);
-    if !issues.is_empty() {
-        return Err(CodegenError::Invalid { issues });
-    }
+    check_valid(suite, registry)?;
     let test = suite
         .test(test_name)
         .ok_or_else(|| CodegenError::UnknownTest {
@@ -76,7 +95,8 @@ pub fn generate_with(
 
 /// Generates one test's script assuming the suite already validated
 /// against `registry` — the shared body of [`generate_with`] (which
-/// validates per call) and [`generate_all`] (which validates once).
+/// validates per call), [`generate_all`] and [`generate_each`] (which
+/// validate once).
 fn generate_validated(
     suite: &TestSuite,
     test: &TestCase,

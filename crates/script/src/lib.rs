@@ -56,6 +56,6 @@ pub mod lint;
 pub mod model;
 pub mod xml;
 
-pub use codegen::{generate, generate_all, CodegenError};
+pub use codegen::{generate, generate_all, generate_each, CodegenError};
 pub use lint::{lint, lint_with, required_variables, LintFinding, LintLevel};
 pub use model::{AttrValue, ParseScriptError, ScriptStep, Statement, TestScript};

@@ -70,7 +70,7 @@ impl fmt::Display for LintFinding {
 /// # }
 /// ```
 pub fn lint(script: &TestScript) -> Vec<LintFinding> {
-    lint_with(script, &MethodRegistry::builtin())
+    lint_with(script, MethodRegistry::shared_builtin())
 }
 
 /// Lints a script.

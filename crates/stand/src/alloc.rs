@@ -14,14 +14,29 @@
 //! Measurements (`get_*`) are transient: within one step a single DVM can
 //! serve several checks sequentially, so gets only need capability,
 //! connectivity and range coverage, never exclusivity against other gets.
+//!
+//! # The pin index
+//!
+//! A resource that cannot reach a requirement's first pin can never serve
+//! it, so searches walk only Park and the stand's pin index entry for that
+//! pin ([`TestStand`] builds the index on first use, in stand order). The
+//! first-fit pass, the reroute pass and `route_get`'s success path all work
+//! on these candidates; on a stand with one decade per pin that is one or
+//! two resources instead of all of them. Only the diagnostics scan the
+//! whole stand — [`AllocFailure::rejections`] lists every resource in stand
+//! order — and they run only once a search has failed.
+//!
+//! Park is recognised by identity, not by name: a stand resource spelled
+//! `Park` is an ordinary instrument that needs crosspoints like any other.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 use comptest_model::{BitPattern, MethodName, PinId, SignalName};
 
-use crate::resource::{Resource, ResourceId};
+use crate::resource::{Capability, Resource, ResourceId};
 use crate::stand::TestStand;
 
 /// A value as actually applied by a resource.
@@ -179,8 +194,8 @@ pub struct PutGrant {
 }
 
 #[derive(Debug, Clone)]
-struct Held {
-    resource: ResourceId,
+struct Held<'a> {
+    resource: &'a Resource,
     requirement: PutRequirement,
 }
 
@@ -197,26 +212,43 @@ struct Held {
 pub struct Allocator<'a> {
     stand: &'a TestStand,
     options: AllocOptions,
-    park: Resource,
-    held: BTreeMap<SignalName, Held>,
+    held: BTreeMap<SignalName, Held<'a>>,
     load: BTreeMap<ResourceId, Vec<SignalName>>,
 }
 
 /// The id of the implicit open-circuit pseudo-resource.
 pub const PARK_RESOURCE: &str = "Park";
 
-fn park_resource() -> Resource {
-    let id = ResourceId::new(PARK_RESOURCE).expect("constant id is valid");
-    let method = MethodName::new("put_r").expect("constant method is valid");
-    Resource::new(id)
-        .with_capability(crate::resource::Capability::new(
-            method,
-            "r",
-            f64::INFINITY,
-            f64::INFINITY,
-            comptest_model::Unit::Ohm,
-        ))
-        .with_capacity(usize::MAX)
+/// The park pseudo-resource, built once per process.
+fn park() -> &'static Resource {
+    static PARK: OnceLock<Resource> = OnceLock::new();
+    PARK.get_or_init(|| {
+        let id = ResourceId::new(PARK_RESOURCE).expect("constant id is valid");
+        let method = MethodName::new("put_r").expect("constant method is valid");
+        Resource::new(id)
+            .with_capability(Capability::new(
+                method,
+                "r",
+                f64::INFINITY,
+                f64::INFINITY,
+                comptest_model::Unit::Ohm,
+            ))
+            .with_capacity(usize::MAX)
+    })
+}
+
+/// The stand resources that can reach every pin of `pins`, in stand order:
+/// those indexed under the first pin (every resource when there is none).
+/// A resource outside this set fails the connectivity check, so a search
+/// for a working resource needs to look no further.
+fn candidates<'a>(stand: &'a TestStand, pins: &[PinId]) -> impl Iterator<Item = &'a Resource> {
+    let unpinned = if pins.is_empty() {
+        stand.resources()
+    } else {
+        &[]
+    };
+    let reaching = pins.first().map(|pin| stand.resources_reaching(pin));
+    unpinned.iter().chain(reaching.into_iter().flatten())
 }
 
 impl<'a> Allocator<'a> {
@@ -230,29 +262,14 @@ impl<'a> Allocator<'a> {
         Self {
             stand,
             options,
-            park: park_resource(),
             held: BTreeMap::new(),
             load: BTreeMap::new(),
         }
     }
 
-    /// The park pseudo-resource followed by the stand's real resources.
-    fn all_resources(&self) -> impl Iterator<Item = &Resource> {
-        std::iter::once(&self.park).chain(self.stand.resources().iter())
-    }
-
-    /// Resolves an id against park + stand.
-    fn resource_by_id(&self, id: &ResourceId) -> &Resource {
-        if *id == self.park.id {
-            &self.park
-        } else {
-            self.stand.resource(id).expect("held resources exist")
-        }
-    }
-
     /// The resource currently holding a signal's stimulus, if any.
     pub fn holder(&self, signal: &SignalName) -> Option<&ResourceId> {
-        self.held.get(signal).map(|h| &h.resource)
+        self.held.get(signal).map(|h| &h.resource.id)
     }
 
     /// Current number of held stimulus assignments.
@@ -276,55 +293,66 @@ impl<'a> Allocator<'a> {
         // Fast path: the signal's current resource also satisfies the new
         // requirement — keep it (a real stand just dials a new value).
         if let Some(held) = self.held.get(signal) {
-            if let Ok(applied) = self.supports(self.resource_by_id(&held.resource), &requirement) {
-                let resource = held.resource.clone();
+            if let Ok(applied) = self.supports(held.resource, &requirement) {
+                let resource = held.resource;
                 self.held.insert(
                     signal.clone(),
                     Held {
-                        resource: resource.clone(),
+                        resource,
                         requirement,
                     },
                 );
                 return Ok(PutGrant {
-                    resource,
+                    resource: resource.id.clone(),
                     applied,
                     rerouted: false,
                 });
             }
         }
 
-        // Otherwise release the old hold (if any) and find a new resource,
-        // possibly rerouting. Snapshot for rollback on failure.
-        let snapshot_held = self.held.clone();
-        let snapshot_load = self.load.clone();
-        let had_previous = self.release(signal);
+        // Otherwise the old hold (if any) is released and a new resource
+        // found. The old resource cannot serve the new requirement, so
+        // releasing it frees nothing the first-fit pass could use: probe
+        // first, and snapshot for rollback only when rerouting must run.
+        let mut full = Vec::new();
+        let mut found = self.first_fit(&requirement, &BTreeSet::new(), &mut full);
+        let mut had_previous = false;
+        if found.is_some() {
+            had_previous = self.release(signal);
+        } else if self.options.reroute {
+            let snapshot_held = self.held.clone();
+            let snapshot_load = self.load.clone();
+            had_previous = self.release(signal);
+            found = self.reroute(full, &mut BTreeSet::new());
+            if found.is_none() {
+                self.held = snapshot_held;
+                self.load = snapshot_load;
+            }
+        }
 
-        let mut visited = BTreeSet::new();
-        if let Some(resource) = self.augment(&requirement, &mut visited) {
+        if let Some(resource) = found {
             let applied = self
-                .supports(self.resource_by_id(&resource), &requirement)
-                .expect("augment only returns supporting resources");
+                .supports(resource, &requirement)
+                .expect("the search returns only supporting resources");
             self.load
-                .entry(resource.clone())
+                .entry(resource.id.clone())
                 .or_default()
                 .push(signal.clone());
             self.held.insert(
                 signal.clone(),
                 Held {
-                    resource: resource.clone(),
+                    resource,
                     requirement,
                 },
             );
             return Ok(PutGrant {
-                resource,
+                resource: resource.id.clone(),
                 applied,
                 rerouted: had_previous,
             });
         }
 
-        // Failure: roll back and report per-resource reasons.
-        self.held = snapshot_held;
-        self.load = snapshot_load;
+        // Failure: report per-resource reasons.
         let rejections = self.explain(&requirement);
         Err(AllocFailure {
             signal: signal.clone(),
@@ -346,29 +374,24 @@ impl<'a> Allocator<'a> {
         step: Option<u32>,
         requirement: &GetRequirement,
     ) -> Result<ResourceId, AllocFailure> {
+        // A resource saturated with stimuli cannot double as a meter (a
+        // capacity-1 DVM holding a put is busy; a CAN interface transmits
+        // and receives concurrently).
+        if let Some(resource) = candidates(self.stand, &requirement.pins)
+            .find(|r| self.supports_get(r, requirement).is_ok() && self.used(r) < r.capacity)
+        {
+            return Ok(resource.id.clone());
+        }
+        // No resource works: explain every one, in stand order.
         let mut rejections = Vec::new();
         for resource in self.stand.resources() {
             match self.supports_get(resource, requirement) {
-                Ok(()) => {
-                    // A resource saturated with stimuli cannot double as a
-                    // meter (a capacity-1 DVM holding a put is busy; a CAN
-                    // interface transmits and receives concurrently).
-                    let busy = self
-                        .load
-                        .get(&resource.id)
-                        .map(|l| l.len() >= resource.capacity)
-                        .unwrap_or(false);
-                    if busy {
-                        rejections.push((
-                            resource.id.clone(),
-                            RejectReason::Busy {
-                                holding: self.load[&resource.id].clone(),
-                            },
-                        ));
-                        continue;
-                    }
-                    return Ok(resource.id.clone());
-                }
+                Ok(()) => rejections.push((
+                    resource.id.clone(),
+                    RejectReason::Busy {
+                        holding: self.load.get(&resource.id).cloned().unwrap_or_default(),
+                    },
+                )),
                 Err(reason) => rejections.push((resource.id.clone(), reason)),
             }
         }
@@ -383,7 +406,7 @@ impl<'a> Allocator<'a> {
     /// Releases a signal's held stimulus. Returns true if one was held.
     pub fn release(&mut self, signal: &SignalName) -> bool {
         if let Some(held) = self.held.remove(signal) {
-            if let Some(load) = self.load.get_mut(&held.resource) {
+            if let Some(load) = self.load.get_mut(&held.resource.id) {
                 load.retain(|s| s != signal);
             }
             true
@@ -392,45 +415,71 @@ impl<'a> Allocator<'a> {
         }
     }
 
+    /// How many signals a resource currently serves.
+    fn used(&self, resource: &Resource) -> usize {
+        self.load.get(&resource.id).map(Vec::len).unwrap_or(0)
+    }
+
+    /// First-fit pass: the first unvisited resource (Park, then the stand's
+    /// candidates) that supports `requirement` and has a free slot. Park
+    /// comes first: never tie up an instrument for something a bare pin
+    /// does. Supporting resources passed over as full are appended to
+    /// `full`, in order.
+    fn first_fit(
+        &self,
+        requirement: &PutRequirement,
+        visited: &BTreeSet<ResourceId>,
+        full: &mut Vec<&'a Resource>,
+    ) -> Option<&'a Resource> {
+        let resources = std::iter::once(park()).chain(candidates(self.stand, &requirement.pins));
+        for resource in resources {
+            if visited.contains(&resource.id) || self.supports(resource, requirement).is_err() {
+                continue;
+            }
+            if self.used(resource) < resource.capacity {
+                return Some(resource);
+            }
+            full.push(resource);
+        }
+        None
+    }
+
     /// Kuhn-style augmenting search: returns a resource with free effective
     /// capacity for `requirement`, rerouting held signals if allowed.
     fn augment(
         &mut self,
         requirement: &PutRequirement,
         visited: &mut BTreeSet<ResourceId>,
-    ) -> Option<ResourceId> {
-        // Pass 1: any supporting resource with a free slot. Park comes
-        // first: never tie up an instrument for something a bare pin does.
-        let mut supporting: Vec<ResourceId> = Vec::new();
-        let candidates: Vec<(ResourceId, usize)> = self
-            .all_resources()
-            .filter(|r| !visited.contains(&r.id))
-            .filter(|r| self.supports(r, requirement).is_ok())
-            .map(|r| (r.id.clone(), r.capacity))
-            .collect();
-        for (id, capacity) in candidates {
-            supporting.push(id.clone());
-            let used = self.load.get(&id).map(Vec::len).unwrap_or(0);
-            if used < capacity {
-                return Some(id);
-            }
+    ) -> Option<&'a Resource> {
+        let mut full = Vec::new();
+        if let Some(resource) = self.first_fit(requirement, visited, &mut full) {
+            return Some(resource);
         }
         if !self.options.reroute {
             return None;
         }
-        // Pass 2: try to evict one holder of a supporting resource.
-        for rid in supporting {
-            visited.insert(rid.clone());
-            let holders = self.load.get(&rid).cloned().unwrap_or_default();
+        self.reroute(full, visited)
+    }
+
+    /// Reroute pass: frees one of the `full` supporting resources by moving
+    /// one of its holders elsewhere, and returns it.
+    fn reroute(
+        &mut self,
+        full: Vec<&'a Resource>,
+        visited: &mut BTreeSet<ResourceId>,
+    ) -> Option<&'a Resource> {
+        for resource in full {
+            visited.insert(resource.id.clone());
+            let holders = self.load.get(&resource.id).cloned().unwrap_or_default();
             for holder in holders {
                 let holder_req = self.held[&holder].requirement.clone();
                 if let Some(alternative) = self.augment(&holder_req, visited) {
                     // Move `holder` onto `alternative`.
-                    if let Some(load) = self.load.get_mut(&rid) {
+                    if let Some(load) = self.load.get_mut(&resource.id) {
                         load.retain(|s| s != &holder);
                     }
                     self.load
-                        .entry(alternative.clone())
+                        .entry(alternative.id.clone())
                         .or_default()
                         .push(holder.clone());
                     self.held.insert(
@@ -440,7 +489,7 @@ impl<'a> Allocator<'a> {
                             requirement: holder_req,
                         },
                     );
-                    return Some(rid);
+                    return Some(resource);
                 }
             }
         }
@@ -457,7 +506,7 @@ impl<'a> Allocator<'a> {
             .capability(&req.method)
             .ok_or(RejectReason::NoCapability)?;
         // Park needs no crosspoints: an unconnected pin *is* the stimulus.
-        if resource.id != self.park.id {
+        if !std::ptr::eq(resource, park()) {
             for pin in &req.pins {
                 if self.stand.matrix().connection(&resource.id, pin).is_none() {
                     return Err(RejectReason::NotConnected { pin: pin.clone() });
@@ -522,7 +571,7 @@ impl<'a> Allocator<'a> {
     /// Builds the rejection list for an error message.
     fn explain(&self, requirement: &PutRequirement) -> Vec<(ResourceId, RejectReason)> {
         let mut out = Vec::new();
-        for resource in self.all_resources() {
+        for resource in std::iter::once(park()).chain(self.stand.resources()) {
             match self.supports(resource, requirement) {
                 Err(reason) => out.push((resource.id.clone(), reason)),
                 Ok(_) => out.push((
@@ -540,7 +589,6 @@ impl<'a> Allocator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resource::Capability;
     use comptest_model::{Env, Unit};
 
     fn rid(s: &str) -> ResourceId {
@@ -856,6 +904,62 @@ mod tests {
             .unwrap_err();
         // Ress1 not connected to DS_FL; decades lack get_u.
         assert_eq!(err.rejections.len(), 3);
+    }
+
+    #[test]
+    fn a_meter_holding_a_stimulus_is_busy() {
+        // Smu1 sources and measures voltage but serves one signal at a time.
+        let smu = Resource::new(rid("Smu1"))
+            .with_capability(Capability::new(m("put_u"), "u", 0.0, 20.0, Unit::Volt))
+            .with_capability(Capability::new(m("get_u"), "u", -60.0, 60.0, Unit::Volt));
+        let dvm = Resource::new(rid("Dvm1")).with_capability(Capability::new(
+            m("get_u"),
+            "u",
+            -60.0,
+            60.0,
+            Unit::Volt,
+        ));
+        let alone = TestStand::new("smu", Env::with_ubatt(12.0))
+            .with_resource(smu)
+            .with_connection(pid("Sw1.1"), rid("Smu1"), pid("P"));
+        let with_dvm =
+            alone
+                .clone()
+                .with_resource(dvm)
+                .with_connection(pid("Sw2.1"), rid("Dvm1"), pid("P"));
+        let drive = PutRequirement {
+            method: m("put_u"),
+            nominal: AppliedValue::Num(5.0),
+            window: (5.0, 5.0),
+            pins: vec![pid("P")],
+        };
+        let sense = GetRequirement {
+            method: m("get_u"),
+            bounds: (4.0, 6.0),
+            pins: vec![pid("P")],
+        };
+        for (stand, routed) in [(&with_dvm, Some("Dvm1")), (&alone, None)] {
+            let mut alloc = Allocator::new(stand);
+            assert_eq!(
+                alloc.route_get(&sig("S"), Some(0), &sense).unwrap(),
+                rid("Smu1"),
+                "idle, the SMU measures"
+            );
+            alloc.assign_put(&sig("D"), Some(0), drive.clone()).unwrap();
+            let got = alloc.route_get(&sig("S"), Some(0), &sense);
+            match routed {
+                Some(id) => assert_eq!(got.unwrap(), rid(id)),
+                None => assert_eq!(
+                    got.unwrap_err().rejections,
+                    [(
+                        rid("Smu1"),
+                        RejectReason::Busy {
+                            holding: vec![sig("D")]
+                        }
+                    )]
+                ),
+            }
+        }
     }
 
     #[test]

@@ -127,7 +127,7 @@ pub fn plan(script: &TestScript, stand: &TestStand) -> Result<ExecutionPlan, Sta
         script,
         stand,
         AllocOptions::default(),
-        &MethodRegistry::builtin(),
+        MethodRegistry::shared_builtin(),
     )
 }
 
@@ -211,8 +211,8 @@ fn resolve_statement(
         }
     };
 
-    let eval_attr = |name: &str| -> Result<Option<f64>, StandError> {
-        match stmt.attr(name) {
+    let eval_attr = |name: AttrName<'_>| -> Result<Option<f64>, StandError> {
+        match name.find(stmt) {
             None => Ok(None),
             Some(AttrValue::Expr(e)) => e
                 .eval(stand.env())
@@ -221,9 +221,11 @@ fn resolve_statement(
             Some(AttrValue::Bits(_)) => Err(stmt_err(format!("attribute {name} must be numeric"))),
         }
     };
+    let min_attr = AttrName(&spec.attribut, "_min");
+    let max_attr = AttrName(&spec.attribut, "_max");
 
-    let settle = SimTime::from_secs_f64(eval_attr("settle")?.unwrap_or(0.0));
-    let window = SimTime::from_secs_f64(eval_attr("window")?.unwrap_or(0.0));
+    let settle = SimTime::from_secs_f64(eval_attr(AttrName("settle", ""))?.unwrap_or(0.0));
+    let window = SimTime::from_secs_f64(eval_attr(AttrName("window", ""))?.unwrap_or(0.0));
 
     match spec.direction {
         MethodDirection::Put => {
@@ -238,10 +240,10 @@ fn resolve_statement(
                     (AppliedValue::Bits(bits), (0.0, 0.0))
                 }
                 AttrKind::Numeric(_) => {
-                    let nominal = eval_attr(&spec.attribut)?
+                    let nominal = eval_attr(AttrName(&spec.attribut, ""))?
                         .ok_or_else(|| stmt_err(format!("missing attribute {}", spec.attribut)))?;
-                    let lo = eval_attr(&format!("{}_min", spec.attribut))?.unwrap_or(nominal);
-                    let hi = eval_attr(&format!("{}_max", spec.attribut))?.unwrap_or(nominal);
+                    let lo = eval_attr(min_attr)?.unwrap_or(nominal);
+                    let hi = eval_attr(max_attr)?.unwrap_or(nominal);
                     if lo > hi {
                         return Err(stmt_err(format!(
                             "realization window [{lo}, {hi}] is inverted"
@@ -281,9 +283,8 @@ fn resolve_statement(
                     StatusBound::Bits(bits)
                 }
                 AttrKind::Numeric(_) => {
-                    let lo =
-                        eval_attr(&format!("{}_min", spec.attribut))?.unwrap_or(f64::NEG_INFINITY);
-                    let hi = eval_attr(&format!("{}_max", spec.attribut))?.unwrap_or(f64::INFINITY);
+                    let lo = eval_attr(min_attr)?.unwrap_or(f64::NEG_INFINITY);
+                    let hi = eval_attr(max_attr)?.unwrap_or(f64::INFINITY);
                     if lo > hi {
                         return Err(stmt_err(format!(
                             "acceptance interval [{lo}, {hi}] is inverted"
@@ -319,6 +320,34 @@ fn resolve_statement(
                 window,
             }))
         }
+    }
+}
+
+/// An attribute name spelled as a stem plus a suffix (`u` + `_min`), so
+/// bound attributes are looked up without building the name per statement.
+#[derive(Clone, Copy)]
+struct AttrName<'a>(&'a str, &'static str);
+
+impl AttrName<'_> {
+    /// The statement's value for this attribute (names compare
+    /// case-insensitively, like [`Statement::attr`]).
+    fn find<'s>(&self, stmt: &'s Statement) -> Option<&'s AttrValue> {
+        let (stem, suffix) = (self.0.as_bytes(), self.1.as_bytes());
+        stmt.attrs
+            .iter()
+            .find(|(key, _)| {
+                let key = key.as_bytes();
+                key.len() == stem.len() + suffix.len()
+                    && key[..stem.len()].eq_ignore_ascii_case(stem)
+                    && key[stem.len()..].eq_ignore_ascii_case(suffix)
+            })
+            .map(|(_, value)| value)
+    }
+}
+
+impl std::fmt::Display for AttrName<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}{}", self.0, self.1)
     }
 }
 
