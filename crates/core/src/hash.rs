@@ -21,17 +21,33 @@
 //!   restarts and are usable as on-disk file names;
 //! * every field is tagged and strings are length-prefixed, so adjacent
 //!   fields cannot melt into each other (`("ab", "c")` ≠ `("a", "bc")`);
-//! * identifier names hash through their canonical case-insensitive
-//!   [`key()`](comptest_model::SignalName::key) form, matching how the
-//!   rest of the toolchain compares them.
+//! * identifier names in suites and stands hash through their canonical
+//!   case-insensitive [`key()`](comptest_model::SignalName::key) form,
+//!   matching how the rest of the toolchain compares them.
+//!
+//! Most digests are explicit walks over the hashed structure. Two hash a
+//! rendering instead: [`hash_script`] its canonical XML, and
+//! [`hash_device`] the device's `Debug` text (full keying, and the
+//! footprint's whole-device fallback). The footprint digests
+//! ([`Footprint::plan_hash`] and [`Footprint::dut_slice_hash`]) walk the
+//! resolved plans and the touched DUT slice field by field and build no
+//! strings on the way. Their walks destructure every struct and variant
+//! without `..`, so a new plan or configuration field is a compile error
+//! here until it is hashed.
 
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 use std::fmt;
 
-use comptest_dut::Device;
-use comptest_model::{Env, SignalDef, SignalKind, StatusDef, TestSuite};
+use comptest_dut::{Device, ElectricalConfig, PinBinding};
+use comptest_model::{
+    BitPattern, CanFrameId, Env, PinId, SignalDef, SignalKind, SignalName, SimTime, StatusBound,
+    StatusDef, TestSuite,
+};
 use comptest_script::TestScript;
-use comptest_stand::{Action, ExecutionPlan, TestStand};
+use comptest_stand::{
+    Action, AppliedValue, ExecutionPlan, GetCheck, PlannedStep, ResourceId, TestStand,
+};
 
 use crate::campaign::{CampaignEntry, DeviceFactory};
 use crate::exec::{ExecOptions, SampleMode};
@@ -104,6 +120,13 @@ impl StableHasher {
         self.write_u64(v.to_bits());
     }
 
+    /// Feeds an `f64` through its raw IEEE-754 bit pattern, with no
+    /// normalisation: `-0.0` and `0.0` (and distinct NaN payloads) hash
+    /// apart, as their `Debug` spellings did.
+    pub fn write_f64_bits(&mut self, v: f64) {
+        self.write_u64(v.to_bits());
+    }
+
     /// Feeds an optional `f64` with a presence tag.
     pub fn write_opt_f64(&mut self, v: Option<f64>) {
         match v {
@@ -136,22 +159,28 @@ fn write_env(h: &mut StableHasher, env: &Env) {
     }
 }
 
-fn write_signal_kind(h: &mut StableHasher, kind: &SignalKind) {
+/// Hashes a signal's realisation; `write_pin` picks the pin spelling
+/// (canonical for suites, as written for plans).
+fn write_signal_kind(
+    h: &mut StableHasher,
+    kind: &SignalKind,
+    write_pin: fn(&mut StableHasher, &PinId),
+) {
     match kind {
         SignalKind::Pin { pins } => {
             h.write_u8(1);
             h.write_usize(pins.len());
             for pin in pins {
-                h.write_str(&pin.key());
+                write_pin(h, pin);
             }
         }
         SignalKind::Can {
-            frame,
+            frame: CanFrameId(frame),
             start_bit,
             width,
         } => {
             h.write_u8(2);
-            h.write_u32(frame.0);
+            h.write_u32(*frame);
             h.write_u8(*start_bit);
             h.write_u8(*width);
         }
@@ -160,7 +189,7 @@ fn write_signal_kind(h: &mut StableHasher, kind: &SignalKind) {
 
 fn write_signal_def(h: &mut StableHasher, sig: &SignalDef) {
     h.write_str(&sig.name.key());
-    write_signal_kind(h, &sig.kind);
+    write_signal_kind(h, &sig.kind, |h, pin| h.write_str(&pin.key()));
     h.write_u8(match sig.direction {
         comptest_model::SignalDirection::Input => 0,
         comptest_model::SignalDirection::Output => 1,
@@ -285,9 +314,12 @@ pub fn hash_script(script: &TestScript) -> u64 {
 /// enters a freshly built device, so the hash is reproducible across runs;
 /// two factories building structurally identical devices key identically.
 ///
-/// This makes the *derived, exhaustive* `Debug` of [`Device`] and of every
+/// This is the one cache-key digest that still rests on `Debug`: it makes
+/// the *derived, exhaustive* `Debug` of [`Device`] and of every
 /// [`Behavior`](comptest_dut::Behavior) implementation part of the
-/// cache-key contract: a hand-written `Debug` that elides fields (e.g. via
+/// cache-key contract, for full keying and for the footprint's
+/// whole-device fallback alike (the footprint digests themselves are
+/// structural walks): a hand-written `Debug` that elides fields (e.g. via
 /// `finish_non_exhaustive`) would let structurally different DUT configs
 /// collide on this digest and serve each other's cached outcomes —
 /// detectable only by `--cache-verify`. Keep device/behaviour `Debug`
@@ -400,9 +432,13 @@ impl fmt::Display for CellKey {
 ///   electrical configuration, the behaviour name, and only the pin/CAN
 ///   bindings the plans touch, each refined by the behaviour's
 ///   [`port_slice`](comptest_dut::Behavior::port_slice). A behaviour that
-///   does not implement `port_slice` falls back to hashing the whole
-///   device, which makes the footprint exactly as conservative as full
-///   keying on the DUT axis — never less safe.
+///   does not implement `port_slice` falls back to folding in the whole
+///   device's [`hash_device`] digest, which makes the footprint exactly as
+///   conservative as full keying on the DUT axis — never less safe.
+///
+/// Both digests are structural walks: no plan, configuration or binding
+/// is rendered through `Debug` on the way; only the whole-device fallback
+/// inherits [`hash_device`]'s `Debug` contract.
 ///
 /// The salt is folded into both digests, so bumping it (e.g. on a firmware
 /// release) invalidates every footprint-keyed record at once.
@@ -420,9 +456,15 @@ pub struct Footprint {
     pub resources: Vec<String>,
     /// Behaviour (ECU) names the cell exercises.
     pub ecus: Vec<String>,
-    /// Digest of the resolved execution plans (tag `b'P'`; salt included).
+    /// Digest of the resolved execution plans (tag `b'P'`; salt included):
+    /// a field-by-field walk of every plan, identifiers as written and
+    /// floats by their raw bits.
     pub plan_hash: u64,
-    /// Digest of the touched DUT slice (tag `b'F'`; salt included).
+    /// Digest of the touched DUT slice (tag `b'F'`; salt included): the
+    /// five electrical-configuration fields, the behaviour name, each
+    /// touched pin's binding variant and port, the touched CAN bindings and
+    /// their port slices — plus the whole-device digest when a slice is
+    /// incomplete.
     pub dut_slice_hash: u64,
 }
 
@@ -500,34 +542,202 @@ impl fmt::Display for FootprintKey {
     }
 }
 
-/// Folds one plan action's dependencies into the footprint sets.
-fn collect_action(
-    action: &Action,
-    signals: &mut BTreeSet<String>,
-    pins: &mut BTreeSet<String>,
-    frames: &mut BTreeSet<u32>,
-    resources: &mut BTreeSet<String>,
-) {
-    let (signal, kind, resource) = match action {
+fn write_time(h: &mut StableHasher, t: SimTime) {
+    h.write_u64(t.as_micros());
+}
+
+fn write_bit_pattern(h: &mut StableHasher, b: BitPattern) {
+    h.write_u64(b.bits());
+    h.write_u8(b.width());
+}
+
+/// Hashes an identifier by its spelling as written in the plan.
+fn write_pin_as_written(h: &mut StableHasher, pin: &PinId) {
+    h.write_str(pin.as_str());
+}
+
+fn write_action(h: &mut StableHasher, action: &Action) {
+    match action {
         Action::Apply {
             signal,
             kind,
             resource,
-            ..
-        } => (signal, kind, resource),
-        Action::Check(check) => (&check.signal, &check.kind, &check.resource),
+            method,
+            value,
+            settle,
+        } => {
+            h.write_u8(1);
+            h.write_str(signal.as_str());
+            write_signal_kind(h, kind, write_pin_as_written);
+            h.write_str(resource.as_str());
+            h.write_str(method.as_str());
+            match *value {
+                AppliedValue::Num(v) => {
+                    h.write_u8(1);
+                    h.write_f64_bits(v);
+                }
+                AppliedValue::Bits(b) => {
+                    h.write_u8(2);
+                    write_bit_pattern(h, b);
+                }
+            }
+            write_time(h, *settle);
+        }
+        Action::Check(GetCheck {
+            signal,
+            kind,
+            resource,
+            method,
+            bound,
+            settle,
+            window,
+        }) => {
+            h.write_u8(2);
+            h.write_str(signal.as_str());
+            write_signal_kind(h, kind, write_pin_as_written);
+            h.write_str(resource.as_str());
+            h.write_str(method.as_str());
+            match *bound {
+                StatusBound::Numeric { nominal, lo, hi } => {
+                    h.write_u8(1);
+                    match nominal {
+                        Some(n) => {
+                            h.write_u8(1);
+                            h.write_f64_bits(n);
+                        }
+                        None => h.write_u8(0),
+                    }
+                    h.write_f64_bits(lo);
+                    h.write_f64_bits(hi);
+                }
+                StatusBound::Bits(b) => {
+                    h.write_u8(2);
+                    write_bit_pattern(h, b);
+                }
+            }
+            write_time(h, *settle);
+            write_time(h, *window);
+        }
+    }
+}
+
+/// Hashes a resolved plan field by field. Identifiers hash as written and
+/// floats by their raw bits, so the digest separates everything the plan's
+/// `Debug` text did.
+fn write_plan(h: &mut StableHasher, plan: &ExecutionPlan) {
+    let ExecutionPlan {
+        script_name,
+        stand_name,
+        init,
+        steps,
+    } = plan;
+    h.write_str(script_name);
+    h.write_str(stand_name);
+    h.write_usize(init.len());
+    for action in init {
+        write_action(h, action);
+    }
+    h.write_usize(steps.len());
+    for PlannedStep { nr, dt, actions } in steps {
+        h.write_u32(*nr);
+        write_time(h, *dt);
+        h.write_usize(actions.len());
+        for action in actions {
+            write_action(h, action);
+        }
+    }
+}
+
+fn write_electrical_config(h: &mut StableHasher, cfg: &ElectricalConfig) {
+    let ElectricalConfig {
+        ubatt,
+        pull_up,
+        low_threshold,
+        high_threshold,
+        drive_resistance,
+    } = *cfg;
+    for v in [
+        ubatt,
+        pull_up,
+        low_threshold,
+        high_threshold,
+        drive_resistance,
+    ] {
+        h.write_f64_bits(v);
+    }
+}
+
+/// Hashes a pin binding's variant and port; returns the port (`None` for
+/// return rails, which carry no behaviour state of their own).
+fn write_pin_binding(h: &mut StableHasher, binding: &PinBinding) -> Option<&'static str> {
+    let (tag, port) = match *binding {
+        PinBinding::InputActiveLow { port } => (1, Some(port)),
+        PinBinding::InputActiveHigh { port } => (2, Some(port)),
+        PinBinding::Output { port } => (3, Some(port)),
+        PinBinding::Return => (4, None),
     };
-    signals.insert(signal.key());
-    resources.insert(resource.key());
-    match kind {
-        SignalKind::Pin { pins: signal_pins } => {
-            for pin in signal_pins {
-                pins.insert(pin.key());
+    h.write_u8(tag);
+    if let Some(port) = port {
+        h.write_str(port);
+    }
+    port
+}
+
+/// The names one cell's plans touch, borrowed from the plans. The name
+/// types order and compare case-insensitively, so each set holds exactly
+/// the distinct canonical [`key()`](PinId::key)s, in their sorted order.
+#[derive(Default)]
+struct Touched<'p> {
+    signals: BTreeSet<&'p SignalName>,
+    pins: BTreeSet<&'p PinId>,
+    frames: BTreeSet<u32>,
+    resources: BTreeSet<&'p ResourceId>,
+}
+
+impl<'p> Touched<'p> {
+    /// Folds one plan action's dependencies into the sets.
+    fn collect(&mut self, action: &'p Action) {
+        let (signal, kind, resource) = match action {
+            Action::Apply {
+                signal,
+                kind,
+                resource,
+                ..
+            } => (signal, kind, resource),
+            Action::Check(check) => (&check.signal, &check.kind, &check.resource),
+        };
+        self.signals.insert(signal);
+        self.resources.insert(resource);
+        match kind {
+            SignalKind::Pin { pins } => self.pins.extend(pins),
+            SignalKind::Can { frame, .. } => {
+                self.frames.insert(frame.0);
             }
         }
-        SignalKind::Can { frame, .. } => {
-            frames.insert(frame.0);
+    }
+}
+
+/// A device built for footprint capture, shared read-only by every stand
+/// of one campaign entry. Its whole-device digest ([`hash_device`]) is
+/// computed at most once, for the first cell that needs the conservative
+/// fallback.
+#[derive(Debug)]
+pub struct FootprintDevice {
+    device: Device,
+    whole: OnceCell<u64>,
+}
+
+impl FootprintDevice {
+    /// Wraps a freshly built device.
+    pub fn new(device: Device) -> Self {
+        Self {
+            device,
+            whole: OnceCell::new(),
         }
+    }
+
+    fn whole_hash(&self) -> u64 {
+        *self.whole.get_or_init(|| hash_device(&self.device))
     }
 }
 
@@ -539,16 +749,13 @@ fn collect_action(
 /// keying: an errored plan hashes its error string (so the not-runnable
 /// verdict is keyed by *why*), and any errored plan or any touched port
 /// without a [`port_slice`](comptest_dut::Behavior::port_slice) makes the
-/// DUT digest fold the whole device, exactly like [`hash_device`].
+/// DUT digest fold the whole device's [`hash_device`] digest.
 pub fn capture_footprint(
     plans: &[Result<&ExecutionPlan, &str>],
-    device: &Device,
+    device: &FootprintDevice,
     salt: &str,
 ) -> Footprint {
-    let mut signals = BTreeSet::new();
-    let mut pins = BTreeSet::new();
-    let mut frames = BTreeSet::new();
-    let mut resources = BTreeSet::new();
+    let mut touched = Touched::default();
     let mut complete = true;
 
     let mut plan_hasher = StableHasher::new();
@@ -559,13 +766,13 @@ pub fn capture_footprint(
         match plan {
             Ok(plan) => {
                 plan_hasher.write_u8(1);
-                plan_hasher.write_str(&format!("{plan:?}"));
+                write_plan(&mut plan_hasher, plan);
                 for action in plan
                     .init
                     .iter()
                     .chain(plan.steps.iter().flat_map(|s| s.actions.iter()))
                 {
-                    collect_action(action, &mut signals, &mut pins, &mut frames, &mut resources);
+                    touched.collect(action);
                 }
             }
             Err(message) => {
@@ -579,27 +786,27 @@ pub fn capture_footprint(
         }
     }
 
+    let pins: Vec<String> = touched.pins.iter().map(|pin| pin.key()).collect();
+    let dut = &device.device;
     let mut dut_hasher = StableHasher::new();
     dut_hasher.write_u8(b'F');
     dut_hasher.write_str(salt);
-    dut_hasher.write_str(&format!("{:?}", device.config()));
-    dut_hasher.write_str(device.behavior_name());
+    write_electrical_config(&mut dut_hasher, dut.config());
+    dut_hasher.write_str(dut.behavior_name());
     dut_hasher.write_usize(pins.len());
-    for pin in &pins {
-        dut_hasher.write_str(pin);
-        match device.pin_binding_debug(pin) {
-            Some((binding, port)) => {
+    for (&pin, key) in touched.pins.iter().zip(&pins) {
+        dut_hasher.write_str(key);
+        match dut.pin_binding(pin) {
+            Some(binding) => {
                 dut_hasher.write_u8(1);
-                dut_hasher.write_str(&binding);
-                match port {
-                    Some(port) => match device.port_slice(port) {
+                match write_pin_binding(&mut dut_hasher, binding) {
+                    Some(port) => match dut.port_slice(port) {
                         Some(slice) => {
                             dut_hasher.write_u8(1);
                             dut_hasher.write_str(&slice);
                         }
                         None => complete = false,
                     },
-                    // Return rails carry no behaviour state of their own.
                     None => dut_hasher.write_u8(0),
                 }
             }
@@ -607,17 +814,17 @@ pub fn capture_footprint(
             None => dut_hasher.write_u8(0),
         }
     }
-    dut_hasher.write_usize(frames.len());
-    for &frame in &frames {
+    dut_hasher.write_usize(touched.frames.len());
+    for &frame in &touched.frames {
         dut_hasher.write_u32(frame);
-        let bindings = device.can_frame_bindings(comptest_model::CanFrameId(frame));
+        let bindings = dut.can_frame_bindings(CanFrameId(frame));
         dut_hasher.write_usize(bindings.len());
         for (start_bit, width, port, input) in bindings {
             dut_hasher.write_u8(start_bit);
             dut_hasher.write_u8(width);
             dut_hasher.write_str(port);
             dut_hasher.write_u8(u8::from(input));
-            match device.port_slice(port) {
+            match dut.port_slice(port) {
                 Some(slice) => {
                     dut_hasher.write_u8(1);
                     dut_hasher.write_str(&slice);
@@ -627,19 +834,19 @@ pub fn capture_footprint(
         }
     }
     if !complete {
-        // Conservative fallback: hash the whole device, exactly what full
+        // Conservative fallback: fold the whole device, exactly what full
         // keying covers on the DUT axis.
         dut_hasher.write_u8(255);
-        dut_hasher.write_str(&format!("{device:?}"));
+        dut_hasher.write_u64(device.whole_hash());
     }
 
     Footprint {
         salt: salt.to_owned(),
-        signals: signals.into_iter().collect(),
-        pins: pins.into_iter().collect(),
-        frames: frames.into_iter().collect(),
-        resources: resources.into_iter().collect(),
-        ecus: vec![device.behavior_name().to_owned()],
+        signals: touched.signals.iter().map(|s| s.key()).collect(),
+        pins,
+        frames: touched.frames.into_iter().collect(),
+        resources: touched.resources.iter().map(|r| r.key()).collect(),
+        ecus: vec![dut.behavior_name().to_owned()],
         plan_hash: plan_hasher.finish(),
         dut_slice_hash: dut_hasher.finish(),
     }
@@ -656,7 +863,7 @@ pub fn capture_footprint(
 /// campaign will attempt. (The engine still surfaces codegen errors at
 /// launch, before any job runs.)
 pub fn footprint_for_cell(entry: &CampaignEntry<'_>, stand: &TestStand, salt: &str) -> Footprint {
-    let device = entry.device_factory.build();
+    let device = FootprintDevice::new(entry.device_factory.build());
     let plans: Vec<Result<ExecutionPlan, String>> = comptest_script::generate_each(entry.suite)
         .into_iter()
         .map(|script| match script {
@@ -924,7 +1131,11 @@ step, dt,  DS_FL, NIGHT, INT_ILL
                 .iter()
                 .map(|p| p.as_ref().map_err(String::as_str))
                 .collect();
-            capture_footprint(&refs, &entry.device_factory.build(), "")
+            capture_footprint(
+                &refs,
+                &FootprintDevice::new(entry.device_factory.build()),
+                "",
+            )
         };
         let valid = suite();
         let mut invalid = suite();
@@ -966,5 +1177,262 @@ step, dt,  DS_FL, NIGHT, INT_ILL
         let mut p = StableHasher::new();
         p.write_f64(0.0);
         assert_eq!(z.finish(), p.finish(), "-0.0 normalises to 0.0");
+        let mut z = StableHasher::new();
+        z.write_f64_bits(-0.0);
+        let mut p = StableHasher::new();
+        p.write_f64_bits(0.0);
+        assert_ne!(z.finish(), p.finish(), "raw bits keep the sign");
+    }
+
+    use comptest_dut::{Behavior, PortValue};
+    use comptest_model::MethodName;
+    use comptest_stand::ResourceId;
+
+    /// The lamp suite's `night_on` plan on stand A: init stimuli, then one
+    /// step applying `DS_FL` (numeric) and `NIGHT` (CAN bits) and checking
+    /// `INT_ILL` (numeric bound over two pins).
+    fn night_on_plan() -> ExecutionPlan {
+        let script = comptest_script::generate(&suite(), "night_on").unwrap();
+        comptest_stand::plan(&script, &stand()).unwrap()
+    }
+
+    fn plan_digest(plan: &ExecutionPlan) -> u64 {
+        let device = FootprintDevice::new(comptest_dut::ecus::interior_light::device(
+            Default::default(),
+        ));
+        capture_footprint(&[Ok(plan)], &device, "").plan_hash
+    }
+
+    fn apply_of<'p>(plan: &'p mut ExecutionPlan, name: &str) -> &'p mut Action {
+        plan.steps[0]
+            .actions
+            .iter_mut()
+            .find(|a| matches!(a, Action::Apply { signal, .. } if signal == name))
+            .unwrap()
+    }
+
+    fn check_of(plan: &mut ExecutionPlan) -> &mut GetCheck {
+        plan.steps[0]
+            .actions
+            .iter_mut()
+            .find_map(|a| match a {
+                Action::Check(check) => Some(check),
+                Action::Apply { .. } => None,
+            })
+            .unwrap()
+    }
+
+    #[test]
+    fn every_plan_field_moves_the_plan_digest() {
+        let base = night_on_plan();
+        let digest = plan_digest(&base);
+        assert_eq!(
+            plan_digest(&night_on_plan()),
+            digest,
+            "replanning is stable"
+        );
+        let moved = |what: &str, mutate: &dyn Fn(&mut ExecutionPlan)| {
+            let mut plan = base.clone();
+            mutate(&mut plan);
+            assert_ne!(plan_digest(&plan), digest, "{what} must move the digest");
+        };
+
+        moved("script name", &|p| p.script_name.push('2'));
+        moved("stand name", &|p| p.stand_name.push('2'));
+        moved("step nr", &|p| p.steps[0].nr += 1);
+        moved("step dt", &|p| p.steps[0].dt = SimTime::from_millis(600));
+        moved("action order", &|p| p.steps[0].actions.swap(0, 1));
+        moved("init stimulus dropped", &|p| {
+            p.init.pop();
+        });
+        moved("Num vs Bits", &|p| {
+            if let Action::Apply { value, .. } = apply_of(p, "NIGHT") {
+                assert_eq!(
+                    *value,
+                    AppliedValue::Bits(BitPattern::new(1, 1).unwrap()),
+                    "fixture"
+                );
+                *value = AppliedValue::Num(1.0);
+            }
+        });
+        moved("applied number sign", &|p| {
+            if let Action::Apply { value, .. } = apply_of(p, "DS_FL") {
+                let AppliedValue::Num(v) = value else {
+                    panic!("DS_FL applies a resistance")
+                };
+                *v = -*v;
+            }
+        });
+        moved("apply settle", &|p| {
+            if let Action::Apply { settle, .. } = apply_of(p, "DS_FL") {
+                *settle = settle.saturating_add(SimTime::from_millis(1));
+            }
+        });
+        moved("apply method", &|p| {
+            if let Action::Apply { method, .. } = apply_of(p, "DS_FL") {
+                *method = MethodName::new("put_u").unwrap();
+            }
+        });
+        moved("CAN start bit", &|p| {
+            if let Action::Apply {
+                kind: SignalKind::Can { start_bit, .. },
+                ..
+            } = apply_of(p, "NIGHT")
+            {
+                *start_bit += 1;
+            }
+        });
+        moved("check nominal", &|p| {
+            let StatusBound::Numeric { nominal, .. } = &mut check_of(p).bound else {
+                panic!("INT_ILL checks a voltage")
+            };
+            assert_eq!(*nominal, None, "get checks carry bounds only");
+            *nominal = Some(12.0);
+        });
+        moved("check lo", &|p| {
+            if let StatusBound::Numeric { lo, .. } = &mut check_of(p).bound {
+                *lo -= 0.5;
+            }
+        });
+        moved("check hi", &|p| {
+            if let StatusBound::Numeric { hi, .. } = &mut check_of(p).bound {
+                *hi += 0.5;
+            }
+        });
+        moved("check window", &|p| {
+            check_of(p).window = SimTime::from_millis(100)
+        });
+        moved("check settle", &|p| {
+            let check = check_of(p);
+            check.settle = check.settle.saturating_add(SimTime::from_millis(1));
+        });
+        moved("check method", &|p| {
+            check_of(p).method = MethodName::new("get_r").unwrap()
+        });
+        moved("resource spelling", &|p| {
+            let check = check_of(p);
+            check.resource = ResourceId::new(check.resource.as_str().to_ascii_uppercase()).unwrap();
+        });
+        moved("pin list", &|p| {
+            if let SignalKind::Pin { pins } = &mut check_of(p).kind {
+                pins.pop();
+            }
+        });
+
+        // A bit-pattern bound: the bits and the width both count.
+        let bits = |bits: u64, width: u8| {
+            let mut plan = base.clone();
+            check_of(&mut plan).bound = StatusBound::Bits(BitPattern::new(bits, width).unwrap());
+            plan_digest(&plan)
+        };
+        assert_ne!(bits(1, 1), bits(0, 1), "check bits");
+        assert_ne!(bits(1, 1), bits(1, 2), "check bit width");
+    }
+
+    /// A lamp-shaped behaviour whose every port has a slice, so the DUT
+    /// digest never falls back to the whole device.
+    #[derive(Debug)]
+    struct Sliced;
+
+    impl Behavior for Sliced {
+        fn name(&self) -> &str {
+            "sliced"
+        }
+        fn inputs(&self) -> &[&'static str] {
+            &["door", "night"]
+        }
+        fn outputs(&self) -> &[&'static str] {
+            &["lamp"]
+        }
+        fn reset(&mut self, _now: SimTime) {}
+        fn set_input(&mut self, _port: &str, _value: PortValue, _now: SimTime) {}
+        fn advance(&mut self, _now: SimTime) {}
+        fn next_event(&self) -> Option<SimTime> {
+            None
+        }
+        fn output(&self, _port: &str) -> PortValue {
+            PortValue::Bool(false)
+        }
+        fn port_slice(&self, port: &str) -> Option<String> {
+            Some(port.to_owned())
+        }
+    }
+
+    fn sliced_device(cfg: ElectricalConfig, lamp: PinBinding, spare: PinBinding) -> Device {
+        Device::builder(Box::new(Sliced))
+            .config(cfg)
+            .pin("DS_FL", PinBinding::InputActiveLow { port: "door" })
+            .pin("DS_RR", spare)
+            .pin("INT_ILL_F", lamp)
+            .pin("INT_ILL_R", PinBinding::Return)
+            .can_input(0x2A0, 0, 1, "night")
+            .build()
+    }
+
+    #[test]
+    fn every_dut_slice_field_moves_the_dut_digest() {
+        let plan = night_on_plan();
+        let digest = |device: Device| {
+            capture_footprint(&[Ok(&plan)], &FootprintDevice::new(device), "").dut_slice_hash
+        };
+        let output = PinBinding::Output { port: "lamp" };
+        let spare = PinBinding::InputActiveLow { port: "door" };
+        let base = digest(sliced_device(
+            Default::default(),
+            output.clone(),
+            spare.clone(),
+        ));
+
+        let cfg = ElectricalConfig::default();
+        let configs = [
+            ("ubatt", ElectricalConfig { ubatt: 13.0, ..cfg }),
+            (
+                "pull_up",
+                ElectricalConfig {
+                    pull_up: 20_000.0,
+                    ..cfg
+                },
+            ),
+            (
+                "low_threshold",
+                ElectricalConfig {
+                    low_threshold: 0.35,
+                    ..cfg
+                },
+            ),
+            (
+                "high_threshold",
+                ElectricalConfig {
+                    high_threshold: 0.65,
+                    ..cfg
+                },
+            ),
+            (
+                "drive_resistance",
+                ElectricalConfig {
+                    drive_resistance: 2.0,
+                    ..cfg
+                },
+            ),
+        ];
+        for (field, cfg) in configs {
+            let moved = digest(sliced_device(cfg, output.clone(), spare.clone()));
+            assert_ne!(moved, base, "{field} must move the digest");
+        }
+
+        let input = PinBinding::InputActiveHigh { port: "lamp" };
+        assert_ne!(
+            digest(sliced_device(Default::default(), input, spare)),
+            base,
+            "Output -> InputActiveHigh on a touched pin"
+        );
+        // An untouched pin is outside the slice: the digest is not the
+        // whole-device fallback.
+        let untouched = PinBinding::InputActiveHigh { port: "door" };
+        assert_eq!(
+            digest(sliced_device(Default::default(), output, untouched)),
+            base,
+            "rebinding an untouched pin"
+        );
     }
 }

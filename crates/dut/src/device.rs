@@ -284,23 +284,10 @@ impl Device {
         &self.bus
     }
 
-    /// Footprint accessor: the binding of the pin whose canonical
-    /// [`key`](PinId::key) is `pin`, rendered for hashing, plus the bound
-    /// behaviour port (`None` for [`PinBinding::Return`] rails). Returns
-    /// `None` for pins this device does not bind.
-    pub fn pin_binding_debug(&self, pin: &str) -> Option<(String, Option<&'static str>)> {
-        self.pins
-            .iter()
-            .find(|(id, _)| id.key() == pin)
-            .map(|(_, binding)| {
-                let port = match binding {
-                    PinBinding::InputActiveLow { port }
-                    | PinBinding::InputActiveHigh { port }
-                    | PinBinding::Output { port } => Some(*port),
-                    PinBinding::Return => None,
-                };
-                (format!("{binding:?}"), port)
-            })
+    /// Footprint accessor: how `pin` is bound (matched case-insensitively),
+    /// or `None` for pins this device does not bind.
+    pub fn pin_binding(&self, pin: &PinId) -> Option<&PinBinding> {
+        self.pins.get(pin)
     }
 
     /// Footprint accessor: every CAN binding touching `frame`, as

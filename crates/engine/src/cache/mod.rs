@@ -507,7 +507,8 @@ impl CacheRuntime {
     /// events, and counted on `obs`. Every lookup that fails to produce a
     /// usable record counts as `cells_invalidated` (the cells this run
     /// will re-execute); per-cell footprints ride along to be attached to
-    /// stored records, their encoded size feeding `footprint_bytes`.
+    /// stored records, their encoded size feeding `footprint_bytes` (only
+    /// counted when `obs` is enabled).
     pub(crate) fn prepare(
         cache: Arc<dyn CampaignCache>,
         campaign: &Campaign<'_, '_>,
@@ -526,8 +527,12 @@ impl CacheRuntime {
         let mut cell = 0;
         for entry in campaign.entries {
             for stand in campaign.stands {
-                if let Some(fp) = &footprints[cell] {
-                    footprint_bytes += binary::footprint_bytes(fp);
+                // Encoding a footprint only to count its bytes is wasted
+                // work when nobody records the count.
+                if obs.is_enabled() {
+                    if let Some(fp) = &footprints[cell] {
+                        footprint_bytes += binary::footprint_bytes(fp);
+                    }
                 }
                 let info = cache.lookup_io(&keys[cell]);
                 bytes_read += info.bytes;

@@ -30,6 +30,7 @@ use comptest_core::error::CoreError;
 use comptest_core::exec::{ExecOptions, RunState};
 use comptest_core::hash::{
     capture_footprint, hash_device, hash_exec_options, hash_stand, hash_suite, CellKey, Footprint,
+    FootprintDevice,
 };
 use comptest_core::{StepProbe, TestResult, TestRun};
 use comptest_dut::Device;
@@ -227,8 +228,9 @@ impl KeyStore {
                         for (e, entry) in entries.iter().enumerate() {
                             let suite_hash = hash_suite(entry.suite);
                             // One device per entry: footprint capture only
-                            // reads it, so every stand shares the build.
-                            let device = entry.device_factory.build();
+                            // reads it, so every stand shares the build and
+                            // its whole-device fallback digest.
+                            let device = FootprintDevice::new(entry.device_factory.build());
                             for (s, stand) in stands.iter().enumerate() {
                                 let plans: Vec<Result<Arc<ExecutionPlan>, String>> =
                                     (0..entry.suite.tests.len())

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use comptest::core::campaign::CampaignEntry;
-use comptest::core::hash::{hash_stand, hash_suite, FootprintKey};
+use comptest::core::hash::{footprint_for_cell, hash_stand, hash_suite, FootprintKey};
 use comptest::core::CellKey;
 use comptest::dut::ElectricalConfig;
 use comptest::engine::{CacheKeying, CampaignCache, DirCache};
@@ -272,6 +272,76 @@ step, dt,  DS_FL
         hash_suite(&a),
         hash_suite(&b),
         "case-only respelling must key identically"
+    );
+}
+
+/// The footprint's name sets are collected from borrowed plan names and
+/// canonicalised once per distinct name; they must equal the sets built by
+/// calling `key()` on every action, for every bundled workbook on every
+/// bundled stand.
+#[test]
+fn footprint_name_sets_match_per_action_keys() {
+    use std::collections::BTreeSet;
+
+    use comptest::core::campaign::plan_script;
+    use comptest::model::SignalKind;
+    use comptest::stand::Action;
+
+    let suites = comptest::load_bundled_suites().unwrap();
+    let entries = comptest::bundled_entries(&suites);
+    let stands = ["stand_a", "stand_b", "stand_minimal"]
+        .map(|name| TestStand::load(comptest::asset(&format!("{name}.stand"))).unwrap());
+    let mut touched_cells = 0;
+    for entry in &entries {
+        for stand in &stands {
+            let mut signals = BTreeSet::new();
+            let mut pins = BTreeSet::new();
+            let mut frames = BTreeSet::new();
+            let mut resources = BTreeSet::new();
+            for script in comptest::script::generate_each(entry.suite) {
+                let Ok(plan) = plan_script(&script.unwrap(), stand) else {
+                    continue;
+                };
+                for action in plan
+                    .init
+                    .iter()
+                    .chain(plan.steps.iter().flat_map(|s| &s.actions))
+                {
+                    let (signal, kind, resource) = match action {
+                        Action::Apply {
+                            signal,
+                            kind,
+                            resource,
+                            ..
+                        } => (signal, kind, resource),
+                        Action::Check(check) => (&check.signal, &check.kind, &check.resource),
+                    };
+                    signals.insert(signal.key());
+                    resources.insert(resource.key());
+                    match kind {
+                        SignalKind::Pin { pins: p } => pins.extend(p.iter().map(|p| p.key())),
+                        SignalKind::Can { frame, .. } => {
+                            frames.insert(frame.0);
+                        }
+                    }
+                }
+            }
+            let fp = footprint_for_cell(entry, stand, "");
+            let cell = format!("{} @ {}", entry.suite.name, stand.name());
+            assert_eq!(fp.signals, Vec::from_iter(signals), "signals of {cell}");
+            assert_eq!(fp.pins, Vec::from_iter(pins), "pins of {cell}");
+            assert_eq!(fp.frames, Vec::from_iter(frames), "frames of {cell}");
+            assert_eq!(
+                fp.resources,
+                Vec::from_iter(resources),
+                "resources of {cell}"
+            );
+            touched_cells += usize::from(!fp.signals.is_empty());
+        }
+    }
+    assert!(
+        touched_cells >= entries.len(),
+        "most cells must plan something"
     );
 }
 

@@ -15,10 +15,12 @@
 //! * a late death report from a slot's earlier worker process never
 //!   retires the healthy worker that replaced it.
 //!
-//! The kill tests hold each job for `COMPTEST_WORKER_HOLD_MS` so a kill
-//! lands while a job is reliably in flight; the stale-report test stages
-//! its failure with a wrapper script instead, without timing.
+//! The kill tests stage their failure without timing: a wrapper script
+//! makes one worker process hold its job (`COMPTEST_WORKER_HOLD_MS`) until
+//! it is killed, and the kill waits for proof that the job was shipped.
+//! The stale-report test stages its failure with a wrapper script too.
 
+use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 
 use comptest::core::CoreError;
@@ -33,15 +35,6 @@ fn load_stand(name: &str) -> TestStand {
     TestStand::load(comptest::asset(name)).unwrap()
 }
 
-/// The real `comptest` binary as the worker command — `current_exe()` in
-/// a test harness is the harness, which has no `worker` subcommand.
-fn worker_command() -> Vec<String> {
-    vec![
-        env!("CARGO_BIN_EXE_comptest").to_string(),
-        "worker".to_string(),
-    ]
-}
-
 /// SIGKILLs a pid — no shutdown frame, no SIGTERM grace, exactly the
 /// "worker machine caught fire" case the retry path exists for.
 fn kill_nine(pid: u32) {
@@ -50,16 +43,60 @@ fn kill_nine(pid: u32) {
         .status();
 }
 
-/// Drains the event stream on a thread, SIGKILLing the first spawned
-/// worker the moment its `WorkerSpawned` event appears. Returns
-/// (killed pid, observed `WorkerLost` count).
-fn kill_first_worker(stream: EventStream) -> std::thread::JoinHandle<(Option<u32>, usize)> {
+/// A fresh marker path for one test's wrapper script.
+fn marker(test: &str) -> PathBuf {
+    let marker = std::env::temp_dir().join(format!("comptest-{test}-{}", std::process::id()));
+    let _ = std::fs::remove_file(&marker);
+    let _ = std::fs::remove_dir_all(&marker);
+    marker
+}
+
+/// A worker command under which exactly one process, the first to claim
+/// `marker`, holds every job for ten minutes: the job it is shipped cannot
+/// finish before the test kills it. The claim is a symlink to the claiming
+/// process's pid (which `exec` keeps), so the watcher knows whom to kill;
+/// every other process is a plain worker. The wrapped binary is the real
+/// `comptest` — `current_exe()` in a test harness is the harness, which
+/// has no `worker` subcommand.
+fn held_worker(marker: &Path) -> Vec<String> {
+    let script = format!(
+        r#"if ln -s "$$" "$1" 2>/dev/null; then
+        export {HOLD_MS_ENV}=600000
+    fi
+    exec "$0" worker"#
+    );
+    vec![
+        "sh".to_string(),
+        "-c".to_string(),
+        script,
+        env!("CARGO_BIN_EXE_comptest").to_string(),
+        marker.display().to_string(),
+    ]
+}
+
+/// Drains the event stream on a thread and SIGKILLs the held worker of
+/// [`held_worker`] once it provably holds a job. The orchestrator ships a
+/// job to every worker it spawns before it handles any worker message, and
+/// the held worker reports nothing before its hold ends: so the first job
+/// progress event (from a plain worker) proves that every spawned worker,
+/// the held one included, has its job in flight. Needs two workers and at
+/// least two jobs. Returns (killed pid, observed `WorkerLost` count).
+fn kill_held_worker(
+    stream: EventStream,
+    marker: PathBuf,
+) -> std::thread::JoinHandle<(Option<u32>, usize)> {
     std::thread::spawn(move || {
         let mut killed = None;
         let mut lost = 0usize;
         for event in stream {
             match event {
-                EngineEvent::WorkerSpawned { pid, .. } if killed.is_none() => {
+                EngineEvent::JobStarted { .. } | EngineEvent::TestStarted { .. }
+                    if killed.is_none() =>
+                {
+                    let pid = std::fs::read_link(&marker)
+                        .ok()
+                        .and_then(|pid| pid.to_str()?.parse().ok())
+                        .expect("a spawned worker claimed the hold");
                     kill_nine(pid);
                     killed = Some(pid);
                 }
@@ -85,17 +122,17 @@ fn killed_worker_jobs_are_retried_byte_identically() {
         .join()
         .unwrap();
 
-    let executor = RemoteExecutor::new(2)
-        .command(worker_command())
-        .env(HOLD_MS_ENV, "200");
+    let marker = marker("kill-retry");
+    let executor = RemoteExecutor::new(2).command(held_worker(&marker));
     let obs = Recorder::enabled();
     let mut handle = Campaign::new(&entries, &stands)
         .recorder(obs.clone())
         .launch(&executor)
         .unwrap();
-    let watcher = kill_first_worker(handle.events());
+    let watcher = kill_held_worker(handle.events(), marker.clone());
     let outcome = handle.join().expect("retries must recover the campaign");
     let (killed, lost_events) = watcher.join().expect("watcher thread");
+    let _ = std::fs::remove_file(&marker);
 
     assert!(
         killed.is_some(),
@@ -138,16 +175,17 @@ fn retry_limit_zero_reports_the_exact_lost_jobs() {
         .map(|e| format!("{} @ {}", e.suite.name, stand_b.name()))
         .collect();
 
-    let executor = RemoteExecutor::new(1)
-        .command(worker_command())
-        .env(HOLD_MS_ENV, "200")
+    let marker = marker("kill-lost");
+    let executor = RemoteExecutor::new(2)
+        .command(held_worker(&marker))
         .retry_limit(0);
     let mut handle = Campaign::new(&entries, &stands).launch(&executor).unwrap();
-    let watcher = kill_first_worker(handle.events());
+    let watcher = kill_held_worker(handle.events(), marker.clone());
     let err = handle
         .join()
         .expect_err("a lost job with retries disabled must fail the join");
     let (killed, _) = watcher.join().expect("watcher thread");
+    let _ = std::fs::remove_file(&marker);
     assert!(
         killed.is_some(),
         "fixture must have spawned a worker to kill"
@@ -230,8 +268,7 @@ fn stale_death_report_spares_the_respawned_worker() {
     // frame with an unknown tag to a real worker, which answers with an
     // `Error` frame; `cat` then holds the pipes open until the
     // orchestrator kills it. Every later process is a plain worker.
-    let marker = std::env::temp_dir().join(format!("comptest-stale-death-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&marker);
+    let marker = marker("stale-death");
     let script = r#"if mkdir "$1" 2>/dev/null; then
         printf '\001\000\000\000\143' | "$0" worker 2>/dev/null
         exec cat >/dev/null
