@@ -510,14 +510,15 @@ fn apply_action(
     };
     match (kind, value) {
         (SignalKind::Pin { pins }, AppliedValue::Num(v)) => {
-            let drive = match method.key().as_str() {
-                "put_r" => PinDrive::ResistanceToGround(*v),
-                "put_u" => PinDrive::Voltage(*v),
-                other => {
-                    return Err(format!(
-                        "method {other} is not executable on this simulated stand"
-                    ))
-                }
+            let drive = if *method == "put_r" {
+                PinDrive::ResistanceToGround(*v)
+            } else if *method == "put_u" {
+                PinDrive::Voltage(*v)
+            } else {
+                return Err(format!(
+                    "method {} is not executable on this simulated stand",
+                    method.key()
+                ));
             };
             // Stimuli drive the signal's first pin; a second pin, if any, is
             // the return line.
@@ -584,8 +585,9 @@ fn sample_check(
         message: String::new(),
     };
 
-    match (&check.kind, check.method.key().as_str()) {
-        (SignalKind::Pin { pins }, "get_u") => {
+    let method = &check.method;
+    match &check.kind {
+        SignalKind::Pin { pins } if *method == "get_u" => {
             let v = device.measure_pins(pins);
             result.measured = Measured::Num(v);
             if check.bound.accepts_num(v) {
@@ -595,7 +597,7 @@ fn sample_check(
                 result.message = format!("{v:.3} V outside bounds");
             }
         }
-        (SignalKind::Pin { pins }, "get_f") => {
+        SignalKind::Pin { pins } if *method == "get_f" => {
             // A frequency counter gates over the step window. The settle
             // time excludes the initial transient from the count.
             let window_start = step_start.saturating_add(check.settle);
@@ -608,14 +610,11 @@ fn sample_check(
                 result.message = format!("{f:.3} Hz outside bounds");
             }
         }
-        (
-            SignalKind::Can {
-                frame,
-                start_bit,
-                width,
-            },
-            "get_can",
-        ) => match device.read_can_field(*frame, *start_bit, *width) {
+        SignalKind::Can {
+            frame,
+            start_bit,
+            width,
+        } if *method == "get_can" => match device.read_can_field(*frame, *start_bit, *width) {
             Some(bits) => {
                 result.measured = Measured::Bits(bits);
                 if check.bound.accepts_bits(bits) {
@@ -630,9 +629,11 @@ fn sample_check(
                 result.message = format!("frame {frame} never transmitted");
             }
         },
-        (_, other) => {
-            result.message =
-                format!("method {other} cannot be measured on this signal kind in the simulation");
+        _ => {
+            result.message = format!(
+                "method {} cannot be measured on this signal kind in the simulation",
+                method.key()
+            );
         }
     }
 

@@ -113,6 +113,17 @@ impl StableHasher {
         self.write(s.as_bytes());
     }
 
+    /// Feeds a length-prefixed string as its ASCII-lowercase spelling —
+    /// the same bytes as `write_str(&s.to_ascii_lowercase())`, without
+    /// building the lowercase copy. Identifiers hash through this, so their
+    /// digests are case-insensitive like their comparisons.
+    pub fn write_str_lowercase(&mut self, s: &str) {
+        self.write_usize(s.len());
+        for b in s.bytes() {
+            self.write_u8(b.to_ascii_lowercase());
+        }
+    }
+
     /// Feeds an `f64` through its IEEE-754 bit pattern (`-0.0` is
     /// normalised to `0.0` so the two structurally equal spellings agree).
     pub fn write_f64(&mut self, v: f64) {
@@ -188,8 +199,8 @@ fn write_signal_kind(
 }
 
 fn write_signal_def(h: &mut StableHasher, sig: &SignalDef) {
-    h.write_str(&sig.name.key());
-    write_signal_kind(h, &sig.kind, |h, pin| h.write_str(&pin.key()));
+    h.write_str_lowercase(sig.name.as_str());
+    write_signal_kind(h, &sig.kind, |h, pin| h.write_str_lowercase(pin.as_str()));
     h.write_u8(match sig.direction {
         comptest_model::SignalDirection::Input => 0,
         comptest_model::SignalDirection::Output => 1,
@@ -197,7 +208,7 @@ fn write_signal_def(h: &mut StableHasher, sig: &SignalDef) {
     match &sig.init {
         Some(init) => {
             h.write_u8(1);
-            h.write_str(&init.key());
+            h.write_str_lowercase(init.as_str());
         }
         None => h.write_u8(0),
     }
@@ -206,13 +217,13 @@ fn write_signal_def(h: &mut StableHasher, sig: &SignalDef) {
 }
 
 fn write_status_def(h: &mut StableHasher, def: &StatusDef) {
-    h.write_str(&def.name.key());
-    h.write_str(&def.method.key());
-    h.write_str(&def.attribut.to_ascii_lowercase());
+    h.write_str_lowercase(def.name.as_str());
+    h.write_str_lowercase(def.method.as_str());
+    h.write_str_lowercase(&def.attribut);
     match &def.var {
         Some(var) => {
             h.write_u8(1);
-            h.write_str(&var.to_ascii_lowercase());
+            h.write_str_lowercase(var);
         }
         None => h.write_u8(0),
     }
@@ -259,8 +270,8 @@ pub fn hash_suite(suite: &TestSuite) -> u64 {
             h.write_u64(step.dt.as_micros());
             h.write_usize(step.assignments.len());
             for a in &step.assignments {
-                h.write_str(&a.signal.key());
-                h.write_str(&a.status.key());
+                h.write_str_lowercase(a.signal.as_str());
+                h.write_str_lowercase(a.status.as_str());
             }
             h.write_str(&step.remark);
         }
@@ -278,12 +289,12 @@ pub fn hash_stand(stand: &TestStand) -> u64 {
     write_env(&mut h, stand.env());
     h.write_usize(stand.resources().len());
     for resource in stand.resources() {
-        h.write_str(&resource.id.key());
+        h.write_str_lowercase(resource.id.as_str());
         h.write_usize(resource.capacity);
         h.write_usize(resource.capabilities.len());
         for cap in &resource.capabilities {
-            h.write_str(&cap.method.key());
-            h.write_str(&cap.attribut.to_ascii_lowercase());
+            h.write_str_lowercase(cap.method.as_str());
+            h.write_str_lowercase(&cap.attribut);
             h.write_f64(cap.min);
             h.write_f64(cap.max);
             h.write_str(&cap.unit.to_string());
@@ -292,9 +303,9 @@ pub fn hash_stand(stand: &TestStand) -> u64 {
     let connections = stand.matrix().connections();
     h.write_usize(connections.len());
     for c in connections {
-        h.write_str(&c.point.key());
-        h.write_str(&c.resource.key());
-        h.write_str(&c.pin.key());
+        h.write_str_lowercase(c.point.as_str());
+        h.write_str_lowercase(c.resource.as_str());
+        h.write_str_lowercase(c.pin.as_str());
     }
     h.finish()
 }

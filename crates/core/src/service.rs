@@ -6,9 +6,8 @@
 //! each submitted campaign across its whole lifecycle, and a **result
 //! store** keeping finished verdicts retrievable after the submitting
 //! client is long gone. Both are engine-agnostic plain data, so they
-//! live here next to [`CampaignResult`](crate::campaign::CampaignResult)
-//! rather than in the server crate — tests and benches can use them
-//! without touching sockets.
+//! live here next to [`CampaignResult`] rather than in the server crate —
+//! tests and benches can use them without touching sockets.
 
 use std::collections::BTreeMap;
 use std::fmt;

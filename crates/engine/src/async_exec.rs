@@ -58,8 +58,8 @@ use crate::obs::Gauge;
 /// several). Concurrency is therefore bounded by memory, not by thread
 /// count — `AsyncExecutor::new(10_000)` is an ordinary configuration.
 ///
-/// Outcomes merge byte-identical to every other executor; see the
-/// [module docs](self) for the scheduling and cancellation details.
+/// Outcomes merge byte-identical to every other executor; the module
+/// docs of `async_exec` cover the scheduling and cancellation details.
 #[derive(Debug, Clone, Copy)]
 pub struct AsyncExecutor {
     concurrency: usize,

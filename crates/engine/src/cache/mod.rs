@@ -1,6 +1,6 @@
 //! The content-addressed campaign cache: [`CampaignCache`], the in-memory
 //! [`MemoryCache`], the on-disk [`DirCache`], and the per-run
-//! [`CacheRuntime`] every executor consults.
+//! `CacheRuntime` every executor consults.
 //!
 //! Regression campaigns re-run mostly unchanged suites on mostly unchanged
 //! stands; compositional-testing results (Kanso & Chebaro; Daca &
@@ -32,19 +32,20 @@
 //!   [`CoreError::Cache`], at configuration time.
 //! * **Hits keep campaign semantics.** A hit resolves at the same
 //!   admission point where the job would have run: it emits
-//!   [`EngineEvent::CellCached`](crate::EngineEvent::CellCached) and a
-//!   cached failure trips the `stop_on_first_fail` latch exactly like an
-//!   executed one, so warm runs cancel the same deterministic suffix.
+//!   [`EngineEvent::CellCached`] and a cached failure trips the
+//!   `stop_on_first_fail` latch exactly like an executed one, so warm runs
+//!   cancel the same deterministic suffix.
 //! * **`cache_verify` audits instead of skipping.** Every job executes,
 //!   executed outcomes are compared to cached ones, and
 //!   [`CampaignHandle::join`](crate::CampaignHandle::join) raises
 //!   [`CoreError::CacheMismatch`] when any diverged — the paper-style
 //!   spot-check that the content addressing really covers every input.
 //! * **Hits build no devices.** Records are pre-loaded before jobs are
-//!   packaged and are immutable for the launch, so admission is a
-//!   deterministic function of them; packaging asks
-//!   `CacheRuntime::will_hit` and skips constructing the DUT devices of
-//!   every predicted hit — a fully warm run builds zero devices.
+//!   packaged, and a job's cached outcomes stay untouched until its own
+//!   admission, so admission is a deterministic function of them;
+//!   packaging asks `CacheRuntime::will_hit` and skips constructing the
+//!   DUT devices of every predicted hit — a fully warm run builds zero
+//!   devices.
 //!
 //! # What invalidates the cache
 //!
@@ -107,7 +108,7 @@ use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use comptest_core::campaign::TestJobOutcome;
 use comptest_core::error::CoreError;
@@ -207,15 +208,32 @@ impl CellRecord {
     /// including the first planning error (where a job stops). `None` when
     /// the record lacks a test the job would run.
     pub fn job_outcomes(&self, tests: Range<usize>) -> Option<&[TestJobOutcome]> {
-        let (start, mut end) = (tests.start, tests.start);
-        for test in tests {
-            end = test + 1;
-            if self.tests.get(test)?.is_err() {
-                break;
-            }
-        }
-        self.tests.get(start..end)
+        let range = job_range(self.tests.len(), |t| self.tests[t].is_err(), tests)?;
+        Some(&self.tests[range])
     }
+}
+
+/// The suite tests a job running `tests` takes from a record of `len`
+/// outcomes, where `is_err(t)` says whether test `t`'s outcome is a
+/// planning error: every test in order, up to and including the first
+/// error (where a job stops). `None` when the record lacks a test the job
+/// would run.
+fn job_range(
+    len: usize,
+    is_err: impl Fn(usize) -> bool,
+    tests: Range<usize>,
+) -> Option<Range<usize>> {
+    let (start, mut end) = (tests.start, tests.start);
+    for test in tests {
+        if test >= len {
+            return None;
+        }
+        end = test + 1;
+        if is_err(test) {
+            break;
+        }
+    }
+    (end <= len).then_some(start..end)
 }
 
 /// A content-addressed store of campaign cell outcomes.
@@ -235,8 +253,8 @@ pub trait CampaignCache: fmt::Debug + Send + Sync {
     /// Like [`CampaignCache::load`], but distinguishes an entry that does
     /// not exist from one that exists and cannot be decoded, so the
     /// engine can tell a cold cache from a rotting store (it emits
-    /// [`EngineEvent::CellCacheCorrupt`](crate::EngineEvent::CellCacheCorrupt)
-    /// and bumps the `cache_corrupt_entries` counter for the latter).
+    /// [`EngineEvent::CellCacheCorrupt`] and bumps the
+    /// `cache_corrupt_entries` counter for the latter).
     ///
     /// The default implementation cannot see corruption and maps `load`
     /// to `Hit`/`Miss`; stores with their own decode step (like
@@ -467,6 +485,36 @@ struct Collector {
     executed: bool,
 }
 
+/// A pre-loaded record's outcomes in suite order, each `None` once
+/// admission has moved it into the job it serves.
+type Slots = Vec<Option<TestJobOutcome>>;
+
+/// One cell's pre-loaded record, whose outcomes admission hands out.
+struct Preloaded {
+    /// Whether the record covers every test of the suite.
+    complete: bool,
+    /// The cached outcomes. Jobs' test ranges never overlap, so a job
+    /// only ever reads slots no other job has emptied.
+    slots: Mutex<Slots>,
+}
+
+impl Preloaded {
+    fn new(record: CellRecord) -> Self {
+        Self {
+            complete: record.is_complete(),
+            slots: Mutex::new(record.tests.into_iter().map(Some).collect()),
+        }
+    }
+
+    /// Locks the slots and finds the ones serving the job that runs
+    /// `tests`, if the record determines them.
+    fn job_slots(&self, tests: Range<usize>) -> Option<(MutexGuard<'_, Slots>, Range<usize>)> {
+        let slots = self.slots.lock().expect("cached outcomes");
+        let range = job_range(slots.len(), |t| matches!(slots[t], Some(Err(_))), tests)?;
+        Some((slots, range))
+    }
+}
+
 /// The cache state of one launched campaign run, shared by every worker:
 /// pre-computed keys, pre-loaded records, per-cell store accumulators and
 /// the `cache_verify` mismatch count.
@@ -484,7 +532,7 @@ pub(crate) struct CacheRuntime {
     /// Per-cell dependency footprints (`None` under [`CacheKeying::Full`]
     /// or when capture was skipped) — attached to stored records.
     footprints: Vec<Option<Footprint>>,
-    records: Vec<Option<CellRecord>>,
+    records: Vec<Option<Preloaded>>,
     collectors: Vec<Mutex<Collector>>,
     /// Cells whose stored entry existed but could not be decoded:
     /// `(cell, suite, stand)`, collected at preload so every launch path
@@ -537,7 +585,7 @@ impl CacheRuntime {
                 let info = cache.lookup_io(&keys[cell]);
                 bytes_read += info.bytes;
                 records.push(match info.lookup {
-                    CacheLookup::Hit(record) => Some(record),
+                    CacheLookup::Hit(record) => Some(Preloaded::new(record)),
                     CacheLookup::Miss => {
                         obs.inc(Counter::CellsInvalidated);
                         None
@@ -594,33 +642,45 @@ impl CacheRuntime {
     }
 
     /// Whether [`CacheRuntime::admit`] will serve the job running `tests`
-    /// of `cell`. Records are pre-loaded before packaging and immutable
-    /// for the launch, so this prediction is exact — packaging uses it to
-    /// skip building DUT devices for jobs that will never run.
+    /// of `cell`. Records are pre-loaded before packaging and a job's
+    /// cached outcomes stay untouched until its own admission, so this
+    /// prediction is exact — packaging uses it to skip building DUT
+    /// devices for jobs that will never run.
     pub(crate) fn will_hit(&self, cell: usize, tests: Range<usize>) -> bool {
         !self.verify
             && self.records[cell]
                 .as_ref()
-                .is_some_and(|r| r.job_outcomes(tests).is_some())
+                .is_some_and(|r| r.job_slots(tests).is_some())
     }
 
     /// Admission: the cached outcomes of the job running `tests` of
-    /// `cell`, or `None` (miss / verify mode — the job must execute). A
-    /// hit on a partial record also feeds the cell's store accumulator,
-    /// so mixed warm/cold cells can complete their record.
+    /// `cell`, or `None` (miss / verify mode — the job must execute).
+    ///
+    /// Each (cell, test) outcome is served to exactly one job, so a hit
+    /// *moves* its outcomes out of the pre-loaded record instead of
+    /// cloning them. The one clone left is for partial records: their
+    /// hits also feed the cell's store accumulator, so mixed warm/cold
+    /// cells can complete their record. A complete record never needs
+    /// re-storing, so fully-warm cells skip the accumulator and clone
+    /// nothing. Verify mode serves nothing and leaves every record intact
+    /// for [`CacheRuntime::finish`] to compare against.
     pub(crate) fn admit(&self, cell: usize, tests: Range<usize>) -> Option<Vec<TestJobOutcome>> {
         if self.verify {
             return None;
         }
         let record = self.records[cell].as_ref()?;
-        let outcomes = record.job_outcomes(tests.clone())?.to_vec();
+        let (mut slots, range) = record.job_slots(tests.clone())?;
+        // Every slot in the range is still full; an emptied one would only
+        // turn this hit into a miss.
+        let outcomes: Vec<TestJobOutcome> = slots[range]
+            .iter_mut()
+            .map(Option::take)
+            .collect::<Option<_>>()?;
+        drop(slots);
         if self.keying == CacheKeying::Footprint {
             self.obs.inc(Counter::CacheHitsFootprint);
         }
-        // A complete record can never need re-storing, so fully-warm cells
-        // skip the accumulator entirely (a 10k-test warm run would
-        // otherwise clone every outcome twice for nothing).
-        if !record.is_complete() {
+        if !record.complete {
             self.note(cell, tests.start, &outcomes, false);
         }
         Some(outcomes)
@@ -632,13 +692,15 @@ impl CacheRuntime {
     /// differ.
     pub(crate) fn finish(&self, cell: usize, first: usize, outcomes: &[TestJobOutcome]) {
         if self.verify {
-            let tests = first..first + outcomes.len();
-            if let Some(cached) = self.records[cell]
-                .as_ref()
-                .and_then(|r| r.job_outcomes(tests))
-            {
-                if cached != outcomes {
-                    self.mismatches.fetch_add(1, Ordering::Relaxed);
+            if let Some(record) = &self.records[cell] {
+                if let Some((cached, range)) = record.job_slots(first..first + outcomes.len()) {
+                    if !cached[range]
+                        .iter()
+                        .map(Option::as_ref)
+                        .eq(outcomes.iter().map(Some))
+                    {
+                        self.mismatches.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             }
         }

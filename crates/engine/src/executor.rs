@@ -329,9 +329,10 @@ impl Prepared {
     /// every job that will actually *execute* gets one freshly built
     /// device per test (the serial pipeline power-cycles the DUT per test;
     /// building up front keeps worker tasks `'static`). Records are
-    /// pre-loaded and immutable for the launch, so admission is
-    /// predictable here: predicted cache hits skip device construction
-    /// entirely — a fully warm run builds zero devices.
+    /// pre-loaded before packaging and a job's cached outcomes stay
+    /// untouched until its own admission, so admission is predictable
+    /// here: predicted cache hits skip device construction entirely — a
+    /// fully warm run builds zero devices.
     ///
     /// Also returns, per job, the range of the flat (cell, test) merge
     /// order its outcomes fill.

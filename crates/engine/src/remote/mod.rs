@@ -1,11 +1,10 @@
 //! Distributed execution: ship packaged jobs to `comptest worker`
 //! processes.
 //!
-//! [`RemoteExecutor`] implements the same
-//! [`CampaignExecutor`](crate::CampaignExecutor) contract as the serial,
-//! pooled and async executors, but runs jobs in **spawned worker
-//! processes** connected over stdio with the length-prefixed frame
-//! protocol in [`frame`]. The division of labour:
+//! [`RemoteExecutor`] implements the same [`CampaignExecutor`] contract
+//! as the serial, pooled and async executors, but runs jobs in **spawned
+//! worker processes** connected over stdio with the length-prefixed frame
+//! protocol of the `frame` module. The division of labour:
 //!
 //! * the **parent** plans, packages, admits against the campaign cache
 //!   (only misses are shipped), dispatches in plan order with a window of
@@ -13,9 +12,8 @@
 //!   the campaign's event stream, feeds results back into the cache, and
 //!   merges outcomes byte-identical to every local executor;
 //! * each **worker** ([`worker_main`]) interns stands and scripts once,
-//!   realizes a fresh device per test from the shipped
-//!   [`DeviceSpec`](comptest_dut::DeviceSpec), and runs the job through
-//!   the same job runner as local execution.
+//!   realizes a fresh device per test from the shipped [`DeviceSpec`],
+//!   and runs the job through the same job runner as local execution.
 //!
 //! A job travels as one `Run` frame (its cell, first test, script ids,
 //! stand id and device recipe) and comes back as one `Done` frame
@@ -30,8 +28,7 @@
 //!   `jobs_retried` metric. Reader threads tag every report with the
 //!   process's generation, so a late death report from a slot's earlier
 //!   occupant never retires the healthy worker that replaced it. A job whose retries are exhausted is reported in
-//!   [`CoreError::JobsLost`](comptest_core::CoreError::JobsLost) **with
-//!   its label**, keeping
+//!   [`CoreError::JobsLost`] **with its label**, keeping
 //!   `jobs_executed + jobs_cached + jobs_cancelled == jobs_planned`
 //!   balanced (retries add attempts, not planned jobs).
 //! * **Graceful degradation**: jobs whose devices have no registry spec

@@ -38,7 +38,7 @@
 #![warn(missing_docs)]
 
 #[macro_use]
-mod name;
+pub mod name;
 
 pub mod error;
 pub mod expr;

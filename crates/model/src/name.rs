@@ -2,8 +2,28 @@
 //!
 //! The paper's sheets mix spellings freely (`INT_ILL` in the test sheet,
 //! `int_ill` in the generated XML, `UBATT`/`ubatt` in expressions).  All name
-//! types in this crate therefore preserve the original spelling for display
-//! but compare, hash and order **ASCII-case-insensitively**.
+//! types therefore preserve the original spelling for display but compare,
+//! hash and order **ASCII-case-insensitively**.
+//!
+//! # Representation
+//!
+//! Every identifier type — [`SignalName`](crate::SignalName),
+//! [`PinId`](crate::PinId), [`MethodName`](crate::MethodName),
+//! [`StatusName`](crate::StatusName) and the stand's `ResourceId` — is
+//! defined by [`define_name!`](crate::define_name) over an `Arc<str>`. A
+//! name is written once in a sheet and then passed through codegen,
+//! planning, footprint keys, actions and results; cloning it is a
+//! reference-count increment, never a copy of its text. `new` builds the
+//! `Arc<str>` straight from the borrowed text, so parsing and cache
+//! decoding allocate once per name.
+//!
+//! # `Debug` is part of the cache-key contract
+//!
+//! The derived `Debug` of a newtype over `Arc<str>` prints exactly what one
+//! over `String` printed: `SignalName("INT_ILL")`. Full cache keys hash a
+//! device's `Debug` rendering (`comptest_core::hash::hash_device`), names
+//! included, so the rendering must not change with the representation — or
+//! every on-disk cache record keyed that way would go cold. Keep the derive.
 
 use std::error::Error;
 use std::fmt;
@@ -41,7 +61,10 @@ impl fmt::Display for InvalidNameError {
 
 impl Error for InvalidNameError {}
 
-pub(crate) fn validate_name(kind: &'static str, s: &str) -> Result<(), InvalidNameError> {
+/// Checks an identifier's character set; `kind` names the identifier type
+/// in the error. Used by [`define_name!`](crate::define_name).
+#[doc(hidden)]
+pub fn validate_name(kind: &'static str, s: &str) -> Result<(), InvalidNameError> {
     let ok = !s.is_empty()
         && s.is_ascii()
         && s.bytes()
@@ -53,31 +76,57 @@ pub(crate) fn validate_name(kind: &'static str, s: &str) -> Result<(), InvalidNa
     }
 }
 
-/// Compares two strings ASCII-case-insensitively, byte-wise.
-pub(crate) fn cmp_ignore_case(a: &str, b: &str) -> std::cmp::Ordering {
+/// Compares two strings ASCII-case-insensitively, byte-wise. Used by
+/// [`define_name!`](crate::define_name).
+#[doc(hidden)]
+pub fn cmp_ignore_case(a: &str, b: &str) -> std::cmp::Ordering {
     let la = a.bytes().map(|b| b.to_ascii_lowercase());
     let lb = b.bytes().map(|b| b.to_ascii_lowercase());
     la.cmp(lb)
 }
 
-/// Defines a validated, case-insensitive identifier newtype.
+/// Defines a validated, case-insensitive identifier newtype over an
+/// `Arc<str>` (see the [module docs](crate::name) for why).
+///
+/// The generated type has `new`, `as_str`, `key`, `Display`,
+/// case-insensitive `Eq`/`Ord`/`Hash`, comparison with `str`, `FromStr` and
+/// `AsRef<str>`; invalid input fails with an `InvalidNameError` saying
+/// `invalid <kind> name`.
+///
+/// ```
+/// comptest_model::define_name!(
+///     /// The name of a harness connector.
+///     ConnectorName,
+///     "connector"
+/// );
+///
+/// let x = ConnectorName::new("X1_A").unwrap();
+/// assert_eq!(x, "x1_a");
+/// assert_eq!(format!("{x:?}"), r#"ConnectorName("X1_A")"#);
+/// assert_eq!(
+///     ConnectorName::new("X1/A").unwrap_err().to_string(),
+///     "invalid connector name \"X1/A\": must be non-empty ASCII of [A-Za-z0-9_.-]"
+/// );
+/// ```
+#[macro_export]
 macro_rules! define_name {
     ($(#[$meta:meta])* $T:ident, $kind:literal) => {
         $(#[$meta])*
         #[derive(Debug, Clone)]
-        pub struct $T(String);
+        pub struct $T(::std::sync::Arc<str>);
 
         impl $T {
-            /// Creates a new name, validating the character set.
+            /// Creates a new name, validating the character set. The text is
+            /// copied once, into the shared `Arc<str>`.
             ///
             /// # Errors
             ///
-            /// Returns [`crate::InvalidNameError`] if the string is empty or
+            /// Returns an `InvalidNameError` if the string is empty or
             /// contains characters outside `[A-Za-z0-9_.-]`.
-            pub fn new(s: impl Into<String>) -> Result<Self, $crate::name::InvalidNameError> {
-                let s = s.into();
-                $crate::name::validate_name($kind, &s)?;
-                Ok(Self(s))
+            pub fn new(s: impl AsRef<str>) -> Result<Self, $crate::InvalidNameError> {
+                let s = s.as_ref();
+                $crate::name::validate_name($kind, s)?;
+                Ok(Self(::std::sync::Arc::from(s)))
             }
 
             /// The name exactly as written in the source sheet.
@@ -91,8 +140,8 @@ macro_rules! define_name {
             }
         }
 
-        impl std::fmt::Display for $T {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        impl ::std::fmt::Display for $T {
+            fn fmt(&self, f: &mut ::std::fmt::Formatter<'_>) -> ::std::fmt::Result {
                 f.write_str(&self.0)
             }
         }
@@ -117,8 +166,8 @@ macro_rules! define_name {
             }
         }
 
-        impl std::hash::Hash for $T {
-            fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        impl ::std::hash::Hash for $T {
+            fn hash<H: ::std::hash::Hasher>(&self, state: &mut H) {
                 for b in self.0.bytes() {
                     state.write_u8(b.to_ascii_lowercase());
                 }
@@ -126,19 +175,19 @@ macro_rules! define_name {
         }
 
         impl PartialOrd for $T {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            fn partial_cmp(&self, other: &Self) -> Option<::std::cmp::Ordering> {
                 Some(self.cmp(other))
             }
         }
 
         impl Ord for $T {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            fn cmp(&self, other: &Self) -> ::std::cmp::Ordering {
                 $crate::name::cmp_ignore_case(&self.0, &other.0)
             }
         }
 
-        impl std::str::FromStr for $T {
-            type Err = $crate::name::InvalidNameError;
+        impl ::std::str::FromStr for $T {
+            type Err = $crate::InvalidNameError;
 
             fn from_str(s: &str) -> Result<Self, Self::Err> {
                 Self::new(s)

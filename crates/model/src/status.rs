@@ -309,7 +309,9 @@ pub struct ResolvedStatus {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatusTable {
     rows: Vec<StatusDef>,
-    index: BTreeMap<String, usize>,
+    /// Row index by name; `StatusName` orders case-insensitively, so a
+    /// lookup needs no lowercase copy of the name.
+    index: BTreeMap<StatusName, usize>,
 }
 
 impl StatusTable {
@@ -321,14 +323,13 @@ impl StatusTable {
     /// Inserts a definition. A redefinition replaces the earlier row and is
     /// reported by returning the old definition.
     pub fn insert(&mut self, def: StatusDef) -> Option<StatusDef> {
-        let key = def.name.key();
-        match self.index.get(&key) {
+        match self.index.get(&def.name) {
             Some(&i) => {
                 let old = std::mem::replace(&mut self.rows[i], def);
                 Some(old)
             }
             None => {
-                self.index.insert(key, self.rows.len());
+                self.index.insert(def.name.clone(), self.rows.len());
                 self.rows.push(def);
                 None
             }
@@ -337,14 +338,13 @@ impl StatusTable {
 
     /// Looks a status up by name, case-insensitively.
     pub fn get(&self, name: &StatusName) -> Option<&StatusDef> {
-        self.index.get(&name.key()).map(|&i| &self.rows[i])
+        self.index.get(name).map(|&i| &self.rows[i])
     }
 
-    /// Looks a status up by raw string.
+    /// Looks a status up by raw string (`None` for a string that is not a
+    /// valid status name).
     pub fn get_str(&self, name: &str) -> Option<&StatusDef> {
-        self.index
-            .get(&name.to_ascii_lowercase())
-            .map(|&i| &self.rows[i])
+        self.get(&StatusName::new(name).ok()?)
     }
 
     /// Number of statuses.

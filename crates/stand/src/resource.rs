@@ -4,94 +4,13 @@ use std::fmt;
 
 use comptest_model::{MethodName, Unit};
 
-// `define_name!` is internal to comptest-model, so stand-side identifiers get
-// their own newtype with the same case-insensitive semantics.
-
-/// The identifier of a resource (`Ress1`, `Dvm1`, `CanIf`, …).
-#[derive(Debug, Clone)]
-pub struct ResourceId(String);
-
-impl ResourceId {
-    /// Creates an id. Resource ids follow the same rules as other sheet
-    /// names: non-empty ASCII `[A-Za-z0-9_.-]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`comptest_model::InvalidNameError`] otherwise.
-    pub fn new(s: impl Into<String>) -> Result<Self, comptest_model::InvalidNameError> {
-        let s = s.into();
-        // Reuse the model's validation by constructing a MethodName (same
-        // charset) and discarding it.
-        MethodName::new(&s)?;
-        Ok(Self(s))
-    }
-
-    /// The id as written.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-
-    /// Canonical lowercase key.
-    pub fn key(&self) -> String {
-        self.0.to_ascii_lowercase()
-    }
-}
-
-impl fmt::Display for ResourceId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl PartialEq for ResourceId {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.eq_ignore_ascii_case(&other.0)
-    }
-}
-
-impl Eq for ResourceId {}
-
-impl PartialEq<str> for ResourceId {
-    fn eq(&self, other: &str) -> bool {
-        self.0.eq_ignore_ascii_case(other)
-    }
-}
-
-impl PartialEq<&str> for ResourceId {
-    fn eq(&self, other: &&str) -> bool {
-        self.0.eq_ignore_ascii_case(other)
-    }
-}
-
-impl std::hash::Hash for ResourceId {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for b in self.0.bytes() {
-            state.write_u8(b.to_ascii_lowercase());
-        }
-    }
-}
-
-impl PartialOrd for ResourceId {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ResourceId {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let a = self.0.bytes().map(|b| b.to_ascii_lowercase());
-        let b = other.0.bytes().map(|b| b.to_ascii_lowercase());
-        a.cmp(b)
-    }
-}
-
-impl std::str::FromStr for ResourceId {
-    type Err = comptest_model::InvalidNameError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        ResourceId::new(s)
-    }
-}
+comptest_model::define_name!(
+    /// The identifier of a resource (`Ress1`, `Dvm1`, `CanIf`, …). Resource
+    /// ids follow the same rules as other sheet names: non-empty ASCII
+    /// `[A-Za-z0-9_.-]`.
+    ResourceId,
+    "resource"
+);
 
 /// One supported method with its valid parameter range — one row of the
 /// paper's resource table (`Ress1  get_u  u  -60  60  V`).
@@ -205,6 +124,16 @@ mod tests {
         assert_eq!(a, "ress1");
         assert_eq!(a.to_string(), "Ress1");
         assert!(ResourceId::new("bad id").is_err());
+    }
+
+    #[test]
+    fn bad_resource_id_is_reported_as_a_resource_name() {
+        let err = ResourceId::new("Dec/1").unwrap_err();
+        assert_eq!(err.offending(), "Dec/1");
+        assert_eq!(
+            err.to_string(),
+            "invalid resource name \"Dec/1\": must be non-empty ASCII of [A-Za-z0-9_.-]"
+        );
     }
 
     #[test]

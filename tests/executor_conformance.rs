@@ -20,7 +20,11 @@
 //! * **JobsLost** — a worker dying mid-job surfaces as an error, never as
 //!   a silently truncated (possibly all-green) result;
 //! * **cache audit** — `cache_verify` passes on a truthful cache and
-//!   raises `CacheMismatch` on a poisoned one;
+//!   raises `CacheMismatch` on a poisoned one, counting each planted
+//!   mismatch once;
+//! * **admission** — a warm test-granular run serves every (cell, test)
+//!   outcome to exactly one job, launch after launch, and a hit on a
+//!   partial record still completes and stores the cell's record;
 //! * **observability** — enabling a `Recorder` changes no result or
 //!   report byte; counters balance (`jobs_executed + jobs_cached +
 //!   jobs_cancelled == jobs_planned`, `spans_opened == spans_closed`) on
@@ -1224,4 +1228,175 @@ fn conformance_cache_hits_build_no_devices() {
         cold_builds - entries.len(),
         "cache_verify re-executes, so warm audit runs still build every device"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Admission: a hit moves each cached outcome into the one job it serves.
+// ---------------------------------------------------------------------------
+
+/// The footprint-keyed address (the default keying) of one bundled cell.
+fn default_key(entry: &CampaignEntry<'_>, stand: &TestStand) -> comptest::core::CellKey {
+    FootprintKey::for_cell(entry, stand, &ExecOptions::default(), "").cell_key()
+}
+
+#[test]
+fn conformance_test_granular_hits_serve_each_job_its_own_outcome() {
+    let scratch = TempDir::new("admission");
+    let suites = load_suites();
+    let entries = entries(&suites);
+    let stand_a = load_stand("stand_a.stand");
+    let stand_b = load_stand("stand_b.stand");
+    let stands = [&stand_a, &stand_b];
+    let reference = Campaign::new(&entries, &stands)
+        .granularity(Granularity::Test)
+        .launch(&SerialExecutor)
+        .unwrap()
+        .join()
+        .unwrap();
+    let tests_per_cell: Vec<usize> = entries
+        .iter()
+        .flat_map(|e| stands.iter().map(move |_| e.suite.tests.len()))
+        .collect();
+
+    for subject in subjects() {
+        for setup in [CacheSetup::Memory, CacheSetup::Dir] {
+            let label = format!("{}/{}", subject.name, setup.label());
+            let campaign = Campaign::new(&entries, &stands)
+                .granularity(Granularity::Test)
+                .cache(setup.build(&scratch).unwrap());
+            let executor = (subject.build)();
+            let _ = campaign.launch(executor.as_ref()).unwrap().join().unwrap();
+            // Two warm launches of the same campaign value: a launch moves
+            // outcomes out of its own pre-loaded copy, never out of the
+            // store, so the second is served in full as well.
+            for round in 0..2 {
+                let mut handle = campaign.launch(executor.as_ref()).unwrap();
+                let mut served: Vec<(usize, usize)> = handle
+                    .events()
+                    .filter_map(|e| match e {
+                        EngineEvent::CellCached {
+                            cell,
+                            test: Some(test),
+                            ..
+                        } => Some((cell, test)),
+                        _ => None,
+                    })
+                    .collect();
+                let warm = handle.join().unwrap();
+                assert_eq!(warm, reference, "{label}: warm round {round} diverged");
+                served.sort_unstable();
+                let expected: Vec<(usize, usize)> = tests_per_cell
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(cell, &n)| (0..n).map(move |test| (cell, test)))
+                    .collect();
+                assert_eq!(
+                    served, expected,
+                    "{label}: round {round} must serve every (cell, test) exactly once"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn conformance_cache_verify_counts_one_planted_mismatch_on_a_warm_store() {
+    let suites = load_suites();
+    let entries = entries(&suites);
+    let stand_b = load_stand("stand_b.stand");
+    let stands = [&stand_b];
+    let cache = Arc::new(MemoryCache::new());
+    let campaign = Campaign::new(&entries, &stands)
+        .granularity(Granularity::Test)
+        .cache(cache.clone());
+    let _ = campaign.run(&SerialExecutor).unwrap();
+
+    // Plant one wrong outcome: the last test of the first cell reports a
+    // different stand name than the one it ran on.
+    let key = default_key(&entries[0], &stand_b);
+    let mut record = cache.load(&key).expect("populated record");
+    let last = record.tests.last_mut().expect("a cached test");
+    last.as_mut().expect("the planted test executed").stand = "ELSEWHERE".into();
+    cache.store(&key, &record);
+
+    let verify = Campaign::new(&entries, &stands)
+        .granularity(Granularity::Test)
+        .cache(cache.clone())
+        .cache_verify(true);
+    for subject in subjects() {
+        cache.store(&key, &record);
+        let executor = (subject.build)();
+        let err = verify
+            .launch(executor.as_ref())
+            .unwrap()
+            .join()
+            .unwrap_err();
+        assert!(
+            matches!(err, CoreError::CacheMismatch { mismatches: 1 }),
+            "{}: expected exactly one mismatch, got {err:?}",
+            subject.name
+        );
+    }
+}
+
+#[test]
+fn conformance_partial_record_completes_and_is_stored() {
+    let suites = load_suites();
+    let entries = entries(&suites);
+    let stand_b = load_stand("stand_b.stand");
+    let stands = [&stand_b];
+    let reference = Campaign::new(&entries, &stands)
+        .granularity(Granularity::Test)
+        .launch(&SerialExecutor)
+        .unwrap()
+        .join()
+        .unwrap();
+    let truth = Arc::new(MemoryCache::new());
+    let _ = Campaign::new(&entries, &stands)
+        .cache(truth.clone())
+        .run(&SerialExecutor)
+        .unwrap();
+    let key = default_key(&entries[0], &stand_b);
+    let full = truth.load(&key).expect("populated record");
+    assert!(full.total > 1 && full.is_complete() && full.tests.iter().all(Result::is_ok));
+
+    for subject in subjects() {
+        // Only the first test of the first cell is cached: that job hits
+        // a partial record, the rest of the cell executes, and the cell's
+        // record is stored complete.
+        let cache = Arc::new(MemoryCache::new());
+        let mut partial = full.clone();
+        partial.tests.truncate(1);
+        cache.store(&key, &partial);
+        let campaign = Campaign::new(&entries, &stands)
+            .granularity(Granularity::Test)
+            .cache(cache.clone());
+        let executor = (subject.build)();
+        let mut handle = campaign.launch(executor.as_ref()).unwrap();
+        let cached: Vec<(usize, Option<usize>)> = handle
+            .events()
+            .filter_map(|e| match e {
+                EngineEvent::CellCached { cell, test, .. } => Some((cell, test)),
+                _ => None,
+            })
+            .collect();
+        let outcome = handle.join().unwrap();
+        assert_eq!(
+            outcome, reference,
+            "{}: partial-hit run diverged",
+            subject.name
+        );
+        assert_eq!(
+            cached,
+            [(0, Some(0))],
+            "{}: only the cached test hits",
+            subject.name
+        );
+        assert_eq!(
+            cache.load(&key).as_ref(),
+            Some(&full),
+            "{}: the completed record is stored",
+            subject.name
+        );
+    }
 }
