@@ -34,6 +34,12 @@
 //! strings on the way. Their walks destructure every struct and variant
 //! without `..`, so a new plan or configuration field is a compile error
 //! here until it is hashed.
+//!
+//! The plan side of a footprint does not depend on the device, so it can
+//! be memoised under a [`plan_memo_key`] and turned back into the cell's
+//! footprint for any device by [`footprint_from_memo`], which walks only
+//! the DUT slice. [`PLAN_MEMO_VERSION`] guards such memos against codegen
+//! or planner changes.
 
 use std::cell::OnceCell;
 use std::collections::BTreeSet;
@@ -797,7 +803,40 @@ pub fn capture_footprint(
         }
     }
 
+    let dut = &device.device;
     let pins: Vec<String> = touched.pins.iter().map(|pin| pin.key()).collect();
+    let frames: Vec<u32> = touched.frames.into_iter().collect();
+    let bindings = touched.pins.iter().map(|&pin| dut.pin_binding(pin));
+    let dut_slice_hash =
+        dut_slice_digest(pins.iter().zip(bindings), &frames, complete, device, salt);
+
+    Footprint {
+        salt: salt.to_owned(),
+        signals: touched.signals.iter().map(|s| s.key()).collect(),
+        pins,
+        frames,
+        resources: touched.resources.iter().map(|r| r.key()).collect(),
+        ecus: vec![dut.behavior_name().to_owned()],
+        plan_hash: plan_hasher.finish(),
+        dut_slice_hash,
+    }
+}
+
+/// Digest of the DUT slice a cell touches (tag `b'F'`; salt included):
+/// the electrical configuration, the behaviour name, each touched pin's
+/// canonical key with its binding (`None` for a pin the device does not
+/// bind) and port slice, and the touched CAN frames with their bindings and
+/// port slices. A slice that is not `complete` — after a planning error,
+/// or with a touched port that has no
+/// [`port_slice`](comptest_dut::Behavior::port_slice) — folds in the whole
+/// device's [`hash_device`] digest.
+fn dut_slice_digest<'k, 'd>(
+    pins: impl ExactSizeIterator<Item = (&'k String, Option<&'d PinBinding>)>,
+    frames: &[u32],
+    mut complete: bool,
+    device: &'d FootprintDevice,
+    salt: &str,
+) -> u64 {
     let dut = &device.device;
     let mut dut_hasher = StableHasher::new();
     dut_hasher.write_u8(b'F');
@@ -805,9 +844,9 @@ pub fn capture_footprint(
     write_electrical_config(&mut dut_hasher, dut.config());
     dut_hasher.write_str(dut.behavior_name());
     dut_hasher.write_usize(pins.len());
-    for (&pin, key) in touched.pins.iter().zip(&pins) {
+    for (key, binding) in pins {
         dut_hasher.write_str(key);
-        match dut.pin_binding(pin) {
+        match binding {
             Some(binding) => {
                 dut_hasher.write_u8(1);
                 match write_pin_binding(&mut dut_hasher, binding) {
@@ -825,8 +864,8 @@ pub fn capture_footprint(
             None => dut_hasher.write_u8(0),
         }
     }
-    dut_hasher.write_usize(touched.frames.len());
-    for &frame in &touched.frames {
+    dut_hasher.write_usize(frames.len());
+    for &frame in frames {
         dut_hasher.write_u32(frame);
         let bindings = dut.can_frame_bindings(CanFrameId(frame));
         dut_hasher.write_usize(bindings.len());
@@ -850,16 +889,69 @@ pub fn capture_footprint(
         dut_hasher.write_u8(255);
         dut_hasher.write_u64(device.whole_hash());
     }
+    dut_hasher.finish()
+}
 
+/// Re-derives a cell's footprint from a memoised one (see
+/// [`plan_memo_key`]) and a freshly built device, without generating or
+/// planning anything: the plan side — salt, touched signals, pins, frames
+/// and resources, and [`plan_hash`](Footprint::plan_hash) — is kept as it
+/// is, and the DUT slice is walked afresh, so the result equals what
+/// [`capture_footprint`] returns for the same cell on this device.
+///
+/// A memo is only written for cells whose every test planned, so the walk
+/// starts from a complete slice. Pins are rebuilt from their canonical
+/// keys, which are valid names; a key that is not (a tampered record) reads
+/// as a pin the device does not bind.
+pub fn footprint_from_memo(memo: &Footprint, device: &FootprintDevice) -> Footprint {
+    let dut = &device.device;
+    let pins: Vec<Option<PinId>> = memo.pins.iter().map(|key| PinId::new(key).ok()).collect();
+    let bindings = pins
+        .iter()
+        .map(|pin| pin.as_ref().and_then(|pin| dut.pin_binding(pin)));
     Footprint {
-        salt: salt.to_owned(),
-        signals: touched.signals.iter().map(|s| s.key()).collect(),
-        pins,
-        frames: touched.frames.into_iter().collect(),
-        resources: touched.resources.iter().map(|r| r.key()).collect(),
+        salt: memo.salt.clone(),
+        signals: memo.signals.clone(),
+        pins: memo.pins.clone(),
+        frames: memo.frames.clone(),
+        resources: memo.resources.clone(),
         ecus: vec![dut.behavior_name().to_owned()],
-        plan_hash: plan_hasher.finish(),
-        dut_slice_hash: dut_hasher.finish(),
+        plan_hash: memo.plan_hash,
+        dut_slice_hash: dut_slice_digest(
+            memo.pins.iter().zip(bindings),
+            &memo.frames,
+            true,
+            device,
+            &memo.salt,
+        ),
+    }
+}
+
+/// The version of codegen and planning a plan memo trusts. A memo skips
+/// both, so any change that moves a generated script or a resolved plan —
+/// anything that re-blesses `assets/golden/plan_digests.txt` — must bump
+/// this, which moves every [`plan_memo_key`] and turns every memo into a
+/// miss.
+pub const PLAN_MEMO_VERSION: u32 = 1;
+
+/// The plan-memo key of one cell: the address under which a cache keeps
+/// an alias of the cell's latest record, so a later launch can read the
+/// record's [`Footprint`] back instead of generating and planning the
+/// cell. It hashes only what a plan depends on — the suite, the whole
+/// stand ([`hash_stand`]), the salt, the exec options (the aliased record
+/// depends on them) and [`PLAN_MEMO_VERSION`] — and never the device. The
+/// DUT axis carries a digest tagged `b'M'`, so memo keys share no hash
+/// domain with full (`b'D'`) or footprint (`b'F'`) keys.
+pub fn plan_memo_key(suite_hash: u64, stand_hash: u64, salt: &str, exec_hash: u64) -> CellKey {
+    let mut h = StableHasher::new();
+    h.write_u8(b'M');
+    h.write_u32(PLAN_MEMO_VERSION);
+    h.write_str(salt);
+    CellKey {
+        suite_hash,
+        stand_hash,
+        dut_config_hash: h.finish(),
+        exec_hash,
     }
 }
 

@@ -44,8 +44,21 @@
 //!   packaged, and a job's cached outcomes stay untouched until its own
 //!   admission, so admission is a deterministic function of them;
 //!   packaging asks `CacheRuntime::will_hit` and skips constructing the
-//!   DUT devices of every predicted hit — a fully warm run builds zero
-//!   devices.
+//!   DUT devices (and generating the scripts) of every predicted hit — a
+//!   fully warm run builds no devices for its jobs.
+//! * **Warm keys need no plans.** A footprint key needs each cell's
+//!   resolved plans, which depend on the suite and the stand but not on
+//!   the device. So every stored cell record is also aliased under the
+//!   cell's [plan-memo key](comptest_core::hash::plan_memo_key)
+//!   ([`CampaignCache::alias`]): a later launch reads the record's
+//!   footprint back through it, re-walks only the DUT slice
+//!   ([`footprint_from_memo`](comptest_core::hash::footprint_from_memo))
+//!   and, when that slice is unchanged, serves the very record it read —
+//!   one read per warm cell, no codegen, no planning. A cell whose
+//!   planning fails gets no memo; an absent, stale or corrupt memo only
+//!   costs a re-plan, after which the cell is re-aliased. `cache_verify`
+//!   still reads every memo and counts one whose plan side disagrees with
+//!   fresh planning as a mismatch.
 //!
 //! # What invalidates the cache
 //!
@@ -67,6 +80,13 @@
 //!   untouched. Anything the footprint cannot prove untouched falls back
 //!   to whole-device hashing, so footprint keying is never less safe than
 //!   full keying, only more precise.
+//!
+//! Under footprint keying a cell's plan memo trusts that codegen and
+//! planning did not change since it was written. A change that moves a
+//! generated script or a resolved plan (one that re-blesses
+//! `assets/golden/plan_digests.txt`) therefore bumps
+//! [`PLAN_MEMO_VERSION`](comptest_core::hash::PLAN_MEMO_VERSION), which
+//! moves every memo key: old memos become misses, never wrong keys.
 //!
 //! Both modes fold the campaign's **cache salt**
 //! ([`Campaign::cache_salt`](crate::Campaign::cache_salt), CLI
@@ -96,6 +116,14 @@
 //! module docs. A version bump makes stale files decode as errors →
 //! misses; they re-execute and are rewritten in the current version.
 //!
+//! Under footprint keying each clean cell's record file also has a second
+//! name, `<memo-key>.bin`: a hard link made by [`DirCache`]'s
+//! [`alias`](CampaignCache::alias). A store replaces the record file with
+//! a new one, so the engine re-links the memo name after every store; an
+//! existing link is replaced by linking a `.tmp-*` name and renaming it
+//! over. Records from releases without memos stay valid hits and gain
+//! their link on the first warm run.
+//!
 //! Earlier releases could also write `<key>.json` records. Those files
 //! are never read: a leftover `.json` entry is a plain miss, so its cell
 //! re-executes and is rewritten as `.bin`.
@@ -116,7 +144,7 @@ use comptest_core::hash::{CellKey, Footprint};
 
 use crate::campaign::{Campaign, Granularity};
 use crate::events::{emit, EngineEvent};
-use crate::executor::KeySet;
+use crate::executor::{KeySet, MemoReads};
 use crate::obs::{Counter, Recorder};
 
 /// How campaign cells are keyed into the cache — which edits invalidate
@@ -288,6 +316,21 @@ pub trait CampaignCache: fmt::Debug + Send + Sync {
         self.store(key, record);
         0
     }
+
+    /// Makes `alias` resolve to the record stored under `key` — the
+    /// engine keeps each cell's plan memo this way (see
+    /// [`plan_memo_key`](comptest_core::hash::plan_memo_key)). Best-effort
+    /// like `store`: a missing alias only costs the next launch a re-plan.
+    ///
+    /// The default implementation copies the record (`load`, then
+    /// `store`), so a decorator that does not forward `alias` stays
+    /// correct. [`DirCache`] hard-links the record file instead and
+    /// [`MemoryCache`] maps the alias to the key.
+    fn alias(&self, key: &CellKey, alias: &CellKey) {
+        if let Some(record) = self.load(key) {
+            self.store(alias, &record);
+        }
+    }
 }
 
 /// A [`CampaignCache::lookup_io`] result: the lookup outcome plus the
@@ -320,7 +363,14 @@ pub enum CacheLookup {
 /// benches.
 #[derive(Debug, Default)]
 pub struct MemoryCache {
-    cells: Mutex<HashMap<CellKey, CellRecord>>,
+    cells: Mutex<MemoryCells>,
+}
+
+#[derive(Debug, Default)]
+struct MemoryCells {
+    records: HashMap<CellKey, CellRecord>,
+    /// Alias key → the key whose record it resolves to.
+    aliases: HashMap<CellKey, CellKey>,
 }
 
 impl MemoryCache {
@@ -329,9 +379,9 @@ impl MemoryCache {
         Self::default()
     }
 
-    /// Number of cached cells.
+    /// Number of cached cells. Aliases are not records and do not count.
     pub fn len(&self) -> usize {
-        self.cells.lock().expect("cache lock").len()
+        self.cells.lock().expect("cache lock").records.len()
     }
 
     /// True when nothing is cached.
@@ -342,14 +392,21 @@ impl MemoryCache {
 
 impl CampaignCache for MemoryCache {
     fn load(&self, key: &CellKey) -> Option<CellRecord> {
-        self.cells.lock().expect("cache lock").get(key).cloned()
+        let cells = self.cells.lock().expect("cache lock");
+        let key = cells.aliases.get(key).unwrap_or(key);
+        cells.records.get(key).cloned()
     }
 
     fn store(&self, key: &CellKey, record: &CellRecord) {
-        self.cells
-            .lock()
-            .expect("cache lock")
-            .insert(*key, record.clone());
+        let mut cells = self.cells.lock().expect("cache lock");
+        cells.aliases.remove(key);
+        cells.records.insert(*key, record.clone());
+    }
+
+    fn alias(&self, key: &CellKey, alias: &CellKey) {
+        let mut cells = self.cells.lock().expect("cache lock");
+        cells.records.remove(alias);
+        cells.aliases.insert(*alias, *key);
     }
 }
 
@@ -405,6 +462,17 @@ impl DirCache {
     pub fn entry_path(&self, key: &CellKey) -> PathBuf {
         self.dir.join(format!("{key}.bin"))
     }
+
+    /// A fresh temp name in the directory, unique per writer: process id
+    /// plus the process-wide counter (two instances on one directory must
+    /// not collide).
+    fn tmp_path(&self) -> PathBuf {
+        self.dir.join(format!(
+            ".tmp-{}-{}",
+            std::process::id(),
+            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+        ))
+    }
 }
 
 impl CampaignCache for DirCache {
@@ -451,13 +519,7 @@ impl CampaignCache for DirCache {
     }
 
     fn store_io(&self, key: &CellKey, record: &CellRecord) -> u64 {
-        // Unique-per-writer temp name: process id + process-wide counter
-        // (two DirCache instances on one directory must not collide).
-        let tmp = self.dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
+        let tmp = self.tmp_path();
         let bytes = binary::encode(record);
         let written = bytes.len() as u64;
         // Best-effort: a cache that cannot persist (full disk, revoked
@@ -471,6 +533,28 @@ impl CampaignCache for DirCache {
             return 0;
         }
         written
+    }
+
+    /// Hard-links the record file of `key` under `alias`'s name, so the
+    /// alias costs one directory entry and reads as the record did at
+    /// link time. An existing alias is replaced atomically: the link goes
+    /// to a temp name first and is renamed over it.
+    fn alias(&self, key: &CellKey, alias: &CellKey) {
+        let (record, target) = (self.entry_path(key), self.entry_path(alias));
+        match std::fs::hard_link(&record, &target) {
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
+                let tmp = self.tmp_path();
+                if std::fs::hard_link(&record, &tmp).is_ok() {
+                    let _ = std::fs::rename(&tmp, &target);
+                }
+                // Renaming one link of a file over another link of the same
+                // file succeeds and leaves both names, so always clean up.
+                let _ = std::fs::remove_file(&tmp);
+            }
+            // Linked, or best-effort failure (no record, no permission, no
+            // hard links on this file system): the next launch re-plans.
+            _ => {}
+        }
     }
 }
 
@@ -532,6 +616,10 @@ pub(crate) struct CacheRuntime {
     /// Per-cell dependency footprints (`None` under [`CacheKeying::Full`]
     /// or when capture was skipped) — attached to stored records.
     footprints: Vec<Option<Footprint>>,
+    /// Per-cell plan-memo keys, re-pointed at the cell's record after each
+    /// store (`None` under full keying and for cells with a planning
+    /// error).
+    memos: Vec<Option<CellKey>>,
     records: Vec<Option<Preloaded>>,
     collectors: Vec<Mutex<Collector>>,
     /// Cells whose stored entry existed but could not be decoded:
@@ -557,10 +645,17 @@ impl CacheRuntime {
     /// will re-execute); per-cell footprints ride along to be attached to
     /// stored records, their encoded size feeding `footprint_bytes` (only
     /// counted when `obs` is enabled).
+    ///
+    /// Key resolution may already have read some records through their
+    /// plan memos (`reads`): those are taken as they are, not read again.
+    /// A cell whose memo was absent or stale gets it re-pointed at the
+    /// record its key hits; corrupt memos warn like corrupt records, and
+    /// memo mismatches seen under `cache_verify` count as mismatches.
     pub(crate) fn prepare(
         cache: Arc<dyn CampaignCache>,
         campaign: &Campaign<'_, '_>,
         keyset: &KeySet,
+        mut reads: MemoReads,
         obs: &Recorder,
     ) -> Arc<Self> {
         let keys = &keyset.keys;
@@ -570,6 +665,7 @@ impl CacheRuntime {
         let mut records = Vec::with_capacity(keys.len());
         let mut collectors = Vec::with_capacity(keys.len());
         let mut corrupt = Vec::new();
+        let mut corrupt_memos = reads.corrupt.iter().peekable();
         let mut bytes_read = 0u64;
         let mut footprint_bytes = 0u64;
         let mut cell = 0;
@@ -582,9 +678,26 @@ impl CacheRuntime {
                         footprint_bytes += binary::footprint_bytes(fp);
                     }
                 }
-                let info = cache.lookup_io(&keys[cell]);
-                bytes_read += info.bytes;
-                records.push(match info.lookup {
+                if corrupt_memos.next_if_eq(&&cell).is_some() {
+                    corrupt.push((cell, entry.suite.name.clone(), stand.name().to_owned()));
+                }
+                // `Some(None)`: this launch read the cell's memo and it did
+                // not give the record; `None`: an earlier launch did.
+                let memo_read = reads.records.get_mut(cell).map(Option::take);
+                let lookup = match memo_read {
+                    Some(Some(record)) => CacheLookup::Hit(record),
+                    _ => {
+                        let info = cache.lookup_io(&keys[cell]);
+                        bytes_read += info.bytes;
+                        if let (CacheLookup::Hit(_), Some(None), Some(memo)) =
+                            (&info.lookup, &memo_read, &keyset.memos[cell])
+                        {
+                            cache.alias(&keys[cell], memo);
+                        }
+                        info.lookup
+                    }
+                };
+                records.push(match lookup {
                     CacheLookup::Hit(record) => Some(Preloaded::new(record)),
                     CacheLookup::Miss => {
                         obs.inc(Counter::CellsInvalidated);
@@ -617,10 +730,11 @@ impl CacheRuntime {
             keying: campaign.cache_keying,
             keys: keys.to_vec(),
             footprints: footprints.to_vec(),
+            memos: keyset.memos.clone(),
             records,
             collectors,
             corrupt,
-            mismatches: AtomicUsize::new(0),
+            mismatches: AtomicUsize::new(reads.mismatches),
             obs: obs.clone(),
         })
     }
@@ -743,6 +857,9 @@ impl CacheRuntime {
         };
         let written = self.cache.store_io(&self.keys[cell], &record);
         self.obs.add(Counter::CacheBytesWritten, written);
+        if let Some(memo) = &self.memos[cell] {
+            self.cache.alias(&self.keys[cell], memo);
+        }
     }
 }
 
@@ -861,6 +978,66 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.load(&key(1)), Some(record));
         assert!(cache.load(&key(2)).is_none());
+    }
+
+    #[test]
+    fn memory_cache_aliases_resolve_and_do_not_count() {
+        let cache = MemoryCache::new();
+        let record = CellRecord {
+            total: 1,
+            tests: vec![Ok(result("a"))],
+            footprint: None,
+        };
+        cache.store(&key(1), &record);
+        cache.alias(&key(1), &key(2));
+        cache.alias(&key(1), &key(3));
+        assert_eq!(cache.len(), 1, "aliases are not records");
+        assert_eq!(cache.load(&key(2)), Some(record.clone()));
+        // An alias follows its key's latest record.
+        let mut newer = record.clone();
+        newer.total = 2;
+        cache.store(&key(1), &newer);
+        assert_eq!(cache.load(&key(3)), Some(newer));
+        // An alias of nothing reads as a miss.
+        cache.alias(&key(4), &key(5));
+        assert_eq!(cache.lookup(&key(5)), CacheLookup::Miss);
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn dir_cache_aliases_are_hard_links_replaced_atomically() {
+        let dir = std::env::temp_dir().join(format!("comptest-cache-alias-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = DirCache::open(&dir).unwrap();
+        let record = CellRecord {
+            total: 1,
+            tests: vec![Ok(result("a"))],
+            footprint: None,
+        };
+        cache.store(&key(1), &record);
+        cache.alias(&key(1), &key(2));
+        assert_eq!(cache.load(&key(2)), Some(record.clone()));
+        // The alias keeps the record it was linked to until re-aliased.
+        let newer = CellRecord {
+            total: 2,
+            ..record.clone()
+        };
+        cache.store(&key(1), &newer);
+        assert_eq!(cache.load(&key(2)), Some(record));
+        cache.alias(&key(1), &key(2));
+        assert_eq!(cache.load(&key(2)), Some(newer.clone()));
+        // Re-aliasing to the same file, or aliasing a missing record,
+        // changes nothing and leaves no temp file behind.
+        cache.alias(&key(1), &key(2));
+        cache.alias(&key(9), &key(2));
+        assert_eq!(cache.load(&key(2)), Some(newer));
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names.len(), 2, "{names:?}");
+        assert!(names.iter().all(|n| !n.starts_with(".tmp-")), "{names:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -146,13 +146,15 @@ pub struct Campaign<'a, 'b> {
     /// launches of this campaign value — relaunching (replay loops, warm
     /// cache runs, benches) never re-plans at admission.
     pub(crate) plans: PlanStore,
-    /// Per-campaign script store: every entry's scripts are generated once
-    /// (the codegen precheck of the first launch) and reused by later
+    /// Per-campaign script store: each entry's scripts are generated at
+    /// most once, by the first launch that needs them (a cached launch
+    /// skips the entries its cache fully serves), and reused by later
     /// launches of this campaign value.
     pub(crate) scripts: ScriptStore,
     /// Per-campaign cache-key store: every cell's [`CellKey`]
     /// (suite/stand/DUT/exec hashes), computed once per campaign value on
-    /// the first cached launch instead of re-hashed per launch.
+    /// the first cached launch instead of re-hashed per launch — from the
+    /// cells' plan memos where the cache holds them.
     ///
     /// [`CellKey`]: comptest_core::hash::CellKey
     pub(crate) keys: KeyStore,

@@ -9,14 +9,20 @@
 //! order, each against a fresh power-cycled device, and stops after the
 //! first planning error — for a batch of one test that changes nothing.
 //!
-//! Jobs come from [`Prepared`]: scripts generated once per entry, stands
-//! cloned once, execution plans resolved lazily **once per (entry, test,
-//! stand) triple** through shared [`PlanSlot`]s that live on the
+//! Jobs come from [`Prepared`]: scripts generated at most once per entry,
+//! stands cloned once, execution plans resolved lazily **once per (entry,
+//! test, stand) triple** through shared [`PlanSlot`]s that live on the
 //! [`Campaign`] value (so relaunching the same campaign — replay loops,
 //! watch mode, warm cache runs — never re-plans), and the campaign cache
 //! consulted at the exact admission point where a job would start. Every
 //! executor joins through [`join_jobs`], which folds the per-test outcomes
 //! with [`merge_test_outcomes`].
+//!
+//! With a footprint-keyed cache, key resolution reads each cell's plan
+//! memo before anything is generated or planned, and only entries with a
+//! cell to plan or a job to execute are generated: a fully warm run builds
+//! no devices, generates no scripts and plans nothing. (It still builds
+//! one device per entry to walk the DUT slices its keys cover.)
 
 use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -29,8 +35,8 @@ use comptest_core::campaign::{
 use comptest_core::error::CoreError;
 use comptest_core::exec::{ExecOptions, RunState};
 use comptest_core::hash::{
-    capture_footprint, hash_device, hash_exec_options, hash_stand, hash_suite, CellKey, Footprint,
-    FootprintDevice,
+    capture_footprint, footprint_from_memo, hash_device, hash_exec_options, hash_stand, hash_suite,
+    plan_memo_key, CellKey, Footprint, FootprintDevice,
 };
 use comptest_core::{StepProbe, TestResult, TestRun};
 use comptest_dut::Device;
@@ -38,7 +44,7 @@ use comptest_model::SimTime;
 use comptest_script::TestScript;
 use comptest_stand::{ExecutionPlan, TestStand};
 
-use crate::cache::{CacheKeying, CacheRuntime};
+use crate::cache::{CacheKeying, CacheLookup, CacheRuntime, CampaignCache, CellRecord};
 use crate::campaign::{Campaign, Granularity};
 use crate::events::{emit, EngineEvent};
 use crate::handle::{CampaignHandle, CampaignOutcome, EventStream, RunCancel};
@@ -135,34 +141,77 @@ impl PlanStore {
     }
 }
 
-/// The per-campaign script store: all entries' generated scripts, produced
-/// once on the first launch (where generation doubles as the codegen
-/// precheck) and `Arc`-shared with every later launch — a campaign's
-/// entries are immutable for its lifetime, so regeneration could only
-/// ever reproduce the same scripts. A codegen *error* is cached the same
-/// way: every launch of an invalid campaign reports it.
+/// One entry's generated scripts, in suite order.
+pub(crate) type EntryScripts = Arc<[Arc<TestScript>]>;
+
+/// The per-campaign script store: each entry's generated scripts, produced
+/// at most once per campaign value — by the first launch that needs them —
+/// and `Arc`-shared with every later launch. A campaign's entries are
+/// immutable for its lifetime, so regeneration could only ever reproduce
+/// the same scripts. A codegen *error* is cached the same way: every
+/// launch that needs an invalid entry reports it.
 #[derive(Debug, Default)]
 pub(crate) struct ScriptStore {
-    scripts: OnceLock<Result<Vec<Vec<Arc<TestScript>>>, CoreError>>,
+    entries: OnceLock<Vec<OnceLock<Result<EntryScripts, CoreError>>>>,
 }
 
 impl ScriptStore {
-    fn get_or_generate(
+    /// Entry `e`'s scripts. The generation itself (first call only) is
+    /// timed as one `codegen` phase call on `obs`.
+    fn entry(
         &self,
         entries: &[CampaignEntry<'_>],
-    ) -> Result<Vec<Vec<Arc<TestScript>>>, CoreError> {
-        self.scripts.get_or_init(|| shared_scripts(entries)).clone()
+        e: usize,
+        obs: &Recorder,
+    ) -> Result<EntryScripts, CoreError> {
+        let slots = self
+            .entries
+            .get_or_init(|| entries.iter().map(|_| OnceLock::new()).collect());
+        slots[e]
+            .get_or_init(|| obs.time_phase(Phase::Codegen, || generate_entry(&entries[e])))
+            .clone()
     }
+}
+
+/// Generates one entry's scripts, validating its suite once.
+fn generate_entry(entry: &CampaignEntry<'_>) -> Result<EntryScripts, CoreError> {
+    Ok(comptest_script::generate_all(entry.suite)?
+        .into_iter()
+        .map(Arc::new)
+        .collect())
 }
 
 /// A campaign's resolved cache keys plus, under
 /// [`CacheKeying::Footprint`], the per-cell dependency footprints the keys
-/// were derived from (attached to stored records; all `None` under
+/// were derived from (attached to stored records) and the plan-memo keys
+/// the cells' records are aliased under (all `None` under
 /// [`CacheKeying::Full`]).
 #[derive(Debug)]
 pub(crate) struct KeySet {
     pub(crate) keys: Vec<CellKey>,
     pub(crate) footprints: Vec<Option<Footprint>>,
+    /// Per-cell [`plan_memo_key`]s; `None` under full keying and for cells
+    /// with a planning error, which get no memo and so keep re-planning
+    /// into the whole-device fallback.
+    pub(crate) memos: Vec<Option<CellKey>>,
+}
+
+/// What one launch's key resolution read through the plan memos, handed
+/// to [`CacheRuntime::prepare`]. Empty when an earlier launch of the same
+/// campaign value already resolved the keys.
+#[derive(Debug, Default)]
+pub(crate) struct MemoReads {
+    /// Per cell: the record its memo resolved to, when that record is the
+    /// one stored under the cell's key (its DUT slice still matches) —
+    /// preload takes it instead of reading it again. `None` when the memo
+    /// was absent, stale, unreadable or audited: a hit on the cell's key
+    /// then re-points it.
+    pub(crate) records: Vec<Option<CellRecord>>,
+    /// Cells whose memo existed but could not be decoded, ascending.
+    pub(crate) corrupt: Vec<usize>,
+    /// Under `cache_verify`: memos whose plan side disagreed with the
+    /// freshly planned footprint.
+    pub(crate) mismatches: usize,
 }
 
 /// The per-campaign cache-key store: every cell's [`CellKey`], hashed
@@ -173,10 +222,11 @@ pub(crate) struct KeySet {
 /// happen is timed as the `hash` phase.
 ///
 /// Under [`CacheKeying::Footprint`] resolution also captures each cell's
-/// dependency [`Footprint`]: every test plan is resolved eagerly through
-/// the campaign's shared [`PlanSlot`]s (the same slots execution uses, so
-/// nothing plans twice) and one device per entry is built for the DUT
-/// slice — reused read-only across that entry's stands.
+/// dependency [`Footprint`]. A cell's plan memo, read first, gives its
+/// plan side; otherwise every test plan is resolved eagerly through the
+/// campaign's shared [`PlanSlot`]s (the same slots execution uses, so
+/// nothing plans twice). One device per entry is built for the DUT slice —
+/// reused read-only across that entry's stands.
 #[derive(Debug, Default)]
 pub(crate) struct KeyStore {
     keys: OnceLock<KeySet>,
@@ -184,89 +234,214 @@ pub(crate) struct KeyStore {
 
 impl KeyStore {
     /// The campaign's cell keys (and footprints) in deterministic
-    /// (entry, stand) order, computed at most once per campaign value.
-    /// `slot` maps an (entry, test, stand) triple to the campaign's shared
-    /// plan slot.
+    /// (entry, stand) order, computed at most once per campaign value,
+    /// with what this launch read through the plan memos. `scripts`
+    /// generates an entry's scripts, `slot` maps an (entry, test, stand)
+    /// triple to the campaign's shared plan slot.
+    ///
+    /// # Errors
+    ///
+    /// The first codegen error of an entry that had to be planned.
     pub(crate) fn resolve(
         &self,
         campaign: &Campaign<'_, '_>,
-        scripts: &[Vec<Arc<TestScript>>],
+        cache: &dyn CampaignCache,
+        scripts: &dyn Fn(usize) -> Result<EntryScripts, CoreError>,
         slot: &dyn Fn(usize, usize, usize) -> Arc<PlanSlot>,
         obs: &Recorder,
-    ) -> &KeySet {
-        let entries = campaign.entries;
-        let stands = campaign.stands;
-        let keys = self.keys.get_or_init(|| {
-            obs.time_phase(Phase::Hash, || {
-                let exec_hash = hash_exec_options(&campaign.exec);
-                let n_cells = entries.len() * stands.len();
-                match campaign.cache_keying {
-                    CacheKeying::Full => {
-                        let stand_hashes: Vec<u64> = stands.iter().map(|s| hash_stand(s)).collect();
-                        let mut keys = Vec::with_capacity(n_cells);
-                        for entry in entries {
-                            let suite_hash = hash_suite(entry.suite);
-                            let dut_config_hash = hash_device(&entry.device_factory.build());
-                            for &stand_hash in &stand_hashes {
-                                keys.push(CellKey {
-                                    suite_hash,
-                                    stand_hash,
-                                    dut_config_hash,
-                                    exec_hash,
-                                });
-                            }
-                        }
-                        KeySet {
-                            keys,
-                            footprints: vec![None; n_cells],
-                        }
-                    }
-                    CacheKeying::Footprint => {
-                        let salt = &campaign.cache_salt;
-                        let mut keys = Vec::with_capacity(n_cells);
-                        let mut footprints = Vec::with_capacity(n_cells);
-                        for (e, entry) in entries.iter().enumerate() {
-                            let suite_hash = hash_suite(entry.suite);
-                            // One device per entry: footprint capture only
-                            // reads it, so every stand shares the build and
-                            // its whole-device fallback digest.
-                            let device = FootprintDevice::new(entry.device_factory.build());
-                            for (s, stand) in stands.iter().enumerate() {
-                                let plans: Vec<Result<Arc<ExecutionPlan>, String>> =
-                                    (0..entry.suite.tests.len())
-                                        .map(|t| slot(e, t, s).resolve(&scripts[e][t], stand, obs))
-                                        .collect();
-                                let plan_refs: Vec<Result<&ExecutionPlan, &str>> = plans
-                                    .iter()
-                                    .map(|p| match p {
-                                        Ok(plan) => Ok(plan.as_ref()),
-                                        Err(reason) => Err(reason.as_str()),
-                                    })
-                                    .collect();
-                                let fp = capture_footprint(&plan_refs, &device, salt);
-                                keys.push(fp.key(suite_hash, exec_hash).cell_key());
-                                footprints.push(Some(fp));
-                            }
-                        }
-                        KeySet { keys, footprints }
-                    }
-                }
-            })
-        });
+    ) -> Result<(&KeySet, MemoReads), CoreError> {
+        if let Some(keys) = self.keys.get() {
+            return Ok((keys, MemoReads::default()));
+        }
+        let (keys, reads) = match campaign.cache_keying {
+            CacheKeying::Full => (
+                obs.time_phase(Phase::Hash, || full_keys(campaign)),
+                MemoReads::default(),
+            ),
+            CacheKeying::Footprint => footprint_keys(campaign, cache, scripts, slot, obs)?,
+        };
+        let keys = self.keys.get_or_init(|| keys);
         debug_assert_eq!(
             keys.keys.len(),
-            entries.len() * stands.len(),
+            campaign.entries.len() * campaign.stands.len(),
             "campaign shape changed under KeyStore"
         );
-        keys
+        Ok((keys, reads))
     }
+}
+
+/// Whole-artifact keys: one device per entry for its config digest.
+fn full_keys(campaign: &Campaign<'_, '_>) -> KeySet {
+    let exec_hash = hash_exec_options(&campaign.exec);
+    let n_cells = campaign.entries.len() * campaign.stands.len();
+    let stand_hashes: Vec<u64> = campaign.stands.iter().map(|s| hash_stand(s)).collect();
+    let mut keys = Vec::with_capacity(n_cells);
+    for entry in campaign.entries {
+        let suite_hash = hash_suite(entry.suite);
+        let dut_config_hash = hash_device(&entry.device_factory.build());
+        for &stand_hash in &stand_hashes {
+            keys.push(CellKey {
+                suite_hash,
+                stand_hash,
+                dut_config_hash,
+                exec_hash,
+            });
+        }
+    }
+    KeySet {
+        keys,
+        footprints: vec![None; n_cells],
+        memos: vec![None; n_cells],
+    }
+}
+
+/// Footprint keys for every cell. The cells' plan memos are read first
+/// (timed as `cache_preload`): a usable one gives the cell's plan side, so
+/// its key costs one fresh DUT-slice walk and no codegen or planning. The
+/// other cells — and every cell under `cache_verify`, which audits the
+/// memos against fresh plans — generate their entry's scripts (timed as
+/// `codegen`) and plan through the shared slots as a cold launch does.
+fn footprint_keys(
+    campaign: &Campaign<'_, '_>,
+    cache: &dyn CampaignCache,
+    scripts: &dyn Fn(usize) -> Result<EntryScripts, CoreError>,
+    slot: &dyn Fn(usize, usize, usize) -> Arc<PlanSlot>,
+    obs: &Recorder,
+) -> Result<(KeySet, MemoReads), CoreError> {
+    let (entries, stands) = (campaign.entries, campaign.stands);
+    let salt = campaign.cache_salt.as_str();
+    let verify = campaign.cache_verify;
+    let n_stands = stands.len();
+    let n_cells = entries.len() * n_stands;
+    let (exec_hash, suite_hashes, memo_keys) = obs.time_phase(Phase::Hash, || {
+        let exec_hash = hash_exec_options(&campaign.exec);
+        let stand_hashes: Vec<u64> = stands.iter().map(|s| hash_stand(s)).collect();
+        let suite_hashes: Vec<u64> = entries.iter().map(|e| hash_suite(e.suite)).collect();
+        let memo_keys: Vec<CellKey> = suite_hashes
+            .iter()
+            .flat_map(|&suite| {
+                stand_hashes
+                    .iter()
+                    .map(move |&stand| plan_memo_key(suite, stand, salt, exec_hash))
+            })
+            .collect();
+        (exec_hash, suite_hashes, memo_keys)
+    });
+
+    let mut reads = MemoReads {
+        records: Vec::with_capacity(n_cells),
+        ..MemoReads::default()
+    };
+    let memos: Vec<Option<CellRecord>> = obs.time_phase(Phase::CachePreload, || {
+        let mut bytes = 0u64;
+        let memos = memo_keys
+            .iter()
+            .enumerate()
+            .map(|(cell, key)| {
+                let info = cache.lookup_io(key);
+                bytes += info.bytes;
+                match info.lookup {
+                    CacheLookup::Hit(record)
+                        if record.footprint.as_ref().is_some_and(|fp| fp.salt == salt) =>
+                    {
+                        Some(record)
+                    }
+                    CacheLookup::Corrupt => {
+                        obs.inc(Counter::CacheCorruptEntries);
+                        reads.corrupt.push(cell);
+                        None
+                    }
+                    CacheLookup::Hit(_) | CacheLookup::Miss => None,
+                }
+            })
+            .collect();
+        obs.add(Counter::CacheBytesRead, bytes);
+        memos
+    });
+    let hits = memos.iter().filter(|memo| memo.is_some()).count();
+    obs.add(Counter::PlanMemoHits, hits as u64);
+    obs.add(Counter::PlanMemoMisses, (n_cells - hits) as u64);
+
+    // Codegen, in entry order, for every entry with a cell to plan.
+    let mut generated: Vec<Option<EntryScripts>> = Vec::with_capacity(entries.len());
+    for (e, cells) in memos.chunks(n_stands.max(1)).enumerate() {
+        let plans = verify || cells.iter().any(Option::is_none);
+        generated.push(if plans { Some(scripts(e)?) } else { None });
+    }
+
+    let mut keys = Vec::with_capacity(n_cells);
+    let mut footprints = Vec::with_capacity(n_cells);
+    let mut memo_of = Vec::with_capacity(n_cells);
+    obs.time_phase(Phase::Hash, || {
+        let mut memos = memos.into_iter();
+        for (e, entry) in entries.iter().enumerate() {
+            // One device per entry: footprint capture only reads it, so
+            // every stand shares the build and its whole-device fallback
+            // digest.
+            let device = FootprintDevice::new(entry.device_factory.build());
+            for (s, stand) in stands.iter().enumerate() {
+                let memo = memos.next().flatten();
+                let memoised = memo.as_ref().and_then(|record| record.footprint.as_ref());
+                let (fp, clean) = match (memoised, &generated[e]) {
+                    (Some(memoised), _) if !verify => {
+                        (footprint_from_memo(memoised, &device), true)
+                    }
+                    (_, Some(scripts)) => {
+                        let plans: Vec<Result<Arc<ExecutionPlan>, String>> =
+                            (0..entry.suite.tests.len())
+                                .map(|t| slot(e, t, s).resolve(&scripts[t], stand, obs))
+                                .collect();
+                        let plan_refs: Vec<Result<&ExecutionPlan, &str>> = plans
+                            .iter()
+                            .map(|p| match p {
+                                Ok(plan) => Ok(plan.as_ref()),
+                                Err(reason) => Err(reason.as_str()),
+                            })
+                            .collect();
+                        let fp = capture_footprint(&plan_refs, &device, salt);
+                        if memoised.is_some_and(|memoised| !same_plan_side(memoised, &fp)) {
+                            reads.mismatches += 1;
+                        }
+                        (fp, plans.iter().all(Result::is_ok))
+                    }
+                    (_, None) => unreachable!("entries with a cell to plan are generated"),
+                };
+                let current = !verify
+                    && memoised
+                        .is_some_and(|memoised| memoised.dut_slice_hash == fp.dut_slice_hash);
+                reads.records.push(if current { memo } else { None });
+                memo_of.push(clean.then_some(memo_keys[keys.len()]));
+                keys.push(fp.key(suite_hashes[e], exec_hash).cell_key());
+                footprints.push(Some(fp));
+            }
+        }
+    });
+    let keyset = KeySet {
+        keys,
+        footprints,
+        memos: memo_of,
+    };
+    Ok((keyset, reads))
+}
+
+/// Whether two footprints of one cell agree on everything planning
+/// decides: the plan digest and the touched signal, pin, frame and
+/// resource sets.
+fn same_plan_side(a: &Footprint, b: &Footprint) -> bool {
+    a.plan_hash == b.plan_hash
+        && a.signals == b.signals
+        && a.pins == b.pins
+        && a.frames == b.frames
+        && a.resources == b.resources
 }
 
 /// Everything a launch shares across jobs, prepared once on the launch
 /// thread: generated scripts (the codegen precheck), owned stands, the
 /// campaign's plan slots, and the cache runtime with pre-loaded records.
 struct Prepared {
-    scripts: Vec<Vec<Arc<TestScript>>>,
+    /// Per entry, its scripts — `None` for an entry whose every job the
+    /// cache serves, which is never generated.
+    scripts: Vec<Option<EntryScripts>>,
     stands: Vec<Arc<TestStand>>,
     slots: Vec<Arc<PlanSlot>>,
     /// Cumulative test counts: `offsets[e]` = tests of entries `0..e`.
@@ -276,45 +451,62 @@ struct Prepared {
 }
 
 impl Prepared {
-    /// Generates all scripts (surfacing the first codegen error before any
-    /// job runs), clones stands once, binds the campaign's plan slots and
-    /// pre-loads cache records in deterministic cell order.
+    /// Clones stands once, binds the campaign's plan slots, resolves cache
+    /// keys and pre-loads records in deterministic cell order, and
+    /// generates the scripts of every entry with a job the cache will not
+    /// serve — every entry without a cache or under `cache_verify`. A
+    /// cache hit proves its suite generated cleanly when it was stored, so
+    /// the first codegen error still surfaces here, before any job runs.
     fn new(campaign: &Campaign<'_, '_>) -> Result<Self, CoreError> {
         let obs = &campaign.obs;
-        let scripts = obs.time_phase(Phase::Codegen, || {
-            campaign.scripts.get_or_generate(campaign.entries)
-        })?;
+        let entries = campaign.entries;
+        let generate = |e: usize| campaign.scripts.entry(entries, e, obs);
         let stands: Vec<Arc<TestStand>> = campaign
             .stands
             .iter()
             .map(|s| Arc::new((*s).clone()))
             .collect();
-        let mut offsets = Vec::with_capacity(campaign.entries.len() + 1);
+        let mut offsets = Vec::with_capacity(entries.len() + 1);
         let mut total = 0usize;
-        for entry in campaign.entries {
+        for entry in entries {
             offsets.push(total);
             total += entry.suite.tests.len();
         }
         offsets.push(total);
         let n_stands = campaign.stands.len();
         let slots = campaign.plans.slots(total * n_stands).to_vec();
-        let cache = campaign.cache.as_ref().map(|cache| {
-            let keyset = campaign.keys.resolve(
-                campaign,
-                &scripts,
-                &|e, t, s| Arc::clone(&slots[(offsets[e] + t) * n_stands + s]),
-                obs,
-            );
-            obs.time_phase(Phase::CachePreload, || {
-                CacheRuntime::prepare(Arc::clone(cache), campaign, keyset, obs)
-            })
-        });
+        let cache = match &campaign.cache {
+            None => None,
+            Some(cache) => {
+                let (keyset, reads) = campaign.keys.resolve(
+                    campaign,
+                    cache.as_ref(),
+                    &generate,
+                    &|e, t, s| Arc::clone(&slots[(offsets[e] + t) * n_stands + s]),
+                    obs,
+                )?;
+                Some(obs.time_phase(Phase::CachePreload, || {
+                    CacheRuntime::prepare(Arc::clone(cache), campaign, keyset, reads, obs)
+                }))
+            }
+        };
+        let mut scripts = Vec::with_capacity(entries.len());
+        for (e, entry) in entries.iter().enumerate() {
+            let served = cache.as_ref().is_some_and(|runtime| {
+                (0..n_stands).all(|s| {
+                    batches(campaign.granularity, entry.suite.tests.len())
+                        .into_iter()
+                        .all(|tests| runtime.will_hit(e * n_stands + s, tests))
+                })
+            });
+            scripts.push(if served { None } else { Some(generate(e)?) });
+        }
         Ok(Self {
             scripts,
             stands,
             slots,
             offsets,
-            n_stands: campaign.stands.len(),
+            n_stands,
             cache,
         })
     }
@@ -364,7 +556,10 @@ impl Prepared {
                     tests: tests
                         .clone()
                         .map(|t| JobTest {
-                            script: Arc::clone(&self.scripts[cell.entry][t]),
+                            name: entry.suite.tests[t].name.clone(),
+                            script: self.scripts[cell.entry]
+                                .as_ref()
+                                .map(|scripts| Arc::clone(&scripts[t])),
                             plan: self.slot(cell.entry, t, cell.stand),
                         })
                         .collect(),
@@ -390,20 +585,6 @@ fn batches(granularity: Granularity, tests: usize) -> Vec<Range<usize>> {
         Granularity::Cell => std::iter::once(0..tests).collect(),
         Granularity::Test => (0..tests).map(|t| t..t + 1).collect(),
     }
-}
-
-/// All scripts of all entries, generated up front (the codegen precheck)
-/// and `Arc`-shared across jobs.
-fn shared_scripts(entries: &[CampaignEntry<'_>]) -> Result<Vec<Vec<Arc<TestScript>>>, CoreError> {
-    entries
-        .iter()
-        .map(|e| {
-            Ok(comptest_script::generate_all(e.suite)?
-                .into_iter()
-                .map(Arc::new)
-                .collect())
-        })
-        .collect()
 }
 
 /// One packaged job — a run of consecutive tests of one cell — with
@@ -434,11 +615,25 @@ impl PackagedJob {
     }
 }
 
-/// One test of a packaged job: its script and the campaign's shared plan
-/// slot for it on the job's stand.
+/// One test of a packaged job: its name, its script and the campaign's
+/// shared plan slot for it on the job's stand.
 pub(crate) struct JobTest {
-    pub(crate) script: Arc<TestScript>,
+    pub(crate) name: String,
+    /// `None` only in a predicted hit of an entry that was never
+    /// generated; admission strands such a job and the join's rescue
+    /// generates its scripts.
+    pub(crate) script: Option<Arc<TestScript>>,
     pub(crate) plan: Arc<PlanSlot>,
+}
+
+impl JobTest {
+    /// The script of a test that executes. Admission strands every job
+    /// with a missing script, so an admitted job has all of them.
+    pub(crate) fn script(&self) -> &Arc<TestScript> {
+        self.script
+            .as_ref()
+            .expect("admission strands jobs without scripts")
+    }
 }
 
 /// The job-side context every worker shares: execution options, the
@@ -527,7 +722,7 @@ impl JobCtx {
                 None => self.obs.inc(Counter::CacheMisses),
             }
         }
-        if job.devices.len() < job.tests.len() {
+        if job.devices.len() < job.tests.len() || job.tests.iter().any(|t| t.script.is_none()) {
             let _ = results.send(JobMsg::Stranded(Box::new(job)));
             return None;
         }
@@ -660,20 +855,21 @@ impl JobRun {
                     test: self.next,
                     suite: self.suite.clone(),
                     stand: self.stand_name.clone(),
-                    name: test.script.name.clone(),
+                    name: test.name.clone(),
                 },
             );
         }
-        self.test_span = Some(ctx.obs.span_begin(SpanCat::Test, || {
-            format!("{}::{}", self.suite, test.script.name)
-        }));
+        self.test_span = Some(
+            ctx.obs
+                .span_begin(SpanCat::Test, || format!("{}::{}", self.suite, test.name)),
+        );
         Some((test, device))
     }
 
     /// The plan of `test` on the job's stand, resolved through its shared
     /// slot (planned at most once per campaign value).
     pub(crate) fn plan(&self, test: &JobTest, ctx: &JobCtx) -> Result<Arc<ExecutionPlan>, String> {
-        test.plan.resolve(&test.script, &self.stand, &ctx.obs)
+        test.plan.resolve(test.script(), &self.stand, &ctx.obs)
     }
 
     /// Ends the test begun last with its outcome and wall time: counters,
@@ -702,7 +898,7 @@ impl JobRun {
                     test: self.next,
                     suite: self.suite.clone(),
                     stand: self.stand_name.clone(),
-                    name: test.script.name.clone(),
+                    name: test.name.clone(),
                     status,
                     failed,
                     duration: wall,
@@ -920,16 +1116,30 @@ fn join_jobs(
 }
 
 /// Runs a stranded job on the join thread with devices rebuilt through its
-/// entry's factory. Its events go nowhere (the worker that stranded it
-/// held the campaign's event sender); the merged result is byte-identical
-/// to a worker execution.
+/// entry's factory, and scripts generated when its entry never was. Its
+/// events go nowhere (the worker that stranded it held the campaign's
+/// event sender); the merged result is byte-identical to a worker
+/// execution.
 fn rescue(
     mut job: PackagedJob,
     entries: &[CampaignEntry<'_>],
     ctx: &JobCtx,
 ) -> Option<(usize, Vec<TestJobOutcome>)> {
-    let factory = &entries[job.entry].device_factory;
-    job.devices = job.tests.iter().map(|_| factory.build()).collect();
+    let entry = &entries[job.entry];
+    if job.tests.iter().any(|t| t.script.is_none()) {
+        let scripts = ctx
+            .obs
+            .time_phase(Phase::Codegen, || generate_entry(entry))
+            .ok()?;
+        for (test, script) in job.tests.iter_mut().zip(&scripts[job.first..]) {
+            test.script = Some(Arc::clone(script));
+        }
+    }
+    job.devices = job
+        .tests
+        .iter()
+        .map(|_| entry.device_factory.build())
+        .collect();
     let (events, _) = mpsc::channel();
     let (results, done) = mpsc::channel();
     execute(job, ctx, &events, &results);
@@ -1107,12 +1317,13 @@ step, dt,  DS_FL, NIGHT, INT_ILL
     }
 
     /// A predicted cache hit that misses at admission: package against a
-    /// warm store (every job predicts a hit, so no devices are built), then
+    /// warm store (every job predicts a hit, so no devices are built and no
+    /// scripts generated), then
     /// execute against an empty store — the record was evicted between
     /// packaging and admission, legal whenever the store is shared between
     /// processes. At either granularity the jobs must strand back to the
-    /// join, get rebuilt devices from the entry's factory, and merge
-    /// byte-identical to a cold run. Both granularities run the same
+    /// join, get rebuilt devices from the entry's factory and regenerated
+    /// scripts, and merge byte-identical to a cold run. Both granularities run the same
     /// packaged-job path, so one body checks either.
     fn assert_evicted_prediction_strands_and_rescues(granularity: Granularity) {
         let wb = Workbook::parse_str("a.cts", WB).unwrap();
@@ -1143,6 +1354,12 @@ step, dt,  DS_FL, NIGHT, INT_ILL
         assert!(
             jobs.iter().all(|j| j.devices.is_empty()),
             "{granularity}: warm packaging must skip device builds"
+        );
+        assert!(
+            jobs.iter()
+                .flat_map(|j| &j.tests)
+                .all(|t| t.script.is_none()),
+            "{granularity}: warm packaging must skip codegen"
         );
 
         // Execute the predicted-hit jobs with the record evicted.

@@ -116,7 +116,10 @@
 //! begin/end) because on the [`AsyncExecutor`] thousands of them overlap
 //! on one track; step spans are the innermost complete slices. Gaps
 //! between step spans on a track are scheduler wait — compare executors
-//! by how densely they pack the `execute` phase.
+//! by how densely they pack the `execute` phase. Phase `calls` count
+//! work done, not launches: `codegen` records one call per entry actually
+//! generated and `plan` one per plan resolved, so a fully warm
+//! footprint-keyed launch shows zero of both.
 //!
 //! **Counter glossary** (names as they appear in
 //! [`MetricsSnapshot::counters`]):
@@ -134,8 +137,9 @@
 //! | `cache_hits_footprint` | admission hits while the campaign keys by [`CacheKeying::Footprint`] (equals `cache_hits` there; `0` under full keying) |
 //! | `cells_invalidated` | cells whose preload lookup found no usable record — exactly the cells this run re-executes |
 //! | `footprint_bytes` | summed encoded size of the campaign's captured dependency footprints |
+//! | `plan_memo_hits` / `plan_memo_misses` | cells whose footprint key came from their plan memo (no codegen, no planning) / cells that had to generate and plan; they sum to the cell count on every footprint-keyed launch that resolves keys |
 //! | `cache_corrupt_entries` | unreadable/undecodable cache records (also emitted as [`EngineEvent::CellCacheCorrupt`] warnings) |
-//! | `cache_bytes_read` / `cache_bytes_written` | encoded record bytes moved at preload / by stores — what the `cache_preload` phase cost buys |
+//! | `cache_bytes_read` / `cache_bytes_written` | encoded record bytes moved at preload (plan-memo reads included) / by stores — what the `cache_preload` phase cost buys |
 //! | `spans_opened` / `spans_closed` | trace spans begun / ended — equal once the campaign joins, even under cancellation |
 //! | `worker_busy_micros` | summed wall-clock the workers spent inside steps |
 //! | `campaign_wall_micros` | wall-clock from launch to join |

@@ -66,10 +66,18 @@ pub(crate) enum Counter {
     CellsInvalidated,
     /// Encoded footprint bytes attached to this campaign's cells.
     FootprintBytes,
+    /// Cells whose plan memo was usable, so their footprint key needed no
+    /// codegen or planning (under `cache_verify` they are planned anyway
+    /// and the memo is audited).
+    PlanMemoHits,
+    /// Cells of a footprint-keyed key resolution without a usable plan
+    /// memo (absent, unreadable, or written under another salt); they
+    /// generate and plan as on a cold launch.
+    PlanMemoMisses,
 }
 
 impl Counter {
-    pub(crate) const ALL: [Counter; 21] = [
+    pub(crate) const ALL: [Counter; 23] = [
         Counter::JobsPlanned,
         Counter::JobsExecuted,
         Counter::JobsCached,
@@ -91,6 +99,8 @@ impl Counter {
         Counter::CacheHitsFootprint,
         Counter::CellsInvalidated,
         Counter::FootprintBytes,
+        Counter::PlanMemoHits,
+        Counter::PlanMemoMisses,
     ];
 
     pub(crate) fn name(self) -> &'static str {
@@ -116,6 +126,8 @@ impl Counter {
             Counter::CacheHitsFootprint => "cache_hits_footprint",
             Counter::CellsInvalidated => "cells_invalidated",
             Counter::FootprintBytes => "footprint_bytes",
+            Counter::PlanMemoHits => "plan_memo_hits",
+            Counter::PlanMemoMisses => "plan_memo_misses",
         }
     }
 }
@@ -148,7 +160,8 @@ impl Gauge {
 /// Launch/run phases whose wall-clock time is accumulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Phase {
-    /// Script generation (the codegen precheck; cached per campaign).
+    /// Script generation, one call per entry generated (cached per
+    /// campaign; entries the cache fully serves are never generated).
     Codegen,
     /// Suite/stand/DUT/exec-options hashing for the `CellKey` sweep
     /// (cached per campaign).

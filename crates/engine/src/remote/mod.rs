@@ -246,7 +246,7 @@ struct OrchestratorConfig {
 /// cell-granular one — how [`CoreError::JobsLost`] names a lost job.
 fn label(job: &PackagedJob, granularity: Granularity) -> String {
     match (granularity, job.tests.as_slice()) {
-        (Granularity::Test, [test]) => format!("{}::{}", job.suite, test.script.name),
+        (Granularity::Test, [test]) => format!("{}::{}", job.suite, test.name),
         _ => format!("{} @ {}", job.suite, job.stand_name),
     }
 }
@@ -280,12 +280,12 @@ fn ship(
     }
     let mut scripts = Vec::with_capacity(job.tests.len());
     for test in &job.tests {
-        let script = interner.script(&job.suite, &test.script.name, || test.script.to_xml());
+        let script = interner.script(&job.suite, &test.name, || test.script().to_xml());
         if conn.sent_scripts.insert(script.id) {
             frames.push(ToWorker::Script {
                 id: script.id,
                 xml: script.payload,
-                names: signal_spellings(&test.script),
+                names: signal_spellings(test.script()),
             });
         }
         scripts.push(script.id);

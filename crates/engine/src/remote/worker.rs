@@ -202,8 +202,10 @@ fn run_job(
     let stand = Arc::clone(state.stand(request.stand)?);
     let mut tests = Vec::with_capacity(request.scripts.len());
     for &script in &request.scripts {
+        let text = Arc::clone(state.script(script)?);
         tests.push(JobTest {
-            script: Arc::clone(state.script(script)?),
+            name: text.name.clone(),
+            script: Some(text),
             plan: state.plan(script, request.stand),
         });
     }

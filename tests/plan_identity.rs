@@ -172,6 +172,34 @@ fn digests() -> Vec<String> {
     d.lines
 }
 
+/// Every `(PLAN_MEMO_VERSION, digest of the plan golden file)` pair ever
+/// released, append-only. A plan memo skips codegen and planning, so it
+/// must not outlive a change to either: re-blessing the plan goldens
+/// moves the digest, and this list only accepts the new digest under a
+/// new, larger version — bump `PLAN_MEMO_VERSION` and append the pair.
+const PLAN_MEMO_GOLDENS: &[(u32, u64)] = &[(1, 0x0696_9354_4f34_0643)];
+
+#[test]
+fn plan_memo_version_tracks_the_plan_goldens() {
+    use comptest::core::hash::PLAN_MEMO_VERSION;
+    assert!(
+        PLAN_MEMO_GOLDENS.windows(2).all(|w| w[0].0 < w[1].0),
+        "memo versions must strictly increase: {PLAN_MEMO_GOLDENS:x?}"
+    );
+    let golden = std::fs::read(comptest::asset(GOLDEN)).expect("golden file exists");
+    let mut h = StableHasher::new();
+    h.write(&golden);
+    let now = (PLAN_MEMO_VERSION, h.finish());
+    assert_eq!(
+        PLAN_MEMO_GOLDENS.last(),
+        Some(&now),
+        "the plan goldens or PLAN_MEMO_VERSION moved: bump the version and \
+         append ({}, {:#018x}) to PLAN_MEMO_GOLDENS",
+        now.0,
+        now.1
+    );
+}
+
 #[test]
 fn plans_match_the_golden_digests() {
     let golden = std::fs::read_to_string(comptest::asset(GOLDEN)).expect("golden file exists");
