@@ -332,7 +332,7 @@ pub fn hash_script(script: &TestScript) -> u64 {
 /// two factories building structurally identical devices key identically.
 ///
 /// This is the one cache-key digest that still rests on `Debug`: it makes
-/// the *derived, exhaustive* `Debug` of [`Device`] and of every
+/// the *exhaustive* `Debug` of [`Device`] and of every
 /// [`Behavior`](comptest_dut::Behavior) implementation part of the
 /// cache-key contract, for full keying and for the footprint's
 /// whole-device fallback alike (the footprint digests themselves are
@@ -342,6 +342,12 @@ pub fn hash_script(script: &TestScript) -> u64 {
 /// detectable only by `--cache-verify`. Keep device/behaviour `Debug`
 /// derived (or field-complete), or extend this function with explicit
 /// accessors instead.
+///
+/// `Device`'s `Debug` is hand-written. It keeps the field-complete rule
+/// by destructuring `Self` exhaustively, so a new field does not compile
+/// until it is rendered. It renders the per-pin output-slot table as the
+/// `edges` and `last_levels` maps the derived impl printed, so keys (and
+/// the `dut=` lines of `assets/golden/key_digests.txt`) did not move.
 pub fn hash_device(device: &Device) -> u64 {
     let mut h = StableHasher::new();
     h.write_u8(b'D');

@@ -9,7 +9,11 @@
 //! 3. [`Behavior::set_input`] whenever a bound port's value changes;
 //! 4. [`Behavior::next_event`] after every interaction: if `Some(t)`, the
 //!    engine guarantees an [`advance`](Behavior::advance) call at `t` (or
-//!    earlier).  Events in the past are processed immediately.
+//!    earlier).  Events in the past are processed immediately;
+//! 5. [`Behavior::output`] once per bound output pin and per CAN output
+//!    field after every event and every interaction, to record edges and
+//!    publish frames. It sits on the hottest path of an event-dense model,
+//!    so it must be cheap and free of side effects.
 
 use std::fmt;
 

@@ -5,6 +5,7 @@
 //! fields back, exactly like the instruments of a real stand.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use comptest_model::{CanFrameId, PinId, SimTime};
 
@@ -45,8 +46,17 @@ struct CanBinding {
     input: bool,
 }
 
+/// One [`PinBinding::Output`] pin: its last logic level and edge log.
+struct OutputSlot {
+    pin: PinId,
+    port: &'static str,
+    /// `None` until [`Device::reset`] records the baseline.
+    level: Option<bool>,
+    /// Logic-level edge timestamps in time order (for `get_f`).
+    edges: Vec<SimTime>,
+}
+
 /// A simulated DUT instance.
-#[derive(Debug)]
 pub struct Device {
     behavior: Box<dyn Behavior + Send>,
     cfg: ElectricalConfig,
@@ -56,14 +66,70 @@ pub struct Device {
     drives: BTreeMap<PinId, PinDrive>,
     inputs: BTreeMap<PinId, DigitalInput>,
     dropped_frames: Vec<CanFrameId>,
-    /// Logic-level edge timestamps per output pin (for `get_f`).
-    edges: BTreeMap<PinId, Vec<SimTime>>,
-    last_levels: BTreeMap<PinId, bool>,
+    /// One slot per output pin, in `pins` order: the per-event path walks
+    /// this table instead of looking pins up.
+    outputs: Vec<OutputSlot>,
     now: SimTime,
     /// True only for devices built by the named registry constructors in
     /// [`crate::ecus`]; such devices can be respecified elsewhere from their
     /// behaviour name alone.
     from_registry: bool,
+}
+
+/// Renders the field layout `Device` had when it derived `Debug`, with
+/// the slot table as the old `edges` and `last_levels` maps: the text is
+/// part of the cache key (`comptest_core::hash::hash_device`).
+impl fmt::Debug for Device {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Exhaustive on purpose: a new field fails to compile here until
+        // it is rendered.
+        let Self {
+            behavior,
+            cfg,
+            pins,
+            can,
+            bus,
+            drives,
+            inputs,
+            dropped_frames,
+            outputs,
+            now,
+            from_registry,
+        } = self;
+        let edges = fmt::from_fn(|f| {
+            f.debug_map()
+                .entries(
+                    outputs
+                        .iter()
+                        .filter(|s| !s.edges.is_empty())
+                        .map(|s| (&s.pin, &s.edges)),
+                )
+                .finish()
+        });
+        let last_levels = fmt::from_fn(|f| {
+            f.debug_map()
+                .entries(
+                    outputs
+                        .iter()
+                        .filter_map(|s| s.level.as_ref().map(|level| (&s.pin, level))),
+                )
+                .finish()
+        });
+        f.debug_struct("Device")
+            .field("behavior", behavior)
+            .field("cfg", cfg)
+            .field("pins", pins)
+            .field("can", can)
+            .field("bus", bus)
+            .field("drives", drives)
+            .field("inputs", inputs)
+            .field("dropped_frames", dropped_frames)
+            .field("edges", &edges)
+            .field("last_levels", &last_levels)
+            .field("now", now)
+            .field("from_registry", from_registry)
+            .finish()
+    }
 }
 
 impl Device {
@@ -139,8 +205,10 @@ impl Device {
         self.bus.clear();
         self.drives.clear();
         self.inputs.clear();
-        self.edges.clear();
-        self.last_levels.clear();
+        for slot in &mut self.outputs {
+            slot.level = None;
+            slot.edges.clear();
+        }
         self.behavior.reset(now);
         // Present the idle pin state (everything open) to the behaviour.
         let bindings: Vec<(PinId, PinBinding)> = self
@@ -152,18 +220,8 @@ impl Device {
             self.refresh_input(&pin, &binding);
         }
         // Baseline output levels (no edge recorded for the initial state).
-        let outputs: Vec<(PinId, bool)> = self
-            .pins
-            .iter()
-            .filter_map(|(p, b)| match b {
-                PinBinding::Output { port } => {
-                    Some((p.clone(), self.behavior.output(port).as_bool()))
-                }
-                _ => None,
-            })
-            .collect();
-        for (pin, level) in outputs {
-            self.last_levels.insert(pin, level);
+        for slot in &mut self.outputs {
+            slot.level = Some(self.behavior.output(slot.port).as_bool());
         }
     }
 
@@ -190,13 +248,7 @@ impl Device {
             return;
         }
         self.bus.write_field(frame, start_bit, width, value);
-        let matching: Vec<CanBinding> = self
-            .can
-            .iter()
-            .filter(|b| b.input && b.frame == frame)
-            .cloned()
-            .collect();
-        for b in matching {
+        for b in self.can.iter().filter(|b| b.input && b.frame == frame) {
             if let Some(v) = self.bus.read_field(b.frame, b.start_bit, b.width) {
                 self.behavior
                     .set_input(b.port, PortValue::Bits(v), self.now);
@@ -256,16 +308,15 @@ impl Device {
     }
 
     /// Number of logic-level edges an output pin produced in
-    /// `window_start..=window_end`.
+    /// `window_start..=window_end` (0 for a pin that is not an output).
     pub fn edge_count(&self, pin: &PinId, window_start: SimTime, window_end: SimTime) -> usize {
-        self.edges
-            .get(pin)
-            .map(|ts| {
-                ts.iter()
-                    .filter(|t| **t >= window_start && **t <= window_end)
-                    .count()
-            })
-            .unwrap_or(0)
+        let Some(slot) = self.outputs.iter().find(|s| s.pin == *pin) else {
+            return 0;
+        };
+        // The log is in time order, so two binary searches bound the window.
+        let lo = slot.edges.partition_point(|t| *t < window_start);
+        let hi = slot.edges.partition_point(|t| *t <= window_end);
+        hi.saturating_sub(lo)
     }
 
     /// The frequency (Hz) of an output pin over a window, as a frequency
@@ -344,26 +395,10 @@ impl Device {
     /// Publishes CAN outputs and records output-pin edges at `self.now`.
     fn sync_outputs(&mut self) {
         self.publish_can_outputs();
-        let outputs: Vec<(PinId, bool)> = self
-            .pins
-            .iter()
-            .filter_map(|(p, b)| match b {
-                PinBinding::Output { port } => {
-                    Some((p.clone(), self.behavior.output(port).as_bool()))
-                }
-                _ => None,
-            })
-            .collect();
-        for (pin, level) in outputs {
-            match self.last_levels.get(&pin) {
-                Some(prev) if *prev == level => {}
-                Some(_) => {
-                    self.edges.entry(pin.clone()).or_default().push(self.now);
-                    self.last_levels.insert(pin, level);
-                }
-                None => {
-                    self.last_levels.insert(pin, level);
-                }
+        for slot in &mut self.outputs {
+            let level = self.behavior.output(slot.port).as_bool();
+            if slot.level.replace(level) == Some(!level) {
+                slot.edges.push(self.now);
             }
         }
     }
@@ -437,6 +472,19 @@ impl DeviceBuilder {
 
     /// Finishes the device.
     pub fn build(self) -> Device {
+        let outputs = self
+            .pins
+            .iter()
+            .filter_map(|(pin, binding)| match binding {
+                PinBinding::Output { port } => Some(OutputSlot {
+                    pin: pin.clone(),
+                    port,
+                    level: None,
+                    edges: Vec::new(),
+                }),
+                _ => None,
+            })
+            .collect();
         let mut device = Device {
             behavior: self.behavior,
             cfg: self.cfg,
@@ -446,8 +494,7 @@ impl DeviceBuilder {
             drives: BTreeMap::new(),
             inputs: BTreeMap::new(),
             dropped_frames: Vec::new(),
-            edges: BTreeMap::new(),
-            last_levels: BTreeMap::new(),
+            outputs,
             now: SimTime::ZERO,
             from_registry: false,
         };
@@ -587,5 +634,183 @@ mod tests {
         d.reset(SimTime::ZERO);
         assert_eq!(d.read_can_field(CanFrameId(0x100), 0, 1), None);
         assert!(d.measure_pins(&[pid("LAMP_F"), pid("LAMP_R")]) < 1.0);
+    }
+
+    const TICK: SimTime = SimTime::from_millis(1);
+
+    /// One event per [`TICK`]: output `a` toggles every 3 ticks, `b` every
+    /// 5, and CAN output `count` carries the tick count.
+    #[derive(Debug, Default)]
+    struct Toggler {
+        ticks: u64,
+        next: SimTime,
+    }
+
+    impl Behavior for Toggler {
+        fn name(&self) -> &str {
+            "toggler"
+        }
+        fn inputs(&self) -> &[&'static str] {
+            &["en"]
+        }
+        fn outputs(&self) -> &[&'static str] {
+            &["a", "b", "count"]
+        }
+        fn reset(&mut self, now: SimTime) {
+            self.ticks = 0;
+            self.next = now.saturating_add(TICK);
+        }
+        fn set_input(&mut self, _port: &str, _value: PortValue, _now: SimTime) {}
+        fn advance(&mut self, now: SimTime) {
+            while self.next <= now {
+                self.ticks += 1;
+                self.next = self.next.saturating_add(TICK);
+            }
+        }
+        fn next_event(&self) -> Option<SimTime> {
+            Some(self.next)
+        }
+        fn output(&self, port: &str) -> PortValue {
+            match port {
+                "a" => PortValue::Bool(self.ticks / 3 % 2 == 1),
+                "b" => PortValue::Bool(self.ticks / 5 % 2 == 1),
+                "count" => PortValue::Bits(self.ticks & 0xff),
+                _ => PortValue::Bool(false),
+            }
+        }
+    }
+
+    /// Output pins declared out of case-insensitive order, plus an input
+    /// pin and a CAN output.
+    fn toggler() -> Device {
+        Device::builder(Box::<Toggler>::default())
+            .pin("lamp_b", PinBinding::Output { port: "b" })
+            .pin("LAMP_A", PinBinding::Output { port: "a" })
+            .pin("EN", PinBinding::InputActiveHigh { port: "en" })
+            .can_output(0x300, 0, 8, "count")
+            .build()
+    }
+
+    mod old {
+        use super::*;
+
+        /// `Device`'s field layout from when it derived `Debug`, with the
+        /// edge and level records as the `BTreeMap` fields they were.
+        #[allow(dead_code)] // read only through the derived `Debug`
+        #[derive(Debug)]
+        pub(super) struct Device<'a> {
+            pub behavior: &'a (dyn Behavior + Send),
+            pub cfg: &'a ElectricalConfig,
+            pub pins: &'a BTreeMap<PinId, PinBinding>,
+            pub can: &'a Vec<CanBinding>,
+            pub bus: &'a CanBus,
+            pub drives: &'a BTreeMap<PinId, PinDrive>,
+            pub inputs: &'a BTreeMap<PinId, DigitalInput>,
+            pub dropped_frames: &'a Vec<CanFrameId>,
+            pub edges: BTreeMap<PinId, Vec<SimTime>>,
+            pub last_levels: BTreeMap<PinId, bool>,
+            pub now: SimTime,
+            pub from_registry: bool,
+        }
+    }
+
+    /// Asserts `d` renders exactly as the old derived `Debug` would with
+    /// these edge logs (in ms) and levels.
+    fn assert_old_layout(d: &Device, edges: &[(&str, &[u64])], levels: &[(&str, bool)]) {
+        let old = old::Device {
+            behavior: &*d.behavior,
+            cfg: &d.cfg,
+            pins: &d.pins,
+            can: &d.can,
+            bus: &d.bus,
+            drives: &d.drives,
+            inputs: &d.inputs,
+            dropped_frames: &d.dropped_frames,
+            edges: edges
+                .iter()
+                .map(|(pin, ms)| {
+                    (
+                        pid(pin),
+                        ms.iter().map(|&m| SimTime::from_millis(m)).collect(),
+                    )
+                })
+                .collect(),
+            last_levels: levels.iter().map(|&(pin, l)| (pid(pin), l)).collect(),
+            now: d.now,
+            from_registry: d.from_registry,
+        };
+        assert_eq!(format!("{d:?}"), format!("{old:?}"));
+        assert_eq!(format!("{d:#?}"), format!("{old:#?}"));
+    }
+
+    #[test]
+    fn debug_renders_the_old_field_layout_mid_run() {
+        let mut d = toggler();
+        assert_old_layout(&d, &[], &[("LAMP_A", false), ("lamp_b", false)]);
+
+        // Only LAMP_A has an edge yet: lamp_b stays out of `edges`.
+        d.apply_pin(&pid("EN"), PinDrive::Voltage(12.0), SimTime::from_millis(4));
+        assert_old_layout(
+            &d,
+            &[("LAMP_A", &[3])],
+            &[("LAMP_A", true), ("lamp_b", false)],
+        );
+
+        d.advance_to(SimTime::from_millis(16));
+        assert_old_layout(
+            &d,
+            &[("LAMP_A", &[3, 6, 9, 12, 15]), ("lamp_b", &[5, 10, 15])],
+            &[("LAMP_A", true), ("lamp_b", true)],
+        );
+
+        d.reset(SimTime::from_millis(20));
+        assert_old_layout(&d, &[], &[("LAMP_A", false), ("lamp_b", false)]);
+    }
+
+    #[test]
+    fn edge_count_matches_a_linear_count() {
+        let mut d = toggler();
+        let end = SimTime::from_millis(200);
+        d.advance_to(end);
+        let a = &d.outputs[0];
+        assert_eq!(a.pin, pid("LAMP_A"));
+        assert_eq!(a.edges.len(), 66);
+        let linear =
+            |s: SimTime, e: SimTime| a.edges.iter().filter(|t| **t >= s && **t <= e).count();
+
+        // Inclusive boundaries, empty windows and `start > end`.
+        let ms = SimTime::from_millis;
+        assert_eq!(d.edge_count(&pid("LAMP_A"), ms(3), ms(3)), 1);
+        assert_eq!(d.edge_count(&pid("LAMP_A"), ms(3), ms(6)), 2);
+        assert_eq!(d.edge_count(&pid("LAMP_A"), ms(4), ms(5)), 0);
+        assert_eq!(d.edge_count(&pid("LAMP_A"), ms(7), ms(7)), 0);
+        assert_eq!(d.edge_count(&pid("LAMP_A"), ms(9), ms(3)), 0);
+        assert_eq!(d.edge_count(&pid("LAMP_A"), SimTime::ZERO, end), 66);
+        // Pins match case-insensitively; a non-output pin has no edges.
+        assert_eq!(d.edge_count(&pid("lamp_a"), SimTime::ZERO, end), 66);
+        assert_eq!(d.edge_count(&pid("EN"), SimTime::ZERO, end), 0);
+
+        // Seeded windows (a 64-bit LCG), half of them with `start > end`;
+        // half the bounds fall on whole milliseconds, where edges sit.
+        let mut state = 0x5eed_u64;
+        let mut bound = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let r = state >> 33;
+            if r.is_multiple_of(2) {
+                ms(r % 211)
+            } else {
+                SimTime::from_micros(r % 211_000)
+            }
+        };
+        for _ in 0..2_000 {
+            let (s, e) = (bound(), bound());
+            assert_eq!(
+                d.edge_count(&pid("LAMP_A"), s, e),
+                linear(s, e),
+                "{s}..={e}"
+            );
+        }
     }
 }
