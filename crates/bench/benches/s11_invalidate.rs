@@ -5,20 +5,18 @@
 //! device, one 1 000-test suite per block), where an engineer edits **one**
 //! block's fault set and re-runs warm.
 //!
-//! * Under `--cache-key full` the whole device configuration is part of
-//!   every cell's key, so the single edit invalidates all ten cells and
-//!   the warm re-run re-executes everything — cold time for a one-line
-//!   change.
-//! * Under `--cache-key footprint` each cell's key covers only the slices
-//!   of the device its plans touch, so exactly the edited block's cell
-//!   re-executes and the other nine stay hits.
+//! Each cell's key covers only the slices of the device its plans touch,
+//! so exactly the edited block's cell re-executes and the other nine stay
+//! hits. A key over the whole device configuration would move for all ten
+//! cells on the single edit, so the warm re-run would re-execute
+//! everything: the cold run of the edited campaign is that baseline.
 //!
 //! This bench is an *assertion*, not just a timing: the invalidated-cell
 //! count is checked against the planner's own prediction (the set of cells
 //! whose [`FootprintKey`] moved), the warm results are checked
-//! byte-identical to a cold run of the edited campaign, and the
-//! footprint-keyed re-run must be ≥ 5× faster than the full-keyed one.
-//! Medians land in `BENCH_s11.json` at the workspace root.
+//! byte-identical to a cold run of the edited campaign, and the warm
+//! re-run must be ≥ 5× faster than that cold run. Medians land in
+//! `BENCH_s11.json` at the workspace root.
 
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
@@ -27,7 +25,7 @@ use std::sync::Arc;
 use comptest::core::campaign::CampaignEntry;
 use comptest::core::hash::FootprintKey;
 use comptest::dut::ElectricalConfig;
-use comptest::engine::{CacheKeying, DirCache};
+use comptest::engine::DirCache;
 use comptest::prelude::*;
 use comptest_bench::summary::{time_median, BenchSummary};
 use comptest_model::SimTime;
@@ -47,7 +45,7 @@ const EDITED: usize = 3;
 /// execution advances the model through ~2 000 events — execution
 /// dominates, records stay check-sized (the s8 asymmetry).
 const TICK: SimTime = SimTime::from_micros(100);
-/// Timed iterations per arm (median taken).
+/// Timed iterations per arm (median taken), cold and warm alike.
 const ITERS: usize = 3;
 
 /// Pin-binding port names must be `'static`; ten literals beat leaking.
@@ -155,7 +153,7 @@ fn invalidate(_c: &mut Criterion) {
         .expect("cold run");
     summary.record(
         "cold_edited",
-        time_median(1, || {
+        time_median(ITERS, || {
             black_box(
                 Campaign::new(&edited, &stands)
                     .granularity(Granularity::Test)
@@ -165,83 +163,69 @@ fn invalidate(_c: &mut Criterion) {
         }),
     );
 
-    for keying in [CacheKeying::Full, CacheKeying::Footprint] {
-        // Populate the pre-edit store once, cold.
-        let pristine = scratch(&format!("{keying}-pristine"));
-        let _ = Campaign::new(&base, &stands)
-            .granularity(Granularity::Test)
-            .cache_keying(keying)
-            .cache(Arc::new(DirCache::open(&pristine).expect("cache dir")))
-            .run(&SerialExecutor)
-            .expect("populate run");
+    // Populate the pre-edit store once, cold.
+    let pristine = scratch("pristine");
+    let _ = Campaign::new(&base, &stands)
+        .granularity(Granularity::Test)
+        .cache(Arc::new(DirCache::open(&pristine).expect("cache dir")))
+        .run(&SerialExecutor)
+        .expect("populate run");
 
-        // One instrumented warm run of the edited campaign: byte-identity
-        // plus the invalidation accounting.
-        let work = scratch(&format!("{keying}-work"));
-        restore_cache(&pristine, &work);
-        let obs = Recorder::enabled();
-        let warm = Campaign::new(&edited, &stands)
-            .granularity(Granularity::Test)
-            .cache_keying(keying)
-            .cache(Arc::new(DirCache::open(&work).expect("cache dir")))
-            .recorder(obs.clone())
-            .run(&SerialExecutor)
-            .expect("warm run");
-        assert_eq!(warm, reference, "{keying}: warm re-run must match cold");
-        let metrics = obs.metrics().unwrap();
-        let (expect_invalidated, expect_cached) = match keying {
-            // The edit is invisible to no cell under full keying: the
-            // whole-device hash moved, everything re-executes.
-            CacheKeying::Full => (BLOCKS, 0),
-            CacheKeying::Footprint => (predicted, (BLOCKS - predicted) * TESTS_PER_BLOCK),
-        };
-        assert_eq!(
-            metrics.counter("cells_invalidated"),
-            expect_invalidated as u64,
-            "{keying}: engine invalidation must match the planner's prediction"
-        );
-        assert_eq!(
-            metrics.counter("jobs_cached"),
-            expect_cached as u64,
-            "{keying}: untouched blocks must stay hits"
-        );
+    // One instrumented warm run of the edited campaign: byte-identity plus
+    // the invalidation accounting.
+    let work = scratch("work");
+    restore_cache(&pristine, &work);
+    let obs = Recorder::enabled();
+    let warm = Campaign::new(&edited, &stands)
+        .granularity(Granularity::Test)
+        .cache(Arc::new(DirCache::open(&work).expect("cache dir")))
+        .recorder(obs.clone())
+        .run(&SerialExecutor)
+        .expect("warm run");
+    assert_eq!(warm, reference, "warm re-run must match cold");
+    let metrics = obs.metrics().unwrap();
+    assert_eq!(
+        metrics.counter("cells_invalidated"),
+        predicted as u64,
+        "engine invalidation must match the planner's prediction"
+    );
+    assert_eq!(
+        metrics.counter("jobs_cached"),
+        ((BLOCKS - predicted) * TESTS_PER_BLOCK) as u64,
+        "untouched blocks must stay hits"
+    );
 
-        // Timed: restore the pre-edit store, re-run the edited campaign.
-        let campaign = Campaign::new(&edited, &stands)
-            .granularity(Granularity::Test)
-            .cache_keying(keying)
-            .cache(Arc::new(DirCache::open(&work).expect("cache dir")));
-        summary.record(
-            &format!("warm_{keying}"),
-            time_median(ITERS, || {
-                restore_cache(&pristine, &work);
-                black_box(campaign.run(&SerialExecutor).unwrap())
-            }),
-        );
-        summary.note(
-            &format!("cells_invalidated_{keying}"),
-            expect_invalidated as f64,
-        );
-        let _ = std::fs::remove_dir_all(&pristine);
-        let _ = std::fs::remove_dir_all(&work);
-    }
+    // Timed: restore the pre-edit store, re-run the edited campaign.
+    let campaign = Campaign::new(&edited, &stands)
+        .granularity(Granularity::Test)
+        .cache(Arc::new(DirCache::open(&work).expect("cache dir")));
+    summary.record(
+        "warm_footprint",
+        time_median(ITERS, || {
+            restore_cache(&pristine, &work);
+            black_box(campaign.run(&SerialExecutor).unwrap())
+        }),
+    );
+    summary.note("cells_invalidated_footprint", predicted as f64);
+    let _ = std::fs::remove_dir_all(&pristine);
+    let _ = std::fs::remove_dir_all(&work);
 
-    let full = summary.median_ms("warm_full").expect("full arm recorded");
-    let footprint = summary
+    let cold_ms = summary.median_ms("cold_edited").expect("cold arm recorded");
+    let warm_ms = summary
         .median_ms("warm_footprint")
-        .expect("footprint arm recorded");
-    let speedup = full / footprint;
+        .expect("warm arm recorded");
+    let speedup = cold_ms / warm_ms;
     summary.note("footprint_speedup", speedup);
     summary.note("predicted_invalidated", predicted as f64);
     let path = summary.write_at_workspace_root().expect("summary written");
     println!(
-        "s11 summary → {} (footprint warm {speedup:.1}× faster than full warm)",
+        "s11 summary → {} (warm re-run {speedup:.1}× faster than cold)",
         path.display()
     );
     assert!(
         speedup >= 5.0,
-        "footprint-keyed warm re-run must be ≥ 5× faster than full-keyed \
-         (full {full:.1} ms vs footprint {footprint:.1} ms)"
+        "warm re-run after the edit must be ≥ 5× faster than a cold run \
+         (cold {cold_ms:.1} ms vs warm {warm_ms:.1} ms)"
     );
 }
 

@@ -27,8 +27,8 @@
 //!
 //! Most digests are explicit walks over the hashed structure. Two hash a
 //! rendering instead: [`hash_script`] its canonical XML, and
-//! [`hash_device`] the device's `Debug` text (full keying, and the
-//! footprint's whole-device fallback). The footprint digests
+//! [`hash_device`] the device's `Debug` text (the footprint's whole-device
+//! fallback). The footprint digests
 //! ([`Footprint::plan_hash`] and [`Footprint::dut_slice_hash`]) walk the
 //! resolved plans and the touched DUT slice field by field and build no
 //! strings on the way. Their walks destructure every struct and variant
@@ -55,7 +55,7 @@ use comptest_stand::{
     Action, AppliedValue, ExecutionPlan, GetCheck, PlannedStep, ResourceId, TestStand,
 };
 
-use crate::campaign::{CampaignEntry, DeviceFactory};
+use crate::campaign::CampaignEntry;
 use crate::exec::{ExecOptions, SampleMode};
 
 /// A stable streaming hasher: 64-bit FNV-1a with field tagging.
@@ -334,14 +334,13 @@ pub fn hash_script(script: &TestScript) -> u64 {
 /// This is the one cache-key digest that still rests on `Debug`: it makes
 /// the *exhaustive* `Debug` of [`Device`] and of every
 /// [`Behavior`](comptest_dut::Behavior) implementation part of the
-/// cache-key contract, for full keying and for the footprint's
-/// whole-device fallback alike (the footprint digests themselves are
-/// structural walks): a hand-written `Debug` that elides fields (e.g. via
-/// `finish_non_exhaustive`) would let structurally different DUT configs
-/// collide on this digest and serve each other's cached outcomes —
-/// detectable only by `--cache-verify`. Keep device/behaviour `Debug`
-/// derived (or field-complete), or extend this function with explicit
-/// accessors instead.
+/// cache-key contract through the footprint's whole-device fallback (the
+/// footprint digests themselves are structural walks): a hand-written
+/// `Debug` that elides fields (e.g. via `finish_non_exhaustive`) would let
+/// structurally different DUT configs collide on this digest and serve
+/// each other's cached outcomes — detectable only by `--cache-verify`.
+/// Keep device/behaviour `Debug` derived (or field-complete), or extend
+/// this function with explicit accessors instead.
 ///
 /// `Device`'s `Debug` is hand-written. It keeps the field-complete rule
 /// by destructuring `Self` exhaustively, so a new field does not compile
@@ -375,7 +374,9 @@ pub fn hash_exec_options(options: &ExecOptions) -> u64 {
 
 /// The content address of one campaign cell: what ran (`suite_hash`),
 /// where (`stand_hash`), against which component (`dut_config_hash`) and
-/// under which execution options (`exec_hash`).
+/// under which execution options (`exec_hash`). A cell's record lives
+/// under its [`FootprintKey::cell_key`], its plan memo under its
+/// [`plan_memo_key`].
 ///
 /// Everything that can change a cell's outcome is folded into these four
 /// digests; everything that cannot — executor choice, worker count,
@@ -386,42 +387,14 @@ pub fn hash_exec_options(options: &ExecOptions) -> u64 {
 pub struct CellKey {
     /// Structural hash of the test suite ([`hash_suite`]).
     pub suite_hash: u64,
-    /// Structural hash of the test stand ([`hash_stand`]).
+    /// The stand axis: the footprint's plan digest in a record key, the
+    /// whole stand's [`hash_stand`] in a memo key.
     pub stand_hash: u64,
-    /// Hash of the freshly built DUT ([`hash_device`]).
+    /// The DUT axis: the footprint's DUT-slice digest in a record key, the
+    /// memo digest in a memo key.
     pub dut_config_hash: u64,
     /// Hash of the execution options ([`hash_exec_options`]).
     pub exec_hash: u64,
-}
-
-impl CellKey {
-    /// Computes the key for one (entry, stand) cell under `options`. Builds
-    /// one device from the entry's factory to fingerprint the DUT config.
-    pub fn for_cell(entry: &CampaignEntry<'_>, stand: &TestStand, options: &ExecOptions) -> Self {
-        Self {
-            suite_hash: hash_suite(entry.suite),
-            stand_hash: hash_stand(stand),
-            dut_config_hash: hash_device(&entry.device_factory.build()),
-            exec_hash: hash_exec_options(options),
-        }
-    }
-
-    /// Computes the key from pre-computed suite/stand digests (so a
-    /// campaign-wide key sweep hashes each suite and stand once, not once
-    /// per cell).
-    pub fn from_hashes(
-        suite_hash: u64,
-        stand_hash: u64,
-        factory: &dyn DeviceFactory,
-        options: &ExecOptions,
-    ) -> Self {
-        Self {
-            suite_hash,
-            stand_hash,
-            dut_config_hash: hash_device(&factory.build()),
-            exec_hash: hash_exec_options(options),
-        }
-    }
 }
 
 impl fmt::Display for CellKey {
@@ -457,14 +430,15 @@ impl fmt::Display for CellKey {
 ///   [`port_slice`](comptest_dut::Behavior::port_slice). A behaviour that
 ///   does not implement `port_slice` falls back to folding in the whole
 ///   device's [`hash_device`] digest, which makes the footprint exactly as
-///   conservative as full keying on the DUT axis — never less safe.
+///   conservative as the whole-device digest on the DUT axis — never less
+///   safe.
 ///
 /// Both digests are structural walks: no plan, configuration or binding
 /// is rendered through `Debug` on the way; only the whole-device fallback
 /// inherits [`hash_device`]'s `Debug` contract.
 ///
 /// The salt is folded into both digests, so bumping it (e.g. on a firmware
-/// release) invalidates every footprint-keyed record at once.
+/// release) invalidates every record at once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Footprint {
     /// Author-supplied cache salt (empty by default).
@@ -492,10 +466,10 @@ pub struct Footprint {
 }
 
 impl Footprint {
-    /// The footprint-keyed content address for this cell, shaped exactly
-    /// like a [`CellKey`] so every cache backend works unchanged: the
-    /// suite and exec digests are identical to full keying, the stand axis
-    /// carries [`plan_hash`](Self::plan_hash) and the DUT axis
+    /// The content address for this cell, shaped exactly like a
+    /// [`CellKey`] so every cache backend works unchanged: the suite and
+    /// exec axes carry [`hash_suite`] and [`hash_exec_options`], the stand
+    /// axis [`plan_hash`](Self::plan_hash) and the DUT axis
     /// [`dut_slice_hash`](Self::dut_slice_hash).
     pub fn key(&self, suite_hash: u64, exec_hash: u64) -> FootprintKey {
         FootprintKey {
@@ -512,13 +486,13 @@ impl Footprint {
     }
 }
 
-/// A footprint-keyed cell address: same four-digest shape as [`CellKey`],
-/// but the stand and DUT axes hash only the slices the cell touches.
+/// A cell's record address: same four-digest shape as [`CellKey`], but
+/// the stand and DUT axes hash only the slices the cell touches.
 ///
-/// The plan digest is tagged `b'P'` (full stand hashing uses `b'T'`) and
-/// the DUT-slice digest `b'F'` (full device hashing uses `b'D'`), so
-/// footprint and full keys live in disjoint hash domains and can never
-/// alias each other inside one cache directory.
+/// The plan digest is tagged `b'P'` (whole-stand hashing uses `b'T'`) and
+/// the DUT-slice digest `b'F'` (plan memos use `b'M'`), so record keys and
+/// [`plan_memo_key`]s live in disjoint hash domains and can never alias
+/// each other inside one cache directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FootprintKey {
     /// Structural hash of the test suite ([`hash_suite`]).
@@ -546,7 +520,7 @@ impl FootprintKey {
     /// `options`: generates the suite's scripts, plans them on the stand,
     /// captures the footprint and keys it. Generation or planning failures
     /// fold into the footprint conservatively (see [`footprint_for_cell`]),
-    /// so this never errors — it mirrors [`CellKey::for_cell`].
+    /// so this never errors.
     pub fn for_cell(
         entry: &CampaignEntry<'_>,
         stand: &TestStand,
@@ -947,7 +921,7 @@ pub const PLAN_MEMO_VERSION: u32 = 1;
 /// stand ([`hash_stand`]), the salt, the exec options (the aliased record
 /// depends on them) and [`PLAN_MEMO_VERSION`] — and never the device. The
 /// DUT axis carries a digest tagged `b'M'`, so memo keys share no hash
-/// domain with full (`b'D'`) or footprint (`b'F'`) keys.
+/// domain with record keys (`b'F'`).
 pub fn plan_memo_key(suite_hash: u64, stand_hash: u64, salt: &str, exec_hash: u64) -> CellKey {
     let mut h = StableHasher::new();
     h.write_u8(b'M');
@@ -1186,7 +1160,7 @@ step, dt,  DS_FL, NIGHT, INT_ILL
         assert_ne!(
             hash_stand(&stand),
             hash_stand(&extra),
-            "full keying re-tests on the same edit"
+            "the whole-stand digest moves on the same edit"
         );
 
         // ...while the supply rail the get_u checks scale against is not.
@@ -1199,16 +1173,17 @@ step, dt,  DS_FL, NIGHT, INT_ILL
     }
 
     #[test]
-    fn footprint_key_never_aliases_full_key() {
+    fn footprint_key_never_aliases_memo_key() {
         let suite = suite();
         let stand = stand();
         let entry = lamp_entry(&suite);
         let options = ExecOptions::default();
-        let full = CellKey::for_cell(&entry, &stand, &options);
+        let exec_hash = hash_exec_options(&options);
+        let memo = plan_memo_key(hash_suite(&suite), hash_stand(&stand), "", exec_hash);
         let footprint = FootprintKey::for_cell(&entry, &stand, &options, "");
-        assert_eq!(footprint.suite_hash, full.suite_hash);
-        assert_eq!(footprint.exec_hash, full.exec_hash);
-        assert_ne!(footprint.cell_key(), full, "disjoint hash domains");
+        assert_eq!(footprint.suite_hash, memo.suite_hash);
+        assert_eq!(footprint.exec_hash, memo.exec_hash);
+        assert_ne!(footprint.cell_key(), memo, "disjoint hash domains");
         assert_eq!(footprint.to_string().len(), 16 * 4 + 3);
     }
 

@@ -97,8 +97,7 @@ pub trait Behavior: fmt::Debug {
     /// When in doubt, include more (or return `None`).
     ///
     /// The default returns `None`, which makes footprint keying fall back
-    /// to hashing the entire device — exactly as conservative as full
-    /// keying, never less safe.
+    /// to hashing the entire device — conservative, never less safe.
     fn port_slice(&self, _port: &str) -> Option<String> {
         None
     }

@@ -16,10 +16,10 @@
 //! ```text
 //! record    := magic "CCR" | version u8 | flags u8
 //!              | varint(total) | varint(n_tests)
-//!              | footprint?                      -- iff flags bit1 (v2+)
+//!              | footprint?                      -- iff flags bit1
 //!              | outcome{n_tests}
 //! flags     := bit0 = record ends in a planning error (Err outcome)
-//!              bit1 = a footprint section follows the counts (v2+ only)
+//!              bit1 = a footprint section follows the counts
 //! footprint := string(salt)
 //!              | varint(n) string{n}             -- signals
 //!              | varint(n) string{n}             -- pins
@@ -62,21 +62,16 @@
 //!
 //! # Versioning rules
 //!
-//! * Any layout change bumps [`VERSION`]; versions this build does not
-//!   know are a decode error, which the cache layer treats as a miss —
-//!   stale files never produce wrong verdicts, they just re-execute.
-//! * Older versions stay *readable* where the layout allows it: a v1
-//!   record is exactly a v2 record without the footprint section (and
-//!   with flags restricted to bit0), so v1 files decode to records with
-//!   `footprint: None` and remain valid hits — a format upgrade never
-//!   cold-starts an existing cache.
+//! * Any layout change bumps [`VERSION`]; every other version is a
+//!   decode error, which the cache layer treats as a miss — stale files
+//!   never produce wrong verdicts, they just re-execute. (Version 1
+//!   records predate footprint keys, so nothing looks them up any more.)
 //! * Every length and count is validated against the bytes actually
 //!   remaining before it is trusted (an "oversized length" is an
 //!   immediate error, never an allocation), every tag byte must match an
 //!   arm, each outcome body must consume exactly its declared length, and
 //!   the record must consume the whole buffer — so `encode(decode(b)) ==
-//!   b` for every accepted current-version input (older versions re-encode
-//!   as the equivalent current-version record), and hostile input can only
+//!   b` for every accepted input, and hostile input can only
 //!   ever produce an error, not a panic or a giant allocation.
 
 use comptest_core::campaign::TestJobOutcome;
@@ -90,13 +85,9 @@ use super::CellRecord;
 /// The three magic bytes opening every binary record file.
 pub const MAGIC: [u8; 3] = *b"CCR";
 
-/// Binary format version; bump on any layout change. Unknown versions
-/// read as misses; version 1 (pre-footprint) records remain readable —
-/// they are exactly version-2 records without the footprint section.
+/// Binary format version; bump on any layout change. Every other version
+/// reads as a miss.
 pub const VERSION: u8 = 2;
-
-/// The oldest version [`decode`] still accepts.
-pub const MIN_VERSION: u8 = 1;
 
 /// A failed decode: the input is truncated, tagged wrong, over-declared,
 /// or otherwise not a record this version wrote. The cache layer maps
@@ -127,8 +118,8 @@ pub struct RecordHeader {
     pub tests: usize,
     /// True when the last outcome is a planning error.
     pub ends_err: bool,
-    /// True when a footprint section follows the counts (v2+ records
-    /// stored by a footprint-keyed run).
+    /// True when a footprint section follows the counts (every record the
+    /// engine stores; remote result frames carry none).
     pub has_footprint: bool,
 }
 
@@ -600,13 +591,11 @@ fn header(r: &mut Reader<'_>) -> Result<RecordHeader, DecodeError> {
         return err("bad magic");
     }
     let version = r.u8()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return err(format!("unknown record version {version}"));
     }
     let flags = r.u8()?;
-    // v1 knew only the ends-in-error bit; the footprint bit exists since v2.
-    let known = if version >= 2 { 0b11 } else { 0b01 };
-    if flags & !known != 0 {
+    if flags & !0b11 != 0 {
         return err(format!("bad flags {flags:#04x}"));
     }
     let total =
@@ -791,30 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_records_without_footprints_remain_readable() {
-        // A v1 record is byte-for-byte a v2 record without the footprint
-        // section (and with flags restricted to bit0), so forging one is
-        // just a version-byte patch.
-        let record = sample_record();
-        let mut v1 = encode(&record);
-        assert_eq!(v1[3], VERSION);
-        v1[3] = 1;
-        let decoded = decode(&v1).expect("v1 record must stay a valid hit");
-        assert_eq!(decoded, record);
-        assert_eq!(decoded.footprint, None);
-        let head = probe(&v1).unwrap();
-        assert!(head.ends_err && !head.has_footprint);
-
-        // The footprint bit did not exist in v1: a v1 header carrying it
-        // is hostile input, not a record any writer produced.
-        let mut record = sample_record();
-        record.footprint = Some(sample_footprint());
-        let mut forged = encode(&record);
-        forged[3] = 1;
-        assert!(decode(&forged).is_err(), "v1 cannot carry a footprint");
-    }
-
-    #[test]
     fn header_probe_answers_admission_without_payload() {
         let bytes = encode(&sample_record());
         let head = probe(&bytes).unwrap();
@@ -843,11 +808,17 @@ mod tests {
 
     #[test]
     fn hostile_inputs_are_errors() {
-        // Wrong magic / version.
+        // Wrong magic / version: a pre-footprint v1 record or a future
+        // version reads as a miss.
         assert!(decode(b"XXX").is_err());
-        let mut bytes = encode(&sample_record());
-        bytes[3] = VERSION + 1;
-        assert!(decode(&bytes).is_err(), "future version must read as miss");
+        for version in [1, VERSION + 1] {
+            let mut bytes = encode(&sample_record());
+            bytes[3] = version;
+            assert!(
+                decode(&bytes).is_err(),
+                "version {version} must read as miss"
+            );
+        }
 
         // Flags contradicting the outcomes.
         let mut bytes = encode(&sample_record());

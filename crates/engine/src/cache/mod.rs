@@ -6,9 +6,10 @@
 //! stands; compositional-testing results (Kanso & Chebaro; Daca &
 //! Henzinger) justify skipping re-verification of a component whose
 //! interface contract is unchanged. A cell's contract is captured by its
-//! [`CellKey`] — stable structural hashes of suite, stand, DUT config and
-//! execution options (see [`comptest_core::hash`]) — and the cache maps
-//! that key to the cell's full per-test outcomes.
+//! [`CellKey`] — stable structural hashes of the suite, of the stand and
+//! DUT slices the cell touches, and of the execution options (see
+//! [`comptest_core::hash`]) — and the cache maps that key to the cell's
+//! full per-test outcomes.
 //!
 //! Design points:
 //!
@@ -62,39 +63,29 @@
 //!
 //! # What invalidates the cache
 //!
-//! Two keying modes decide *which* edits turn hits into misses
-//! ([`CacheKeying`], CLI `--cache-key`, footprint default):
+//! Each cell is keyed on its recorded dependency [`Footprint`]: the digest
+//! of the cell's *resolved execution plans* (the exact stand slice the
+//! planner allocated) and of the *DUT slice* its signals route through
+//! (touched pin/CAN bindings refined by
+//! [`Behavior::port_slice`](comptest_dut::Behavior::port_slice)). Edits
+//! outside a cell's footprint — an unrelated stand resource, another ECU's
+//! configuration block — leave its key, and its cached verdict, untouched.
+//! Anything the footprint cannot prove untouched falls back to hashing the
+//! whole device, so a footprint key is never less safe than a whole-device
+//! digest, only more precise.
 //!
-//! * **[`CacheKeying::Full`]** keys each cell on the whole suite, the
-//!   whole stand and the whole DUT config ([`CellKey`]). Safe and simple,
-//!   but coarse: editing one ECU's fault set on a shared DUT, or touching
-//!   any stand resource, invalidates every cell keyed against them.
-//! * **[`CacheKeying::Footprint`]** (the default) keys each cell on its
-//!   recorded dependency [`Footprint`]: the digest of the cell's
-//!   *resolved execution plans* (the exact stand slice the planner
-//!   allocated) and of the *DUT slice* its signals route through (touched
-//!   pin/CAN bindings refined by
-//!   [`Behavior::port_slice`](comptest_dut::Behavior::port_slice)). Edits
-//!   outside a cell's footprint — an unrelated stand resource, another
-//!   ECU's configuration block — leave its key, and its cached verdict,
-//!   untouched. Anything the footprint cannot prove untouched falls back
-//!   to whole-device hashing, so footprint keying is never less safe than
-//!   full keying, only more precise.
-//!
-//! Under footprint keying a cell's plan memo trusts that codegen and
-//! planning did not change since it was written. A change that moves a
-//! generated script or a resolved plan (one that re-blesses
-//! `assets/golden/plan_digests.txt`) therefore bumps
+//! A cell's plan memo trusts that codegen and planning did not change
+//! since it was written. A change that moves a generated script or a
+//! resolved plan (one that re-blesses `assets/golden/plan_digests.txt`)
+//! therefore bumps
 //! [`PLAN_MEMO_VERSION`](comptest_core::hash::PLAN_MEMO_VERSION), which
 //! moves every memo key: old memos become misses, never wrong keys.
 //!
-//! Both modes fold the campaign's **cache salt**
+//! Every key folds in the campaign's **cache salt**
 //! ([`Campaign::cache_salt`](crate::Campaign::cache_salt), CLI
-//! `--cache-salt`) into footprint keys; bump it (e.g. on a firmware
-//! release) to invalidate every footprint-keyed record at once. The two
-//! modes' keys live in disjoint hash domains, so one directory can hold
-//! both without aliasing; switching modes is safe but starts cold on the
-//! first run.
+//! `--cache-salt`); bump it (e.g. on a firmware release) to invalidate
+//! every record at once. Record keys and memo keys live in disjoint hash
+//! domains, so one directory holds both without aliasing.
 //!
 //! # On-disk records
 //!
@@ -116,8 +107,8 @@
 //! module docs. A version bump makes stale files decode as errors →
 //! misses; they re-execute and are rewritten in the current version.
 //!
-//! Under footprint keying each clean cell's record file also has a second
-//! name, `<memo-key>.bin`: a hard link made by [`DirCache`]'s
+//! Each clean cell's record file also has a second name,
+//! `<memo-key>.bin`: a hard link made by [`DirCache`]'s
 //! [`alias`](CampaignCache::alias). A store replaces the record file with
 //! a new one, so the engine re-links the memo name after every store; an
 //! existing link is replaced by linking a `.tmp-*` name and renaming it
@@ -147,49 +138,6 @@ use crate::events::{emit, EngineEvent};
 use crate::executor::{KeySet, MemoReads};
 use crate::obs::{Counter, Recorder};
 
-/// How campaign cells are keyed into the cache — which edits invalidate
-/// what. See the [module docs](self#what-invalidates-the-cache).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheKeying {
-    /// Whole-artifact keys ([`CellKey`]): any change to the suite, the
-    /// stand or the DUT config invalidates every cell keyed against it.
-    Full,
-    /// Dependency-footprint keys ([`Footprint`]): a cell is invalidated
-    /// only by changes to the stand slice its plans allocate or the DUT
-    /// slice its signals touch. The default.
-    #[default]
-    Footprint,
-}
-
-impl CacheKeying {
-    /// Accepted [`FromStr`](std::str::FromStr) spellings, for CLI help.
-    pub const ACCEPTED: [&'static str; 2] = ["full", "footprint"];
-}
-
-impl fmt::Display for CacheKeying {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CacheKeying::Full => write!(f, "full"),
-            CacheKeying::Footprint => write!(f, "footprint"),
-        }
-    }
-}
-
-impl std::str::FromStr for CacheKeying {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "full" => Ok(CacheKeying::Full),
-            "footprint" => Ok(CacheKeying::Footprint),
-            _ => Err(format!(
-                "unknown cache keying {s:?}: expected one of {}",
-                Self::ACCEPTED.join(", ")
-            )),
-        }
-    }
-}
-
 /// The cached outcomes of one campaign cell: per-test outcomes in suite
 /// order, possibly truncated to the prefix a cell-granular run determined.
 ///
@@ -203,11 +151,11 @@ pub struct CellRecord {
     /// Per-test outcomes (full results including traces and sim timing),
     /// a prefix of the suite's tests.
     pub tests: Vec<TestJobOutcome>,
-    /// The dependency footprint the cell was keyed under when stored by a
-    /// footprint-keyed run ([`CacheKeying::Footprint`]); `None` for
-    /// full-keyed stores and for records written before the footprint
-    /// format revision. Informational: admission recomputes keys fresh
-    /// every run, so a missing footprint never weakens a hit.
+    /// The dependency footprint the cell was keyed under when stored;
+    /// `None` for records encoded without one (remote result frames).
+    /// Read back through the cell's plan memo, its plan side stands in for
+    /// codegen and planning on the next launch, so it must be the
+    /// footprint the record's key was derived from.
     pub footprint: Option<Footprint>,
 }
 
@@ -609,16 +557,11 @@ impl Preloaded {
 pub(crate) struct CacheRuntime {
     cache: Arc<dyn CampaignCache>,
     verify: bool,
-    /// The keying mode the campaign's keys were computed under — what the
-    /// `cache_hits_footprint` counter reports against.
-    keying: CacheKeying,
     keys: Vec<CellKey>,
-    /// Per-cell dependency footprints (`None` under [`CacheKeying::Full`]
-    /// or when capture was skipped) — attached to stored records.
-    footprints: Vec<Option<Footprint>>,
+    /// Per-cell dependency footprints, attached to stored records.
+    footprints: Vec<Footprint>,
     /// Per-cell plan-memo keys, re-pointed at the cell's record after each
-    /// store (`None` under full keying and for cells with a planning
-    /// error).
+    /// store (`None` for cells with a planning error).
     memos: Vec<Option<CellKey>>,
     records: Vec<Option<Preloaded>>,
     collectors: Vec<Mutex<Collector>>,
@@ -674,9 +617,7 @@ impl CacheRuntime {
                 // Encoding a footprint only to count its bytes is wasted
                 // work when nobody records the count.
                 if obs.is_enabled() {
-                    if let Some(fp) = &footprints[cell] {
-                        footprint_bytes += binary::footprint_bytes(fp);
-                    }
+                    footprint_bytes += binary::footprint_bytes(&footprints[cell]);
                 }
                 if corrupt_memos.next_if_eq(&&cell).is_some() {
                     corrupt.push((cell, entry.suite.name.clone(), stand.name().to_owned()));
@@ -727,7 +668,6 @@ impl CacheRuntime {
         Arc::new(Self {
             cache,
             verify: campaign.cache_verify,
-            keying: campaign.cache_keying,
             keys: keys.to_vec(),
             footprints: footprints.to_vec(),
             memos: keyset.memos.clone(),
@@ -791,9 +731,6 @@ impl CacheRuntime {
             .map(Option::take)
             .collect::<Option<_>>()?;
         drop(slots);
-        if self.keying == CacheKeying::Footprint {
-            self.obs.inc(Counter::CacheHitsFootprint);
-        }
         if !record.complete {
             self.note(cell, tests.start, &outcomes, false);
         }
@@ -853,7 +790,7 @@ impl CacheRuntime {
         let record = CellRecord {
             total,
             tests,
-            footprint: self.footprints[cell].clone(),
+            footprint: Some(self.footprints[cell].clone()),
         };
         let written = self.cache.store_io(&self.keys[cell], &record);
         self.obs.add(Counter::CacheBytesWritten, written);
@@ -914,17 +851,6 @@ mod tests {
         };
         let decoded = binary::decode(&binary::encode(&record)).unwrap();
         assert_eq!(decoded, record);
-    }
-
-    #[test]
-    fn cache_keying_parses_and_displays() {
-        assert_eq!(CacheKeying::default(), CacheKeying::Footprint);
-        for accepted in CacheKeying::ACCEPTED {
-            let keying: CacheKeying = accepted.parse().unwrap();
-            assert_eq!(keying.to_string(), accepted);
-        }
-        let err = "bogus".parse::<CacheKeying>().unwrap_err();
-        assert!(err.contains("full, footprint"), "{err}");
     }
 
     #[test]

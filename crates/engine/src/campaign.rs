@@ -10,7 +10,7 @@ use comptest_core::error::CoreError;
 use comptest_core::exec::ExecOptions;
 use comptest_stand::TestStand;
 
-use crate::cache::{CacheKeying, CampaignCache};
+use crate::cache::CampaignCache;
 use crate::executor::{CampaignExecutor, KeyStore, PlanStore, ScriptStore};
 use crate::handle::{CampaignHandle, CancelToken};
 use crate::obs::{Recorder, SpanCat};
@@ -121,15 +121,10 @@ pub struct Campaign<'a, 'b> {
     /// [`CoreError::CacheMismatch`] if any cached outcome diverged from
     /// the fresh execution.
     pub cache_verify: bool,
-    /// How cells are keyed into the cache (default
-    /// [`CacheKeying::Footprint`]): whole-artifact hashes, or per-cell
-    /// dependency footprints that survive edits outside what a cell
-    /// touches. See
+    /// Author-supplied cache salt, folded into every cache key (and
+    /// recorded in stored footprints). Bump it to invalidate all records
+    /// at once — e.g. per firmware release. See
     /// [the cache docs](crate::cache#what-invalidates-the-cache).
-    pub cache_keying: CacheKeying,
-    /// Author-supplied cache salt, folded into every footprint key (and
-    /// recorded in stored footprints). Bump it to invalidate all
-    /// footprint-keyed records at once — e.g. per firmware release.
     pub cache_salt: String,
     /// Observability recorder: disabled by default (zero cost), enabled
     /// via [`Campaign::recorder`]. See [`crate::obs`] for the metrics and
@@ -173,7 +168,6 @@ impl<'a, 'b> Campaign<'a, 'b> {
             cancel: CancelToken::new(),
             cache: None,
             cache_verify: false,
-            cache_keying: CacheKeying::default(),
             cache_salt: String::new(),
             obs: Recorder::disabled(),
             lane: 0,
@@ -229,19 +223,9 @@ impl<'a, 'b> Campaign<'a, 'b> {
         self
     }
 
-    /// Sets how cells are keyed into the cache (builder style). The
-    /// default, [`CacheKeying::Footprint`], invalidates a cell only when
-    /// something *it touches* changes; [`CacheKeying::Full`] restores
-    /// whole-artifact keying. No effect without [`Campaign::cache`].
-    pub fn cache_keying(mut self, keying: CacheKeying) -> Self {
-        self.cache_keying = keying;
-        self
-    }
-
     /// Sets the author-supplied cache salt (builder style): an opaque
-    /// string folded into every footprint key, so bumping it invalidates
-    /// all footprint-keyed records at once. Ignored under
-    /// [`CacheKeying::Full`].
+    /// string folded into every cache key, so bumping it invalidates all
+    /// records at once. No effect without [`Campaign::cache`].
     pub fn cache_salt(mut self, salt: impl Into<String>) -> Self {
         self.cache_salt = salt.into();
         self

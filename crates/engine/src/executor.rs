@@ -18,7 +18,7 @@
 //! executor joins through [`join_jobs`], which folds the per-test outcomes
 //! with [`merge_test_outcomes`].
 //!
-//! With a footprint-keyed cache, key resolution reads each cell's plan
+//! With a cache, key resolution reads each cell's plan
 //! memo before anything is generated or planned, and only entries with a
 //! cell to plan or a job to execute are generated: a fully warm run builds
 //! no devices, generates no scripts and plans nothing. (It still builds
@@ -35,7 +35,7 @@ use comptest_core::campaign::{
 use comptest_core::error::CoreError;
 use comptest_core::exec::{ExecOptions, RunState};
 use comptest_core::hash::{
-    capture_footprint, footprint_from_memo, hash_device, hash_exec_options, hash_stand, hash_suite,
+    capture_footprint, footprint_from_memo, hash_exec_options, hash_stand, hash_suite,
     plan_memo_key, CellKey, Footprint, FootprintDevice,
 };
 use comptest_core::{StepProbe, TestResult, TestRun};
@@ -44,7 +44,7 @@ use comptest_model::SimTime;
 use comptest_script::TestScript;
 use comptest_stand::{ExecutionPlan, TestStand};
 
-use crate::cache::{CacheKeying, CacheLookup, CacheRuntime, CampaignCache, CellRecord};
+use crate::cache::{CacheLookup, CacheRuntime, CampaignCache, CellRecord};
 use crate::campaign::{Campaign, Granularity};
 use crate::events::{emit, EngineEvent};
 use crate::handle::{CampaignHandle, CampaignOutcome, EventStream, RunCancel};
@@ -181,18 +181,16 @@ fn generate_entry(entry: &CampaignEntry<'_>) -> Result<EntryScripts, CoreError> 
         .collect())
 }
 
-/// A campaign's resolved cache keys plus, under
-/// [`CacheKeying::Footprint`], the per-cell dependency footprints the keys
-/// were derived from (attached to stored records) and the plan-memo keys
-/// the cells' records are aliased under (all `None` under
-/// [`CacheKeying::Full`]).
+/// A campaign's resolved cache keys plus the per-cell dependency
+/// footprints the keys were derived from (attached to stored records) and
+/// the plan-memo keys the cells' records are aliased under.
 #[derive(Debug)]
 pub(crate) struct KeySet {
     pub(crate) keys: Vec<CellKey>,
-    pub(crate) footprints: Vec<Option<Footprint>>,
-    /// Per-cell [`plan_memo_key`]s; `None` under full keying and for cells
-    /// with a planning error, which get no memo and so keep re-planning
-    /// into the whole-device fallback.
+    pub(crate) footprints: Vec<Footprint>,
+    /// Per-cell [`plan_memo_key`]s; `None` for cells with a planning
+    /// error, which get no memo and so keep re-planning into the
+    /// whole-device fallback.
     pub(crate) memos: Vec<Option<CellKey>>,
 }
 
@@ -221,12 +219,11 @@ pub(crate) struct MemoReads {
 /// re-hashing 10k tests per launch was pure waste. The hashing that does
 /// happen is timed as the `hash` phase.
 ///
-/// Under [`CacheKeying::Footprint`] resolution also captures each cell's
-/// dependency [`Footprint`]. A cell's plan memo, read first, gives its
-/// plan side; otherwise every test plan is resolved eagerly through the
-/// campaign's shared [`PlanSlot`]s (the same slots execution uses, so
-/// nothing plans twice). One device per entry is built for the DUT slice —
-/// reused read-only across that entry's stands.
+/// Resolution captures each cell's dependency [`Footprint`]. A cell's plan
+/// memo, read first, gives its plan side; otherwise every test plan is
+/// resolved eagerly through the campaign's shared [`PlanSlot`]s (the same
+/// slots execution uses, so nothing plans twice). One device per entry is
+/// built for the DUT slice — reused read-only across that entry's stands.
 #[derive(Debug, Default)]
 pub(crate) struct KeyStore {
     keys: OnceLock<KeySet>,
@@ -253,13 +250,7 @@ impl KeyStore {
         if let Some(keys) = self.keys.get() {
             return Ok((keys, MemoReads::default()));
         }
-        let (keys, reads) = match campaign.cache_keying {
-            CacheKeying::Full => (
-                obs.time_phase(Phase::Hash, || full_keys(campaign)),
-                MemoReads::default(),
-            ),
-            CacheKeying::Footprint => footprint_keys(campaign, cache, scripts, slot, obs)?,
-        };
+        let (keys, reads) = footprint_keys(campaign, cache, scripts, slot, obs)?;
         let keys = self.keys.get_or_init(|| keys);
         debug_assert_eq!(
             keys.keys.len(),
@@ -267,31 +258,6 @@ impl KeyStore {
             "campaign shape changed under KeyStore"
         );
         Ok((keys, reads))
-    }
-}
-
-/// Whole-artifact keys: one device per entry for its config digest.
-fn full_keys(campaign: &Campaign<'_, '_>) -> KeySet {
-    let exec_hash = hash_exec_options(&campaign.exec);
-    let n_cells = campaign.entries.len() * campaign.stands.len();
-    let stand_hashes: Vec<u64> = campaign.stands.iter().map(|s| hash_stand(s)).collect();
-    let mut keys = Vec::with_capacity(n_cells);
-    for entry in campaign.entries {
-        let suite_hash = hash_suite(entry.suite);
-        let dut_config_hash = hash_device(&entry.device_factory.build());
-        for &stand_hash in &stand_hashes {
-            keys.push(CellKey {
-                suite_hash,
-                stand_hash,
-                dut_config_hash,
-                exec_hash,
-            });
-        }
-    }
-    KeySet {
-        keys,
-        footprints: vec![None; n_cells],
-        memos: vec![None; n_cells],
     }
 }
 
@@ -412,7 +378,7 @@ fn footprint_keys(
                 reads.records.push(if current { memo } else { None });
                 memo_of.push(clean.then_some(memo_keys[keys.len()]));
                 keys.push(fp.key(suite_hashes[e], exec_hash).cell_key());
-                footprints.push(Some(fp));
+                footprints.push(fp);
             }
         }
     });

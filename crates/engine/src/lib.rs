@@ -59,22 +59,18 @@
 //!
 //! # What invalidates the cache
 //!
-//! [`CacheKeying`] ([`Campaign::cache_keying`], CLI `--cache-key`)
-//! selects the invalidation granularity. The default,
-//! [`CacheKeying::Footprint`], keys every cell by its recorded dependency
-//! footprint — the digest of the cell's resolved execution plans (the
-//! exact stand slice the planner allocated) and of the DUT slice its
-//! signals route through — so editing one ECU's configuration, fault set
-//! or an unrelated stand resource re-executes *only the cells that touch
-//! it*; everything else keeps hitting. [`CacheKeying::Full`] restores
-//! whole-artifact keying (any change to suite, stand or DUT config
-//! invalidates every cell keyed against it). An author-supplied
-//! [`Campaign::cache_salt`] (CLI `--cache-salt`) folds into footprint
-//! keys so a firmware release can invalidate everything at once, and
-//! anything a footprint cannot prove untouched falls back to whole-device
-//! hashing — footprint keying is never less safe than full keying. The
-//! precise rules, the salt semantics and the record-format details live
-//! in [the cache module docs](cache#what-invalidates-the-cache).
+//! Every cell is keyed by its recorded dependency footprint — the digest
+//! of the cell's resolved execution plans (the exact stand slice the
+//! planner allocated) and of the DUT slice its signals route through — so
+//! editing one ECU's configuration, fault set or an unrelated stand
+//! resource re-executes *only the cells that touch it*; everything else
+//! keeps hitting. An author-supplied [`Campaign::cache_salt`] (CLI
+//! `--cache-salt`) folds into every key so a firmware release can
+//! invalidate everything at once, and anything a footprint cannot prove
+//! untouched falls back to hashing the whole device — a footprint key is
+//! never less safe than a whole-device digest. The precise rules, the
+//! salt semantics and the record-format details live in
+//! [the cache module docs](cache#what-invalidates-the-cache).
 //!
 //! # Granularity is a batch size
 //!
@@ -118,8 +114,8 @@
 //! between step spans on a track are scheduler wait — compare executors
 //! by how densely they pack the `execute` phase. Phase `calls` count
 //! work done, not launches: `codegen` records one call per entry actually
-//! generated and `plan` one per plan resolved, so a fully warm
-//! footprint-keyed launch shows zero of both.
+//! generated and `plan` one per plan resolved, so a fully warm cached
+//! launch shows zero of both.
 //!
 //! **Counter glossary** (names as they appear in
 //! [`MetricsSnapshot::counters`]):
@@ -134,10 +130,9 @@
 //! | `tests_executed` | individual tests driven to a verdict (per job at test granularity, per suite member at cell granularity) |
 //! | `steps_executed` | test steps driven through the DUT |
 //! | `cache_hits` / `cache_misses` | cache lookups by outcome |
-//! | `cache_hits_footprint` | admission hits while the campaign keys by [`CacheKeying::Footprint`] (equals `cache_hits` there; `0` under full keying) |
 //! | `cells_invalidated` | cells whose preload lookup found no usable record — exactly the cells this run re-executes |
 //! | `footprint_bytes` | summed encoded size of the campaign's captured dependency footprints |
-//! | `plan_memo_hits` / `plan_memo_misses` | cells whose footprint key came from their plan memo (no codegen, no planning) / cells that had to generate and plan; they sum to the cell count on every footprint-keyed launch that resolves keys |
+//! | `plan_memo_hits` / `plan_memo_misses` | cells whose footprint key came from their plan memo (no codegen, no planning) / cells that had to generate and plan; they sum to the cell count on every cached launch that resolves keys |
 //! | `cache_corrupt_entries` | unreadable/undecodable cache records (also emitted as [`EngineEvent::CellCacheCorrupt`] warnings) |
 //! | `cache_bytes_read` / `cache_bytes_written` | encoded record bytes moved at preload (plan-memo reads included) / by stores — what the `cache_preload` phase cost buys |
 //! | `spans_opened` / `spans_closed` | trace spans begun / ended — equal once the campaign joins, even under cancellation |
@@ -281,9 +276,7 @@ mod pool;
 pub mod remote;
 
 pub use async_exec::AsyncExecutor;
-pub use cache::{
-    CacheKeying, CacheLookup, CampaignCache, CellRecord, DirCache, LookupInfo, MemoryCache,
-};
+pub use cache::{CacheLookup, CampaignCache, CellRecord, DirCache, LookupInfo, MemoryCache};
 pub use campaign::{Campaign, Granularity};
 pub use events::EngineEvent;
 pub use executor::{CampaignExecutor, PooledExecutor, SerialExecutor};

@@ -58,9 +58,6 @@ pub(crate) enum Counter {
     TestWallMicrosTotal,
     /// Total simulated microseconds across executed tests.
     TestSimMicrosTotal,
-    /// Cache hits admitted under footprint keying (subset of `cache_hits`;
-    /// zero when the campaign keys on full hashes).
-    CacheHitsFootprint,
     /// Cells whose preload lookup missed — the cells the campaign will
     /// (re-)execute because no valid record matched their key.
     CellsInvalidated,
@@ -70,14 +67,14 @@ pub(crate) enum Counter {
     /// codegen or planning (under `cache_verify` they are planned anyway
     /// and the memo is audited).
     PlanMemoHits,
-    /// Cells of a footprint-keyed key resolution without a usable plan
+    /// Cells of a key resolution without a usable plan
     /// memo (absent, unreadable, or written under another salt); they
     /// generate and plan as on a cold launch.
     PlanMemoMisses,
 }
 
 impl Counter {
-    pub(crate) const ALL: [Counter; 23] = [
+    pub(crate) const ALL: [Counter; 22] = [
         Counter::JobsPlanned,
         Counter::JobsExecuted,
         Counter::JobsCached,
@@ -96,7 +93,6 @@ impl Counter {
         Counter::CampaignWallMicros,
         Counter::TestWallMicrosTotal,
         Counter::TestSimMicrosTotal,
-        Counter::CacheHitsFootprint,
         Counter::CellsInvalidated,
         Counter::FootprintBytes,
         Counter::PlanMemoHits,
@@ -123,7 +119,6 @@ impl Counter {
             Counter::CampaignWallMicros => "campaign_wall_micros",
             Counter::TestWallMicrosTotal => "test_wall_micros_total",
             Counter::TestSimMicrosTotal => "test_sim_micros_total",
-            Counter::CacheHitsFootprint => "cache_hits_footprint",
             Counter::CellsInvalidated => "cells_invalidated",
             Counter::FootprintBytes => "footprint_bytes",
             Counter::PlanMemoHits => "plan_memo_hits",

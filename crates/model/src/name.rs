@@ -20,10 +20,11 @@
 //! # `Debug` is part of the cache-key contract
 //!
 //! The derived `Debug` of a newtype over `Arc<str>` prints exactly what one
-//! over `String` printed: `SignalName("INT_ILL")`. Full cache keys hash a
-//! device's `Debug` rendering (`comptest_core::hash::hash_device`), names
-//! included, so the rendering must not change with the representation — or
-//! every on-disk cache record keyed that way would go cold. Keep the derive.
+//! over `String` printed: `SignalName("INT_ILL")`. The footprint's
+//! whole-device fallback hashes a device's `Debug` rendering
+//! (`comptest_core::hash::hash_device`), names included, so the rendering
+//! must not change with the representation — or every on-disk cache record
+//! keyed that way would go cold. Keep the derive.
 
 use std::error::Error;
 use std::fmt;

@@ -4,11 +4,10 @@
 //!
 //! This is the workload the footprint-keyed cache is built for: a vehicle
 //! model aggregating every ECU into one simulated device, where each
-//! suite's tests exercise exactly one block. Under *full* keying the whole
-//! device configuration is part of every cell's key, so editing one
-//! block's config (a fault set, a firmware revision) invalidates every
-//! cell; under *footprint* keying only the cells whose plans touch the
-//! edited block's ports re-execute.
+//! suite's tests exercise exactly one block. Keyed on the whole device
+//! configuration, editing one block's config (a fault set, a firmware
+//! revision) would invalidate every cell; keyed on footprints, only the
+//! cells whose plans touch the edited block's ports re-execute.
 //!
 //! Blocks are deliberately inert (outputs constantly low, an optional
 //! internal activity tick to make execution expensive): the interesting

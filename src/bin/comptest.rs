@@ -11,7 +11,7 @@
 //!                   [--sample end-of-step|continuous:<interval_s>]
 //!                   [--stop-on-first-fail] [--junit out.xml]
 //!                   [--cache <dir>|memory|off] [--cache-verify]
-//!                   [--cache-key full|footprint] [--cache-salt <salt>]
+//!                   [--cache-salt <salt>]
 //!                   [--trace-out trace.json] [--metrics]
 //!                   [--metrics-out metrics.json]
 //! comptest portability <workbook.cts> <stand.stand>...
@@ -67,15 +67,13 @@
 //! summary reports how many results came from the cache, and the exit
 //! code is identical to a cold run — a cached failure still fails the
 //! campaign. `--cache-verify` is the audit mode: cached cells re-execute
-//! anyway and the run errors if any cached outcome diverges.
-//! `--cache-key` selects what a cache key covers: `footprint` (default)
+//! anyway and the run errors if any cached outcome diverges. A cache key
 //! hashes only the slices of the stand and DUT configuration the cell
 //! actually touches, so editing one ECU's workbook or fault set
-//! invalidates only the cells that exercise it; `full` hashes the whole
-//! stand and device configuration (any change invalidates everything).
-//! `--cache-salt <salt>` folds an arbitrary author-supplied string into
-//! every footprint key — bump it to force re-execution without touching
-//! any input (firmware release, harness recalibration, …).
+//! invalidates only the cells that exercise it. `--cache-salt <salt>`
+//! folds an arbitrary author-supplied string into every key — bump it to
+//! force re-execution without touching any input (firmware release,
+//! harness recalibration, …).
 //!
 //! Observability (any of the three flags enables recording; results stay
 //! byte-identical to an unobserved run — see `comptest_engine::obs`):
@@ -446,7 +444,6 @@ fn cmd_campaign(args: &[&str]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let mut junit: Option<&str> = None;
     let mut cache_mode = CacheMode::Off;
     let mut cache_verify = false;
-    let mut cache_keying: Option<comptest::engine::CacheKeying> = None;
     let mut cache_salt: Option<&str> = None;
     let mut trace_out: Option<&str> = None;
     let mut metrics_out: Option<&str> = None;
@@ -519,10 +516,6 @@ fn cmd_campaign(args: &[&str]) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 cache_mode = c.parse()?;
             }
             "--cache-verify" => cache_verify = true,
-            "--cache-key" => {
-                let k = need(it.next().copied(), "--cache-key (full|footprint)")?;
-                cache_keying = Some(k.parse::<comptest::engine::CacheKeying>()?);
-            }
             "--cache-salt" => {
                 cache_salt = Some(need(it.next().copied(), "--cache-salt value")?);
             }
@@ -580,11 +573,6 @@ fn cmd_campaign(args: &[&str]) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 .into(),
         );
     }
-    // Keying selects how cache keys are derived; without a cache there are
-    // no keys to derive and the flag would be silently ignored.
-    if cache_keying.is_some() && cache_mode == CacheMode::Off {
-        return Err("--cache-key needs a cache to key (pass --cache <dir> or memory)".into());
-    }
     if cache_salt.is_some() && cache_mode == CacheMode::Off {
         return Err("--cache-salt needs a cache to salt (pass --cache <dir> or memory)".into());
     }
@@ -622,7 +610,6 @@ fn cmd_campaign(args: &[&str]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         .granularity(granularity)
         .stop_on_first_fail(stop_on_first_fail)
         .cache_verify(cache_verify)
-        .cache_keying(cache_keying.unwrap_or_default())
         .cache_salt(cache_salt.unwrap_or(""))
         .recorder(obs.clone());
     campaign = match &cache_mode {

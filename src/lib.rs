@@ -210,37 +210,28 @@
 //!
 //! ## What invalidates the cache
 //!
-//! Two keying schemes decide when a cached cell is stale
-//! ([`engine::CacheKeying`], CLI `--cache-key full|footprint`):
+//! During planning the engine records each cell's exact dependency
+//! footprint ([`core::hash::Footprint`]: the signals it reads and drives,
+//! the stand resources its plans allocate, the DUT slices behind the ports
+//! it touches) and keys the record by *that*. An edit re-executes only the
+//! cells whose footprint contains it; everything else stays a hit — one
+//! ECU's fault-set tweak no longer re-runs the entire regression matrix.
 //!
-//! * **`full`** — the key covers the whole suite, stand, device
-//!   configuration and execution options. Editing any of them invalidates
-//!   every cell that shares them: safe, but blunt — one ECU's fault-set
-//!   tweak re-runs the entire regression matrix.
-//! * **`footprint`** (the default) — during planning the engine records
-//!   each cell's exact dependency footprint ([`core::hash::Footprint`]:
-//!   the signals it reads and drives, the stand resources its plans
-//!   allocate, the DUT slices behind the ports it touches) and keys the
-//!   record by *that*. An edit re-executes only the cells whose footprint
-//!   contains it; everything else stays a hit.
-//!
-//! Under either scheme a change *inside* a cell's footprint — a touched
-//! signal, pin, resource or port slice, the suite itself, the execution
-//! options, or the author-supplied
-//! [`cache_salt`](prelude::Campaign::cache_salt) (bump it to force a
-//! re-run without touching inputs) — moves the key, and the re-executed
-//! result is byte-identical to a cold run. Devices whose
+//! A change *inside* a cell's footprint — a touched signal, pin, resource
+//! or port slice, the suite itself, the execution options, or the
+//! author-supplied [`cache_salt`](prelude::Campaign::cache_salt) (bump it
+//! to force a re-run without touching inputs) — moves the key, and the
+//! re-executed result is byte-identical to a cold run. Devices whose
 //! [`Behavior`](dut::Behavior) does not implement
 //! [`port_slice`](dut::Behavior::port_slice) degrade gracefully: their
-//! cells fall back to whole-device identity (exactly `full`'s blast
-//! radius, never a stale hit). Cache stores written before the footprint
-//! format existed (binary record v1) remain valid hits or clean misses —
-//! never errors.
+//! cells fall back to whole-device identity (any edit to the device
+//! re-runs them, never a stale hit). Unreadable or outdated record files
+//! are clean misses, never errors.
 //!
 //! ```
 //! use comptest::prelude::*;
 //! use comptest::core::campaign::CampaignEntry;
-//! use comptest::engine::{CacheKeying, MemoryCache};
+//! use comptest::engine::MemoryCache;
 //! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -255,8 +246,7 @@
 //! # let stands = [&stand];
 //! let campaign = Campaign::new(&entries, &stands)
 //!     .cache(Arc::new(MemoryCache::new()))
-//!     .cache_keying(CacheKeying::Footprint) // the default; Full opts out
-//!     .cache_salt("calibration-2026w32");   // joined into every footprint
+//!     .cache_salt("calibration-2026w32"); // joined into every footprint
 //! let cold = campaign.run(&SerialExecutor)?;
 //! let warm = campaign.run(&SerialExecutor)?; // hits for untouched cells
 //! assert_eq!(warm, cold);

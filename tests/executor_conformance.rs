@@ -40,13 +40,9 @@ use comptest::core::campaign::CampaignEntry;
 use comptest::core::hash::FootprintKey;
 use comptest::core::CoreError;
 use comptest::dut::{Behavior, Device, PinBinding, PortValue};
-use comptest::engine::{CacheKeying, CampaignCache, DirCache, MemoryCache};
+use comptest::engine::{CampaignCache, DirCache, MemoryCache};
 use comptest::model::SimTime;
 use comptest::prelude::*;
-
-/// Both cache keying schemes, for batteries that must prove them
-/// byte-equivalent.
-const KEYINGS: [CacheKeying; 2] = [CacheKeying::Full, CacheKeying::Footprint];
 
 // ---------------------------------------------------------------------------
 // Subjects and cache setups
@@ -280,13 +276,14 @@ fn conformance_determinism_vs_serial_cold_and_warm() {
 }
 
 // ---------------------------------------------------------------------------
-// Cache keying: footprint-keyed warm runs are byte-identical to full-keyed
-// and to cold, on every executor × granularity × cache backend.
+// Warm equals cold: a fully warm run serves every job from the cache and
+// is byte-identical to a cold one, on every executor × granularity × cache
+// backend.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn conformance_footprint_and_full_keying_are_byte_identical() {
-    let scratch = TempDir::new("keying");
+fn conformance_warm_runs_are_byte_identical_to_cold() {
+    let scratch = TempDir::new("warm");
     let suites = load_suites();
     let entries = entries(&suites);
     let stand_a = load_stand("stand_a.stand");
@@ -300,122 +297,40 @@ fn conformance_footprint_and_full_keying_are_byte_identical() {
             .unwrap();
         for subject in subjects() {
             for setup in [CacheSetup::Memory, CacheSetup::Dir] {
-                for keying in KEYINGS {
-                    let label =
-                        format!("{granularity}/{}/{}/{keying}", subject.name, setup.label());
-                    let obs = Recorder::enabled();
-                    let campaign = Campaign::new(&entries, &stands)
-                        .granularity(granularity)
-                        .cache_keying(keying)
-                        .cache(setup.build(&scratch).unwrap())
-                        .recorder(obs.clone());
-                    let executor = (subject.build)();
-                    let cold = campaign.launch(executor.as_ref()).unwrap().join().unwrap();
-                    assert_eq!(cold.result, reference, "{label}: cold diverged");
-                    let warm = campaign.launch(executor.as_ref()).unwrap().join().unwrap();
-                    assert_eq!(warm.result, reference, "{label}: warm diverged");
+                let label = format!("{granularity}/{}/{}", subject.name, setup.label());
+                let obs = Recorder::enabled();
+                let campaign = Campaign::new(&entries, &stands)
+                    .granularity(granularity)
+                    .cache(setup.build(&scratch).unwrap())
+                    .recorder(obs.clone());
+                let executor = (subject.build)();
+                let cold = campaign.launch(executor.as_ref()).unwrap().join().unwrap();
+                assert_eq!(cold.result, reference, "{label}: cold diverged");
+                let warm = campaign.launch(executor.as_ref()).unwrap().join().unwrap();
+                assert_eq!(warm.result, reference, "{label}: warm diverged");
 
-                    // One recorder across both runs: the cold run misses
-                    // (and so invalidates) every cell, the warm run serves
-                    // every job from the cache under either keying.
-                    let metrics = obs.metrics().unwrap();
-                    assert_eq!(
-                        metrics.counter("jobs_cached"),
-                        campaign.job_count() as u64,
-                        "{label}: warm run must be all hits ({:?})",
-                        metrics.counters
-                    );
-                    assert_eq!(
-                        metrics.counter("cells_invalidated"),
-                        (entries.len() * stands.len()) as u64,
-                        "{label}: cold run must have invalidated every cell"
-                    );
-                    match keying {
-                        CacheKeying::Footprint => {
-                            assert_eq!(
-                                metrics.counter("cache_hits_footprint"),
-                                metrics.counter("cache_hits"),
-                                "{label}: footprint keying must tag every hit"
-                            );
-                            assert!(
-                                metrics.counter("footprint_bytes") > 0,
-                                "{label}: footprints must be accounted"
-                            );
-                        }
-                        CacheKeying::Full => assert_eq!(
-                            metrics.counter("cache_hits_footprint"),
-                            0,
-                            "{label}: full keying must not count footprint hits"
-                        ),
-                    }
-                }
+                // One recorder across both runs: the cold run misses (and
+                // so invalidates) every cell, the warm run serves every job
+                // from the cache.
+                let metrics = obs.metrics().unwrap();
+                assert_eq!(
+                    metrics.counter("jobs_cached"),
+                    campaign.job_count() as u64,
+                    "{label}: warm run must be all hits ({:?})",
+                    metrics.counters
+                );
+                assert_eq!(
+                    metrics.counter("cells_invalidated"),
+                    (entries.len() * stands.len()) as u64,
+                    "{label}: cold run must have invalidated every cell"
+                );
+                assert!(
+                    metrics.counter("footprint_bytes") > 0,
+                    "{label}: footprints must be accounted"
+                );
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Record-format compatibility: version-1 binary records (written before the
-// footprint section existed) remain valid hits — never errors.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn conformance_v1_binary_records_remain_valid_hits() {
-    let scratch = TempDir::new("v1compat");
-    let suites = load_suites();
-    let entries = entries(&suites);
-    let stand_b = load_stand("stand_b.stand");
-    let stands = [&stand_b];
-    let reference = Campaign::new(&entries, &stands)
-        .run(&SerialExecutor)
-        .unwrap();
-
-    // Populate under full keying: those records carry no footprint, so
-    // their byte stream is exactly the v1 layout (v2 = v1 plus an optional
-    // footprint section) — rewriting the version byte forges a faithful
-    // pre-footprint store.
-    let dir = scratch.fresh_subdir();
-    let _ = Campaign::new(&entries, &stands)
-        .cache_keying(CacheKeying::Full)
-        .cache(Arc::new(DirCache::open(&dir).expect("cache dir")))
-        .run(&SerialExecutor)
-        .unwrap();
-    let mut downgraded = 0usize;
-    for entry in std::fs::read_dir(&dir).expect("cache dir listing") {
-        let path = entry.expect("dir entry").path();
-        if path.extension().and_then(|e| e.to_str()) != Some("bin") {
-            continue;
-        }
-        let mut bytes = std::fs::read(&path).expect("record bytes");
-        assert_eq!(&bytes[..3], b"CCR");
-        bytes[3] = 1; // version byte
-        std::fs::write(&path, &bytes).expect("downgrade record");
-        downgraded += 1;
-    }
-    assert_eq!(downgraded, entries.len(), "one binary record per cell");
-
-    // A warm run over the v1 store: every job a hit, nothing corrupt,
-    // byte-identical result.
-    let obs = Recorder::enabled();
-    let warm = Campaign::new(&entries, &stands)
-        .cache_keying(CacheKeying::Full)
-        .cache(Arc::new(DirCache::open(&dir).expect("cache dir")))
-        .recorder(obs.clone())
-        .run(&SerialExecutor)
-        .unwrap();
-    assert_eq!(warm, reference, "v1 records must serve identical bytes");
-    let metrics = obs.metrics().unwrap();
-    assert_eq!(
-        metrics.counter("jobs_cached"),
-        metrics.counter("jobs_planned"),
-        "v1 store must serve every job ({:?})",
-        metrics.counters
-    );
-    assert_eq!(
-        metrics.counter("cache_corrupt_entries"),
-        0,
-        "v1 records are valid, not corrupt"
-    );
 }
 
 /// A fully-cached run feeds the exact same bytes into reports as a cold
@@ -525,43 +440,36 @@ fn conformance_stop_on_first_fail_truncates_like_serial() {
 
         for subject in subjects().into_iter().filter(|s| s.serial_order) {
             for setup in CACHES {
-                for keying in KEYINGS {
-                    // Keying is irrelevant without a cache — one arm suffices.
-                    if setup == CacheSetup::Off && keying == CacheKeying::Full {
-                        continue;
-                    }
-                    let mut campaign = Campaign::new(&entries, &stands)
-                        .granularity(granularity)
-                        .stop_on_first_fail(true)
-                        .cache_keying(keying);
-                    if let Some(cache) = setup.build(&scratch) {
-                        campaign = campaign.cache(cache);
-                    }
-                    let executor = (subject.build)();
-                    let cold = campaign.launch(executor.as_ref()).unwrap().join().unwrap();
-                    assert_eq!(
-                        cold,
-                        reference,
-                        "{granularity}/{}/{}/{keying} cold truncation diverged",
-                        subject.name,
-                        setup.label()
-                    );
-                    if setup == CacheSetup::Off {
-                        continue;
-                    }
-                    // Warm: the first cell's failure is served from cache and
-                    // must trip the latch deterministically — same prefix,
-                    // same cancelled count — under either keying.
-                    let warm = campaign.launch(executor.as_ref()).unwrap().join().unwrap();
-                    assert_eq!(
-                        warm,
-                        reference,
-                        "{granularity}/{}/{}/{keying}: cached failure must trip the latch \
-                         like an executed one",
-                        subject.name,
-                        setup.label()
-                    );
+                let mut campaign = Campaign::new(&entries, &stands)
+                    .granularity(granularity)
+                    .stop_on_first_fail(true);
+                if let Some(cache) = setup.build(&scratch) {
+                    campaign = campaign.cache(cache);
                 }
+                let executor = (subject.build)();
+                let cold = campaign.launch(executor.as_ref()).unwrap().join().unwrap();
+                assert_eq!(
+                    cold,
+                    reference,
+                    "{granularity}/{}/{} cold truncation diverged",
+                    subject.name,
+                    setup.label()
+                );
+                if setup == CacheSetup::Off {
+                    continue;
+                }
+                // Warm: the first cell's failure is served from cache and
+                // must trip the latch deterministically — same prefix, same
+                // cancelled count.
+                let warm = campaign.launch(executor.as_ref()).unwrap().join().unwrap();
+                assert_eq!(
+                    warm,
+                    reference,
+                    "{granularity}/{}/{}: cached failure must trip the latch like an \
+                     executed one",
+                    subject.name,
+                    setup.label()
+                );
             }
         }
     }
@@ -717,68 +625,53 @@ fn conformance_cache_verify_passes_on_truth_and_catches_poison() {
         .unwrap();
 
     for granularity in [Granularity::Cell, Granularity::Test] {
-        for keying in KEYINGS {
-            let cache = Arc::new(MemoryCache::new());
-            let campaign = Campaign::new(&entries, &stands)
-                .granularity(granularity)
-                .cache_keying(keying)
-                .cache(cache.clone());
-            let _ = campaign.run(&SerialExecutor).unwrap(); // populate
+        let cache = Arc::new(MemoryCache::new());
+        let campaign = Campaign::new(&entries, &stands)
+            .granularity(granularity)
+            .cache(cache.clone());
+        let _ = campaign.run(&SerialExecutor).unwrap(); // populate
 
-            // Truthful cache: verify re-executes everything and joins clean.
-            let verify = Campaign::new(&entries, &stands)
-                .granularity(granularity)
-                .cache_keying(keying)
-                .cache(cache.clone())
-                .cache_verify(true);
-            for subject in subjects() {
-                let executor = (subject.build)();
-                let outcome = verify.launch(executor.as_ref()).unwrap().join().unwrap();
-                assert_eq!(
-                    outcome.result, reference,
-                    "{granularity}/{}/{keying}: verify mode must produce the cold result",
-                    subject.name
-                );
-            }
-
-            // Poison one record: flip the first cached test outcome into a
-            // planning error. Verify mode must now fail the join. (Each
-            // verify run re-stores the executed truth — the cache
-            // self-heals — so the poison is re-applied before every
-            // subject.) The record address depends on the keying scheme.
-            let key = match keying {
-                CacheKeying::Full => comptest::core::CellKey::for_cell(
-                    &entries[0],
-                    &stand_b,
-                    &ExecOptions::default(),
-                ),
-                CacheKeying::Footprint => {
-                    FootprintKey::for_cell(&entries[0], &stand_b, &ExecOptions::default(), "")
-                        .cell_key()
-                }
-            };
-            let truth = cache.load(&key).expect("populated record");
-            for subject in subjects() {
-                let mut record = truth.clone();
-                record.tests[0] = Err("poisoned cache entry".into());
-                cache.store(&key, &record);
-                let executor = (subject.build)();
-                let err = verify
-                    .launch(executor.as_ref())
-                    .unwrap()
-                    .join()
-                    .unwrap_err();
-                assert!(
-                    matches!(err, CoreError::CacheMismatch { mismatches } if mismatches > 0),
-                    "{granularity}/{}/{keying}: expected CacheMismatch, got {err:?}",
-                    subject.name
-                );
-            }
-            // Verify mode re-executed and re-stored the truth: the cache
-            // has self-healed, and a fresh audit passes again.
-            let healed = verify.launch(&SerialExecutor).unwrap().join().unwrap();
-            assert_eq!(healed.result, reference);
+        // Truthful cache: verify re-executes everything and joins clean.
+        let verify = Campaign::new(&entries, &stands)
+            .granularity(granularity)
+            .cache(cache.clone())
+            .cache_verify(true);
+        for subject in subjects() {
+            let executor = (subject.build)();
+            let outcome = verify.launch(executor.as_ref()).unwrap().join().unwrap();
+            assert_eq!(
+                outcome.result, reference,
+                "{granularity}/{}: verify mode must produce the cold result",
+                subject.name
+            );
         }
+
+        // Poison one record: flip the first cached test outcome into a
+        // planning error. Verify mode must now fail the join. (Each verify
+        // run re-stores the executed truth — the cache self-heals — so the
+        // poison is re-applied before every subject.)
+        let key = default_key(&entries[0], &stand_b);
+        let truth = cache.load(&key).expect("populated record");
+        for subject in subjects() {
+            let mut record = truth.clone();
+            record.tests[0] = Err("poisoned cache entry".into());
+            cache.store(&key, &record);
+            let executor = (subject.build)();
+            let err = verify
+                .launch(executor.as_ref())
+                .unwrap()
+                .join()
+                .unwrap_err();
+            assert!(
+                matches!(err, CoreError::CacheMismatch { mismatches } if mismatches > 0),
+                "{granularity}/{}: expected CacheMismatch, got {err:?}",
+                subject.name
+            );
+        }
+        // Verify mode re-executed and re-stored the truth: the cache has
+        // self-healed, and a fresh audit passes again.
+        let healed = verify.launch(&SerialExecutor).unwrap().join().unwrap();
+        assert_eq!(healed.result, reference);
     }
 }
 
@@ -1234,7 +1127,8 @@ fn conformance_cache_hits_build_no_devices() {
 // Admission: a hit moves each cached outcome into the one job it serves.
 // ---------------------------------------------------------------------------
 
-/// The footprint-keyed address (the default keying) of one bundled cell.
+/// The record address of one bundled cell under the default exec options
+/// and no salt.
 fn default_key(entry: &CampaignEntry<'_>, stand: &TestStand) -> comptest::core::CellKey {
     FootprintKey::for_cell(entry, stand, &ExecOptions::default(), "").cell_key()
 }

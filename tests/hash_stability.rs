@@ -9,10 +9,12 @@
 use std::sync::Arc;
 
 use comptest::core::campaign::CampaignEntry;
-use comptest::core::hash::{footprint_for_cell, hash_stand, hash_suite, FootprintKey};
+use comptest::core::hash::{
+    footprint_for_cell, hash_exec_options, hash_stand, hash_suite, plan_memo_key, FootprintKey,
+};
 use comptest::core::CellKey;
 use comptest::dut::ElectricalConfig;
-use comptest::engine::{CacheKeying, CampaignCache, DirCache};
+use comptest::engine::{CampaignCache, DirCache};
 use comptest::prelude::*;
 use comptest_workload::{
     block_device, block_stand, gen_workbook_text, gen_workbook_text_prefixed, BlockSpec,
@@ -138,8 +140,8 @@ fn block_suites(seed: u64, signals: usize, tests: usize) -> Vec<TestSuite> {
 }
 
 /// Campaign entries sharing one composite device that aggregates both
-/// blocks at the given per-block configs — the workload where full and
-/// footprint keying genuinely differ.
+/// blocks at the given per-block configs — the workload where footprint
+/// keys and a whole-device digest genuinely differ.
 fn block_entries<'a>(suites: &'a [TestSuite], configs: [&str; 2]) -> Vec<CampaignEntry<'a>> {
     let specs: Vec<BlockSpec> = BLOCKS
         .iter()
@@ -172,7 +174,8 @@ proptest! {
     /// outside a cell's footprint (another block's config, another block's
     /// stand resources) leave its [`FootprintKey`] fixed, edits inside it
     /// (its own block, its own resources, its suite, the cache salt) move
-    /// the key, and full/footprint keys never alias across distinct cells.
+    /// the key, and record and plan-memo keys never alias across distinct
+    /// cells.
     #[test]
     fn footprint_keys_track_exactly_the_touched_slices(
         seed in 0u64..1_000_000,
@@ -193,12 +196,6 @@ proptest! {
         // holds — re-running the campaign would re-test only block 1...
         prop_assert_eq!(key(&base, 0, &stand, ""), key(&edited, 0, &stand, ""));
         prop_assert_ne!(key(&base, 1, &stand, ""), key(&edited, 1, &stand, ""));
-        // ...whereas full keying folds the whole composite device into
-        // every cell, so the same edit invalidates the untouched cell too.
-        prop_assert_ne!(
-            CellKey::for_cell(&base[0], &stand, &opts),
-            CellKey::for_cell(&edited[0], &stand, &opts)
-        );
 
         // The author-supplied cache salt is inside every footprint.
         let salted = format!("fw-{rev}");
@@ -223,17 +220,22 @@ proptest! {
         let renamed = block_entries(&renamed_suites, ["base", "base"]);
         prop_assert_ne!(key(&base, 0, &stand, ""), key(&renamed, 0, &stand, ""));
 
-        // Full and footprint keys live in disjoint hash domains: across
-        // every distinct cell, the 2 full + 2 footprint addresses are 4
-        // distinct cache entries.
+        // Record and plan-memo keys live in disjoint hash domains: across
+        // every distinct cell, the 2 record + 2 memo names are 4 distinct
+        // cache entries.
         let mut all: Vec<CellKey> = Vec::new();
         for i in 0..base.len() {
-            all.push(CellKey::for_cell(&base[i], &stand, &opts));
             all.push(key(&base, i, &stand, "").cell_key());
+            all.push(plan_memo_key(
+                hash_suite(base[i].suite),
+                hash_stand(&stand),
+                "",
+                hash_exec_options(&opts),
+            ));
         }
         all.sort();
         all.dedup();
-        prop_assert_eq!(all.len(), 4, "full and footprint keys must never alias");
+        prop_assert_eq!(all.len(), 4, "record and memo keys must never alias");
     }
 }
 
@@ -362,39 +364,32 @@ fn corrupted_dir_cache_entries_are_misses_not_errors() {
         .run(&SerialExecutor)
         .unwrap();
 
-    // Pinned to full keying: the test predicts record addresses via
-    // `CellKey::for_cell` below.
     let cache = Arc::new(DirCache::open(&dir).unwrap());
-    let campaign = Campaign::new(&entries, &stands)
-        .cache_keying(CacheKeying::Full)
-        .cache(cache.clone());
+    let campaign = Campaign::new(&entries, &stands).cache(cache.clone());
     let _ = campaign.run(&SerialExecutor).unwrap();
 
     // Vandalise every record differently: truncation, garbage, emptiness.
     // (Records are binary by default; truncating bytes is format-agnostic.)
-    let mut records: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "bin" || e == "json"))
+    // Each clean cell's plan memo is a hard link to its record file, so it
+    // rots along with it.
+    let keys: Vec<CellKey> = entries
+        .iter()
+        .map(|e| FootprintKey::for_cell(e, &stand, &ExecOptions::default(), "").cell_key())
         .collect();
-    records.sort();
-    assert_eq!(records.len(), entries.len(), "one record per cell");
-    for (i, path) in records.iter().enumerate() {
+    for (i, key) in keys.iter().enumerate() {
+        let path = cache.entry_path(key);
+        assert!(path.exists(), "one record per cell: {}", path.display());
         match i % 3 {
             0 => {
-                let bytes = std::fs::read(path).unwrap();
-                std::fs::write(path, &bytes[..bytes.len() / 3]).unwrap();
+                let bytes = std::fs::read(&path).unwrap();
+                std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
             }
-            1 => std::fs::write(path, b"\x00\xff garbage {{{").unwrap(),
-            _ => std::fs::write(path, b"").unwrap(),
+            1 => std::fs::write(&path, b"\x00\xff garbage {{{").unwrap(),
+            _ => std::fs::write(&path, b"").unwrap(),
         }
     }
 
     // Every load must now miss...
-    let keys: Vec<comptest::core::CellKey> = entries
-        .iter()
-        .map(|e| comptest::core::CellKey::for_cell(e, &stand, &ExecOptions::default()))
-        .collect();
     for key in &keys {
         assert!(
             cache.load(key).is_none(),

@@ -1,19 +1,22 @@
 //! Golden cache keys: the content addresses a `DirCache` files records
 //! under, judged only from outside.
 //!
-//! Every bundled workbook is keyed against every bundled stand, under full
-//! keying (`CellKey`: suite, stand, DUT and exec digests) and under
-//! footprint keying (`FootprintKey`: suite, plan, DUT-slice and exec
-//! digests, plus the footprint's own `plan_hash` and `dut_slice_hash`).
-//! The lines are frozen in `assets/golden/key_digests.txt`, so a change
-//! that would silently re-key every user's on-disk cache fails this test,
-//! whatever the hashing does internally to get there.
+//! Every bundled workbook is keyed against every bundled stand: its record
+//! key (`FootprintKey`: suite, plan, DUT-slice and exec digests, plus the
+//! footprint's own `plan_hash` and `dut_slice_hash`) and its plan-memo key
+//! (`plan_memo_key`: suite, whole-stand, memo and exec digests). The lines
+//! are frozen in `assets/golden/key_digests.txt`, so a change that would
+//! silently re-key every user's on-disk cache, or cold-start every plan
+//! memo, fails this test, whatever the hashing does internally to get
+//! there.
 //!
 //! A deliberate re-keying re-blesses the file with
 //! `cargo test --test key_identity -- --ignored` and commits the diff.
 
-use comptest::core::hash::{footprint_for_cell, hash_exec_options, hash_suite, FootprintKey};
-use comptest::core::{CellKey, ExecOptions, SampleMode};
+use comptest::core::hash::{
+    footprint_for_cell, hash_exec_options, hash_stand, hash_suite, plan_memo_key, FootprintKey,
+};
+use comptest::core::{ExecOptions, SampleMode};
 use comptest::model::SimTime;
 use comptest::stand::TestStand;
 
@@ -47,9 +50,14 @@ fn digests() -> Vec<String> {
         for stand in &stands {
             let cell = format!("{}/{}", entry.suite.name, stand.name());
             for (name, options) in option_sets() {
-                let k = CellKey::for_cell(entry, stand, &options);
+                let k = plan_memo_key(
+                    hash_suite(entry.suite),
+                    hash_stand(stand),
+                    "",
+                    hash_exec_options(&options),
+                );
                 lines.push(format!(
-                    "full {cell}/{name} suite={:016x} stand={:016x} dut={:016x} exec={:016x}",
+                    "memo {cell}/{name} suite={:016x} stand={:016x} memo={:016x} exec={:016x}",
                     k.suite_hash, k.stand_hash, k.dut_config_hash, k.exec_hash
                 ));
                 let k = FootprintKey::for_cell(entry, stand, &options, "");

@@ -103,13 +103,15 @@ fn valid_record_bytes() -> &'static [u8] {
         let stand = TestStand::load(comptest::asset("stand_b.stand")).unwrap();
         let stands = [&stand];
         let cache = std::sync::Arc::new(comptest::engine::MemoryCache::new());
-        // Pinned to full keying: the record address is predicted via
-        // CellKey::for_cell below.
-        let campaign = Campaign::new(&entries, &stands)
-            .cache_keying(comptest::engine::CacheKeying::Full)
-            .cache(cache.clone());
+        let campaign = Campaign::new(&entries, &stands).cache(cache.clone());
         let _ = campaign.run(&SerialExecutor).unwrap();
-        let key = comptest::core::CellKey::for_cell(&entries[0], &stand, &ExecOptions::default());
+        let key = comptest::core::hash::FootprintKey::for_cell(
+            &entries[0],
+            &stand,
+            &ExecOptions::default(),
+            "",
+        )
+        .cell_key();
         let record = cache.load(&key).expect("populated record");
         comptest::engine::cache::binary::encode(&record)
     })

@@ -21,16 +21,18 @@ fn executed_records() -> &'static [comptest::engine::CellRecord] {
         let stand = TestStand::load(comptest::asset("stand_b.stand")).unwrap();
         let stands = [&stand];
         let cache = Arc::new(comptest::engine::MemoryCache::new());
-        // Pinned to full keying: record addresses are predicted via
-        // CellKey::for_cell below.
-        let campaign = Campaign::new(&entries, &stands)
-            .cache_keying(comptest::engine::CacheKeying::Full)
-            .cache(cache.clone());
+        let campaign = Campaign::new(&entries, &stands).cache(cache.clone());
         let _ = campaign.run(&SerialExecutor).unwrap();
         entries
             .iter()
             .map(|entry| {
-                let key = comptest::core::CellKey::for_cell(entry, &stand, &ExecOptions::default());
+                let key = comptest::core::hash::FootprintKey::for_cell(
+                    entry,
+                    &stand,
+                    &ExecOptions::default(),
+                    "",
+                )
+                .cell_key();
                 cache.load(&key).expect("populated record")
             })
             .collect()
