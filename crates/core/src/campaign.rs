@@ -21,9 +21,9 @@
 //!   engine's `Campaign` builder.
 //!
 //! The `comptest-engine` crate owns *execution*: its `Campaign` builder
-//! launches these plans on pluggable executors (serial or pooled). The
-//! historical serial driver [`run_campaign`] survives as a deprecated
-//! shim-level reference.
+//! launches these plans on pluggable executors (serial, pooled, async and
+//! remote). The historical serial driver [`run_campaign`] survives as a
+//! deprecated shim-level reference.
 
 use std::collections::HashSet;
 use std::error::Error;
@@ -381,9 +381,9 @@ pub fn plan_test_jobs(test_counts: &[usize], stands: usize) -> Vec<TestJob> {
 
 /// Plans one generated script on a stand, mapping planning failures to the
 /// canonical not-runnable outcome string. The one error-rendering
-/// implementation shared by [`execute_script_job`] (blocking executors)
-/// and the engine's step-interleaving `AsyncExecutor`, so every executor
-/// reports the exact same `Err(reason)` bytes.
+/// implementation shared by [`run_test_job`], footprint hashing and the
+/// engine, which plans every executor's tests through its per-campaign
+/// plan slots, so every path reports the exact same `Err(reason)` bytes.
 ///
 /// # Errors
 ///
@@ -394,22 +394,6 @@ pub fn plan_script(
     stand: &TestStand,
 ) -> Result<comptest_stand::ExecutionPlan, String> {
     comptest_stand::plan(script, stand).map_err(|e| e.to_string())
-}
-
-/// Plans and executes one already-generated script against a device — the
-/// single-test step shared by [`run_test_job`] and the engine's worker
-/// pool, so both paths map stand planning failures to the exact same
-/// outcome string and the byte-identity guarantee has one implementation.
-pub fn execute_script_job(
-    script: &comptest_script::TestScript,
-    stand: &TestStand,
-    device: &mut Device,
-    options: &ExecOptions,
-) -> TestJobOutcome {
-    match plan_script(script, stand) {
-        Ok(plan) => Ok(crate::exec::execute(&plan, device, options)),
-        Err(reason) => Err(reason),
-    }
 }
 
 /// Executes one test job: test `test` of the entry's suite on one stand,
@@ -437,7 +421,7 @@ pub fn run_test_job(
 ) -> Result<TestJobOutcome, CoreError> {
     let script = comptest_script::generate(entry.suite, &entry.suite.tests[test].name)?;
     let mut device = entry.device_factory.build();
-    Ok(execute_script_job(&script, stand, &mut device, options))
+    Ok(plan_script(&script, stand).map(|plan| crate::exec::execute(&plan, &mut device, options)))
 }
 
 /// Folds per-test outcomes back into the deterministic [`CampaignResult`].

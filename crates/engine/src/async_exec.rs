@@ -16,8 +16,8 @@
 //! Admission is cheap by construction: plans come from the campaign's
 //! shared [`PlanSlot`](crate::executor::PlanSlot)s (resolved at most once
 //! per (entry, test, stand) triple, and reused across launches of the same
-//! campaign), and a configured campaign cache resolves hits *at
-//! admission* — a cached run never touches the wheel at all.
+//! campaign), and a cache hit, decided when the job was packaged, is
+//! served *at admission* — a cached run never touches the wheel at all.
 //!
 //! The executor keeps the full [`CampaignExecutor`](crate::CampaignExecutor)
 //! contract: it runs the same packaged jobs as every other executor — a
@@ -223,8 +223,8 @@ fn drive_shard(
                 break;
             };
             ctx.obs.gauge_add(Gauge::QueueDepth, -1);
-            // A cache hit, cancellation or strand resolves the job without
-            // touching the wheel.
+            // A cache hit (decided at packaging) or cancellation resolves
+            // the job without touching the wheel.
             if let Some(job) = ctx.admit(job, events, results) {
                 let job = JobRun::start(job, ctx, events);
                 advance(job, seq, ctx, events, results, &mut wheel);

@@ -93,7 +93,7 @@ pub const VERSION: u8 = 2;
 /// or otherwise not a record this version wrote. The cache layer maps
 /// every such error to a miss.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeError(String);
+pub struct DecodeError(pub(crate) String);
 
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -142,14 +142,14 @@ impl RecordHeader {
 
 /// A zero-copy cursor: every accessor checks the remaining length before
 /// touching the buffer, and string reads hand back `&'a str` slices
-/// validated in place.
-struct Reader<'a> {
+/// validated in place. The worker frame codec reads with it too.
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
@@ -157,11 +157,15 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn is_empty(&self) -> bool {
-        self.remaining() == 0
+    /// Fails unless the whole buffer was consumed.
+    pub(crate) fn done(&self) -> Result<(), DecodeError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => err(format!("{n} trailing bytes")),
+        }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if n > self.remaining() {
             return err(format!("need {n} bytes, {} remain", self.remaining()));
         }
@@ -170,12 +174,21 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, DecodeError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
     }
 
+    /// A `0`/`1` byte.
+    pub(crate) fn bool(&mut self) -> Result<bool, DecodeError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => err(format!("bad bool byte {other}")),
+        }
+    }
+
     /// LEB128 varint, at most 10 bytes, rejecting u64 overflow.
-    fn varint(&mut self) -> Result<u64, DecodeError> {
+    pub(crate) fn varint(&mut self) -> Result<u64, DecodeError> {
         let mut value = 0u64;
         let mut shift = 0u32;
         loop {
@@ -197,7 +210,7 @@ impl<'a> Reader<'a> {
     /// A varint used as a byte length or element count: validated against
     /// the bytes actually remaining *before* it is trusted, so a hostile
     /// length can neither over-read nor size an allocation.
-    fn length(&mut self) -> Result<usize, DecodeError> {
+    pub(crate) fn length(&mut self) -> Result<usize, DecodeError> {
         let n = self.varint()?;
         if n > self.remaining() as u64 {
             return err(format!(
@@ -208,12 +221,18 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
-    fn str(&mut self) -> Result<&'a str, DecodeError> {
+    pub(crate) fn str(&mut self) -> Result<&'a str, DecodeError> {
         let n = self.length()?;
         std::str::from_utf8(self.take(n)?).map_err(|_| DecodeError("invalid UTF-8".into()))
     }
 
-    fn f64(&mut self) -> Result<f64, DecodeError> {
+    /// A length-prefixed byte blob.
+    pub(crate) fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
+        let n = self.length()?;
+        self.take(n)
+    }
+
+    pub(crate) fn f64(&mut self) -> Result<f64, DecodeError> {
         let bytes: [u8; 8] = self.take(8)?.try_into().expect("take(8) is 8 bytes");
         Ok(f64::from_bits(u64::from_le_bytes(bytes)))
     }
@@ -236,7 +255,7 @@ impl<'a> Reader<'a> {
 // Encode
 // ---------------------------------------------------------------------------
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -248,12 +267,12 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
+pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     put_varint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
+pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
@@ -667,9 +686,7 @@ pub fn decode(bytes: &[u8]) -> Result<CellRecord, DecodeError> {
         }
         tests.push(outcome);
     }
-    if !r.is_empty() {
-        return err(format!("{} trailing bytes", r.remaining()));
-    }
+    r.done()?;
     if matches!(tests.last(), Some(Err(_))) != head.ends_err {
         return err("ends-in-error flag contradicts outcomes");
     }

@@ -23,30 +23,30 @@
 //! * **A record may be a prefix.** A job stops at its first planning
 //!   error, so a cell-granular run never learns the tests after it; the
 //!   record stores the determined prefix. A job hits when the record
-//!   determines every test the job would run
-//!   ([`CellRecord::job_outcomes`]): one test for a test-granular job; the
-//!   whole cell — complete, or ending in a planning error — for a
-//!   cell-granular one.
+//!   determines every test the job would run: one test for a test-granular
+//!   job; the whole cell — complete, or ending in a planning error
+//!   ([`CellRecord::is_determined`]) — for a cell-granular one.
 //! * **Anything unreadable is a miss.** Corrupt, truncated or
 //!   wrong-version entries decode to an error and the cell simply
 //!   executes; only an unusable cache *directory* raises
 //!   [`CoreError::Cache`], at configuration time.
-//! * **Hits keep campaign semantics.** A hit resolves at the same
-//!   admission point where the job would have run: it emits
-//!   [`EngineEvent::CellCached`] and a cached failure trips the
-//!   `stop_on_first_fail` latch exactly like an executed one, so warm runs
-//!   cancel the same deterministic suffix.
+//! * **Hits keep campaign semantics.** A hit is decided once, when the
+//!   launch packages its jobs, and served at the same admission point
+//!   where the job would have run: it emits [`EngineEvent::CellCached`]
+//!   and a cached failure trips the `stop_on_first_fail` latch exactly
+//!   like an executed one, so warm runs cancel the same deterministic
+//!   suffix.
 //! * **`cache_verify` audits instead of skipping.** Every job executes,
 //!   executed outcomes are compared to cached ones, and
 //!   [`CampaignHandle::join`](crate::CampaignHandle::join) raises
 //!   [`CoreError::CacheMismatch`] when any diverged — the paper-style
 //!   spot-check that the content addressing really covers every input.
 //! * **Hits build no devices.** Records are pre-loaded before jobs are
-//!   packaged, and a job's cached outcomes stay untouched until its own
-//!   admission, so admission is a deterministic function of them;
-//!   packaging asks `CacheRuntime::will_hit` and skips constructing the
-//!   DUT devices (and generating the scripts) of every predicted hit — a
-//!   fully warm run builds no devices for its jobs.
+//!   packaged, and packaging moves each hit's outcomes out of its
+//!   launch's own copy of the record into the job. A hit therefore
+//!   carries no tests: packaging builds no DUT devices and generates no
+//!   scripts for it, and a fully warm run builds no devices for its jobs.
+//!   What the store does after the preload cannot turn a hit into a miss.
 //! * **Warm keys need no plans.** A footprint key needs each cell's
 //!   resolved plans, which depend on the suite and the stand but not on
 //!   the device. So every stored cell record is also aliased under the
@@ -127,7 +127,7 @@ use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use comptest_core::campaign::TestJobOutcome;
 use comptest_core::error::CoreError;
@@ -177,15 +177,6 @@ impl CellRecord {
     /// execution stops).
     pub fn is_determined(&self) -> bool {
         self.is_complete() || matches!(self.tests.last(), Some(Err(_)))
-    }
-
-    /// The outcomes a job running the suite's tests `tests` would produce,
-    /// if the record determines them: every test in order, up to and
-    /// including the first planning error (where a job stops). `None` when
-    /// the record lacks a test the job would run.
-    pub fn job_outcomes(&self, tests: Range<usize>) -> Option<&[TestJobOutcome]> {
-        let range = job_range(self.tests.len(), |t| self.tests[t].is_err(), tests)?;
-        Some(&self.tests[range])
     }
 }
 
@@ -510,41 +501,12 @@ impl CampaignCache for DirCache {
 /// (cached and executed) until every job reported, then stores once.
 struct Collector {
     outcomes: Vec<Option<TestJobOutcome>>,
-    /// Jobs of the cell that have not reported yet.
+    /// Jobs of the cell that have not reported yet — `0` from packaging
+    /// on when every job of the cell hit.
     pending: usize,
     /// At least one outcome came from execution (a fully-warm cell is
     /// never re-stored — 10k identical writes would erase the warm win).
     executed: bool,
-}
-
-/// A pre-loaded record's outcomes in suite order, each `None` once
-/// admission has moved it into the job it serves.
-type Slots = Vec<Option<TestJobOutcome>>;
-
-/// One cell's pre-loaded record, whose outcomes admission hands out.
-struct Preloaded {
-    /// Whether the record covers every test of the suite.
-    complete: bool,
-    /// The cached outcomes. Jobs' test ranges never overlap, so a job
-    /// only ever reads slots no other job has emptied.
-    slots: Mutex<Slots>,
-}
-
-impl Preloaded {
-    fn new(record: CellRecord) -> Self {
-        Self {
-            complete: record.is_complete(),
-            slots: Mutex::new(record.tests.into_iter().map(Some).collect()),
-        }
-    }
-
-    /// Locks the slots and finds the ones serving the job that runs
-    /// `tests`, if the record determines them.
-    fn job_slots(&self, tests: Range<usize>) -> Option<(MutexGuard<'_, Slots>, Range<usize>)> {
-        let slots = self.slots.lock().expect("cached outcomes");
-        let range = job_range(slots.len(), |t| matches!(slots[t], Some(Err(_))), tests)?;
-        Some((slots, range))
-    }
 }
 
 /// The cache state of one launched campaign run, shared by every worker:
@@ -552,8 +514,9 @@ impl Preloaded {
 /// the `cache_verify` mismatch count.
 ///
 /// Loading happens once on the launch thread (one I/O pass in
-/// deterministic cell order); workers only read records and accumulate
-/// outcomes.
+/// deterministic cell order), and packaging takes the hits out of the
+/// records there too; workers only compare against records (under
+/// `cache_verify`) and accumulate outcomes.
 pub(crate) struct CacheRuntime {
     cache: Arc<dyn CampaignCache>,
     verify: bool,
@@ -563,7 +526,10 @@ pub(crate) struct CacheRuntime {
     /// Per-cell plan-memo keys, re-pointed at the cell's record after each
     /// store (`None` for cells with a planning error).
     memos: Vec<Option<CellKey>>,
-    records: Vec<Option<Preloaded>>,
+    /// Per cell, its pre-loaded record. Packaging takes the hits out of
+    /// it; under `cache_verify` nothing is taken and
+    /// [`CacheRuntime::finish`] compares against it.
+    records: Vec<Option<CellRecord>>,
     collectors: Vec<Mutex<Collector>>,
     /// Cells whose stored entry existed but could not be decoded:
     /// `(cell, suite, stand)`, collected at preload so every launch path
@@ -600,7 +566,7 @@ impl CacheRuntime {
         keyset: &KeySet,
         mut reads: MemoReads,
         obs: &Recorder,
-    ) -> Arc<Self> {
+    ) -> Self {
         let keys = &keyset.keys;
         let footprints = &keyset.footprints;
         debug_assert_eq!(keys.len(), campaign.entries.len() * campaign.stands.len());
@@ -639,7 +605,7 @@ impl CacheRuntime {
                     }
                 };
                 records.push(match lookup {
-                    CacheLookup::Hit(record) => Some(Preloaded::new(record)),
+                    CacheLookup::Hit(record) => Some(record),
                     CacheLookup::Miss => {
                         obs.inc(Counter::CellsInvalidated);
                         None
@@ -665,7 +631,7 @@ impl CacheRuntime {
         }
         obs.add(Counter::CacheBytesRead, bytes_read);
         obs.add(Counter::FootprintBytes, footprint_bytes);
-        Arc::new(Self {
+        Self {
             cache,
             verify: campaign.cache_verify,
             keys: keys.to_vec(),
@@ -676,7 +642,7 @@ impl CacheRuntime {
             corrupt,
             mismatches: AtomicUsize::new(reads.mismatches),
             obs: obs.clone(),
-        })
+        }
     }
 
     /// Emits one [`EngineEvent::CellCacheCorrupt`] per rotten entry found
@@ -695,46 +661,47 @@ impl CacheRuntime {
         }
     }
 
-    /// Whether [`CacheRuntime::admit`] will serve the job running `tests`
-    /// of `cell`. Records are pre-loaded before packaging and a job's
-    /// cached outcomes stay untouched until its own admission, so this
-    /// prediction is exact — packaging uses it to skip building DUT
-    /// devices for jobs that will never run.
-    pub(crate) fn will_hit(&self, cell: usize, tests: Range<usize>) -> bool {
-        !self.verify
-            && self.records[cell]
-                .as_ref()
-                .is_some_and(|r| r.job_slots(tests).is_some())
-    }
-
-    /// Admission: the cached outcomes of the job running `tests` of
-    /// `cell`, or `None` (miss / verify mode — the job must execute).
+    /// The hits of `cell`'s jobs, which run the suite tests `batches`
+    /// (disjoint, in order) — the one place a launch decides a hit. A job
+    /// hits when the cell's record determines every test it would run
+    /// ([`job_range`]); its outcomes then move out of the record, so each
+    /// serves exactly one job and nothing is cloned. `None` for a miss,
+    /// and for every job under `cache_verify`, which leaves the records
+    /// whole for [`CacheRuntime::finish`] to compare against.
     ///
-    /// Each (cell, test) outcome is served to exactly one job, so a hit
-    /// *moves* its outcomes out of the pre-loaded record instead of
-    /// cloning them. The one clone left is for partial records: their
-    /// hits also feed the cell's store accumulator, so mixed warm/cold
-    /// cells can complete their record. A complete record never needs
-    /// re-storing, so fully-warm cells skip the accumulator and clone
-    /// nothing. Verify mode serves nothing and leaves every record intact
-    /// for [`CacheRuntime::finish`] to compare against.
-    pub(crate) fn admit(&self, cell: usize, tests: Range<usize>) -> Option<Vec<TestJobOutcome>> {
-        if self.verify {
-            return None;
+    /// A cell whose every job hits is never re-stored, so its store
+    /// accumulator is settled here and its hits clone nothing into it.
+    /// Hits on a cell with jobs to execute feed the accumulator at
+    /// admission, so the cell's record is completed.
+    pub(crate) fn take_hits(
+        &mut self,
+        cell: usize,
+        batches: &[Range<usize>],
+    ) -> Vec<Option<Vec<TestJobOutcome>>> {
+        let record = if self.verify {
+            None
+        } else {
+            self.records[cell].take()
+        };
+        let Some(record) = record else {
+            return vec![None; batches.len()];
+        };
+        let mut slots: Vec<Option<TestJobOutcome>> = record.tests.into_iter().map(Some).collect();
+        let hits: Vec<Option<Vec<TestJobOutcome>>> = batches
+            .iter()
+            .map(|tests| {
+                let range = job_range(
+                    slots.len(),
+                    |t| matches!(slots[t], Some(Err(_))),
+                    tests.clone(),
+                )?;
+                slots[range].iter_mut().map(Option::take).collect()
+            })
+            .collect();
+        if hits.iter().all(Option::is_some) {
+            self.collectors[cell].get_mut().expect("collector").pending = 0;
         }
-        let record = self.records[cell].as_ref()?;
-        let (mut slots, range) = record.job_slots(tests.clone())?;
-        // Every slot in the range is still full; an emptied one would only
-        // turn this hit into a miss.
-        let outcomes: Vec<TestJobOutcome> = slots[range]
-            .iter_mut()
-            .map(Option::take)
-            .collect::<Option<_>>()?;
-        drop(slots);
-        if !record.complete {
-            self.note(cell, tests.start, &outcomes, false);
-        }
-        Some(outcomes)
+        hits
     }
 
     /// Reports one *executed* job's outcomes (its tests from suite index
@@ -742,17 +709,13 @@ impl CacheRuntime {
     /// counts a mismatch when the cached outcomes for the same tests
     /// differ.
     pub(crate) fn finish(&self, cell: usize, first: usize, outcomes: &[TestJobOutcome]) {
-        if self.verify {
-            if let Some(record) = &self.records[cell] {
-                if let Some((cached, range)) = record.job_slots(first..first + outcomes.len()) {
-                    if !cached[range]
-                        .iter()
-                        .map(Option::as_ref)
-                        .eq(outcomes.iter().map(Some))
-                    {
-                        self.mismatches.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+        if let Some(record) = self.records[cell].as_ref().filter(|_| self.verify) {
+            let cached = &record.tests;
+            let tests = first..first + outcomes.len();
+            if job_range(cached.len(), |t| cached[t].is_err(), tests)
+                .is_some_and(|range| cached[range] != *outcomes)
+            {
+                self.mismatches.fetch_add(1, Ordering::Relaxed);
             }
         }
         self.note(cell, first, outcomes, true);
@@ -767,13 +730,20 @@ impl CacheRuntime {
         }
     }
 
-    /// Accumulates one job's outcomes; once every job of the cell reported
-    /// and at least one executed, stores the determined prefix — the
-    /// outcomes up to the first test no job produced.
-    fn note(&self, cell: usize, first: usize, outcomes: &[TestJobOutcome], executed: bool) {
+    /// Accumulates one job's outcomes — `executed`, or served from the
+    /// cache at admission; once every job of the cell reported and at
+    /// least one executed, stores the determined prefix — the outcomes up
+    /// to the first test no job produced.
+    pub(crate) fn note(
+        &self,
+        cell: usize,
+        first: usize,
+        outcomes: &[TestJobOutcome],
+        executed: bool,
+    ) {
         let mut c = self.collectors[cell].lock().expect("collector");
         if c.pending == 0 {
-            // Every job of the cell already reported.
+            // Every job of the cell already reported, or every job hit.
             return;
         }
         for (slot, outcome) in c.outcomes[first..].iter_mut().zip(outcomes) {
@@ -797,19 +767,6 @@ impl CacheRuntime {
         if let Some(memo) = &self.memos[cell] {
             self.cache.alias(&self.keys[cell], memo);
         }
-    }
-}
-
-impl fmt::Debug for CacheRuntime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CacheRuntime")
-            .field("verify", &self.verify)
-            .field("cells", &self.keys.len())
-            .field(
-                "preloaded",
-                &self.records.iter().filter(|r| r.is_some()).count(),
-            )
-            .finish_non_exhaustive()
     }
 }
 
@@ -855,39 +812,43 @@ mod tests {
 
     #[test]
     fn partial_record_determines_cells_only_through_an_error() {
+        // The tests a job running `tests` takes from `record`, if any.
+        fn job(record: &CellRecord, tests: Range<usize>) -> Option<Range<usize>> {
+            job_range(record.tests.len(), |t| record.tests[t].is_err(), tests)
+        }
         let with_error = CellRecord {
             total: 3,
             tests: vec![Ok(result("a")), Err("boom".into())],
             footprint: None,
         };
-        assert_eq!(with_error.job_outcomes(0..3).map(<[_]>::len), Some(2));
+        assert_eq!(job(&with_error, 0..3), Some(0..2));
         assert_eq!(with_error.test_outcome(0), Some(&Ok(result("a"))));
         assert!(with_error.test_outcome(2).is_none());
+        assert!(with_error.is_determined() && !with_error.is_complete());
 
         let undetermined = CellRecord {
             total: 3,
             tests: vec![Ok(result("a")), Ok(result("b"))],
             footprint: None,
         };
-        assert!(undetermined.job_outcomes(0..3).is_none(), "missing tail");
-        assert!(
-            undetermined.test_outcome(1).is_some(),
-            "per-test still hits"
-        );
+        assert!(job(&undetermined, 0..3).is_none(), "missing tail");
+        assert!(undetermined.test_outcome(1).is_some());
+        assert_eq!(job(&undetermined, 1..2), Some(1..2), "per-test still hits");
+        assert!(!undetermined.is_determined());
 
         let complete = CellRecord {
             total: 2,
             tests: vec![Ok(result("a")), Ok(result("b"))],
             footprint: None,
         };
-        assert_eq!(complete.job_outcomes(0..2).map(<[_]>::len), Some(2));
-        assert_eq!(complete.job_outcomes(1..2).map(<[_]>::len), Some(1));
+        assert_eq!(job(&complete, 0..2), Some(0..2));
+        assert_eq!(job(&complete, 1..2), Some(1..2));
         let empty = CellRecord {
             total: 0,
             tests: vec![],
             footprint: None,
         };
-        assert_eq!(empty.job_outcomes(0..0), Some(&[][..]), "an empty cell");
+        assert_eq!(job(&empty, 0..0), Some(0..0), "an empty cell");
     }
 
     #[test]

@@ -9,20 +9,22 @@
 //! order, each against a fresh power-cycled device, and stops after the
 //! first planning error — for a batch of one test that changes nothing.
 //!
-//! Jobs come from [`Prepared`]: scripts generated at most once per entry,
+//! Jobs come from [`package`]: scripts generated at most once per entry,
 //! stands cloned once, execution plans resolved lazily **once per (entry,
 //! test, stand) triple** through shared [`PlanSlot`]s that live on the
 //! [`Campaign`] value (so relaunching the same campaign — replay loops,
-//! watch mode, warm cache runs — never re-plans), and the campaign cache
-//! consulted at the exact admission point where a job would start. Every
-//! executor joins through [`join_jobs`], which folds the per-test outcomes
-//! with [`merge_test_outcomes`].
+//! watch mode, warm cache runs — never re-plans). Every executor joins
+//! through [`join_jobs`], which folds the per-test outcomes with
+//! [`merge_test_outcomes`].
 //!
-//! With a cache, key resolution reads each cell's plan
-//! memo before anything is generated or planned, and only entries with a
-//! cell to plan or a job to execute are generated: a fully warm run builds
-//! no devices, generates no scripts and plans nothing. (It still builds
-//! one device per entry to walk the DUT slices its keys cover.)
+//! With a cache, key resolution reads each cell's plan memo before
+//! anything is generated or planned, and each cache hit is decided once,
+//! when the job is packaged: the hit's outcomes move into the job, which
+//! then carries no tests, and admission — the point where the job would
+//! start — serves them. Only entries with a cell to plan or a job to
+//! execute are generated: a fully warm run builds no devices, generates
+//! no scripts and plans nothing. (It still builds one device per entry to
+//! walk the DUT slices its keys cover.)
 
 use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -70,11 +72,11 @@ use crate::pool::WorkerPool;
 ///   every worker count;
 /// * events stream per cell at [`Granularity::Cell`] and per test at
 ///   [`Granularity::Test`], and the stream ends when the last job reports;
-/// * a configured campaign cache is consulted at the same admission point:
-///   a hit emits [`EngineEvent::CellCached`] instead of the
-///   started/finished pair, merges byte-identical to the executed outcome,
-///   and a cached failure trips the `stop_on_first_fail` latch exactly
-///   like an executed one.
+/// * a configured campaign cache decides each hit when the job is
+///   packaged and serves it at the same admission point: a hit emits
+///   [`EngineEvent::CellCached`] instead of the started/finished pair,
+///   merges byte-identical to the executed outcome, and a cached failure
+///   trips the `stop_on_first_fail` latch exactly like an executed one.
 ///
 /// [`CancelToken`]: crate::CancelToken
 pub trait CampaignExecutor {
@@ -168,17 +170,16 @@ impl ScriptStore {
             .entries
             .get_or_init(|| entries.iter().map(|_| OnceLock::new()).collect());
         slots[e]
-            .get_or_init(|| obs.time_phase(Phase::Codegen, || generate_entry(&entries[e])))
+            .get_or_init(|| {
+                obs.time_phase(Phase::Codegen, || {
+                    Ok(comptest_script::generate_all(entries[e].suite)?
+                        .into_iter()
+                        .map(Arc::new)
+                        .collect())
+                })
+            })
             .clone()
     }
-}
-
-/// Generates one entry's scripts, validating its suite once.
-fn generate_entry(entry: &CampaignEntry<'_>) -> Result<EntryScripts, CoreError> {
-    Ok(comptest_script::generate_all(entry.suite)?
-        .into_iter()
-        .map(Arc::new)
-        .collect())
 }
 
 /// A campaign's resolved cache keys plus the per-cell dependency
@@ -401,145 +402,113 @@ fn same_plan_side(a: &Footprint, b: &Footprint) -> bool {
         && a.resources == b.resources
 }
 
-/// Everything a launch shares across jobs, prepared once on the launch
-/// thread: generated scripts (the codegen precheck), owned stands, the
-/// campaign's plan slots, and the cache runtime with pre-loaded records.
-struct Prepared {
-    /// Per entry, its scripts — `None` for an entry whose every job the
-    /// cache serves, which is never generated.
-    scripts: Vec<Option<EntryScripts>>,
-    stands: Vec<Arc<TestStand>>,
-    slots: Vec<Arc<PlanSlot>>,
-    /// Cumulative test counts: `offsets[e]` = tests of entries `0..e`.
-    offsets: Vec<usize>,
-    n_stands: usize,
+/// The jobs one launch runs, with what the join and the workers need:
+/// see [`package`].
+struct Packaged {
+    jobs: Vec<PackagedJob>,
+    /// Per job, the range of the flat (cell, test) merge order its
+    /// outcomes fill.
+    layout: Vec<Range<usize>>,
     cache: Option<Arc<CacheRuntime>>,
 }
 
-impl Prepared {
-    /// Clones stands once, binds the campaign's plan slots, resolves cache
-    /// keys and pre-loads records in deterministic cell order, and
-    /// generates the scripts of every entry with a job the cache will not
-    /// serve — every entry without a cache or under `cache_verify`. A
-    /// cache hit proves its suite generated cleanly when it was stored, so
-    /// the first codegen error still surfaces here, before any job runs.
-    fn new(campaign: &Campaign<'_, '_>) -> Result<Self, CoreError> {
-        let obs = &campaign.obs;
-        let entries = campaign.entries;
-        let generate = |e: usize| campaign.scripts.entry(entries, e, obs);
-        let stands: Vec<Arc<TestStand>> = campaign
-            .stands
-            .iter()
-            .map(|s| Arc::new((*s).clone()))
-            .collect();
-        let mut offsets = Vec::with_capacity(entries.len() + 1);
-        let mut total = 0usize;
-        for entry in entries {
-            offsets.push(total);
-            total += entry.suite.tests.len();
-        }
+/// Packages a launch's deterministic job list at the campaign's
+/// granularity: cells in plan order, each cut into [`batches`]. This is
+/// the one place a launch decides its cache hits. Stands are cloned once,
+/// cache keys are resolved and records pre-loaded in cell order, and each
+/// job the cell's record determines takes its outcomes out of it
+/// ([`CacheRuntime::take_hits`]) — a hit carries those outcomes and
+/// nothing else. Every other job gets its tests with their scripts, the
+/// campaign's shared plan slots, and one freshly built device per test
+/// (the serial pipeline power-cycles the DUT per test; building up front
+/// keeps worker tasks `'static`). So a fully warm run builds no devices
+/// for its jobs and generates no scripts.
+///
+/// An entry's scripts are generated when its first job to execute is
+/// packaged, in entry order; a cache hit proves its suite generated
+/// cleanly when it was stored. So the first codegen error still surfaces
+/// here, before any job runs.
+fn package(campaign: &Campaign<'_, '_>) -> Result<Packaged, CoreError> {
+    let obs = &campaign.obs;
+    let entries = campaign.entries;
+    let generate = |e: usize| campaign.scripts.entry(entries, e, obs);
+    let stands: Vec<Arc<TestStand>> = campaign
+        .stands
+        .iter()
+        .map(|s| Arc::new((*s).clone()))
+        .collect();
+    let mut offsets = Vec::with_capacity(entries.len());
+    let mut total = 0usize;
+    for entry in entries {
         offsets.push(total);
-        let n_stands = campaign.stands.len();
-        let slots = campaign.plans.slots(total * n_stands).to_vec();
-        let cache = match &campaign.cache {
-            None => None,
-            Some(cache) => {
-                let (keyset, reads) = campaign.keys.resolve(
-                    campaign,
-                    cache.as_ref(),
-                    &generate,
-                    &|e, t, s| Arc::clone(&slots[(offsets[e] + t) * n_stands + s]),
-                    obs,
-                )?;
-                Some(obs.time_phase(Phase::CachePreload, || {
-                    CacheRuntime::prepare(Arc::clone(cache), campaign, keyset, reads, obs)
-                }))
-            }
-        };
-        let mut scripts = Vec::with_capacity(entries.len());
-        for (e, entry) in entries.iter().enumerate() {
-            let served = cache.as_ref().is_some_and(|runtime| {
-                (0..n_stands).all(|s| {
-                    batches(campaign.granularity, entry.suite.tests.len())
-                        .into_iter()
-                        .all(|tests| runtime.will_hit(e * n_stands + s, tests))
-                })
-            });
-            scripts.push(if served { None } else { Some(generate(e)?) });
+        total += entry.suite.tests.len();
+    }
+    let n_stands = stands.len();
+    let slots = campaign.plans.slots(total * n_stands);
+    let slot = |e: usize, t: usize, s: usize| Arc::clone(&slots[(offsets[e] + t) * n_stands + s]);
+    let mut cache = match &campaign.cache {
+        None => None,
+        Some(cache) => {
+            let (keyset, reads) =
+                campaign
+                    .keys
+                    .resolve(campaign, cache.as_ref(), &generate, &slot, obs)?;
+            Some(obs.time_phase(Phase::CachePreload, || {
+                CacheRuntime::prepare(Arc::clone(cache), campaign, keyset, reads, obs)
+            }))
         }
-        Ok(Self {
-            scripts,
-            stands,
-            slots,
-            offsets,
-            n_stands,
-            cache,
-        })
-    }
+    };
 
-    fn slot(&self, entry: usize, test: usize, stand: usize) -> Arc<PlanSlot> {
-        Arc::clone(&self.slots[(self.offsets[entry] + test) * self.n_stands + stand])
-    }
-
-    /// Packages the deterministic job list at `granularity`: cells in plan
-    /// order, each cut into [`batches`]. Scripts and stands are
-    /// `Arc`-shared, plan slots are shared per (entry, test, stand), and
-    /// every job that will actually *execute* gets one freshly built
-    /// device per test (the serial pipeline power-cycles the DUT per test;
-    /// building up front keeps worker tasks `'static`). Records are
-    /// pre-loaded before packaging and a job's cached outcomes stay
-    /// untouched until its own admission, so admission is predictable
-    /// here: predicted cache hits skip device construction entirely — a
-    /// fully warm run builds zero devices.
-    ///
-    /// Also returns, per job, the range of the flat (cell, test) merge
-    /// order its outcomes fill.
-    fn package(
-        &self,
-        entries: &[CampaignEntry<'_>],
-        granularity: Granularity,
-    ) -> (Vec<PackagedJob>, Vec<Range<usize>>) {
-        let mut jobs = Vec::new();
-        let mut layout = Vec::new();
-        let mut base = 0usize;
-        for cell in plan_cells(entries.len(), self.n_stands) {
-            let entry = &entries[cell.entry];
-            let n_tests = entry.suite.tests.len();
-            for tests in batches(granularity, n_tests) {
-                let hit = self
-                    .cache
-                    .as_ref()
-                    .is_some_and(|c| c.will_hit(cell.cell, tests.clone()));
-                layout.push(base + tests.start..base + tests.end);
-                jobs.push(PackagedJob {
-                    job: jobs.len(),
-                    cell: cell.cell,
-                    entry: cell.entry,
-                    first: tests.start,
-                    suite: entry.suite.name.clone(),
-                    stand_name: self.stands[cell.stand].name().to_owned(),
-                    stand: Arc::clone(&self.stands[cell.stand]),
-                    tests: tests
-                        .clone()
-                        .map(|t| JobTest {
+    let mut jobs = Vec::new();
+    let mut layout = Vec::new();
+    let mut base = 0usize;
+    for cell in plan_cells(entries.len(), n_stands) {
+        let entry = &entries[cell.entry];
+        let n_tests = entry.suite.tests.len();
+        let batches = batches(campaign.granularity, n_tests);
+        let mut hits = cache
+            .as_mut()
+            .map(|runtime| runtime.take_hits(cell.cell, &batches))
+            .unwrap_or_default()
+            .into_iter();
+        for tests in batches {
+            let cached = hits.next().flatten();
+            let (job_tests, devices) = if cached.is_some() {
+                (Vec::new(), Vec::new())
+            } else {
+                let scripts = generate(cell.entry)?;
+                tests
+                    .clone()
+                    .map(|t| {
+                        let test = JobTest {
                             name: entry.suite.tests[t].name.clone(),
-                            script: self.scripts[cell.entry]
-                                .as_ref()
-                                .map(|scripts| Arc::clone(&scripts[t])),
-                            plan: self.slot(cell.entry, t, cell.stand),
-                        })
-                        .collect(),
-                    devices: if hit {
-                        Vec::new()
-                    } else {
-                        tests.map(|_| entry.device_factory.build()).collect()
-                    },
-                });
-            }
-            base += n_tests;
+                            script: Arc::clone(&scripts[t]),
+                            plan: slot(cell.entry, t, cell.stand),
+                        };
+                        (test, entry.device_factory.build())
+                    })
+                    .unzip()
+            };
+            layout.push(base + tests.start..base + tests.end);
+            jobs.push(PackagedJob {
+                job: jobs.len(),
+                cell: cell.cell,
+                first: tests.start,
+                suite: entry.suite.name.clone(),
+                stand_name: stands[cell.stand].name().to_owned(),
+                stand: Arc::clone(&stands[cell.stand]),
+                tests: job_tests,
+                devices,
+                cached,
+            });
         }
-        (jobs, layout)
+        base += n_tests;
     }
+    Ok(Packaged {
+        jobs,
+        layout,
+        cache: cache.map(Arc::new),
+    })
 }
 
 /// The engine's unit of work, as a batch size: the suite-index ranges of
@@ -555,51 +524,33 @@ fn batches(granularity: Granularity, tests: usize) -> Vec<Range<usize>> {
 
 /// One packaged job — a run of consecutive tests of one cell — with
 /// everything a worker (pool thread, async shard, remote process) needs,
-/// owned.
+/// owned. Packaging decided whether it is a cache hit: a hit holds its
+/// cached outcomes and no tests; any other job holds its tests, each with
+/// its script and a fresh device.
 pub(crate) struct PackagedJob {
     /// Index into the deterministic job list.
     pub(crate) job: usize,
     pub(crate) cell: usize,
-    /// Index into the campaign's entries — lets the join rebuild devices
-    /// through the entry's `DeviceFactory` when a predicted hit strands.
-    pub(crate) entry: usize,
     /// Suite index of the job's first test.
     pub(crate) first: usize,
     pub(crate) suite: String,
     pub(crate) stand_name: String,
     pub(crate) stand: Arc<TestStand>,
+    /// The tests to execute, in order — empty for a cache hit.
     pub(crate) tests: Vec<JobTest>,
-    /// One fresh DUT per test, in order — empty when packaging predicted
-    /// a cache hit (admission then serves the job without one).
+    /// One fresh DUT per test, in order.
     pub(crate) devices: Vec<Device>,
-}
-
-impl PackagedJob {
-    /// Suite indices of the job's tests.
-    pub(crate) fn test_range(&self) -> Range<usize> {
-        self.first..self.first + self.tests.len()
-    }
+    /// A cache hit's outcomes, moved out of the cell's pre-loaded record
+    /// at packaging; admission serves them.
+    pub(crate) cached: Option<Vec<TestJobOutcome>>,
 }
 
 /// One test of a packaged job: its name, its script and the campaign's
 /// shared plan slot for it on the job's stand.
 pub(crate) struct JobTest {
     pub(crate) name: String,
-    /// `None` only in a predicted hit of an entry that was never
-    /// generated; admission strands such a job and the join's rescue
-    /// generates its scripts.
-    pub(crate) script: Option<Arc<TestScript>>,
+    pub(crate) script: Arc<TestScript>,
     pub(crate) plan: Arc<PlanSlot>,
-}
-
-impl JobTest {
-    /// The script of a test that executes. Admission strands every job
-    /// with a missing script, so an admitted job has all of them.
-    pub(crate) fn script(&self) -> &Arc<TestScript> {
-        self.script
-            .as_ref()
-            .expect("admission strands jobs without scripts")
-    }
 }
 
 /// The job-side context every worker shares: execution options, the
@@ -621,7 +572,7 @@ pub(crate) struct JobCtx {
 }
 
 impl JobCtx {
-    fn new(campaign: &Campaign<'_, '_>, prepared: &Prepared) -> Self {
+    fn new(campaign: &Campaign<'_, '_>, cache: Option<Arc<CacheRuntime>>) -> Self {
         campaign
             .obs
             .add(Counter::JobsPlanned, campaign.job_count() as u64);
@@ -630,7 +581,7 @@ impl JobCtx {
             granularity: campaign.granularity,
             cancel: RunCancel::new(campaign.cancel.clone()),
             stop: campaign.stop_on_first_fail,
-            cache: prepared.cache.clone(),
+            cache,
             obs: campaign.obs.clone(),
             step_probe: campaign.obs.step_probe(),
         }
@@ -647,15 +598,13 @@ impl JobCtx {
     /// Admits one job at the point where it would start — the one
     /// admission sequence of every executor, so hit semantics cannot
     /// drift between them. A cancelled run acknowledges the job; a cache
-    /// hit emits [`EngineEvent::CellCached`], trips the stop latch on a
-    /// cached failure and reports the cached outcomes; a predicted hit
-    /// that missed (another process evicted or rewrote the record) strands
-    /// the job back to the join, because worker tasks cannot borrow the
-    /// campaign's device factories and the join can. Returns the job when
-    /// it must execute.
+    /// hit (decided at packaging) emits [`EngineEvent::CellCached`], feeds
+    /// the cell's store accumulator, trips the stop latch on a cached
+    /// failure and reports its outcomes. Returns the job when it must
+    /// execute.
     pub(crate) fn admit(
         &self,
-        job: PackagedJob,
+        mut job: PackagedJob,
         events: &Sender<EngineEvent>,
         results: &Sender<JobMsg>,
     ) -> Option<PackagedJob> {
@@ -663,36 +612,32 @@ impl JobCtx {
             let _ = results.send(JobMsg::Cancelled);
             return None;
         }
-        if let Some(runtime) = &self.cache {
-            match runtime.admit(job.cell, job.test_range()) {
-                Some(outcomes) => {
-                    self.obs.inc(Counter::CacheHits);
-                    self.obs.inc(Counter::JobsCached);
-                    let (status, failed) = self.job_status(&outcomes);
-                    emit(
-                        events,
-                        EngineEvent::CellCached {
-                            cell: job.cell,
-                            test: (self.granularity == Granularity::Test).then_some(job.first),
-                            suite: job.suite,
-                            stand: job.stand_name,
-                            status,
-                        },
-                    );
-                    if failed && self.stop {
-                        self.cancel.trip();
-                    }
-                    let _ = results.send(JobMsg::Done(job.job, outcomes));
-                    return None;
-                }
-                None => self.obs.inc(Counter::CacheMisses),
-            }
+        let Some(runtime) = &self.cache else {
+            return Some(job);
+        };
+        let Some(outcomes) = job.cached.take() else {
+            self.obs.inc(Counter::CacheMisses);
+            return Some(job);
+        };
+        runtime.note(job.cell, job.first, &outcomes, false);
+        self.obs.inc(Counter::CacheHits);
+        self.obs.inc(Counter::JobsCached);
+        let (status, failed) = self.job_status(&outcomes);
+        emit(
+            events,
+            EngineEvent::CellCached {
+                cell: job.cell,
+                test: (self.granularity == Granularity::Test).then_some(job.first),
+                suite: job.suite,
+                stand: job.stand_name,
+                status,
+            },
+        );
+        if failed && self.stop {
+            self.cancel.trip();
         }
-        if job.devices.len() < job.tests.len() || job.tests.iter().any(|t| t.script.is_none()) {
-            let _ = results.send(JobMsg::Stranded(Box::new(job)));
-            return None;
-        }
-        Some(job)
+        let _ = results.send(JobMsg::Done(job.job, outcomes));
+        None
     }
 
     /// Status line and failed flag of a job's outcomes at the campaign's
@@ -835,7 +780,7 @@ impl JobRun {
     /// The plan of `test` on the job's stand, resolved through its shared
     /// slot (planned at most once per campaign value).
     pub(crate) fn plan(&self, test: &JobTest, ctx: &JobCtx) -> Result<Arc<ExecutionPlan>, String> {
-        test.plan.resolve(test.script(), &self.stand, &ctx.obs)
+        test.plan.resolve(&test.script, &self.stand, &ctx.obs)
     }
 
     /// Ends the test begun last with its outcome and wall time: counters,
@@ -928,8 +873,8 @@ impl JobRun {
 /// Runs an admitted job to completion on the calling thread: its tests in
 /// order, each planned through its shared slot and executed against its
 /// own device, stopping after the first planning error. Every blocking
-/// path — the serial loop, pool workers, the remote fallback, join-time
-/// rescue and the worker process — goes through here.
+/// path — the serial loop, pool workers, the remote fallback and the
+/// worker process — goes through here.
 pub(crate) fn execute(
     job: PackagedJob,
     ctx: &JobCtx,
@@ -968,27 +913,27 @@ pub(crate) enum JobMsg {
     /// The job observed cancellation and never ran (or, on the async
     /// executor, was abandoned at a step boundary).
     Cancelled,
-    /// The job missed the cache at admission although packaging predicted
-    /// a hit (and therefore built no devices); the join rescues it.
-    Stranded(Box<PackagedJob>),
     /// The job is gone for good (remote retries exhausted, or a panic in
     /// the remote executor's in-process fallback); the label names it in
     /// [`CoreError::JobsLost`].
     Lost(String),
 }
 
-/// The launch path every executor shares: [`Prepared`] (codegen precheck,
-/// plan slots, cache preload), the job list at the campaign's
-/// granularity, and a handle joining through [`join_jobs`]. `drive` hands
+/// The launch path every executor shares: the job list from [`package`]
+/// (codegen precheck, plan slots, cache preload and hits), and a handle
+/// joining through [`join_jobs`]. `drive` hands
 /// the jobs to the executor's workers and returns the `workers` gauge
 /// claim the join releases.
 pub(crate) fn launch_jobs<'a>(
     campaign: &Campaign<'a, '_>,
     drive: impl FnOnce(Vec<PackagedJob>, &JobCtx, Sender<EngineEvent>, Sender<JobMsg>) -> i64,
 ) -> Result<CampaignHandle<'a>, CoreError> {
-    let prepared = Prepared::new(campaign)?;
-    let (jobs, layout) = prepared.package(campaign.entries, campaign.granularity);
-    let ctx = JobCtx::new(campaign, &prepared);
+    let Packaged {
+        jobs,
+        layout,
+        cache,
+    } = package(campaign)?;
+    let ctx = JobCtx::new(campaign, cache);
     let (events_tx, events_rx) = mpsc::channel();
     let (results_tx, results_rx) = mpsc::channel();
     ctx.emit_cache_warnings(&events_tx);
@@ -1009,9 +954,7 @@ pub(crate) fn launch_jobs<'a>(
 }
 
 /// The join every executor shares. Takes exactly one message per job,
-/// runs stranded jobs on this thread (the one place that can borrow the
-/// campaign's device factories), drops each job's outcomes into its
-/// `layout` range of the flat (cell, test) order and folds them with
+/// drops each job's outcomes into its `layout` range of the flat (cell, test) order and folds them with
 /// [`merge_test_outcomes`]. A job that neither reported nor acknowledged
 /// cancellation died mid-job (a panic caught by the pool): that surfaces
 /// as [`CoreError::JobsLost`], never as a silently truncated — possibly
@@ -1031,10 +974,6 @@ fn join_jobs(
     for msg in results.iter().take(layout.len()) {
         let (job, outcomes) = match msg {
             JobMsg::Done(job, outcomes) => (job, outcomes),
-            JobMsg::Stranded(job) => match rescue(*job, entries, ctx) {
-                Some(done) => done,
-                None => continue,
-            },
             JobMsg::Cancelled => {
                 acknowledged += 1;
                 continue;
@@ -1079,40 +1018,6 @@ fn join_jobs(
         runtime.check_verified()?;
     }
     Ok(CampaignOutcome { result, cancelled })
-}
-
-/// Runs a stranded job on the join thread with devices rebuilt through its
-/// entry's factory, and scripts generated when its entry never was. Its
-/// events go nowhere (the worker that stranded it held the campaign's
-/// event sender); the merged result is byte-identical to a worker
-/// execution.
-fn rescue(
-    mut job: PackagedJob,
-    entries: &[CampaignEntry<'_>],
-    ctx: &JobCtx,
-) -> Option<(usize, Vec<TestJobOutcome>)> {
-    let entry = &entries[job.entry];
-    if job.tests.iter().any(|t| t.script.is_none()) {
-        let scripts = ctx
-            .obs
-            .time_phase(Phase::Codegen, || generate_entry(entry))
-            .ok()?;
-        for (test, script) in job.tests.iter_mut().zip(&scripts[job.first..]) {
-            test.script = Some(Arc::clone(script));
-        }
-    }
-    job.devices = job
-        .tests
-        .iter()
-        .map(|_| entry.device_factory.build())
-        .collect();
-    let (events, _) = mpsc::channel();
-    let (results, done) = mpsc::channel();
-    execute(job, ctx, &events, &results);
-    match done.try_recv() {
-        Ok(JobMsg::Done(job, outcomes)) => Some((job, outcomes)),
-        _ => None,
-    }
 }
 
 /// Runs every job in plan order on the calling thread — the reference
@@ -1229,144 +1134,5 @@ impl CampaignExecutor for WorkerPool {
             }
             claimed_workers
         })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::cache::{CampaignCache, MemoryCache};
-    use comptest_sheets::Workbook;
-
-    const WB: &str = "\
-[suite]
-name = lamp
-
-[signals]
-name,    kind,                     direction, init
-DS_FL,   pin:DS_FL,                input,     Closed
-NIGHT,   can:0x2A0:0:1,            input,     0
-INT_ILL, pin:INT_ILL_F/INT_ILL_R,  output,
-
-[status]
-status, method,  attribut, var,   nom, min,  max
-Open,   put_r,   r,        ,      0,   0,    2
-Closed, put_r,   r,        ,      INF, 5000, INF
-0,      put_can, data,     ,      0B,  ,
-1,      put_can, data,     ,      1B,  ,
-Lo,     get_u,   u,        UBATT, 0,   0,    0.3
-Ho,     get_u,   u,        UBATT, 1,   0.7,  1.1
-
-[test night_on]
-step, dt,  DS_FL, NIGHT, INT_ILL
-0,    0.5, Open,  1,     Ho
-
-[test day_off]
-step, dt,  DS_FL, NIGHT, INT_ILL
-0,    0.5, Open,  0,     Lo
-";
-
-    fn stand() -> TestStand {
-        TestStand::parse_str("a.stand", comptest_core::PAPER_STAND_A).unwrap()
-    }
-
-    fn entries(suites: &[comptest_model::TestSuite]) -> Vec<CampaignEntry<'_>> {
-        suites
-            .iter()
-            .map(|suite| CampaignEntry {
-                suite,
-                device_factory: Box::new(|| {
-                    comptest_dut::ecus::interior_light::device(Default::default())
-                }),
-            })
-            .collect()
-    }
-
-    /// A predicted cache hit that misses at admission: package against a
-    /// warm store (every job predicts a hit, so no devices are built and no
-    /// scripts generated), then
-    /// execute against an empty store — the record was evicted between
-    /// packaging and admission, legal whenever the store is shared between
-    /// processes. At either granularity the jobs must strand back to the
-    /// join, get rebuilt devices from the entry's factory and regenerated
-    /// scripts, and merge byte-identical to a cold run. Both granularities run the same
-    /// packaged-job path, so one body checks either.
-    fn assert_evicted_prediction_strands_and_rescues(granularity: Granularity) {
-        let wb = Workbook::parse_str("a.cts", WB).unwrap();
-        let suites = vec![wb.suite];
-        let entries = entries(&suites);
-        let stand = stand();
-        let stands: Vec<&TestStand> = vec![&stand];
-
-        // Reference: a cold serial run without any cache.
-        let cold = Campaign::new(&entries, &stands)
-            .granularity(granularity)
-            .run(&SerialExecutor)
-            .unwrap();
-
-        // Warm a store, then package against it.
-        let warm_store: Arc<dyn CampaignCache> = Arc::new(MemoryCache::new());
-        Campaign::new(&entries, &stands)
-            .granularity(granularity)
-            .cache(Arc::clone(&warm_store))
-            .run(&SerialExecutor)
-            .unwrap();
-        let warm = Campaign::new(&entries, &stands)
-            .granularity(granularity)
-            .cache(Arc::clone(&warm_store));
-        let prepared = Prepared::new(&warm).unwrap();
-        let (jobs, layout) = prepared.package(warm.entries, granularity);
-        assert!(!jobs.is_empty());
-        assert!(
-            jobs.iter().all(|j| j.devices.is_empty()),
-            "{granularity}: warm packaging must skip device builds"
-        );
-        assert!(
-            jobs.iter()
-                .flat_map(|j| &j.tests)
-                .all(|t| t.script.is_none()),
-            "{granularity}: warm packaging must skip codegen"
-        );
-
-        // Execute the predicted-hit jobs with the record evicted.
-        let evicted = Campaign::new(&entries, &stands)
-            .granularity(granularity)
-            .cache(Arc::new(MemoryCache::new()) as Arc<dyn CampaignCache>);
-        let prepared_evicted = Prepared::new(&evicted).unwrap();
-        let ctx = JobCtx::new(&evicted, &prepared_evicted);
-        let (events_tx, _events_rx) = mpsc::channel();
-        let (results_tx, results_rx) = mpsc::channel();
-        let n = jobs.len();
-        for job in jobs {
-            run_job(job, &ctx, &events_tx, &results_tx);
-        }
-        drop(results_tx);
-        let msgs: Vec<JobMsg> = results_rx.iter().collect();
-        assert_eq!(msgs.len(), n);
-        assert!(
-            msgs.iter().all(|m| matches!(m, JobMsg::Stranded(_))),
-            "{granularity}: every job must strand, not panic"
-        );
-        let (replay_tx, replay_rx) = mpsc::channel();
-        for msg in msgs {
-            replay_tx.send(msg).unwrap();
-        }
-        drop(replay_tx);
-        let outcome = join_jobs(replay_rx, &layout, evicted.entries, evicted.stands, &ctx).unwrap();
-        assert_eq!(outcome.cancelled, 0);
-        assert_eq!(
-            outcome.result, cold,
-            "{granularity}: rescued outcomes must match a cold run"
-        );
-    }
-
-    #[test]
-    fn evicted_prediction_strands_and_rescues_test_jobs() {
-        assert_evicted_prediction_strands_and_rescues(Granularity::Test);
-    }
-
-    #[test]
-    fn evicted_prediction_strands_and_rescues_cells() {
-        assert_evicted_prediction_strands_and_rescues(Granularity::Cell);
     }
 }

@@ -1,9 +1,10 @@
 //! The worker wire protocol: length-prefixed frames over stdio.
 //!
 //! The parent and its `comptest worker` children speak a binary protocol
-//! built from the same primitives as the cache's record codec
-//! (`cache::binary`): a fixed magic + version in the handshake, LEB128
-//! varints for every integer, length-validated strings and byte blobs.
+//! read and written with the cache record codec's own primitives
+//! (`cache::binary`'s bounds-checked `Reader` and its writers): a fixed
+//! magic + version in the handshake, LEB128 varints for every integer,
+//! length-validated strings and byte blobs.
 //! Each frame travels as `[u32 LE payload length][payload]`; the payload
 //! is one tag byte followed by the variant's fields.
 //!
@@ -25,6 +26,7 @@ use comptest_dut::DeviceSpec;
 use comptest_dut::ElectricalConfig;
 use comptest_model::{CanFrameId, SimTime};
 
+use crate::cache::binary::{put_f64, put_str, put_varint, DecodeError, Reader};
 use crate::campaign::Granularity;
 use crate::events::EngineEvent;
 
@@ -104,125 +106,19 @@ pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive readers/writers (the cache codec's idioms, local to this
-// protocol: its `Reader` is private to `cache::binary`).
+// Primitives: the cache codec's cursor and writers, plus two frame-only
+// writers.
 // ---------------------------------------------------------------------------
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
+impl From<DecodeError> for FrameError {
+    fn from(error: DecodeError) -> Self {
+        FrameError(error.0)
     }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        if self.remaining() < n {
-            return err(format!(
-                "truncated: wanted {n} bytes, {} left",
-                self.remaining()
-            ));
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn bool(&mut self) -> Result<bool, FrameError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => err(format!("bad bool byte {other}")),
-        }
-    }
-
-    /// LEB128 varint, overflow-checked (max 10 bytes for a u64).
-    fn varint(&mut self) -> Result<u64, FrameError> {
-        let mut out: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            let bits = u64::from(byte & 0x7f);
-            if shift >= 64 || (shift == 63 && bits > 1) {
-                return err("varint overflow");
-            }
-            out |= bits << shift;
-            if byte & 0x80 == 0 {
-                return Ok(out);
-            }
-            shift += 7;
-        }
-    }
-
-    fn len(&mut self) -> Result<usize, FrameError> {
-        let n = self.varint()?;
-        let n = usize::try_from(n).map_err(|_| FrameError("length exceeds usize".into()))?;
-        if n > self.remaining() {
-            return err(format!("length {n} exceeds remaining {}", self.remaining()));
-        }
-        Ok(n)
-    }
-
-    fn str(&mut self) -> Result<String, FrameError> {
-        let n = self.len()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| FrameError("invalid UTF-8".into()))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, FrameError> {
-        let n = self.len()?;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn f64(&mut self) -> Result<f64, FrameError> {
-        let raw = self.take(8)?;
-        let mut le = [0u8; 8];
-        le.copy_from_slice(raw);
-        Ok(f64::from_bits(u64::from_le_bytes(le)))
-    }
-
-    fn done(&self) -> Result<(), FrameError> {
-        if self.remaining() != 0 {
-            return err(format!("{} trailing bytes", self.remaining()));
-        }
-        Ok(())
-    }
-}
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
 }
 
 fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     put_varint(out, b.len() as u64);
     out.extend_from_slice(b);
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
 fn put_bool(out: &mut Vec<u8>, v: bool) {
@@ -251,7 +147,7 @@ fn put_spec(out: &mut Vec<u8>, spec: &DeviceSpec) {
 }
 
 fn read_spec(r: &mut Reader<'_>) -> Result<DeviceSpec, FrameError> {
-    let behavior = r.str()?;
+    let behavior = r.str()?.to_owned();
     let cfg = ElectricalConfig {
         ubatt: r.f64()?,
         pull_up: r.f64()?,
@@ -259,7 +155,7 @@ fn read_spec(r: &mut Reader<'_>) -> Result<DeviceSpec, FrameError> {
         high_threshold: r.f64()?,
         drive_resistance: r.f64()?,
     };
-    let n = r.len()?;
+    let n = r.length()?;
     let mut dropped_frames = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
         let id = r.varint()?;
@@ -433,15 +329,15 @@ impl ToWorker {
             }
             1 => ToWorker::Stand {
                 id: r.varint()?,
-                text: r.str()?,
+                text: r.str()?.to_owned(),
             },
             2 => {
                 let id = r.varint()?;
-                let xml = r.str()?;
-                let n = r.len()?;
+                let xml = r.str()?.to_owned();
+                let n = r.length()?;
                 let mut names = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
-                    names.push(r.str()?);
+                    names.push(r.str()?.to_owned());
                 }
                 ToWorker::Script { id, xml, names }
             }
@@ -449,8 +345,8 @@ impl ToWorker {
                 let job = read_usize(&mut r)?;
                 let cell = read_usize(&mut r)?;
                 let first = read_usize(&mut r)?;
-                let suite = r.str()?;
-                let n = r.len()?;
+                let suite = r.str()?.to_owned();
+                let n = r.length()?;
                 let mut scripts = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
                     scripts.push(r.varint()?);
@@ -542,9 +438,11 @@ impl FromWorker {
             1 => FromWorker::Event(read_event(&mut r)?),
             2 => FromWorker::Done {
                 job: read_usize(&mut r)?,
-                record: r.bytes()?,
+                record: r.bytes()?.to_vec(),
             },
-            3 => FromWorker::Error { message: r.str()? },
+            3 => FromWorker::Error {
+                message: r.str()?.to_owned(),
+            },
             other => return err(format!("bad worker frame tag {other}")),
         };
         r.done()?;
@@ -622,30 +520,30 @@ fn read_event(r: &mut Reader<'_>) -> Result<EngineEvent, FrameError> {
     Ok(match r.u8()? {
         0 => EngineEvent::JobStarted {
             cell: read_usize(r)?,
-            suite: r.str()?,
-            stand: r.str()?,
+            suite: r.str()?.to_owned(),
+            stand: r.str()?.to_owned(),
         },
         1 => EngineEvent::JobFinished {
             cell: read_usize(r)?,
-            suite: r.str()?,
-            stand: r.str()?,
-            status: r.str()?,
+            suite: r.str()?.to_owned(),
+            stand: r.str()?.to_owned(),
+            status: r.str()?.to_owned(),
             failed: r.bool()?,
         },
         2 => EngineEvent::TestStarted {
             cell: read_usize(r)?,
             test: read_usize(r)?,
-            suite: r.str()?,
-            stand: r.str()?,
-            name: r.str()?,
+            suite: r.str()?.to_owned(),
+            stand: r.str()?.to_owned(),
+            name: r.str()?.to_owned(),
         },
         3 => EngineEvent::TestFinished {
             cell: read_usize(r)?,
             test: read_usize(r)?,
-            suite: r.str()?,
-            stand: r.str()?,
-            name: r.str()?,
-            status: r.str()?,
+            suite: r.str()?.to_owned(),
+            stand: r.str()?.to_owned(),
+            name: r.str()?.to_owned(),
+            status: r.str()?.to_owned(),
             failed: r.bool()?,
             duration: Duration::from_micros(r.varint()?),
         },

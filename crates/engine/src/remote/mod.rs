@@ -6,7 +6,7 @@
 //! worker processes** connected over stdio with the length-prefixed frame
 //! protocol of the `frame` module. The division of labour:
 //!
-//! * the **parent** plans, packages, admits against the campaign cache
+//! * the **parent** plans, packages (deciding every cache hit), admits
 //!   (only misses are shipped), dispatches in plan order with a window of
 //!   one in-flight job per worker, forwards worker progress events into
 //!   the campaign's event stream, feeds results back into the cache, and
@@ -280,12 +280,12 @@ fn ship(
     }
     let mut scripts = Vec::with_capacity(job.tests.len());
     for test in &job.tests {
-        let script = interner.script(&job.suite, &test.name, || test.script().to_xml());
+        let script = interner.script(&job.suite, &test.name, || test.script.to_xml());
         if conn.sent_scripts.insert(script.id) {
             frames.push(ToWorker::Script {
                 id: script.id,
                 xml: script.payload,
-                names: signal_spellings(test.script()),
+                names: signal_spellings(&test.script),
             });
         }
         scripts.push(script.id);
@@ -524,8 +524,8 @@ impl Orchestrator {
             .is_some_and(|conn| conn.generation == generation)
     }
 
-    /// Fills every idle worker in plan order. Admission (cancel + cache)
-    /// happens here — at dispatch time, not packaging time — so a stop
+    /// Fills every idle worker in plan order. Admission (cancellation,
+    /// serving cache hits) happens here — at dispatch time — so a stop
     /// latch tripped by an earlier result truncates exactly like the
     /// local executors. Retries were admitted on their first dispatch.
     fn dispatch_ready(&mut self, queue: &mut VecDeque<(PackagedJob, usize)>) {

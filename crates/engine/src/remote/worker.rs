@@ -205,7 +205,7 @@ fn run_job(
         let text = Arc::clone(state.script(script)?);
         tests.push(JobTest {
             name: text.name.clone(),
-            script: Some(text),
+            script: text,
             plan: state.plan(script, request.stand),
         });
     }
@@ -216,13 +216,13 @@ fn run_job(
     let job = PackagedJob {
         job: request.job,
         cell: request.cell,
-        entry: 0,
         first: request.first,
         suite: request.suite,
         stand_name: stand.name().to_owned(),
         stand,
         tests,
         devices,
+        cached: None,
     };
     let (events_tx, events_rx) = mpsc::channel();
     let (results_tx, results_rx) = mpsc::channel();

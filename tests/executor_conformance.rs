@@ -40,7 +40,7 @@ use comptest::core::campaign::CampaignEntry;
 use comptest::core::hash::FootprintKey;
 use comptest::core::CoreError;
 use comptest::dut::{Behavior, Device, PinBinding, PortValue};
-use comptest::engine::{CampaignCache, DirCache, MemoryCache};
+use comptest::engine::{CampaignCache, CellRecord, DirCache, MemoryCache};
 use comptest::model::SimTime;
 use comptest::prelude::*;
 
@@ -1121,6 +1121,104 @@ fn conformance_cache_hits_build_no_devices() {
         cold_builds - entries.len(),
         "cache_verify re-executes, so warm audit runs still build every device"
     );
+}
+
+/// A store that forgets each record once a read has returned it, as if
+/// another process evicted it right after the launch preloaded it. Stores
+/// and aliases make a key readable again.
+#[derive(Debug, Default)]
+struct ForgetfulCache {
+    inner: MemoryCache,
+    read: std::sync::Mutex<std::collections::HashSet<comptest::core::CellKey>>,
+}
+
+impl CampaignCache for ForgetfulCache {
+    fn load(&self, key: &comptest::core::CellKey) -> Option<CellRecord> {
+        if !self.read.lock().unwrap().insert(*key) {
+            return None;
+        }
+        let record = self.inner.load(key);
+        if record.is_none() {
+            self.read.lock().unwrap().remove(key);
+        }
+        record
+    }
+
+    fn store(&self, key: &comptest::core::CellKey, record: &CellRecord) {
+        self.inner.store(key, record);
+        self.read.lock().unwrap().remove(key);
+    }
+
+    fn alias(&self, key: &comptest::core::CellKey, alias: &comptest::core::CellKey) {
+        self.inner.alias(key, alias);
+        self.read.lock().unwrap().remove(alias);
+    }
+}
+
+/// A launch's hits come from its own snapshot of the store: a record lost
+/// right after it was read is still served, by every subject at both
+/// granularities, without building a device, generating a script or
+/// planning a test.
+#[test]
+fn conformance_records_lost_after_preload_are_still_served() {
+    let suites = load_suites();
+    let built = Arc::new(AtomicUsize::new(0));
+    let entries = counting_entries(&suites, &built);
+    let stand_b = load_stand("stand_b.stand");
+    let stands = [&stand_b];
+
+    for granularity in [Granularity::Cell, Granularity::Test] {
+        for subject in subjects() {
+            let label = format!("{granularity}/{}", subject.name);
+            let executor = (subject.build)();
+            let cache = Arc::new(ForgetfulCache::default());
+            let cold = Campaign::new(&entries, &stands)
+                .granularity(granularity)
+                .cache(cache.clone())
+                .launch(executor.as_ref())
+                .unwrap()
+                .join()
+                .unwrap();
+
+            // The first warm launch reads each record through its plan
+            // memo; the relaunch of the same campaign value reads it under
+            // its record key. Each read is the last one that key answers.
+            let obs = Recorder::enabled();
+            let warm = Campaign::new(&entries, &stands)
+                .granularity(granularity)
+                .cache(cache.clone())
+                .recorder(obs.clone());
+            for (launch, key_devices) in [("memo", entries.len()), ("relaunch", 0)] {
+                built.store(0, Ordering::Relaxed);
+                let outcome = warm.launch(executor.as_ref()).unwrap().join().unwrap();
+                assert_eq!(outcome, cold, "{label}/{launch}: warm run diverged");
+                assert_eq!(
+                    built.load(Ordering::Relaxed),
+                    key_devices,
+                    "{label}/{launch}: only key hashing may build devices"
+                );
+            }
+            assert!(
+                cache.load(&default_key(&entries[0], &stand_b)).is_none(),
+                "{label}: the store must have forgotten the records it served"
+            );
+            let metrics = obs.metrics().unwrap();
+            assert_eq!(
+                metrics.counter("jobs_cached"),
+                metrics.counter("jobs_planned"),
+                "{label}: every job must be served ({:?})",
+                metrics.counters
+            );
+            assert_eq!(metrics.counter("cache_misses"), 0, "{label}");
+            for phase in ["codegen", "plan"] {
+                assert_eq!(
+                    metrics.phases.get(phase).map_or(0, |p| p.calls),
+                    0,
+                    "{label}: a warm run must make no {phase} calls"
+                );
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
