@@ -13,10 +13,10 @@
 //!
 //! * cell-granular: the deterministic cell ordering ([`plan_cells`]) and
 //!   the per-cell runner ([`run_cell`]);
-//! * test-granular: the (entry, stand, test) job list
-//!   ([`plan_test_jobs`]), the single-test runner ([`run_test_job`]) and
-//!   the pure merge ([`merge_test_outcomes`]) that folds per-test outcomes
-//!   back into the same [`CampaignResult`] a serial run produces;
+//! * test-granular: the one planning-error rendering ([`plan_script`]) and
+//!   the pure merge ([`merge_test_outcomes`]) that folds per-test outcomes,
+//!   in canonical (entry, stand, test) order, back into the same
+//!   [`CampaignResult`] a serial run produces;
 //! * validation ([`validate_campaign`]): the structural checks behind the
 //!   engine's `Campaign` builder.
 //!
@@ -328,62 +328,16 @@ pub fn run_cell(
     })
 }
 
-/// One schedulable unit of a *test-granular* campaign: a single test of one
-/// entry's suite on one stand, together with its position in the
-/// deterministic result matrix.
-///
-/// Test-granular jobs are the finer sharding of [`CellJob`]: a cell with
-/// `k` tests contributes `k` jobs, so one large workbook no longer bounds
-/// campaign wall-clock — its tests spread over all workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TestJob {
-    /// Index into the deterministic job list (cell-major, test-minor).
-    pub job: usize,
-    /// Index into the result matrix (entry-major, stand-minor).
-    pub cell: usize,
-    /// Index of the [`CampaignEntry`].
-    pub entry: usize,
-    /// Index into the stand list.
-    pub stand: usize,
-    /// Index into the entry's `suite.tests`.
-    pub test: usize,
-}
-
 /// The outcome of one test job: the executed test, or the stand planning
 /// error that made it not runnable (a result of the experiment, mirroring
 /// [`CampaignCell::outcome`] at test granularity).
 pub type TestJobOutcome = Result<TestResult, String>;
 
-/// Shards the suite × stand matrix into per-test jobs. `test_counts[i]` is
-/// the number of tests of entry `i`'s suite. The order is canonical:
-/// entries major, stands next, tests minor — exactly the order in which the
-/// serial [`run_campaign`] executes tests — so [`merge_test_outcomes`] can
-/// fold completion-order results back into a byte-identical
-/// [`CampaignResult`].
-pub fn plan_test_jobs(test_counts: &[usize], stands: usize) -> Vec<TestJob> {
-    let total: usize = test_counts.iter().sum::<usize>() * stands;
-    let mut jobs = Vec::with_capacity(total);
-    for (entry, &tests) in test_counts.iter().enumerate() {
-        for stand in 0..stands {
-            for test in 0..tests {
-                jobs.push(TestJob {
-                    job: jobs.len(),
-                    cell: entry * stands + stand,
-                    entry,
-                    stand,
-                    test,
-                });
-            }
-        }
-    }
-    jobs
-}
-
 /// Plans one generated script on a stand, mapping planning failures to the
 /// canonical not-runnable outcome string. The one error-rendering
-/// implementation shared by [`run_test_job`], footprint hashing and the
-/// engine, which plans every executor's tests through its per-campaign
-/// plan slots, so every path reports the exact same `Err(reason)` bytes.
+/// implementation shared by footprint hashing and the engine, which plans
+/// every executor's tests through its launch's plan slots, so every path
+/// reports the exact same `Err(reason)` bytes.
 ///
 /// # Errors
 ///
@@ -396,38 +350,12 @@ pub fn plan_script(
     comptest_stand::plan(script, stand).map_err(|e| e.to_string())
 }
 
-/// Executes one test job: test `test` of the entry's suite on one stand,
-/// against a freshly built device (the paper's stands power-cycle the DUT
-/// between runs, so per-test jobs see exactly the device state a serial
-/// suite run would).
-///
-/// Stand planning failures are recorded in the outcome, not raised — the
-/// same split as [`run_cell`].
-///
-/// # Errors
-///
-/// Propagates non-planning [`CoreError`]s (e.g. codegen failures that
-/// slipped past [`precheck_entries`]).
-///
-/// # Panics
-///
-/// Panics when `test` is out of range for the entry's suite; job lists from
-/// [`plan_test_jobs`] are always in range.
-pub fn run_test_job(
-    entry: &CampaignEntry<'_>,
-    stand: &TestStand,
-    test: usize,
-    options: &ExecOptions,
-) -> Result<TestJobOutcome, CoreError> {
-    let script = comptest_script::generate(entry.suite, &entry.suite.tests[test].name)?;
-    let mut device = entry.device_factory.build();
-    Ok(plan_script(&script, stand).map(|plan| crate::exec::execute(&plan, &mut device, options)))
-}
-
 /// Folds per-test outcomes back into the deterministic [`CampaignResult`].
 ///
-/// `outcomes` is indexed by [`TestJob::job`] (the [`plan_test_jobs`] order);
-/// `None` marks a job that never ran (cancelled). The fold walks cells in
+/// `outcomes` holds one slot per (entry, stand, test) triple in canonical
+/// order — entries major, stands next, tests minor, exactly the order in
+/// which the serial [`run_campaign`] executes tests; `None` marks a test
+/// that never ran (cancelled). The fold walks cells in
 /// canonical order and, within each cell, tests in suite order:
 ///
 /// * a complete run of `Ok` tests reproduces [`run_cell`]'s
@@ -439,14 +367,14 @@ pub fn run_test_job(
 ///   kept (so a `stop_on_first_fail` run still shows the failing test), and
 ///   a cell with *no* finished tests is omitted entirely.
 ///
-/// Returns the result plus the number of jobs that produced no outcome.
+/// Returns the result plus the number of tests that produced no outcome.
 /// With every outcome present the result is identical to serial
 /// [`run_campaign`].
 ///
 /// # Panics
 ///
-/// Panics when `outcomes` does not cover the full [`plan_test_jobs`] list
-/// (one slot per (entry, stand, test) triple): a shorter vector is
+/// Panics when `outcomes` does not hold one slot per (entry, stand, test)
+/// triple: a shorter vector is
 /// indistinguishable from "every remaining suite ran zero tests" and would
 /// silently merge never-ran cells as empty, *passing* suites — the exact
 /// silent-green outcome [`CoreError::JobsLost`] exists to prevent.
@@ -582,6 +510,16 @@ point, resource, pin
 P1,    Dec1,     DS_FL
 ";
 
+    /// Test `test` of the entry's suite on `stand`, planned and executed
+    /// against a fresh device — what one engine job does per test.
+    fn run_one(entry: &CampaignEntry<'_>, stand: &TestStand, test: usize) -> TestJobOutcome {
+        let script = comptest_script::generate(entry.suite, &entry.suite.tests[test].name)
+            .expect("the fixture suite generates");
+        let mut device = entry.device_factory.build();
+        plan_script(&script, stand)
+            .map(|plan| crate::exec::execute(&plan, &mut device, &ExecOptions::default()))
+    }
+
     #[test]
     fn campaign_matrix() {
         let wb = Workbook::parse_str("wb.cts", WB).unwrap();
@@ -659,30 +597,6 @@ P1,    Dec1,     DS_FL
     }
 
     #[test]
-    fn plan_test_jobs_is_cell_major_test_minor() {
-        // Two entries (2 and 1 tests) on 2 stands: 6 jobs.
-        let jobs = plan_test_jobs(&[2, 1], 2);
-        assert_eq!(jobs.len(), 6);
-        let triples: Vec<(usize, usize, usize, usize)> = jobs
-            .iter()
-            .map(|j| (j.cell, j.entry, j.stand, j.test))
-            .collect();
-        assert_eq!(
-            triples,
-            vec![
-                (0, 0, 0, 0),
-                (0, 0, 0, 1),
-                (1, 0, 1, 0),
-                (1, 0, 1, 1),
-                (2, 1, 0, 0),
-                (3, 1, 1, 0),
-            ]
-        );
-        let ids: Vec<usize> = jobs.iter().map(|j| j.job).collect();
-        assert_eq!(ids, (0..6).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn test_jobs_merge_back_to_the_serial_campaign() {
         let wb = Workbook::parse_str("wb.cts", WB).unwrap();
         let full = TestStand::parse_str("a.stand", crate::PAPER_STAND_A).unwrap();
@@ -694,19 +608,15 @@ P1,    Dec1,     DS_FL
         let stands = [&full, &bare];
         let serial = run_campaign(&entries, &stands, &ExecOptions::default()).unwrap();
 
-        let jobs = plan_test_jobs(&[wb.suite.tests.len()], stands.len());
+        // Canonical (stand, test) order of the one entry's tests.
+        let tests = wb.suite.tests.len();
+        let triples: Vec<(usize, usize)> = (0..stands.len())
+            .flat_map(|stand| (0..tests).map(move |test| (stand, test)))
+            .collect();
         // Execute in reverse completion order to prove the merge re-sorts.
-        let mut outcomes: Vec<Option<TestJobOutcome>> = vec![None; jobs.len()];
-        for job in jobs.iter().rev() {
-            outcomes[job.job] = Some(
-                run_test_job(
-                    &entries[job.entry],
-                    stands[job.stand],
-                    job.test,
-                    &ExecOptions::default(),
-                )
-                .unwrap(),
-            );
+        let mut outcomes: Vec<Option<TestJobOutcome>> = vec![None; triples.len()];
+        for (slot, &(stand, test)) in triples.iter().enumerate().rev() {
+            outcomes[slot] = Some(run_one(&entries[0], stands[stand], test));
         }
         let (merged, cancelled) = merge_test_outcomes(&entries, &stands, outcomes);
         assert_eq!(cancelled, 0);
@@ -723,7 +633,7 @@ P1,    Dec1,     DS_FL
         }];
         let stands = [&full, &full];
         // Cell 0 finished its (single) test, cell 1 never ran.
-        let outcome = run_test_job(&entries[0], stands[0], 0, &ExecOptions::default()).unwrap();
+        let outcome = run_one(&entries[0], stands[0], 0);
         let (merged, cancelled) = merge_test_outcomes(&entries, &stands, vec![Some(outcome), None]);
         assert_eq!(cancelled, 1);
         assert_eq!(merged.cells.len(), 1, "{merged}");
@@ -739,7 +649,7 @@ P1,    Dec1,     DS_FL
             device_factory: Box::new(|| interior_light::device(Default::default())),
         }];
         let stands = [&bare];
-        let outcome = run_test_job(&entries[0], stands[0], 0, &ExecOptions::default()).unwrap();
+        let outcome = run_one(&entries[0], stands[0], 0);
         assert!(outcome.is_err(), "bare stand cannot plan the test");
         let serial = run_campaign(&entries, &stands, &ExecOptions::default()).unwrap();
         let (merged, cancelled) = merge_test_outcomes(&entries, &stands, vec![Some(outcome)]);

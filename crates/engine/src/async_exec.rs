@@ -13,11 +13,11 @@
 //! side. No extra dependencies: the loop is a plain heap over `mpsc`
 //! channels.
 //!
-//! Admission is cheap by construction: plans come from the campaign's
-//! shared [`PlanSlot`](crate::executor::PlanSlot)s (resolved at most once
-//! per (entry, test, stand) triple, and reused across launches of the same
-//! campaign), and a cache hit, decided when the job was packaged, is
-//! served *at admission* — a cached run never touches the wheel at all.
+//! Admission is cheap by construction: plans come from the launch's
+//! [`PlanSlot`](crate::executor::PlanSlot)s (resolved at most once per
+//! (entry, test, stand) triple, often already by key hashing), and a cache
+//! hit, decided when the job was packaged, is served *at admission* — a
+//! cached run never touches the wheel at all.
 //!
 //! The executor keeps the full [`CampaignExecutor`](crate::CampaignExecutor)
 //! contract: it runs the same packaged jobs as every other executor — a
@@ -195,8 +195,8 @@ impl<T> Ord for Scheduled<T> {
 }
 
 /// One in-flight job on the wheel: its bookkeeping, the test it is
-/// running (the plan is the campaign's shared `Arc`, so parking a run
-/// never clones the plan) and when that test began.
+/// running (the plan is the slot's shared `Arc`, so parking a run never
+/// clones the plan) and when that test began.
 struct Active {
     job: JobRun,
     test: JobTest,
@@ -287,10 +287,7 @@ fn advance(
         let started = Instant::now();
         match job.plan(&test, ctx) {
             Ok(plan) => {
-                let mut run = TestRun::new(plan, device, &ctx.exec);
-                if let Some(probe) = &ctx.step_probe {
-                    run = run.with_probe(Arc::clone(probe));
-                }
+                let run = ctx.test_run(plan, device);
                 wheel.push(Scheduled {
                     deadline: run.next_deadline(),
                     seq,

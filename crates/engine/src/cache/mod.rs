@@ -544,9 +544,8 @@ pub(crate) struct CacheRuntime {
 }
 
 impl CacheRuntime {
-    /// Pre-loads every cell's record using the campaign's precomputed
-    /// [`CellKey`]s (hashed once per campaign *value* in the `OnceLock`
-    /// key store, not once per launch), and sizes each cell's store
+    /// Pre-loads every cell's record under the [`CellKey`]s this launch
+    /// resolved, and sizes each cell's store
     /// accumulator to its job count at the campaign's granularity.
     /// Corrupt entries are treated as misses, remembered for warning
     /// events, and counted on `obs`. Every lookup that fails to produce a
@@ -555,20 +554,23 @@ impl CacheRuntime {
     /// stored records, their encoded size feeding `footprint_bytes` (only
     /// counted when `obs` is enabled).
     ///
-    /// Key resolution may already have read some records through their
-    /// plan memos (`reads`): those are taken as they are, not read again.
+    /// Key resolution has already read some records through their plan
+    /// memos (`reads`): those are taken as they are, not read again.
     /// A cell whose memo was absent or stale gets it re-pointed at the
     /// record its key hits; corrupt memos warn like corrupt records, and
     /// memo mismatches seen under `cache_verify` count as mismatches.
     pub(crate) fn prepare(
         cache: Arc<dyn CampaignCache>,
         campaign: &Campaign<'_, '_>,
-        keyset: &KeySet,
+        keyset: KeySet,
         mut reads: MemoReads,
         obs: &Recorder,
     ) -> Self {
-        let keys = &keyset.keys;
-        let footprints = &keyset.footprints;
+        let KeySet {
+            keys,
+            footprints,
+            memos,
+        } = keyset;
         debug_assert_eq!(keys.len(), campaign.entries.len() * campaign.stands.len());
         debug_assert_eq!(footprints.len(), keys.len());
         let mut records = Vec::with_capacity(keys.len());
@@ -588,17 +590,13 @@ impl CacheRuntime {
                 if corrupt_memos.next_if_eq(&&cell).is_some() {
                     corrupt.push((cell, entry.suite.name.clone(), stand.name().to_owned()));
                 }
-                // `Some(None)`: this launch read the cell's memo and it did
-                // not give the record; `None`: an earlier launch did.
-                let memo_read = reads.records.get_mut(cell).map(Option::take);
-                let lookup = match memo_read {
-                    Some(Some(record)) => CacheLookup::Hit(record),
-                    _ => {
+                let lookup = match reads.records[cell].take() {
+                    Some(record) => CacheLookup::Hit(record),
+                    None => {
                         let info = cache.lookup_io(&keys[cell]);
                         bytes_read += info.bytes;
-                        if let (CacheLookup::Hit(_), Some(None), Some(memo)) =
-                            (&info.lookup, &memo_read, &keyset.memos[cell])
-                        {
+                        // The memo did not give this record: re-point it.
+                        if let (CacheLookup::Hit(_), Some(memo)) = (&info.lookup, &memos[cell]) {
                             cache.alias(&keys[cell], memo);
                         }
                         info.lookup
@@ -634,9 +632,9 @@ impl CacheRuntime {
         Self {
             cache,
             verify: campaign.cache_verify,
-            keys: keys.to_vec(),
-            footprints: footprints.to_vec(),
-            memos: keyset.memos.clone(),
+            keys,
+            footprints,
+            memos,
             records,
             collectors,
             corrupt,

@@ -11,7 +11,7 @@ use comptest_core::exec::ExecOptions;
 use comptest_stand::TestStand;
 
 use crate::cache::CampaignCache;
-use crate::executor::{CampaignExecutor, KeyStore, PlanStore, ScriptStore};
+use crate::executor::CampaignExecutor;
 use crate::handle::{CampaignHandle, CancelToken};
 use crate::obs::{Recorder, SpanCat};
 
@@ -70,6 +70,13 @@ impl FromStr for Granularity {
 /// whole description; the chainable methods are the intended way to set
 /// them.
 ///
+/// A launch reads nothing from earlier launches of the value: it generates
+/// its own scripts, plans its own tests and resolves its own cache keys
+/// from the fields as they stand when it starts. Changing a field between
+/// launches — a new salt, other execution options, audit mode — therefore
+/// takes full effect on the next launch. A warm relaunch still plans
+/// nothing, because it reads each cell's plan memo from the cache.
+///
 /// # Example
 ///
 /// ```no_run
@@ -91,6 +98,7 @@ impl FromStr for Granularity {
 /// # }
 /// ```
 #[derive(Debug)]
+#[non_exhaustive]
 pub struct Campaign<'a, 'b> {
     /// Campaign entries (suite + device factory); major axis of the
     /// result matrix.
@@ -136,23 +144,6 @@ pub struct Campaign<'a, 'b> {
     /// each other — the `comptest serve` daemon assigns one lane per
     /// submitted campaign. Serial and async executors ignore it.
     pub lane: u64,
-    /// Per-campaign plan store: one lazily resolved execution plan per
-    /// (entry, test, stand) triple, shared across executors *and* across
-    /// launches of this campaign value — relaunching (replay loops, warm
-    /// cache runs, benches) never re-plans at admission.
-    pub(crate) plans: PlanStore,
-    /// Per-campaign script store: each entry's scripts are generated at
-    /// most once, by the first launch that needs them (a cached launch
-    /// skips the entries its cache fully serves), and reused by later
-    /// launches of this campaign value.
-    pub(crate) scripts: ScriptStore,
-    /// Per-campaign cache-key store: every cell's [`CellKey`]
-    /// (suite/stand/DUT/exec hashes), computed once per campaign value on
-    /// the first cached launch instead of re-hashed per launch — from the
-    /// cells' plan memos where the cache holds them.
-    ///
-    /// [`CellKey`]: comptest_core::hash::CellKey
-    pub(crate) keys: KeyStore,
 }
 
 impl<'a, 'b> Campaign<'a, 'b> {
@@ -171,9 +162,6 @@ impl<'a, 'b> Campaign<'a, 'b> {
             cache_salt: String::new(),
             obs: Recorder::disabled(),
             lane: 0,
-            plans: PlanStore::default(),
-            scripts: ScriptStore::default(),
-            keys: KeyStore::default(),
         }
     }
 

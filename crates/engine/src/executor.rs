@@ -11,11 +11,12 @@
 //!
 //! Jobs come from [`package`]: scripts generated at most once per entry,
 //! stands cloned once, execution plans resolved lazily **once per (entry,
-//! test, stand) triple** through shared [`PlanSlot`]s that live on the
-//! [`Campaign`] value (so relaunching the same campaign — replay loops,
-//! watch mode, warm cache runs — never re-plans). Every executor joins
-//! through [`join_jobs`], which folds the per-test outcomes with
-//! [`merge_test_outcomes`].
+//! test, stand) triple** through [`PlanSlot`]s that key hashing and the
+//! jobs share. All of it belongs to one launch: a launch reads nothing an
+//! earlier launch of the same [`Campaign`] value resolved, so re-configuring
+//! a campaign between launches can never serve stale keys or plans. Every
+//! executor joins through [`join_jobs`], which folds the per-test outcomes
+//! with [`merge_test_outcomes`].
 //!
 //! With a cache, key resolution reads each cell's plan memo before
 //! anything is generated or planned, and each cache hit is decided once,
@@ -26,6 +27,8 @@
 //! no scripts and plans nothing. (It still builds one device per entry to
 //! walk the DUT slices its keys cover.)
 
+use std::borrow::{Borrow, BorrowMut};
+use std::cell::OnceCell;
 use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, OnceLock};
@@ -40,7 +43,7 @@ use comptest_core::hash::{
     capture_footprint, footprint_from_memo, hash_exec_options, hash_stand, hash_suite,
     plan_memo_key, CellKey, Footprint, FootprintDevice,
 };
-use comptest_core::{StepProbe, TestResult, TestRun};
+use comptest_core::{StepProbe, TestRun};
 use comptest_dut::Device;
 use comptest_model::SimTime;
 use comptest_script::TestScript;
@@ -66,10 +69,12 @@ use crate::pool::WorkerPool;
 /// * the first codegen error surfaces from `launch` before any job runs;
 /// * cancellation is cooperative: the campaign's [`CancelToken`]
 ///   (`campaign.cancel`) and the per-run latch behind
-///   `stop_on_first_fail` are checked before each job starts, skipped
-///   jobs count into [`CampaignOutcome::cancelled`], and a started job
-///   always finishes — yielding the same prefix-truncation semantics at
-///   every worker count;
+///   `stop_on_first_fail` are checked before each job starts, and skipped
+///   jobs count into [`CampaignOutcome::cancelled`]. The blocking
+///   executors finish every job they started; the async executor also
+///   checks between steps and abandons a started job there, discarding
+///   its finished tests and counting it cancelled. Either way a cut cell
+///   merges to a prefix of its tests, at every worker count;
 /// * events stream per cell at [`Granularity::Cell`] and per test at
 ///   [`Granularity::Test`], and the stream ends when the last job reports;
 /// * a configured campaign cache decides each hit when the job is
@@ -98,12 +103,10 @@ impl<E: CampaignExecutor + ?Sized> CampaignExecutor for &E {
 }
 
 /// One lazily planned (script, stand) pair: the plan is computed on first
-/// use and shared by every job of the pair — and, because the slots live
-/// on the [`Campaign`] value, by every *launch* of that campaign. The
-/// async executor therefore no longer re-plans at admission when a
-/// campaign is relaunched (replay, benches, warm cache verification), and
-/// a fully cached run never plans at all.
-#[derive(Debug, Default)]
+/// use and shared, within one launch, by key hashing and the job that runs
+/// the test — so nothing plans twice, and a launch whose cells all read
+/// their plan memos plans nothing.
+#[derive(Default)]
 pub(crate) struct PlanSlot {
     plan: OnceLock<Result<Arc<ExecutionPlan>, String>>,
 }
@@ -126,66 +129,12 @@ impl PlanSlot {
     }
 }
 
-/// The per-campaign plan store: one [`PlanSlot`] per (entry, test, stand)
-/// triple, allocated on first launch and reused by later launches.
-#[derive(Debug, Default)]
-pub(crate) struct PlanStore {
-    slots: OnceLock<Vec<Arc<PlanSlot>>>,
-}
-
-impl PlanStore {
-    fn slots(&self, count: usize) -> &[Arc<PlanSlot>] {
-        let slots = self
-            .slots
-            .get_or_init(|| (0..count).map(|_| Arc::new(PlanSlot::default())).collect());
-        debug_assert_eq!(slots.len(), count, "campaign shape changed under PlanStore");
-        slots
-    }
-}
-
 /// One entry's generated scripts, in suite order.
 pub(crate) type EntryScripts = Arc<[Arc<TestScript>]>;
 
-/// The per-campaign script store: each entry's generated scripts, produced
-/// at most once per campaign value — by the first launch that needs them —
-/// and `Arc`-shared with every later launch. A campaign's entries are
-/// immutable for its lifetime, so regeneration could only ever reproduce
-/// the same scripts. A codegen *error* is cached the same way: every
-/// launch that needs an invalid entry reports it.
-#[derive(Debug, Default)]
-pub(crate) struct ScriptStore {
-    entries: OnceLock<Vec<OnceLock<Result<EntryScripts, CoreError>>>>,
-}
-
-impl ScriptStore {
-    /// Entry `e`'s scripts. The generation itself (first call only) is
-    /// timed as one `codegen` phase call on `obs`.
-    fn entry(
-        &self,
-        entries: &[CampaignEntry<'_>],
-        e: usize,
-        obs: &Recorder,
-    ) -> Result<EntryScripts, CoreError> {
-        let slots = self
-            .entries
-            .get_or_init(|| entries.iter().map(|_| OnceLock::new()).collect());
-        slots[e]
-            .get_or_init(|| {
-                obs.time_phase(Phase::Codegen, || {
-                    Ok(comptest_script::generate_all(entries[e].suite)?
-                        .into_iter()
-                        .map(Arc::new)
-                        .collect())
-                })
-            })
-            .clone()
-    }
-}
-
-/// A campaign's resolved cache keys plus the per-cell dependency
+/// A launch's resolved cache keys plus the per-cell dependency
 /// footprints the keys were derived from (attached to stored records) and
 /// the plan-memo keys the cells' records are aliased under.
-#[derive(Debug)]
 pub(crate) struct KeySet {
     pub(crate) keys: Vec<CellKey>,
     pub(crate) footprints: Vec<Footprint>,
@@ -195,10 +144,9 @@ pub(crate) struct KeySet {
     pub(crate) memos: Vec<Option<CellKey>>,
 }
 
-/// What one launch's key resolution read through the plan memos, handed
-/// to [`CacheRuntime::prepare`]. Empty when an earlier launch of the same
-/// campaign value already resolved the keys.
-#[derive(Debug, Default)]
+/// What a launch's key resolution read through the plan memos, handed to
+/// [`CacheRuntime::prepare`].
+#[derive(Default)]
 pub(crate) struct MemoReads {
     /// Per cell: the record its memo resolved to, when that record is the
     /// one stored under the cell's key (its DUT slice still matches) —
@@ -213,61 +161,19 @@ pub(crate) struct MemoReads {
     pub(crate) mismatches: usize,
 }
 
-/// The per-campaign cache-key store: every cell's [`CellKey`], hashed
-/// once per campaign *value* on first cached launch and reused by every
-/// later launch — suites, stands, DUT configs and exec options are
-/// immutable for the campaign's lifetime, so a replay loop or warm bench
-/// re-hashing 10k tests per launch was pure waste. The hashing that does
-/// happen is timed as the `hash` phase.
+/// Footprint keys for every cell, in deterministic (entry, stand) order,
+/// with what the launch read through the plan memos. The cells' plan memos
+/// are read first (timed as `cache_preload`): a usable one gives the
+/// cell's plan side, so its key costs one fresh DUT-slice walk and no
+/// codegen or planning. The other cells — and every cell under
+/// `cache_verify`, which audits the memos against fresh plans — generate
+/// their entry's scripts (timed as `codegen`) and plan through the
+/// launch's plan slots, which the jobs then reuse. The hashing itself is
+/// timed as `hash`.
 ///
-/// Resolution captures each cell's dependency [`Footprint`]. A cell's plan
-/// memo, read first, gives its plan side; otherwise every test plan is
-/// resolved eagerly through the campaign's shared [`PlanSlot`]s (the same
-/// slots execution uses, so nothing plans twice). One device per entry is
-/// built for the DUT slice — reused read-only across that entry's stands.
-#[derive(Debug, Default)]
-pub(crate) struct KeyStore {
-    keys: OnceLock<KeySet>,
-}
-
-impl KeyStore {
-    /// The campaign's cell keys (and footprints) in deterministic
-    /// (entry, stand) order, computed at most once per campaign value,
-    /// with what this launch read through the plan memos. `scripts`
-    /// generates an entry's scripts, `slot` maps an (entry, test, stand)
-    /// triple to the campaign's shared plan slot.
-    ///
-    /// # Errors
-    ///
-    /// The first codegen error of an entry that had to be planned.
-    pub(crate) fn resolve(
-        &self,
-        campaign: &Campaign<'_, '_>,
-        cache: &dyn CampaignCache,
-        scripts: &dyn Fn(usize) -> Result<EntryScripts, CoreError>,
-        slot: &dyn Fn(usize, usize, usize) -> Arc<PlanSlot>,
-        obs: &Recorder,
-    ) -> Result<(&KeySet, MemoReads), CoreError> {
-        if let Some(keys) = self.keys.get() {
-            return Ok((keys, MemoReads::default()));
-        }
-        let (keys, reads) = footprint_keys(campaign, cache, scripts, slot, obs)?;
-        let keys = self.keys.get_or_init(|| keys);
-        debug_assert_eq!(
-            keys.keys.len(),
-            campaign.entries.len() * campaign.stands.len(),
-            "campaign shape changed under KeyStore"
-        );
-        Ok((keys, reads))
-    }
-}
-
-/// Footprint keys for every cell. The cells' plan memos are read first
-/// (timed as `cache_preload`): a usable one gives the cell's plan side, so
-/// its key costs one fresh DUT-slice walk and no codegen or planning. The
-/// other cells — and every cell under `cache_verify`, which audits the
-/// memos against fresh plans — generate their entry's scripts (timed as
-/// `codegen`) and plan through the shared slots as a cold launch does.
+/// # Errors
+///
+/// The first codegen error of an entry that had to be planned.
 fn footprint_keys(
     campaign: &Campaign<'_, '_>,
     cache: &dyn CampaignCache,
@@ -419,19 +325,37 @@ struct Packaged {
 /// job the cell's record determines takes its outcomes out of it
 /// ([`CacheRuntime::take_hits`]) — a hit carries those outcomes and
 /// nothing else. Every other job gets its tests with their scripts, the
-/// campaign's shared plan slots, and one freshly built device per test
-/// (the serial pipeline power-cycles the DUT per test; building up front
-/// keeps worker tasks `'static`). So a fully warm run builds no devices
-/// for its jobs and generates no scripts.
+/// launch's plan slots, and one freshly built device per test (the serial
+/// pipeline power-cycles the DUT per test; building up front keeps worker
+/// tasks `'static`). So a fully warm run builds no devices for its jobs
+/// and generates no scripts.
 ///
-/// An entry's scripts are generated when its first job to execute is
-/// packaged, in entry order; a cache hit proves its suite generated
-/// cleanly when it was stored. So the first codegen error still surfaces
-/// here, before any job runs.
+/// Everything here belongs to this launch: scripts, plan slots and keys
+/// are made anew each time, so a launch reads nothing an earlier launch of
+/// the same campaign value resolved. Warm relaunches stay plan-free
+/// through the plan memos the cache holds.
+///
+/// An entry's scripts are generated at most once, when its first cell to
+/// plan or job to execute needs them, in entry order; a cache hit proves
+/// its suite generated cleanly when it was stored. So the first codegen
+/// error still surfaces here, before any job runs.
 fn package(campaign: &Campaign<'_, '_>) -> Result<Packaged, CoreError> {
     let obs = &campaign.obs;
     let entries = campaign.entries;
-    let generate = |e: usize| campaign.scripts.entry(entries, e, obs);
+    let scripts: Vec<OnceCell<Result<EntryScripts, CoreError>>> =
+        entries.iter().map(|_| OnceCell::new()).collect();
+    let generate = |e: usize| {
+        scripts[e]
+            .get_or_init(|| {
+                obs.time_phase(Phase::Codegen, || {
+                    Ok(comptest_script::generate_all(entries[e].suite)?
+                        .into_iter()
+                        .map(Arc::new)
+                        .collect())
+                })
+            })
+            .clone()
+    };
     let stands: Vec<Arc<TestStand>> = campaign
         .stands
         .iter()
@@ -444,15 +368,14 @@ fn package(campaign: &Campaign<'_, '_>) -> Result<Packaged, CoreError> {
         total += entry.suite.tests.len();
     }
     let n_stands = stands.len();
-    let slots = campaign.plans.slots(total * n_stands);
+    let slots: Vec<Arc<PlanSlot>> = (0..total * n_stands)
+        .map(|_| Arc::new(PlanSlot::default()))
+        .collect();
     let slot = |e: usize, t: usize, s: usize| Arc::clone(&slots[(offsets[e] + t) * n_stands + s]);
     let mut cache = match &campaign.cache {
         None => None,
         Some(cache) => {
-            let (keyset, reads) =
-                campaign
-                    .keys
-                    .resolve(campaign, cache.as_ref(), &generate, &slot, obs)?;
+            let (keyset, reads) = footprint_keys(campaign, cache.as_ref(), &generate, &slot, obs)?;
             Some(obs.time_phase(Phase::CachePreload, || {
                 CacheRuntime::prepare(Arc::clone(cache), campaign, keyset, reads, obs)
             }))
@@ -545,8 +468,8 @@ pub(crate) struct PackagedJob {
     pub(crate) cached: Option<Vec<TestJobOutcome>>,
 }
 
-/// One test of a packaged job: its name, its script and the campaign's
-/// shared plan slot for it on the job's stand.
+/// One test of a packaged job: its name, its script and the launch's plan
+/// slot for it on the job's stand.
 pub(crate) struct JobTest {
     pub(crate) name: String,
     pub(crate) script: Arc<TestScript>,
@@ -612,11 +535,7 @@ impl JobCtx {
             let _ = results.send(JobMsg::Cancelled);
             return None;
         }
-        let Some(runtime) = &self.cache else {
-            return Some(job);
-        };
-        let Some(outcomes) = job.cached.take() else {
-            self.obs.inc(Counter::CacheMisses);
+        let (Some(runtime), Some(outcomes)) = (&self.cache, job.cached.take()) else {
             return Some(job);
         };
         runtime.note(job.cell, job.first, &outcomes, false);
@@ -640,6 +559,23 @@ impl JobCtx {
         None
     }
 
+    /// A run of `plan` against its fresh `device` under the campaign's
+    /// execution options — the one place every executor starts a test.
+    /// With observability enabled the step probe is attached, recording
+    /// per-step spans and worker-utilization time; the result is
+    /// byte-identical either way.
+    pub(crate) fn test_run<P, D>(&self, plan: P, device: D) -> TestRun<P, D>
+    where
+        P: Borrow<ExecutionPlan>,
+        D: BorrowMut<Device>,
+    {
+        let run = TestRun::new(plan, device, &self.exec);
+        match &self.step_probe {
+            Some(probe) => run.with_probe(Arc::clone(probe)),
+            None => run,
+        }
+    }
+
     /// Status line and failed flag of a job's outcomes at the campaign's
     /// granularity: the test's verdict, or the status of the cell the
     /// outcomes merge into.
@@ -647,24 +583,6 @@ impl JobCtx {
         match (self.granularity, outcomes) {
             (Granularity::Test, [outcome]) => outcome_status(outcome),
             _ => cell_status(outcomes),
-        }
-    }
-}
-
-/// Drives one resolved plan against its fresh device. With observability
-/// enabled the run is stepped through a probe-attached [`TestRun`], which
-/// records per-step spans and worker-utilization time; the result is
-/// byte-identical to the plain `execute` fast path either way.
-fn execute_plan(plan: &ExecutionPlan, device: &mut Device, ctx: &JobCtx) -> TestResult {
-    match &ctx.step_probe {
-        None => comptest_core::execute(plan, device, &ctx.exec),
-        Some(probe) => {
-            let mut run = TestRun::new(plan, device, &ctx.exec).with_probe(Arc::clone(probe));
-            loop {
-                if let RunState::Finished(result) = run.step() {
-                    break result;
-                }
-            }
         }
     }
 }
@@ -717,8 +635,14 @@ pub(crate) struct JobRun {
 
 impl JobRun {
     /// Starts an admitted job: `JobStarted` and the cell span at cell
-    /// granularity, and the in-flight gauge.
+    /// granularity, the in-flight gauge, and its cache miss. Counting the
+    /// miss here rather than at admission counts it once per job, even
+    /// when the remote executor admits a job again after it waited for a
+    /// free worker.
     pub(crate) fn start(job: PackagedJob, ctx: &JobCtx, events: &Sender<EngineEvent>) -> Self {
+        if ctx.cache.is_some() {
+            ctx.obs.inc(Counter::CacheMisses);
+        }
         let span = (ctx.granularity == Granularity::Cell).then(|| {
             emit(
                 events,
@@ -777,8 +701,8 @@ impl JobRun {
         Some((test, device))
     }
 
-    /// The plan of `test` on the job's stand, resolved through its shared
-    /// slot (planned at most once per campaign value).
+    /// The plan of `test` on the job's stand, resolved through its slot
+    /// (planned at most once per launch).
     pub(crate) fn plan(&self, test: &JobTest, ctx: &JobCtx) -> Result<Arc<ExecutionPlan>, String> {
         test.plan.resolve(&test.script, &self.stand, &ctx.obs)
     }
@@ -871,7 +795,7 @@ impl JobRun {
 }
 
 /// Runs an admitted job to completion on the calling thread: its tests in
-/// order, each planned through its shared slot and executed against its
+/// order, each planned through its slot and executed against its
 /// own device, stopping after the first planning error. Every blocking
 /// path — the serial loop, pool workers, the remote fallback and the
 /// worker process — goes through here.
@@ -884,9 +808,14 @@ pub(crate) fn execute(
     let mut run = JobRun::start(job, ctx, events);
     while let Some((test, mut device)) = run.begin_test(ctx, events) {
         let started = Instant::now();
-        let outcome = run
-            .plan(&test, ctx)
-            .map(|plan| execute_plan(&plan, &mut device, ctx));
+        let outcome = run.plan(&test, ctx).map(|plan| {
+            let mut test_run = ctx.test_run(plan, &mut device);
+            loop {
+                if let RunState::Finished(result) = test_run.step() {
+                    break result;
+                }
+            }
+        });
         if !run.end_test(&test, outcome, started.elapsed(), ctx, events) {
             break;
         }
@@ -920,7 +849,7 @@ pub(crate) enum JobMsg {
 }
 
 /// The launch path every executor shares: the job list from [`package`]
-/// (codegen precheck, plan slots, cache preload and hits), and a handle
+/// (codegen precheck, plan slots, cache keys, preload and hits), and a handle
 /// joining through [`join_jobs`]. `drive` hands
 /// the jobs to the executor's workers and returns the `workers` gauge
 /// claim the join releases.

@@ -52,10 +52,9 @@
 //!   [`Campaign::cache_verify`] is the audit mode: everything re-executes
 //!   and [`CampaignHandle::join`] errors with
 //!   [`CoreError::CacheMismatch`](comptest_core::CoreError::CacheMismatch)
-//!   if any cached outcome diverged. Execution plans are likewise reused:
-//!   each (entry, test, stand) triple is planned at most once per
-//!   campaign *value* (not per launch), so replay loops and warm runs
-//!   never re-plan at admission.
+//!   if any cached outcome diverged. Each (entry, test, stand) triple is
+//!   planned at most once per launch, and a warm launch plans nothing: it
+//!   reads each cell's plan side from the plan memo aliased to its record.
 //!
 //! # What invalidates the cache
 //!
@@ -92,8 +91,9 @@
 //! The [`obs`] module is the engine's first-class observability layer: a
 //! lock-cheap metrics registry (counters, gauges, fixed-bucket
 //! histograms, phase timings) plus span tracing with a campaign → cell →
-//! test → step hierarchy, recorded identically by all three executors at
-//! both granularities. Attach a [`Recorder`] with [`Campaign::recorder`];
+//! test → step hierarchy, recorded identically by all four executors at
+//! both granularities (the remote executor stops at test spans: its steps
+//! run in worker processes, whose recorders are not gathered). Attach a [`Recorder`] with [`Campaign::recorder`];
 //! the default is disabled and costs nothing. Wall-clock readings are
 //! **export-only** — never folded into results, cache keys or cache
 //! records — so observed and unobserved runs are byte-identical.
@@ -129,10 +129,10 @@
 //! | `jobs_retried` | extra dispatch attempts after remote worker deaths ([`RemoteExecutor`] only — retries add attempts, not planned jobs, so the balance below still holds) |
 //! | `tests_executed` | individual tests driven to a verdict (per job at test granularity, per suite member at cell granularity) |
 //! | `steps_executed` | test steps driven through the DUT |
-//! | `cache_hits` / `cache_misses` | cache lookups by outcome |
+//! | `cache_hits` / `cache_misses` | jobs of a cached launch served from the cache / started for execution (each counted once) |
 //! | `cells_invalidated` | cells whose preload lookup found no usable record — exactly the cells this run re-executes |
 //! | `footprint_bytes` | summed encoded size of the campaign's captured dependency footprints |
-//! | `plan_memo_hits` / `plan_memo_misses` | cells whose footprint key came from their plan memo (no codegen, no planning) / cells that had to generate and plan; they sum to the cell count on every cached launch that resolves keys |
+//! | `plan_memo_hits` / `plan_memo_misses` | cells whose footprint key came from their plan memo (no codegen, no planning) / cells that had to generate and plan; they sum to the cell count on every cached launch |
 //! | `cache_corrupt_entries` | unreadable/undecodable cache records (also emitted as [`EngineEvent::CellCacheCorrupt`] warnings) |
 //! | `cache_bytes_read` / `cache_bytes_written` | encoded record bytes moved at preload (plan-memo reads included) / by stores — what the `cache_preload` phase cost buys |
 //! | `spans_opened` / `spans_closed` | trace spans begun / ended — equal once the campaign joins, even under cancellation |
@@ -285,7 +285,6 @@ pub use obs::{GaugeSnapshot, HistogramSnapshot, MetricsSnapshot, PhaseSnapshot, 
 pub use pool::WorkerPool;
 pub use remote::{worker_main, RemoteExecutor, HOLD_MS_ENV};
 
-pub use comptest_core::campaign::{plan_cells, plan_test_jobs, CellJob, TestJob};
 pub use comptest_core::hash::{CellKey, Footprint, FootprintKey};
 
 #[cfg(test)]

@@ -155,15 +155,16 @@ impl Gauge {
 /// Launch/run phases whose wall-clock time is accumulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Phase {
-    /// Script generation, one call per entry generated (cached per
-    /// campaign; entries the cache fully serves are never generated).
+    /// Script generation, one call per entry generated (at most once per
+    /// launch; entries the cache fully serves are never generated).
     Codegen,
-    /// Suite/stand/DUT/exec-options hashing for the `CellKey` sweep
-    /// (cached per campaign).
+    /// Suite/stand/DUT/exec-options hashing for the `CellKey` sweep, once
+    /// per cached launch.
     Hash,
     /// Cache record pre-loading on the launch thread.
     CachePreload,
-    /// Execution-plan resolution (cached per (entry, test, stand) slot).
+    /// Execution-plan resolution (at most once per (entry, test, stand)
+    /// slot of a launch).
     Plan,
     /// Step execution on workers (sums across threads, so it can exceed
     /// the campaign wall time).

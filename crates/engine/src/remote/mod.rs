@@ -140,7 +140,6 @@ pub struct RemoteExecutor {
     command: Option<Vec<String>>,
     retry_limit: usize,
     backoff: Duration,
-    envs: Vec<(String, String)>,
 }
 
 impl RemoteExecutor {
@@ -166,7 +165,6 @@ impl RemoteExecutor {
             command: None,
             retry_limit: 2,
             backoff: Duration::from_millis(25),
-            envs: Vec::new(),
         }
     }
 
@@ -175,13 +173,6 @@ impl RemoteExecutor {
     /// subcommand, which is what the `comptest` CLI provides.
     pub fn command(mut self, command: Vec<String>) -> Self {
         self.command = Some(command);
-        self
-    }
-
-    /// Adds an environment variable to spawned workers (builder style) —
-    /// e.g. [`HOLD_MS_ENV`] for tests that need jobs to stay in flight.
-    pub fn env(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.envs.push((key.into(), value.into()));
         self
     }
 
@@ -215,7 +206,6 @@ impl RemoteExecutor {
             command: self.resolve_command(),
             retry_limit: self.retry_limit,
             backoff: self.backoff,
-            envs: self.envs.clone(),
         }
     }
 }
@@ -239,7 +229,6 @@ struct OrchestratorConfig {
     command: Option<Vec<String>>,
     retry_limit: usize,
     backoff: Duration,
-    envs: Vec<(String, String)>,
 }
 
 /// `suite::test` for a test-granular job, `suite @ stand` for a
@@ -606,9 +595,6 @@ impl Orchestrator {
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit());
-        for (key, value) in &self.cfg.envs {
-            cmd.env(key, value);
-        }
         let mut child = cmd.spawn().map_err(|_| ())?;
         let mut stdin = child.stdin.take().ok_or(())?;
         let stdout = child.stdout.take().ok_or(())?;

@@ -25,6 +25,9 @@
 //! * **admission** — a warm test-granular run serves every (cell, test)
 //!   outcome to exactly one job, launch after launch, and a hit on a
 //!   partial record still completes and stores the cell's record;
+//! * **re-configuration** — a campaign value re-configured after a launch
+//!   (new salt, exec options or audit mode) launches exactly like a fresh
+//!   value with those settings: no stale key, plan or memo read survives;
 //! * **observability** — enabling a `Recorder` changes no result or
 //!   report byte; counters balance (`jobs_executed + jobs_cached +
 //!   jobs_cancelled == jobs_planned`, `spans_opened == spans_closed`) on
@@ -1036,7 +1039,7 @@ fn conformance_cache_records_are_executor_and_granularity_agnostic() {
 }
 
 // ---------------------------------------------------------------------------
-// Lazy device construction: a predicted cache hit never builds a DUT device.
+// Lazy device construction: a cache hit never builds a DUT device.
 // ---------------------------------------------------------------------------
 
 /// The bundled entries with a device factory that counts invocations —
@@ -1087,13 +1090,15 @@ fn conformance_cache_hits_build_no_devices() {
                     "{label}: cold run must build devices"
                 );
 
+                // Key hashing builds one device per entry to walk its DUT
+                // slice; the hits themselves build none.
                 built.store(0, Ordering::Relaxed);
                 let warm = campaign.launch(executor.as_ref()).unwrap().join().unwrap();
                 assert_eq!(warm, cold, "{label}: warm run diverged");
                 assert_eq!(
                     built.load(Ordering::Relaxed),
-                    0,
-                    "{label}: cache hits must build zero devices"
+                    entries.len(),
+                    "{label}: cache hits must build zero devices (key hashing builds one per entry)"
                 );
             }
         }
@@ -1107,9 +1112,9 @@ fn conformance_cache_hits_build_no_devices() {
     built.store(0, Ordering::Relaxed);
     let _ = campaign.run(&SerialExecutor).unwrap();
     let cold_builds = built.load(Ordering::Relaxed);
-    // The first launch also builds one device per entry for key hashing;
-    // that hash is memoized per campaign value, so the warm audit run
-    // builds exactly the execution devices.
+    // Every launch also builds one device per entry for key hashing, so
+    // the warm audit run builds what the cold one did: the key-hashing
+    // devices and every execution device.
     assert!(
         cold_builds > entries.len(),
         "verify cold run builds devices"
@@ -1118,7 +1123,7 @@ fn conformance_cache_hits_build_no_devices() {
     let _ = campaign.run(&SerialExecutor).unwrap();
     assert_eq!(
         built.load(Ordering::Relaxed),
-        cold_builds - entries.len(),
+        cold_builds,
         "cache_verify re-executes, so warm audit runs still build every device"
     );
 }
@@ -1157,8 +1162,8 @@ impl CampaignCache for ForgetfulCache {
 
 /// A launch's hits come from its own snapshot of the store: a record lost
 /// right after it was read is still served, by every subject at both
-/// granularities, without building a device, generating a script or
-/// planning a test.
+/// granularities. The launch that reads it through its plan memo builds no
+/// device for a job, generates no script and plans no test.
 #[test]
 fn conformance_records_lost_after_preload_are_still_served() {
     let suites = load_suites();
@@ -1181,41 +1186,132 @@ fn conformance_records_lost_after_preload_are_still_served() {
                 .unwrap();
 
             // The first warm launch reads each record through its plan
-            // memo; the relaunch of the same campaign value reads it under
-            // its record key. Each read is the last one that key answers.
-            let obs = Recorder::enabled();
-            let warm = Campaign::new(&entries, &stands)
+            // memo. The relaunch finds the memo forgotten, plans, and
+            // reads the record under its record key. Each read is the last
+            // one that key answers.
+            let mut warm = Campaign::new(&entries, &stands)
                 .granularity(granularity)
-                .cache(cache.clone())
-                .recorder(obs.clone());
-            for (launch, key_devices) in [("memo", entries.len()), ("relaunch", 0)] {
+                .cache(cache.clone());
+            for launch in ["memo", "relaunch"] {
+                let obs = Recorder::enabled();
+                warm = warm.recorder(obs.clone());
                 built.store(0, Ordering::Relaxed);
                 let outcome = warm.launch(executor.as_ref()).unwrap().join().unwrap();
                 assert_eq!(outcome, cold, "{label}/{launch}: warm run diverged");
                 assert_eq!(
                     built.load(Ordering::Relaxed),
-                    key_devices,
+                    entries.len(),
                     "{label}/{launch}: only key hashing may build devices"
                 );
+                let metrics = obs.metrics().unwrap();
+                assert_eq!(
+                    metrics.counter("jobs_cached"),
+                    metrics.counter("jobs_planned"),
+                    "{label}/{launch}: every job must be served ({:?})",
+                    metrics.counters
+                );
+                assert_eq!(metrics.counter("cache_misses"), 0, "{label}/{launch}");
+                if launch == "memo" {
+                    for phase in ["codegen", "plan"] {
+                        assert_eq!(
+                            metrics.phases.get(phase).map_or(0, |p| p.calls),
+                            0,
+                            "{label}: a memo-keyed warm run must make no {phase} calls"
+                        );
+                    }
+                }
             }
             assert!(
                 cache.load(&default_key(&entries[0], &stand_b)).is_none(),
                 "{label}: the store must have forgotten the records it served"
             );
-            let metrics = obs.metrics().unwrap();
-            assert_eq!(
-                metrics.counter("jobs_cached"),
-                metrics.counter("jobs_planned"),
-                "{label}: every job must be served ({:?})",
-                metrics.counters
-            );
-            assert_eq!(metrics.counter("cache_misses"), 0, "{label}");
-            for phase in ["codegen", "plan"] {
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Re-configuration: a launch reads nothing an earlier launch of the same
+// campaign value resolved.
+// ---------------------------------------------------------------------------
+
+/// The counters that show a launch's cache and plan-memo traffic.
+const TRAFFIC: [&str; 5] = [
+    "cache_hits",
+    "cache_misses",
+    "tests_executed",
+    "plan_memo_hits",
+    "plan_memo_misses",
+];
+
+/// `campaign` with one setting changed that moves every cache key or
+/// turns hits into audits: `salt`, `exec` or `verify`.
+fn reconfigure<'a, 'b>(campaign: Campaign<'a, 'b>, change: &str) -> Campaign<'a, 'b> {
+    match change {
+        "salt" => campaign.cache_salt("v2"),
+        "exec" => campaign.exec_options(ExecOptions {
+            sample: SampleMode::Continuous {
+                interval: SimTime::from_millis(50),
+            },
+            ..ExecOptions::default()
+        }),
+        "verify" => campaign.cache_verify(true),
+        other => unreachable!("no re-configuration named {other}"),
+    }
+}
+
+/// Launches `campaign` with a fresh recorder: its outcome and its
+/// [`TRAFFIC`] counters.
+fn traffic(
+    campaign: Campaign<'_, '_>,
+    executor: &dyn CampaignExecutor,
+) -> (CampaignOutcome, Vec<u64>) {
+    let obs = Recorder::enabled();
+    let outcome = campaign
+        .recorder(obs.clone())
+        .launch(executor)
+        .unwrap()
+        .join()
+        .unwrap();
+    let metrics = obs.metrics().unwrap();
+    (outcome, TRAFFIC.map(|name| metrics.counter(name)).to_vec())
+}
+
+/// Re-configuring a campaign value after a launch behaves exactly like a
+/// fresh value with the same settings on a store the same first launch
+/// filled: same result, same cache and plan-memo traffic. A new salt,
+/// other execution options or audit mode must never be answered with the
+/// keys, plans or memo reads of the earlier launch.
+#[test]
+fn conformance_reconfigured_campaigns_serve_no_stale_keys() {
+    let suites = load_suites();
+    let entries = entries(&suites);
+    let stand_a = load_stand("stand_a.stand");
+    let stand_b = load_stand("stand_b.stand");
+    let stands = [&stand_a, &stand_b];
+
+    for granularity in [Granularity::Cell, Granularity::Test] {
+        for subject in subjects() {
+            let executor = (subject.build)();
+            let filled = || {
+                let campaign = Campaign::new(&entries, &stands)
+                    .granularity(granularity)
+                    .cache(Arc::new(MemoryCache::new()));
+                campaign.run(executor.as_ref()).unwrap();
+                campaign
+            };
+            for change in ["salt", "exec", "verify"] {
+                let label = format!("{granularity}/{}/{change}", subject.name);
+                let relaunched = traffic(reconfigure(filled(), change), executor.as_ref());
+                let cache = filled().cache.expect("a cached campaign");
+                let fresh = Campaign::new(&entries, &stands)
+                    .granularity(granularity)
+                    .cache(cache);
+                let fresh = traffic(reconfigure(fresh, change), executor.as_ref());
                 assert_eq!(
-                    metrics.phases.get(phase).map_or(0, |p| p.calls),
-                    0,
-                    "{label}: a warm run must make no {phase} calls"
+                    relaunched, fresh,
+                    "{label}: a re-configured launch must equal a fresh one (counters {TRAFFIC:?})"
                 );
+                assert_eq!(fresh.1[0], 0, "{label}: no cell may hit");
             }
         }
     }
