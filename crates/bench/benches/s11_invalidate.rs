@@ -13,7 +13,7 @@
 //!
 //! This bench is an *assertion*, not just a timing: the invalidated-cell
 //! count is checked against the planner's own prediction (the set of cells
-//! whose [`FootprintKey`] moved), the warm results are checked
+//! whose footprint [`CellKey`] moved), the warm results are checked
 //! byte-identical to a cold run of the edited campaign, and the warm
 //! re-run must be ≥ 5× faster than that cold run. Medians land in
 //! `BENCH_s11.json` at the workspace root.
@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use comptest::core::campaign::CampaignEntry;
-use comptest::core::hash::FootprintKey;
+use comptest::core::CellKey;
 use comptest::dut::ElectricalConfig;
 use comptest::engine::DirCache;
 use comptest::prelude::*;
@@ -139,8 +139,8 @@ fn invalidate(_c: &mut Criterion) {
     let opts = ExecOptions::default();
     let moved: Vec<usize> = (0..BLOCKS)
         .filter(|&k| {
-            FootprintKey::for_cell(&base[k], &stand, &opts, "")
-                != FootprintKey::for_cell(&edited[k], &stand, &opts, "")
+            CellKey::for_cell(&base[k], &stand, &opts, "")
+                != CellKey::for_cell(&edited[k], &stand, &opts, "")
         })
         .collect();
     assert_eq!(moved, vec![EDITED], "only the edited block's key may move");

@@ -22,8 +22,9 @@
 //!
 //! The `comptest-engine` crate owns *execution*: its `Campaign` builder
 //! launches these plans on pluggable executors (serial, pooled, async and
-//! remote). The historical serial driver [`run_campaign`] survives as a
-//! deprecated shim-level reference.
+//! remote). They are checked against the serial
+//! [`reference::run_campaign`](crate::reference::run_campaign), which runs
+//! cells through [`run_cell`] with no jobs and no cache.
 
 use std::collections::HashSet;
 use std::error::Error;
@@ -354,9 +355,9 @@ pub fn plan_script(
 ///
 /// `outcomes` holds one slot per (entry, stand, test) triple in canonical
 /// order — entries major, stands next, tests minor, exactly the order in
-/// which the serial [`run_campaign`] executes tests; `None` marks a test
-/// that never ran (cancelled). The fold walks cells in
-/// canonical order and, within each cell, tests in suite order:
+/// which the serial [reference](crate::reference::run_campaign) executes
+/// tests; `None` marks a test that never ran (cancelled). The fold walks
+/// cells in canonical order and, within each cell, tests in suite order:
 ///
 /// * a complete run of `Ok` tests reproduces [`run_cell`]'s
 ///   `Ok(SuiteResult)` byte-for-byte;
@@ -368,8 +369,8 @@ pub fn plan_script(
 ///   a cell with *no* finished tests is omitted entirely.
 ///
 /// Returns the result plus the number of tests that produced no outcome.
-/// With every outcome present the result is identical to serial
-/// [`run_campaign`].
+/// With every outcome present the result is identical to the serial
+/// [reference](crate::reference::run_campaign).
 ///
 /// # Panics
 ///
@@ -430,45 +431,10 @@ pub fn merge_test_outcomes(
     (result, cancelled)
 }
 
-/// Runs every entry's suite on every stand, serially, in cell order — a
-/// thin wrapper over [`plan_cells`]/[`run_cell`].
-///
-/// Deprecated: the campaign-running surface lives behind
-/// `comptest_engine::Campaign` now; `Campaign::new(entries, stands)`
-/// launched on a `SerialExecutor` produces a byte-identical result (and a
-/// `PooledExecutor` a cell-for-cell identical one, with live events and
-/// cancellation on top).
-///
-/// # Errors
-///
-/// Returns [`CoreError::Codegen`] only for invalid suites, which no stand
-/// could ever run.
-#[deprecated(
-    since = "0.1.0",
-    note = "use comptest_engine::Campaign with a SerialExecutor (or PooledExecutor) instead"
-)]
-pub fn run_campaign(
-    entries: &[CampaignEntry<'_>],
-    stands: &[&TestStand],
-    options: &ExecOptions,
-) -> Result<CampaignResult, CoreError> {
-    precheck_entries(entries)?;
-    let mut result = CampaignResult::default();
-    for job in plan_cells(entries.len(), stands.len()) {
-        result
-            .cells
-            .push(run_cell(&entries[job.entry], stands[job.stand], options)?);
-    }
-    Ok(result)
-}
-
-// The serial `run_campaign` is deprecated in favour of the engine's
-// `Campaign` builder, but it stays the in-crate byte-identity reference the
-// merge tests anchor to.
-#[allow(deprecated)]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::run_campaign;
     use comptest_dut::ecus::interior_light;
     use comptest_sheets::Workbook;
 

@@ -375,7 +375,7 @@ pub fn hash_exec_options(options: &ExecOptions) -> u64 {
 /// The content address of one campaign cell: what ran (`suite_hash`),
 /// where (`stand_hash`), against which component (`dut_config_hash`) and
 /// under which execution options (`exec_hash`). A cell's record lives
-/// under its [`FootprintKey::cell_key`], its plan memo under its
+/// under its footprint's [`Footprint::key`], its plan memo under its
 /// [`plan_memo_key`].
 ///
 /// Everything that can change a cell's outcome is folded into these four
@@ -383,6 +383,11 @@ pub fn hash_exec_options(options: &ExecOptions) -> u64 {
 /// scheduling granularity, event ordering, wall-clock — is deliberately
 /// excluded, so a serial, pooled and async run of the same campaign hit
 /// the same cache entries.
+///
+/// A record key's plan digest is tagged `b'P'` (whole-stand hashing uses
+/// `b'T'`) and its DUT-slice digest `b'F'` (plan memos use `b'M'`), so
+/// record keys and memo keys live in disjoint hash domains and never alias
+/// each other inside one cache directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellKey {
     /// Structural hash of the test suite ([`hash_suite`]).
@@ -395,6 +400,22 @@ pub struct CellKey {
     pub dut_config_hash: u64,
     /// Hash of the execution options ([`hash_exec_options`]).
     pub exec_hash: u64,
+}
+
+impl CellKey {
+    /// The record key of one (entry, stand) cell under `options`, from
+    /// scratch: [`footprint_for_cell`] keyed by [`Footprint::key`].
+    /// Generation or planning failures fold into the footprint
+    /// conservatively, so this never errors.
+    pub fn for_cell(
+        entry: &CampaignEntry<'_>,
+        stand: &TestStand,
+        options: &ExecOptions,
+        salt: &str,
+    ) -> Self {
+        footprint_for_cell(entry, stand, salt)
+            .key(hash_suite(entry.suite), hash_exec_options(options))
+    }
 }
 
 impl fmt::Display for CellKey {
@@ -466,16 +487,15 @@ pub struct Footprint {
 }
 
 impl Footprint {
-    /// The content address for this cell, shaped exactly like a
-    /// [`CellKey`] so every cache backend works unchanged: the suite and
-    /// exec axes carry [`hash_suite`] and [`hash_exec_options`], the stand
-    /// axis [`plan_hash`](Self::plan_hash) and the DUT axis
+    /// The record address of this cell: the suite and exec axes carry
+    /// [`hash_suite`] and [`hash_exec_options`], the stand axis
+    /// [`plan_hash`](Self::plan_hash) and the DUT axis
     /// [`dut_slice_hash`](Self::dut_slice_hash).
-    pub fn key(&self, suite_hash: u64, exec_hash: u64) -> FootprintKey {
-        FootprintKey {
+    pub fn key(&self, suite_hash: u64, exec_hash: u64) -> CellKey {
+        CellKey {
             suite_hash,
-            plan_hash: self.plan_hash,
-            dut_slice_hash: self.dut_slice_hash,
+            stand_hash: self.plan_hash,
+            dut_config_hash: self.dut_slice_hash,
             exec_hash,
         }
     }
@@ -483,59 +503,6 @@ impl Footprint {
     /// Whether the footprint names this ECU (behaviour name).
     pub fn touches_ecu(&self, name: &str) -> bool {
         self.ecus.iter().any(|e| e == name)
-    }
-}
-
-/// A cell's record address: same four-digest shape as [`CellKey`], but
-/// the stand and DUT axes hash only the slices the cell touches.
-///
-/// The plan digest is tagged `b'P'` (whole-stand hashing uses `b'T'`) and
-/// the DUT-slice digest `b'F'` (plan memos use `b'M'`), so record keys and
-/// [`plan_memo_key`]s live in disjoint hash domains and can never alias
-/// each other inside one cache directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FootprintKey {
-    /// Structural hash of the test suite ([`hash_suite`]).
-    pub suite_hash: u64,
-    /// Digest of the cell's resolved execution plans.
-    pub plan_hash: u64,
-    /// Digest of the DUT slice the plans touch.
-    pub dut_slice_hash: u64,
-    /// Hash of the execution options ([`hash_exec_options`]).
-    pub exec_hash: u64,
-}
-
-impl FootprintKey {
-    /// The [`CellKey`]-shaped address used by every cache backend.
-    pub fn cell_key(&self) -> CellKey {
-        CellKey {
-            suite_hash: self.suite_hash,
-            stand_hash: self.plan_hash,
-            dut_config_hash: self.dut_slice_hash,
-            exec_hash: self.exec_hash,
-        }
-    }
-
-    /// Computes the footprint key for one (entry, stand) cell under
-    /// `options`: generates the suite's scripts, plans them on the stand,
-    /// captures the footprint and keys it. Generation or planning failures
-    /// fold into the footprint conservatively (see [`footprint_for_cell`]),
-    /// so this never errors.
-    pub fn for_cell(
-        entry: &CampaignEntry<'_>,
-        stand: &TestStand,
-        options: &ExecOptions,
-        salt: &str,
-    ) -> Self {
-        footprint_for_cell(entry, stand, salt)
-            .key(hash_suite(entry.suite), hash_exec_options(options))
-    }
-}
-
-impl fmt::Display for FootprintKey {
-    /// Same fixed-width, filesystem-safe rendering as [`CellKey`].
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.cell_key().fmt(f)
     }
 }
 
@@ -1141,8 +1108,8 @@ step, dt,  DS_FL, NIGHT, INT_ILL
         );
         let options = ExecOptions::default();
         assert_ne!(
-            FootprintKey::for_cell(&entry, &stand, &options, ""),
-            FootprintKey::for_cell(&entry, &stand, &options, "fw-2"),
+            CellKey::for_cell(&entry, &stand, &options, ""),
+            CellKey::for_cell(&entry, &stand, &options, "fw-2"),
         );
     }
 
@@ -1180,10 +1147,10 @@ step, dt,  DS_FL, NIGHT, INT_ILL
         let options = ExecOptions::default();
         let exec_hash = hash_exec_options(&options);
         let memo = plan_memo_key(hash_suite(&suite), hash_stand(&stand), "", exec_hash);
-        let footprint = FootprintKey::for_cell(&entry, &stand, &options, "");
+        let footprint = CellKey::for_cell(&entry, &stand, &options, "");
         assert_eq!(footprint.suite_hash, memo.suite_hash);
         assert_eq!(footprint.exec_hash, memo.exec_hash);
-        assert_ne!(footprint.cell_key(), memo, "disjoint hash domains");
+        assert_ne!(footprint, memo, "disjoint hash domains");
         assert_eq!(footprint.to_string().len(), 16 * 4 + 3);
     }
 

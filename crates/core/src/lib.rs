@@ -11,8 +11,10 @@
 //!
 //! On top of single-test execution it provides the evaluation machinery of
 //! the reproduction: [`campaign`] (many suites × stands × devices),
-//! [`faultcamp`] (fault-injection coverage), [`portability`] (which suites
-//! run on which stands) and [`coverage`] (requirement-tag coverage).
+//! [`reference`](mod@reference) (the serial campaign the engine is
+//! checked against), [`faultcamp`] (fault-injection coverage),
+//! [`portability`] (which suites run on which stands) and [`coverage`]
+//! (requirement-tag coverage).
 //!
 //! # Example — the full pipeline on one test
 //!
@@ -66,6 +68,7 @@ pub mod faultcamp;
 pub mod hash;
 pub mod pipeline;
 pub mod portability;
+pub mod reference;
 pub mod service;
 pub mod sweep;
 pub mod trace;

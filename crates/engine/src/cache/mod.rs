@@ -41,25 +41,27 @@
 //!   [`CampaignHandle::join`](crate::CampaignHandle::join) raises
 //!   [`CoreError::CacheMismatch`] when any diverged — the paper-style
 //!   spot-check that the content addressing really covers every input.
-//! * **Hits build no devices.** Records are pre-loaded before jobs are
-//!   packaged, and packaging moves each hit's outcomes out of its
-//!   launch's own copy of the record into the job. A hit therefore
+//! * **One pass decides each cell's key and record.** Before any job is
+//!   packaged, the launch walks its cells once, in cell order. Per cell it
+//!   reads the plan memo, derives the key, takes or reads the record, and
+//!   warns once ([`EngineEvent::CellCacheCorrupt`]) if the memo or the
+//!   record is unreadable. Packaging then moves each hit's outcomes out of
+//!   its launch's own copy of the record into the job. A hit therefore
 //!   carries no tests: packaging builds no DUT devices and generates no
 //!   scripts for it, and a fully warm run builds no devices for its jobs.
-//!   What the store does after the preload cannot turn a hit into a miss.
+//!   What the store does after that pass cannot turn a hit into a miss.
 //! * **Warm keys need no plans.** A footprint key needs each cell's
 //!   resolved plans, which depend on the suite and the stand but not on
 //!   the device. So every stored cell record is also aliased under the
 //!   cell's [plan-memo key](comptest_core::hash::plan_memo_key)
-//!   ([`CampaignCache::alias`]): a later launch reads the record's
-//!   footprint back through it, re-walks only the DUT slice
-//!   ([`footprint_from_memo`](comptest_core::hash::footprint_from_memo))
-//!   and, when that slice is unchanged, serves the very record it read —
+//!   ([`CampaignCache::alias`]). The pass reads the record's footprint
+//!   back through it, re-walks only the DUT slice ([`footprint_from_memo`])
+//!   and, when that slice is unchanged, serves the very record it read:
 //!   one read per warm cell, no codegen, no planning. A cell whose
-//!   planning fails gets no memo; an absent, stale or corrupt memo only
-//!   costs a re-plan, after which the cell is re-aliased. `cache_verify`
-//!   still reads every memo and counts one whose plan side disagrees with
-//!   fresh planning as a mismatch.
+//!   planning fails gets no memo. An absent, stale or corrupt memo only
+//!   costs a re-plan and a read under the record key; a hit there
+//!   re-aliases the memo. `cache_verify` still reads every memo and counts
+//!   one whose plan side disagrees with fresh planning as a mismatch.
 //!
 //! # What invalidates the cache
 //!
@@ -121,6 +123,7 @@
 
 pub mod binary;
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
@@ -131,12 +134,16 @@ use std::sync::{Arc, Mutex};
 
 use comptest_core::campaign::TestJobOutcome;
 use comptest_core::error::CoreError;
-use comptest_core::hash::{CellKey, Footprint};
+use comptest_core::hash::{
+    capture_footprint, footprint_from_memo, hash_exec_options, hash_stand, hash_suite,
+    plan_memo_key, CellKey, Footprint, FootprintDevice,
+};
+use comptest_stand::ExecutionPlan;
 
 use crate::campaign::{Campaign, Granularity};
 use crate::events::{emit, EngineEvent};
-use crate::executor::{KeySet, MemoReads};
-use crate::obs::{Counter, Recorder};
+use crate::executor::{EntryScripts, PlanSlot};
+use crate::obs::{Counter, Phase, Recorder};
 
 /// The cached outcomes of one campaign cell: per-test outcomes in suite
 /// order, possibly truncated to the prefix a cell-granular run determined.
@@ -203,6 +210,17 @@ fn job_range(
     (end <= len).then_some(start..end)
 }
 
+/// Whether two footprints of one cell agree on everything planning
+/// decides: the plan digest and the touched signal, pin, frame and
+/// resource sets.
+fn same_plan_side(a: &Footprint, b: &Footprint) -> bool {
+    a.plan_hash == b.plan_hash
+        && a.signals == b.signals
+        && a.pins == b.pins
+        && a.frames == b.frames
+        && a.resources == b.resources
+}
+
 /// A content-addressed store of campaign cell outcomes.
 ///
 /// Implementations must be safe to share across worker threads and should
@@ -257,9 +275,9 @@ pub trait CampaignCache: fmt::Debug + Send + Sync {
     }
 
     /// Makes `alias` resolve to the record stored under `key` — the
-    /// engine keeps each cell's plan memo this way (see
-    /// [`plan_memo_key`](comptest_core::hash::plan_memo_key)). Best-effort
-    /// like `store`: a missing alias only costs the next launch a re-plan.
+    /// engine keeps each cell's plan memo this way (see [`plan_memo_key`]).
+    /// Best-effort like `store`: a missing alias only costs the next launch
+    /// a re-plan.
     ///
     /// The default implementation copies the record (`load`, then
     /// `store`), so a decorator that does not forward `alias` stays
@@ -509,154 +527,214 @@ struct Collector {
     executed: bool,
 }
 
+/// One cell of a cached launch, as [`CacheRuntime::resolve`] left it.
+struct CacheCell {
+    /// The record key: the cell's footprint, keyed.
+    key: CellKey,
+    /// The dependency footprint the key was derived from, attached to the
+    /// stored record.
+    footprint: Footprint,
+    /// The plan-memo key, re-pointed at the cell's record after each store
+    /// (`None` for a cell with a planning error).
+    memo: Option<CellKey>,
+    /// The pre-loaded record. Packaging takes the hits out of it; under
+    /// `cache_verify` nothing is taken and [`CacheRuntime::finish`]
+    /// compares against it.
+    record: Option<CellRecord>,
+    store: Mutex<Collector>,
+}
+
 /// The cache state of one launched campaign run, shared by every worker:
-/// pre-computed keys, pre-loaded records, per-cell store accumulators and
-/// the `cache_verify` mismatch count.
+/// per cell its key, footprint, memo key, pre-loaded record and store
+/// accumulator, plus the `cache_verify` mismatch count.
 ///
-/// Loading happens once on the launch thread (one I/O pass in
+/// Keys and records are resolved once on the launch thread (one pass in
 /// deterministic cell order), and packaging takes the hits out of the
 /// records there too; workers only compare against records (under
 /// `cache_verify`) and accumulate outcomes.
 pub(crate) struct CacheRuntime {
     cache: Arc<dyn CampaignCache>,
     verify: bool,
-    keys: Vec<CellKey>,
-    /// Per-cell dependency footprints, attached to stored records.
-    footprints: Vec<Footprint>,
-    /// Per-cell plan-memo keys, re-pointed at the cell's record after each
-    /// store (`None` for cells with a planning error).
-    memos: Vec<Option<CellKey>>,
-    /// Per cell, its pre-loaded record. Packaging takes the hits out of
-    /// it; under `cache_verify` nothing is taken and
-    /// [`CacheRuntime::finish`] compares against it.
-    records: Vec<Option<CellRecord>>,
-    collectors: Vec<Mutex<Collector>>,
-    /// Cells whose stored entry existed but could not be decoded:
-    /// `(cell, suite, stand)`, collected at preload so every launch path
-    /// can emit [`EngineEvent::CellCacheCorrupt`] warnings once its event
-    /// channel exists.
-    corrupt: Vec<(usize, String, String)>,
+    cells: Vec<CacheCell>,
     mismatches: AtomicUsize,
     /// Recorder for store-side accounting (`cache_bytes_written`) — reads
-    /// are accounted once in [`CacheRuntime::prepare`], stores happen on
+    /// are accounted once in [`CacheRuntime::resolve`], stores happen on
     /// workers throughout the run.
     obs: Recorder,
 }
 
 impl CacheRuntime {
-    /// Pre-loads every cell's record under the [`CellKey`]s this launch
-    /// resolved, and sizes each cell's store
-    /// accumulator to its job count at the campaign's granularity.
-    /// Corrupt entries are treated as misses, remembered for warning
-    /// events, and counted on `obs`. Every lookup that fails to produce a
-    /// usable record counts as `cells_invalidated` (the cells this run
-    /// will re-execute); per-cell footprints ride along to be attached to
-    /// stored records, their encoded size feeding `footprint_bytes` (only
-    /// counted when `obs` is enabled).
+    /// Resolves every cell's key and record in one pass, in cell order —
+    /// the one place a launch decides which stored record serves a cell.
+    /// For each cell it:
     ///
-    /// Key resolution has already read some records through their plan
-    /// memos (`reads`): those are taken as they are, not read again.
-    /// A cell whose memo was absent or stale gets it re-pointed at the
-    /// record its key hits; corrupt memos warn like corrupt records, and
-    /// memo mismatches seen under `cache_verify` count as mismatches.
-    pub(crate) fn prepare(
-        cache: Arc<dyn CampaignCache>,
+    /// 1. reads the cell's [plan memo](comptest_core::hash::plan_memo_key);
+    /// 2. derives the footprint key: from the memo, with the DUT slice
+    ///    walked again on the entry's one footprint device; or, on a memo
+    ///    miss and always under `cache_verify` (which audits the memo
+    ///    against fresh plans, counting a plan-side disagreement as a
+    ///    mismatch), from the entry's `scripts` planned through the
+    ///    launch's `slot`s, which the jobs then reuse;
+    /// 3. takes the memo's record when its DUT slice still matches (never
+    ///    under `cache_verify`), and otherwise reads the record key,
+    ///    re-pointing the memo at the record on a hit;
+    /// 4. when the memo or the record was unreadable, counts
+    ///    `cache_corrupt_entries` and emits one
+    ///    [`EngineEvent::CellCacheCorrupt`] — once per cell, though in a
+    ///    [`DirCache`] a memo is a hard link to its record and rots with
+    ///    it;
+    /// 5. sizes the cell's store accumulator to its job count.
+    ///
+    /// A cell without a usable record counts as `cells_invalidated`.
+    /// Reads are timed as `cache_preload`, key derivation (device builds
+    /// and planning included) as `hash`; `scripts` times its own codegen.
+    ///
+    /// # Errors
+    ///
+    /// The first codegen error of an entry that had to be planned.
+    pub(crate) fn resolve(
+        cache: &Arc<dyn CampaignCache>,
         campaign: &Campaign<'_, '_>,
-        keyset: KeySet,
-        mut reads: MemoReads,
-        obs: &Recorder,
-    ) -> Self {
-        let KeySet {
-            keys,
-            footprints,
-            memos,
-        } = keyset;
-        debug_assert_eq!(keys.len(), campaign.entries.len() * campaign.stands.len());
-        debug_assert_eq!(footprints.len(), keys.len());
-        let mut records = Vec::with_capacity(keys.len());
-        let mut collectors = Vec::with_capacity(keys.len());
-        let mut corrupt = Vec::new();
-        let mut corrupt_memos = reads.corrupt.iter().peekable();
-        let mut bytes_read = 0u64;
-        let mut footprint_bytes = 0u64;
-        let mut cell = 0;
-        for entry in campaign.entries {
-            for stand in campaign.stands {
+        scripts: &dyn Fn(usize) -> Result<EntryScripts, CoreError>,
+        slot: &dyn Fn(usize, usize, usize) -> Arc<PlanSlot>,
+        events: &Sender<EngineEvent>,
+    ) -> Result<Self, CoreError> {
+        let obs = &campaign.obs;
+        let (salt, verify) = (campaign.cache_salt.as_str(), campaign.cache_verify);
+        let (exec_hash, stand_hashes, suite_hashes) = obs.time_phase(Phase::Hash, || {
+            let stands: Vec<u64> = campaign.stands.iter().map(|s| hash_stand(s)).collect();
+            let suites: Vec<u64> = campaign
+                .entries
+                .iter()
+                .map(|e| hash_suite(e.suite))
+                .collect();
+            (hash_exec_options(&campaign.exec), stands, suites)
+        });
+        let mut cells = Vec::with_capacity(campaign.entries.len() * campaign.stands.len());
+        let (mut memo_hits, mut bytes_read, mut footprint_bytes) = (0u64, 0u64, 0u64);
+        let mut mismatches = 0;
+        for (e, entry) in campaign.entries.iter().enumerate() {
+            let suite_hash = suite_hashes[e];
+            // One device per entry, built when its first key is derived:
+            // footprint capture only reads it, so every stand shares the
+            // build and its whole-device digest.
+            let built = OnceCell::new();
+            let device =
+                || built.get_or_init(|| FootprintDevice::new(entry.device_factory.build()));
+            for (s, stand) in campaign.stands.iter().enumerate() {
+                let memo_key = plan_memo_key(suite_hash, stand_hashes[s], salt, exec_hash);
+                let read = obs.time_phase(Phase::CachePreload, || cache.lookup_io(&memo_key));
+                bytes_read += read.bytes;
+                let mut corrupt = matches!(read.lookup, CacheLookup::Corrupt);
+                let memo = match read.lookup {
+                    CacheLookup::Hit(record)
+                        if record.footprint.as_ref().is_some_and(|fp| fp.salt == salt) =>
+                    {
+                        Some(record)
+                    }
+                    _ => None,
+                };
+                memo_hits += u64::from(memo.is_some());
+                let memoised = memo.as_ref().and_then(|record| record.footprint.as_ref());
+                let (footprint, clean) = match memoised.filter(|_| !verify) {
+                    Some(memoised) => (
+                        obs.time_phase(Phase::Hash, || footprint_from_memo(memoised, device())),
+                        true,
+                    ),
+                    None => {
+                        let scripts = scripts(e)?;
+                        let (fp, clean) = obs.time_phase(Phase::Hash, || {
+                            let plans: Vec<Result<Arc<ExecutionPlan>, String>> =
+                                (0..entry.suite.tests.len())
+                                    .map(|t| slot(e, t, s).resolve(&scripts[t], stand, obs))
+                                    .collect();
+                            let plan_refs: Vec<Result<&ExecutionPlan, &str>> = plans
+                                .iter()
+                                .map(|p| p.as_deref().map_err(String::as_str))
+                                .collect();
+                            let fp = capture_footprint(&plan_refs, device(), salt);
+                            (fp, plans.iter().all(Result::is_ok))
+                        });
+                        if memoised.is_some_and(|memoised| !same_plan_side(memoised, &fp)) {
+                            mismatches += 1;
+                        }
+                        (fp, clean)
+                    }
+                };
+                let current = !verify
+                    && memoised.is_some_and(|memoised| {
+                        memoised.dut_slice_hash == footprint.dut_slice_hash
+                    });
                 // Encoding a footprint only to count its bytes is wasted
                 // work when nobody records the count.
                 if obs.is_enabled() {
-                    footprint_bytes += binary::footprint_bytes(&footprints[cell]);
+                    footprint_bytes += binary::footprint_bytes(&footprint);
                 }
-                if corrupt_memos.next_if_eq(&&cell).is_some() {
-                    corrupt.push((cell, entry.suite.name.clone(), stand.name().to_owned()));
-                }
-                let lookup = match reads.records[cell].take() {
-                    Some(record) => CacheLookup::Hit(record),
-                    None => {
-                        let info = cache.lookup_io(&keys[cell]);
-                        bytes_read += info.bytes;
-                        // The memo did not give this record: re-point it.
-                        if let (CacheLookup::Hit(_), Some(memo)) = (&info.lookup, &memos[cell]) {
-                            cache.alias(&keys[cell], memo);
+                let memo_key = clean.then_some(memo_key);
+                let key = footprint.key(suite_hash, exec_hash);
+                let record = match memo.filter(|_| current) {
+                    Some(record) => Some(record),
+                    None => obs.time_phase(Phase::CachePreload, || {
+                        let read = cache.lookup_io(&key);
+                        bytes_read += read.bytes;
+                        match read.lookup {
+                            CacheLookup::Hit(record) => {
+                                // The memo missed this record: re-point it.
+                                if let Some(memo) = &memo_key {
+                                    cache.alias(&key, memo);
+                                }
+                                Some(record)
+                            }
+                            CacheLookup::Miss => None,
+                            CacheLookup::Corrupt => {
+                                corrupt = true;
+                                None
+                            }
                         }
-                        info.lookup
-                    }
+                    }),
                 };
-                records.push(match lookup {
-                    CacheLookup::Hit(record) => Some(record),
-                    CacheLookup::Miss => {
-                        obs.inc(Counter::CellsInvalidated);
-                        None
-                    }
-                    CacheLookup::Corrupt => {
-                        obs.inc(Counter::CacheCorruptEntries);
-                        obs.inc(Counter::CellsInvalidated);
-                        corrupt.push((cell, entry.suite.name.clone(), stand.name().to_owned()));
-                        None
-                    }
-                });
+                if record.is_none() {
+                    obs.inc(Counter::CellsInvalidated);
+                }
+                if corrupt {
+                    obs.inc(Counter::CacheCorruptEntries);
+                    emit(
+                        events,
+                        EngineEvent::CellCacheCorrupt {
+                            cell: cells.len(),
+                            suite: entry.suite.name.clone(),
+                            stand: stand.name().to_owned(),
+                        },
+                    );
+                }
                 let tests = entry.suite.tests.len();
-                collectors.push(Mutex::new(Collector {
-                    outcomes: vec![None; tests],
-                    pending: match campaign.granularity {
-                        Granularity::Cell => 1,
-                        Granularity::Test => tests,
-                    },
-                    executed: false,
-                }));
-                cell += 1;
+                cells.push(CacheCell {
+                    key,
+                    footprint,
+                    memo: memo_key,
+                    record,
+                    store: Mutex::new(Collector {
+                        outcomes: vec![None; tests],
+                        pending: match campaign.granularity {
+                            Granularity::Cell => 1,
+                            Granularity::Test => tests,
+                        },
+                        executed: false,
+                    }),
+                });
             }
         }
+        obs.add(Counter::PlanMemoHits, memo_hits);
+        obs.add(Counter::PlanMemoMisses, cells.len() as u64 - memo_hits);
         obs.add(Counter::CacheBytesRead, bytes_read);
         obs.add(Counter::FootprintBytes, footprint_bytes);
-        Self {
-            cache,
-            verify: campaign.cache_verify,
-            keys,
-            footprints,
-            memos,
-            records,
-            collectors,
-            corrupt,
-            mismatches: AtomicUsize::new(reads.mismatches),
+        Ok(Self {
+            cache: Arc::clone(cache),
+            verify,
+            cells,
+            mismatches: AtomicUsize::new(mismatches),
             obs: obs.clone(),
-        }
-    }
-
-    /// Emits one [`EngineEvent::CellCacheCorrupt`] per rotten entry found
-    /// at preload. Every launch path calls this right after creating its
-    /// event channel, before any job runs.
-    pub(crate) fn emit_corrupt_warnings(&self, events: &Sender<EngineEvent>) {
-        for (cell, suite, stand) in &self.corrupt {
-            emit(
-                events,
-                EngineEvent::CellCacheCorrupt {
-                    cell: *cell,
-                    suite: suite.clone(),
-                    stand: stand.clone(),
-                },
-            );
-        }
+        })
     }
 
     /// The hits of `cell`'s jobs, which run the suite tests `batches`
@@ -676,10 +754,11 @@ impl CacheRuntime {
         cell: usize,
         batches: &[Range<usize>],
     ) -> Vec<Option<Vec<TestJobOutcome>>> {
+        let cell = &mut self.cells[cell];
         let record = if self.verify {
             None
         } else {
-            self.records[cell].take()
+            cell.record.take()
         };
         let Some(record) = record else {
             return vec![None; batches.len()];
@@ -697,7 +776,7 @@ impl CacheRuntime {
             })
             .collect();
         if hits.iter().all(Option::is_some) {
-            self.collectors[cell].get_mut().expect("collector").pending = 0;
+            cell.store.get_mut().expect("collector").pending = 0;
         }
         hits
     }
@@ -707,7 +786,7 @@ impl CacheRuntime {
     /// counts a mismatch when the cached outcomes for the same tests
     /// differ.
     pub(crate) fn finish(&self, cell: usize, first: usize, outcomes: &[TestJobOutcome]) {
-        if let Some(record) = self.records[cell].as_ref().filter(|_| self.verify) {
+        if let Some(record) = self.cells[cell].record.as_ref().filter(|_| self.verify) {
             let cached = &record.tests;
             let tests = first..first + outcomes.len();
             if job_range(cached.len(), |t| cached[t].is_err(), tests)
@@ -739,7 +818,8 @@ impl CacheRuntime {
         outcomes: &[TestJobOutcome],
         executed: bool,
     ) {
-        let mut c = self.collectors[cell].lock().expect("collector");
+        let cell = &self.cells[cell];
+        let mut c = cell.store.lock().expect("collector");
         if c.pending == 0 {
             // Every job of the cell already reported, or every job hit.
             return;
@@ -758,12 +838,12 @@ impl CacheRuntime {
         let record = CellRecord {
             total,
             tests,
-            footprint: Some(self.footprints[cell].clone()),
+            footprint: Some(cell.footprint.clone()),
         };
-        let written = self.cache.store_io(&self.keys[cell], &record);
+        let written = self.cache.store_io(&cell.key, &record);
         self.obs.add(Counter::CacheBytesWritten, written);
-        if let Some(memo) = &self.memos[cell] {
-            self.cache.alias(&self.keys[cell], memo);
+        if let Some(memo) = &cell.memo {
+            self.cache.alias(&cell.key, memo);
         }
     }
 }

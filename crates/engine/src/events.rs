@@ -91,11 +91,12 @@ pub enum EngineEvent {
         /// The short status line of the cached outcome.
         status: String,
     },
-    /// A cache entry for a cell existed but could not be decoded
-    /// (truncated file, wrong record version, garbage) and was treated as
-    /// a miss. Emitted once per affected cell at launch, before any job
-    /// runs, so operators can tell a cold cache from a rotting store; the
-    /// `cache_corrupt_entries` counter tracks the same condition.
+    /// A cell's cache record or plan memo existed but could not be
+    /// decoded (truncated file, wrong record version, garbage) and was
+    /// treated as a miss. Emitted once per affected cell at launch, before
+    /// any job event, so operators can tell a cold cache from a rotting
+    /// store; the `cache_corrupt_entries` counter tracks the same
+    /// condition.
     CellCacheCorrupt {
         /// Deterministic cell index.
         cell: usize,

@@ -18,14 +18,16 @@
 //! executor joins through [`join_jobs`], which folds the per-test outcomes
 //! with [`merge_test_outcomes`].
 //!
-//! With a cache, key resolution reads each cell's plan memo before
-//! anything is generated or planned, and each cache hit is decided once,
-//! when the job is packaged: the hit's outcomes move into the job, which
-//! then carries no tests, and admission — the point where the job would
-//! start — serves them. Only entries with a cell to plan or a job to
-//! execute are generated: a fully warm run builds no devices, generates
-//! no scripts and plans nothing. (It still builds one device per entry to
-//! walk the DUT slices its keys cover.)
+//! With a cache, packaging first resolves every cell's key and record in
+//! one pass over the cells ([`CacheRuntime::resolve`]): a cell with a
+//! usable plan memo is keyed without codegen or planning, and a rotten
+//! memo or record warns as it is found, before any job event. Each cache
+//! hit is then decided once, when its job is packaged: the hit's outcomes
+//! move into the job, which carries no tests, and admission — the point
+//! where the job would start — serves them. Only entries with a cell to
+//! plan or a job to execute are generated: a fully warm run generates no
+//! scripts, plans nothing and builds no devices for its jobs. (It still
+//! builds one device per entry to walk the DUT slices its keys cover.)
 
 use std::borrow::{Borrow, BorrowMut};
 use std::cell::OnceCell;
@@ -39,17 +41,13 @@ use comptest_core::campaign::{
 };
 use comptest_core::error::CoreError;
 use comptest_core::exec::{ExecOptions, RunState};
-use comptest_core::hash::{
-    capture_footprint, footprint_from_memo, hash_exec_options, hash_stand, hash_suite,
-    plan_memo_key, CellKey, Footprint, FootprintDevice,
-};
 use comptest_core::{StepProbe, TestRun};
 use comptest_dut::Device;
 use comptest_model::SimTime;
 use comptest_script::TestScript;
 use comptest_stand::{ExecutionPlan, TestStand};
 
-use crate::cache::{CacheLookup, CacheRuntime, CampaignCache, CellRecord};
+use crate::cache::CacheRuntime;
 use crate::campaign::{Campaign, Granularity};
 use crate::events::{emit, EngineEvent};
 use crate::handle::{CampaignHandle, CampaignOutcome, EventStream, RunCancel};
@@ -132,182 +130,6 @@ impl PlanSlot {
 /// One entry's generated scripts, in suite order.
 pub(crate) type EntryScripts = Arc<[Arc<TestScript>]>;
 
-/// A launch's resolved cache keys plus the per-cell dependency
-/// footprints the keys were derived from (attached to stored records) and
-/// the plan-memo keys the cells' records are aliased under.
-pub(crate) struct KeySet {
-    pub(crate) keys: Vec<CellKey>,
-    pub(crate) footprints: Vec<Footprint>,
-    /// Per-cell [`plan_memo_key`]s; `None` for cells with a planning
-    /// error, which get no memo and so keep re-planning into the
-    /// whole-device fallback.
-    pub(crate) memos: Vec<Option<CellKey>>,
-}
-
-/// What a launch's key resolution read through the plan memos, handed to
-/// [`CacheRuntime::prepare`].
-#[derive(Default)]
-pub(crate) struct MemoReads {
-    /// Per cell: the record its memo resolved to, when that record is the
-    /// one stored under the cell's key (its DUT slice still matches) —
-    /// preload takes it instead of reading it again. `None` when the memo
-    /// was absent, stale, unreadable or audited: a hit on the cell's key
-    /// then re-points it.
-    pub(crate) records: Vec<Option<CellRecord>>,
-    /// Cells whose memo existed but could not be decoded, ascending.
-    pub(crate) corrupt: Vec<usize>,
-    /// Under `cache_verify`: memos whose plan side disagreed with the
-    /// freshly planned footprint.
-    pub(crate) mismatches: usize,
-}
-
-/// Footprint keys for every cell, in deterministic (entry, stand) order,
-/// with what the launch read through the plan memos. The cells' plan memos
-/// are read first (timed as `cache_preload`): a usable one gives the
-/// cell's plan side, so its key costs one fresh DUT-slice walk and no
-/// codegen or planning. The other cells — and every cell under
-/// `cache_verify`, which audits the memos against fresh plans — generate
-/// their entry's scripts (timed as `codegen`) and plan through the
-/// launch's plan slots, which the jobs then reuse. The hashing itself is
-/// timed as `hash`.
-///
-/// # Errors
-///
-/// The first codegen error of an entry that had to be planned.
-fn footprint_keys(
-    campaign: &Campaign<'_, '_>,
-    cache: &dyn CampaignCache,
-    scripts: &dyn Fn(usize) -> Result<EntryScripts, CoreError>,
-    slot: &dyn Fn(usize, usize, usize) -> Arc<PlanSlot>,
-    obs: &Recorder,
-) -> Result<(KeySet, MemoReads), CoreError> {
-    let (entries, stands) = (campaign.entries, campaign.stands);
-    let salt = campaign.cache_salt.as_str();
-    let verify = campaign.cache_verify;
-    let n_stands = stands.len();
-    let n_cells = entries.len() * n_stands;
-    let (exec_hash, suite_hashes, memo_keys) = obs.time_phase(Phase::Hash, || {
-        let exec_hash = hash_exec_options(&campaign.exec);
-        let stand_hashes: Vec<u64> = stands.iter().map(|s| hash_stand(s)).collect();
-        let suite_hashes: Vec<u64> = entries.iter().map(|e| hash_suite(e.suite)).collect();
-        let memo_keys: Vec<CellKey> = suite_hashes
-            .iter()
-            .flat_map(|&suite| {
-                stand_hashes
-                    .iter()
-                    .map(move |&stand| plan_memo_key(suite, stand, salt, exec_hash))
-            })
-            .collect();
-        (exec_hash, suite_hashes, memo_keys)
-    });
-
-    let mut reads = MemoReads {
-        records: Vec::with_capacity(n_cells),
-        ..MemoReads::default()
-    };
-    let memos: Vec<Option<CellRecord>> = obs.time_phase(Phase::CachePreload, || {
-        let mut bytes = 0u64;
-        let memos = memo_keys
-            .iter()
-            .enumerate()
-            .map(|(cell, key)| {
-                let info = cache.lookup_io(key);
-                bytes += info.bytes;
-                match info.lookup {
-                    CacheLookup::Hit(record)
-                        if record.footprint.as_ref().is_some_and(|fp| fp.salt == salt) =>
-                    {
-                        Some(record)
-                    }
-                    CacheLookup::Corrupt => {
-                        obs.inc(Counter::CacheCorruptEntries);
-                        reads.corrupt.push(cell);
-                        None
-                    }
-                    CacheLookup::Hit(_) | CacheLookup::Miss => None,
-                }
-            })
-            .collect();
-        obs.add(Counter::CacheBytesRead, bytes);
-        memos
-    });
-    let hits = memos.iter().filter(|memo| memo.is_some()).count();
-    obs.add(Counter::PlanMemoHits, hits as u64);
-    obs.add(Counter::PlanMemoMisses, (n_cells - hits) as u64);
-
-    // Codegen, in entry order, for every entry with a cell to plan.
-    let mut generated: Vec<Option<EntryScripts>> = Vec::with_capacity(entries.len());
-    for (e, cells) in memos.chunks(n_stands.max(1)).enumerate() {
-        let plans = verify || cells.iter().any(Option::is_none);
-        generated.push(if plans { Some(scripts(e)?) } else { None });
-    }
-
-    let mut keys = Vec::with_capacity(n_cells);
-    let mut footprints = Vec::with_capacity(n_cells);
-    let mut memo_of = Vec::with_capacity(n_cells);
-    obs.time_phase(Phase::Hash, || {
-        let mut memos = memos.into_iter();
-        for (e, entry) in entries.iter().enumerate() {
-            // One device per entry: footprint capture only reads it, so
-            // every stand shares the build and its whole-device fallback
-            // digest.
-            let device = FootprintDevice::new(entry.device_factory.build());
-            for (s, stand) in stands.iter().enumerate() {
-                let memo = memos.next().flatten();
-                let memoised = memo.as_ref().and_then(|record| record.footprint.as_ref());
-                let (fp, clean) = match (memoised, &generated[e]) {
-                    (Some(memoised), _) if !verify => {
-                        (footprint_from_memo(memoised, &device), true)
-                    }
-                    (_, Some(scripts)) => {
-                        let plans: Vec<Result<Arc<ExecutionPlan>, String>> =
-                            (0..entry.suite.tests.len())
-                                .map(|t| slot(e, t, s).resolve(&scripts[t], stand, obs))
-                                .collect();
-                        let plan_refs: Vec<Result<&ExecutionPlan, &str>> = plans
-                            .iter()
-                            .map(|p| match p {
-                                Ok(plan) => Ok(plan.as_ref()),
-                                Err(reason) => Err(reason.as_str()),
-                            })
-                            .collect();
-                        let fp = capture_footprint(&plan_refs, &device, salt);
-                        if memoised.is_some_and(|memoised| !same_plan_side(memoised, &fp)) {
-                            reads.mismatches += 1;
-                        }
-                        (fp, plans.iter().all(Result::is_ok))
-                    }
-                    (_, None) => unreachable!("entries with a cell to plan are generated"),
-                };
-                let current = !verify
-                    && memoised
-                        .is_some_and(|memoised| memoised.dut_slice_hash == fp.dut_slice_hash);
-                reads.records.push(if current { memo } else { None });
-                memo_of.push(clean.then_some(memo_keys[keys.len()]));
-                keys.push(fp.key(suite_hashes[e], exec_hash).cell_key());
-                footprints.push(fp);
-            }
-        }
-    });
-    let keyset = KeySet {
-        keys,
-        footprints,
-        memos: memo_of,
-    };
-    Ok((keyset, reads))
-}
-
-/// Whether two footprints of one cell agree on everything planning
-/// decides: the plan digest and the touched signal, pin, frame and
-/// resource sets.
-fn same_plan_side(a: &Footprint, b: &Footprint) -> bool {
-    a.plan_hash == b.plan_hash
-        && a.signals == b.signals
-        && a.pins == b.pins
-        && a.frames == b.frames
-        && a.resources == b.resources
-}
-
 /// The jobs one launch runs, with what the join and the workers need:
 /// see [`package`].
 struct Packaged {
@@ -321,8 +143,9 @@ struct Packaged {
 /// Packages a launch's deterministic job list at the campaign's
 /// granularity: cells in plan order, each cut into [`batches`]. This is
 /// the one place a launch decides its cache hits. Stands are cloned once,
-/// cache keys are resolved and records pre-loaded in cell order, and each
-/// job the cell's record determines takes its outcomes out of it
+/// each cell's key and record are resolved in one pass
+/// ([`CacheRuntime::resolve`], whose corruption warnings go to `events`),
+/// and each job the cell's record determines takes its outcomes out of it
 /// ([`CacheRuntime::take_hits`]) — a hit carries those outcomes and
 /// nothing else. Every other job gets its tests with their scripts, the
 /// launch's plan slots, and one freshly built device per test (the serial
@@ -339,7 +162,10 @@ struct Packaged {
 /// plan or job to execute needs them, in entry order; a cache hit proves
 /// its suite generated cleanly when it was stored. So the first codegen
 /// error still surfaces here, before any job runs.
-fn package(campaign: &Campaign<'_, '_>) -> Result<Packaged, CoreError> {
+fn package(
+    campaign: &Campaign<'_, '_>,
+    events: &Sender<EngineEvent>,
+) -> Result<Packaged, CoreError> {
     let obs = &campaign.obs;
     let entries = campaign.entries;
     let scripts: Vec<OnceCell<Result<EntryScripts, CoreError>>> =
@@ -374,12 +200,9 @@ fn package(campaign: &Campaign<'_, '_>) -> Result<Packaged, CoreError> {
     let slot = |e: usize, t: usize, s: usize| Arc::clone(&slots[(offsets[e] + t) * n_stands + s]);
     let mut cache = match &campaign.cache {
         None => None,
-        Some(cache) => {
-            let (keyset, reads) = footprint_keys(campaign, cache.as_ref(), &generate, &slot, obs)?;
-            Some(obs.time_phase(Phase::CachePreload, || {
-                CacheRuntime::prepare(Arc::clone(cache), campaign, keyset, reads, obs)
-            }))
-        }
+        Some(cache) => Some(CacheRuntime::resolve(
+            cache, campaign, &generate, &slot, events,
+        )?),
     };
 
     let mut jobs = Vec::new();
@@ -507,14 +330,6 @@ impl JobCtx {
             cache,
             obs: campaign.obs.clone(),
             step_probe: campaign.obs.step_probe(),
-        }
-    }
-
-    /// Emits the cache-corruption warnings collected at preload, if any —
-    /// called by every launch path right after its event channel exists.
-    fn emit_cache_warnings(&self, events: &Sender<EngineEvent>) {
-        if let Some(runtime) = &self.cache {
-            runtime.emit_corrupt_warnings(events);
         }
     }
 
@@ -848,24 +663,24 @@ pub(crate) enum JobMsg {
     Lost(String),
 }
 
-/// The launch path every executor shares: the job list from [`package`]
-/// (codegen precheck, plan slots, cache keys, preload and hits), and a handle
-/// joining through [`join_jobs`]. `drive` hands
-/// the jobs to the executor's workers and returns the `workers` gauge
-/// claim the join releases.
+/// The launch path every executor shares: the event channel, the job list
+/// from [`package`] (codegen precheck, plan slots, cache keys and records,
+/// hits), and a handle joining through [`join_jobs`]. The channel exists
+/// before packaging, so cache-corruption warnings precede every job
+/// event. `drive` hands the jobs to the executor's workers and returns the
+/// `workers` gauge claim the join releases.
 pub(crate) fn launch_jobs<'a>(
     campaign: &Campaign<'a, '_>,
     drive: impl FnOnce(Vec<PackagedJob>, &JobCtx, Sender<EngineEvent>, Sender<JobMsg>) -> i64,
 ) -> Result<CampaignHandle<'a>, CoreError> {
+    let (events_tx, events_rx) = mpsc::channel();
     let Packaged {
         jobs,
         layout,
         cache,
-    } = package(campaign)?;
+    } = package(campaign, &events_tx)?;
     let ctx = JobCtx::new(campaign, cache);
-    let (events_tx, events_rx) = mpsc::channel();
     let (results_tx, results_rx) = mpsc::channel();
-    ctx.emit_cache_warnings(&events_tx);
     // `drive` owns the launch-side senders, so both streams end with the
     // last job.
     let claimed_workers = drive(jobs, &ctx, events_tx, results_tx);
@@ -950,8 +765,9 @@ fn join_jobs(
 }
 
 /// Runs every job in plan order on the calling thread — the reference
-/// executor for determinism checks, byte-identical to the historical
-/// serial `run_campaign`.
+/// executor for determinism checks, byte-identical to the serial
+/// [`run_campaign`](comptest_core::reference::run_campaign), which runs
+/// cells with no jobs and no cache.
 ///
 /// `launch` executes the whole campaign before returning: the handle's
 /// event stream replays the buffered events and `join` is instant.

@@ -115,7 +115,8 @@
 //! by how densely they pack the `execute` phase. Phase `calls` count
 //! work done, not launches: `codegen` records one call per entry actually
 //! generated and `plan` one per plan resolved, so a fully warm cached
-//! launch shows zero of both.
+//! launch shows zero of both; `hash` and `cache_preload` record calls per
+//! cell of a cached launch's key pass.
 //!
 //! **Counter glossary** (names as they appear in
 //! [`MetricsSnapshot::counters`]):
@@ -133,7 +134,7 @@
 //! | `cells_invalidated` | cells whose preload lookup found no usable record — exactly the cells this run re-executes |
 //! | `footprint_bytes` | summed encoded size of the campaign's captured dependency footprints |
 //! | `plan_memo_hits` / `plan_memo_misses` | cells whose footprint key came from their plan memo (no codegen, no planning) / cells that had to generate and plan; they sum to the cell count on every cached launch |
-//! | `cache_corrupt_entries` | unreadable/undecodable cache records (also emitted as [`EngineEvent::CellCacheCorrupt`] warnings) |
+//! | `cache_corrupt_entries` | cells with an unreadable record or memo, once per launch (also emitted as [`EngineEvent::CellCacheCorrupt`] warnings) |
 //! | `cache_bytes_read` / `cache_bytes_written` | encoded record bytes moved at preload (plan-memo reads included) / by stores — what the `cache_preload` phase cost buys |
 //! | `spans_opened` / `spans_closed` | trace spans begun / ended — equal once the campaign joins, even under cancellation |
 //! | `worker_busy_micros` | summed wall-clock the workers spent inside steps |
@@ -285,7 +286,7 @@ pub use obs::{GaugeSnapshot, HistogramSnapshot, MetricsSnapshot, PhaseSnapshot, 
 pub use pool::WorkerPool;
 pub use remote::{worker_main, RemoteExecutor, HOLD_MS_ENV};
 
-pub use comptest_core::hash::{CellKey, Footprint, FootprintKey};
+pub use comptest_core::hash::{CellKey, Footprint};
 
 #[cfg(test)]
 mod tests {

@@ -39,7 +39,8 @@ pub(crate) enum Counter {
     /// Cache admissions that had to execute (absent, undetermined record,
     /// or verify mode).
     CacheMisses,
-    /// Cache entries that existed but were corrupt/truncated/wrong-version.
+    /// Cells whose record or plan memo existed but was
+    /// corrupt/truncated/wrong-version, once per cell and launch.
     CacheCorruptEntries,
     /// Encoded record bytes read from the cache at preload — what the
     /// `cache_preload` phase cost buys.
@@ -158,10 +159,13 @@ pub(crate) enum Phase {
     /// Script generation, one call per entry generated (at most once per
     /// launch; entries the cache fully serves are never generated).
     Codegen,
-    /// Suite/stand/DUT/exec-options hashing for the `CellKey` sweep, once
-    /// per cached launch.
+    /// Suite/stand/DUT/exec-options hashing for the `CellKey` pass of a
+    /// cached launch: one call for the suites and stands, then one per
+    /// cell for its key derivation (planning and the entry's one device
+    /// build included).
     Hash,
-    /// Cache record pre-loading on the launch thread.
+    /// Plan-memo and record reads of the `CellKey` pass on the launch
+    /// thread, one or two calls per cell.
     CachePreload,
     /// Execution-plan resolution (at most once per (entry, test, stand)
     /// slot of a launch).

@@ -1,7 +1,7 @@
 //! Engine behaviours *around* the executor contract: event-stream
 //! coverage, report generation from campaign results, executor reuse, and
-//! the historical serial `run_campaign` that anchors the builder API byte
-//! for byte.
+//! the serial reference `comptest_core::reference::run_campaign` that
+//! anchors the builder API byte for byte.
 //!
 //! The executor contract itself — byte-identity to the serial reference,
 //! cancellation prefix-truncation, stop-on-first-fail, empty-matrix
@@ -144,14 +144,13 @@ fn campaign_junit_covers_the_matrix() {
     );
 }
 
-/// `comptest_core`'s historical serial `run_campaign` (deprecated, kept as
-/// the byte-identity reference) anchors the builder API: every executor
-/// the old free functions used to wrap — a fresh pooled executor at both
-/// granularities, a bare persistent pool — must reproduce it exactly.
+/// `comptest_core`'s serial reference `run_campaign` (no jobs, no merge,
+/// no cache) anchors the builder API: the serial executor, a fresh pooled
+/// executor at both granularities and a bare persistent pool must
+/// reproduce it exactly.
 #[test]
-#[allow(deprecated)]
 fn serial_run_campaign_anchors_the_builder_api() {
-    use comptest::core::campaign::run_campaign;
+    use comptest::core::reference::run_campaign;
 
     let suites = load_suites();
     let entries_vec = entries(&suites);

@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use comptest::core::campaign::CampaignEntry;
-use comptest::core::hash::FootprintKey;
+use comptest::core::CellKey;
 use comptest::core::CoreError;
 use comptest::dut::{Behavior, Device, PinBinding, PortValue};
 use comptest::engine::{CampaignCache, CellRecord, DirCache, MemoryCache};
@@ -963,19 +963,22 @@ fn conformance_corrupt_cache_entries_warn_count_and_reexecute() {
             "{}: corrupt entries must fall back to execution",
             subject.name
         );
+        // Each cell's record and its plan-memo link are two names of one
+        // rotten file: one warning per cell, not per name.
+        let cells = entries.len() * stands.len();
         let warnings = events
             .iter()
             .filter(|e| matches!(e, EngineEvent::CellCacheCorrupt { .. }))
             .count();
         assert_eq!(
-            warnings, clobbered,
-            "{}: one warning per corrupt record",
+            warnings, cells,
+            "{}: one warning per cell with a corrupt entry",
             subject.name
         );
         let metrics = obs.metrics().unwrap();
         assert_eq!(
             metrics.counter("cache_corrupt_entries"),
-            clobbered as u64,
+            cells as u64,
             "{}",
             subject.name
         );
@@ -1323,8 +1326,8 @@ fn conformance_reconfigured_campaigns_serve_no_stale_keys() {
 
 /// The record address of one bundled cell under the default exec options
 /// and no salt.
-fn default_key(entry: &CampaignEntry<'_>, stand: &TestStand) -> comptest::core::CellKey {
-    FootprintKey::for_cell(entry, stand, &ExecOptions::default(), "").cell_key()
+fn default_key(entry: &CampaignEntry<'_>, stand: &TestStand) -> CellKey {
+    CellKey::for_cell(entry, stand, &ExecOptions::default(), "")
 }
 
 #[test]

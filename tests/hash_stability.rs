@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use comptest::core::campaign::CampaignEntry;
 use comptest::core::hash::{
-    footprint_for_cell, hash_exec_options, hash_stand, hash_suite, plan_memo_key, FootprintKey,
+    footprint_for_cell, hash_exec_options, hash_stand, hash_suite, plan_memo_key,
 };
 use comptest::core::CellKey;
 use comptest::dut::ElectricalConfig;
@@ -172,7 +172,7 @@ proptest! {
 
     /// The footprint contract, end to end on a composite device: edits
     /// outside a cell's footprint (another block's config, another block's
-    /// stand resources) leave its [`FootprintKey`] fixed, edits inside it
+    /// stand resources) leave its record [`CellKey`] fixed, edits inside it
     /// (its own block, its own resources, its suite, the cache salt) move
     /// the key, and record and plan-memo keys never alias across distinct
     /// cells.
@@ -189,7 +189,7 @@ proptest! {
         let edited_cfg = format!("v{rev}");
         let edited = block_entries(&suites, ["base", &edited_cfg]);
         let key = |entries: &[CampaignEntry<'_>], i: usize, stand: &TestStand, salt: &str| {
-            FootprintKey::for_cell(&entries[i], stand, &opts, salt)
+            CellKey::for_cell(&entries[i], stand, &opts, salt)
         };
 
         // Editing block 1's config is outside cell 0's footprint: its key
@@ -225,7 +225,7 @@ proptest! {
         // cache entries.
         let mut all: Vec<CellKey> = Vec::new();
         for i in 0..base.len() {
-            all.push(key(&base, i, &stand, "").cell_key());
+            all.push(key(&base, i, &stand, ""));
             all.push(plan_memo_key(
                 hash_suite(base[i].suite),
                 hash_stand(&stand),
@@ -374,7 +374,7 @@ fn corrupted_dir_cache_entries_are_misses_not_errors() {
     // rots along with it.
     let keys: Vec<CellKey> = entries
         .iter()
-        .map(|e| FootprintKey::for_cell(e, &stand, &ExecOptions::default(), "").cell_key())
+        .map(|e| CellKey::for_cell(e, &stand, &ExecOptions::default(), ""))
         .collect();
     for (i, key) in keys.iter().enumerate() {
         let path = cache.entry_path(key);

@@ -2,8 +2,8 @@
 //! under, judged only from outside.
 //!
 //! Every bundled workbook is keyed against every bundled stand: its record
-//! key (`FootprintKey`: suite, plan, DUT-slice and exec digests, plus the
-//! footprint's own `plan_hash` and `dut_slice_hash`) and its plan-memo key
+//! key (`CellKey::for_cell`: suite, plan, DUT-slice and exec digests, plus
+//! the footprint's own `plan_hash` and `dut_slice_hash`) and its plan-memo key
 //! (`plan_memo_key`: suite, whole-stand, memo and exec digests). The lines
 //! are frozen in `assets/golden/key_digests.txt`, so a change that would
 //! silently re-key every user's on-disk cache, or cold-start every plan
@@ -14,8 +14,9 @@
 //! `cargo test --test key_identity -- --ignored` and commits the diff.
 
 use comptest::core::hash::{
-    footprint_for_cell, hash_exec_options, hash_stand, hash_suite, plan_memo_key, FootprintKey,
+    footprint_for_cell, hash_exec_options, hash_stand, hash_suite, plan_memo_key,
 };
+use comptest::core::CellKey;
 use comptest::core::{ExecOptions, SampleMode};
 use comptest::model::SimTime;
 use comptest::stand::TestStand;
@@ -60,10 +61,10 @@ fn digests() -> Vec<String> {
                     "memo {cell}/{name} suite={:016x} stand={:016x} memo={:016x} exec={:016x}",
                     k.suite_hash, k.stand_hash, k.dut_config_hash, k.exec_hash
                 ));
-                let k = FootprintKey::for_cell(entry, stand, &options, "");
+                let k = CellKey::for_cell(entry, stand, &options, "");
                 lines.push(format!(
                     "footprint {cell}/{name} suite={:016x} plan={:016x} dut_slice={:016x} exec={:016x}",
-                    k.suite_hash, k.plan_hash, k.dut_slice_hash, k.exec_hash
+                    k.suite_hash, k.stand_hash, k.dut_config_hash, k.exec_hash
                 ));
             }
             for salt in ["", "release-2"] {
@@ -76,7 +77,7 @@ fn digests() -> Vec<String> {
                     "footprint-digests {cell}/salt={salt:?} plan_hash={:016x} dut_slice_hash={:016x} cell_key={}",
                     fp.plan_hash,
                     fp.dut_slice_hash,
-                    key.cell_key()
+                    key
                 ));
             }
         }

@@ -105,13 +105,8 @@ fn valid_record_bytes() -> &'static [u8] {
         let cache = std::sync::Arc::new(comptest::engine::MemoryCache::new());
         let campaign = Campaign::new(&entries, &stands).cache(cache.clone());
         let _ = campaign.run(&SerialExecutor).unwrap();
-        let key = comptest::core::hash::FootprintKey::for_cell(
-            &entries[0],
-            &stand,
-            &ExecOptions::default(),
-            "",
-        )
-        .cell_key();
+        let key =
+            comptest::core::CellKey::for_cell(&entries[0], &stand, &ExecOptions::default(), "");
         let record = cache.load(&key).expect("populated record");
         comptest::engine::cache::binary::encode(&record)
     })

@@ -11,7 +11,8 @@
 //!   options, on both cache backends;
 //! * a store without aliases (filled by an older release) still serves
 //!   warm and then aliases itself;
-//! * a corrupt alias warns, counts, re-plans and heals;
+//! * a corrupt alias warns, counts, re-plans and heals, and a record
+//!   rotten in place (its alias with it) warns once for its cell;
 //! * cells that cannot be generated or planned get no alias;
 //! * `cache_verify` audits the memo against fresh plans.
 
@@ -21,11 +22,13 @@ use std::sync::Arc;
 use comptest::core::campaign::CampaignEntry;
 use comptest::core::hash::{
     footprint_for_cell, footprint_from_memo, hash_exec_options, hash_stand, hash_suite,
-    plan_memo_key, CellKey, FootprintDevice, FootprintKey,
+    plan_memo_key, CellKey, FootprintDevice,
 };
 use comptest::core::{CoreError, SampleMode};
 use comptest::dut::ElectricalConfig;
-use comptest::engine::{CampaignCache, CellRecord, DirCache, MemoryCache, MetricsSnapshot};
+use comptest::engine::{
+    CacheLookup, CampaignCache, CellRecord, DirCache, MemoryCache, MetricsSnapshot,
+};
 use comptest::model::SimTime;
 use comptest::prelude::*;
 
@@ -248,7 +251,7 @@ fn memo_derived_keys_equal_freshly_planned_keys() {
                     .zip(&clean)
                 {
                     let memo = cache.load(&memo_key(entry.suite, stand, salt, &exec));
-                    let key = FootprintKey::for_cell(entry, stand, &exec, salt).cell_key();
+                    let key = CellKey::for_cell(entry, stand, &exec, salt);
                     if *clean {
                         assert_eq!(memo, cache.load(&key), "{label}: memo aliases the record");
                         assert!(memo.is_some(), "{label}: clean cell has a memo");
@@ -288,7 +291,7 @@ fn memo_derived_keys_equal_freshly_planned_keys() {
                 assert_eq!(metrics.counter("cells_invalidated"), cells as u64);
                 for entry in &edited {
                     for stand in &stands {
-                        let key = FootprintKey::for_cell(entry, stand, &exec, salt).cell_key();
+                        let key = CellKey::for_cell(entry, stand, &exec, salt);
                         assert!(
                             cache.load(&key).is_some(),
                             "{label}: {} on {} stored under its freshly planned key",
@@ -428,6 +431,69 @@ fn a_corrupt_alias_warns_counts_replans_and_heals() {
 }
 
 #[test]
+fn a_record_rotten_in_place_warns_once_for_its_cell() {
+    let scratch = TempDir::new("rotten");
+    let suites = comptest::load_bundled_suites().unwrap();
+    let entries = comptest::bundled_entries(&suites);
+    let stand = load_stand("stand_b");
+    let stands = [&stand];
+    let cells = entries.len();
+    let exec = ExecOptions::default();
+    let reference = Campaign::new(&entries, &stands)
+        .run(&SerialExecutor)
+        .unwrap();
+    let cache = Arc::new(DirCache::open(scratch.fresh_subdir()).expect("cache dir"));
+    let campaign = || Campaign::new(&entries, &stands).cache(cache.clone());
+    let _ = campaign().run(&SerialExecutor).unwrap();
+
+    // Truncate the first cell's record file in place. Its plan memo is a
+    // hard link to the same file, so both names now read as rotten.
+    let record = cache.entry_path(&CellKey::for_cell(&entries[0], &stand, &exec, ""));
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&record)
+        .expect("the first cell has a record")
+        .set_len(20)
+        .unwrap();
+    let memo = memo_key(entries[0].suite, &stand, "", &exec);
+    assert_eq!(
+        cache.lookup(&memo),
+        CacheLookup::Corrupt,
+        "the memo rots too"
+    );
+
+    let (warm, events, metrics) = observed(campaign());
+    assert_eq!(warm.unwrap().result, reference);
+    let warnings: Vec<usize> = events
+        .iter()
+        .filter_map(|e| match e {
+            EngineEvent::CellCacheCorrupt { cell, .. } => Some(*cell),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(warnings, [0], "one warning, for the first cell");
+    assert!(
+        matches!(events.first(), Some(EngineEvent::CellCacheCorrupt { .. })),
+        "the warning precedes every job event: {events:?}"
+    );
+    assert_eq!(metrics.counter("cache_corrupt_entries"), 1);
+    assert_eq!(metrics.counter("cells_invalidated"), 1);
+    assert_eq!(metrics.counter("jobs_cached"), cells as u64 - 1);
+
+    // The re-executed cell was stored and re-aliased: fully warm again.
+    let (warm, events, metrics) = observed(campaign());
+    assert_eq!(warm.unwrap().result, reference);
+    assert!(!events
+        .iter()
+        .any(|e| matches!(e, EngineEvent::CellCacheCorrupt { .. })));
+    assert_eq!(metrics.counter("plan_memo_hits"), cells as u64);
+    assert_eq!(metrics.counter("cells_invalidated"), 0);
+    assert_eq!(metrics.counter("jobs_cached"), cells as u64);
+    assert_eq!(phase_calls(&metrics, "plan"), 0);
+    assert_eq!(phase_calls(&metrics, "codegen"), 0);
+}
+
+#[test]
 fn a_codegen_error_on_a_warm_cache_fails_launch_and_gets_no_alias() {
     let scratch = TempDir::new("codegen");
     let suites = comptest::load_bundled_suites().unwrap();
@@ -483,7 +549,7 @@ fn cache_verify_audits_the_memo_and_re_aliases_it() {
             .unwrap();
         // Point the first cell's memo at the second cell's record: its
         // plan side is another suite's.
-        let other = FootprintKey::for_cell(&entries[1], &stand, &exec, "").cell_key();
+        let other = CellKey::for_cell(&entries[1], &stand, &exec, "");
         cache.alias(&other, &memo_key(entries[0].suite, &stand, "", &exec));
 
         let (audit, _, metrics) = observed(

@@ -26,13 +26,8 @@ fn executed_records() -> &'static [comptest::engine::CellRecord] {
         entries
             .iter()
             .map(|entry| {
-                let key = comptest::core::hash::FootprintKey::for_cell(
-                    entry,
-                    &stand,
-                    &ExecOptions::default(),
-                    "",
-                )
-                .cell_key();
+                let key =
+                    comptest::core::CellKey::for_cell(entry, &stand, &ExecOptions::default(), "");
                 cache.load(&key).expect("populated record")
             })
             .collect()
