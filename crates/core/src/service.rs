@@ -1,20 +1,17 @@
-//! Service-side campaign identity and result retention.
+//! Service-side campaign identity and lifecycle state.
 //!
 //! The one-shot CLI runs a campaign and exits; a resident campaign
 //! service (`comptest serve`) outlives every run it executes, so it
-//! needs two things the batch path never did: a **stable id** naming
-//! each submitted campaign across its whole lifecycle, and a **result
-//! store** keeping finished verdicts retrievable after the submitting
-//! client is long gone. Both are engine-agnostic plain data, so they
-//! live here next to [`CampaignResult`] rather than in the server crate —
-//! tests and benches can use them without touching sockets.
+//! needs what the batch path never did: a **stable id** naming each
+//! submitted campaign across its whole lifecycle, and a **state** saying
+//! where that campaign is in it. Both are engine-agnostic plain data, so
+//! they live here rather than in the server crate — tests and benches can
+//! use them without touching sockets. The service keeps a finished
+//! campaign's verdict as its rendered wire frame, not as a
+//! [`CampaignResult`](crate::campaign::CampaignResult).
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Mutex;
-
-use crate::campaign::CampaignResult;
 
 /// A stable campaign id, assigned at submission and valid for the
 /// lifetime of the service process: `c-000042`. Ids are dense and
@@ -92,59 +89,6 @@ impl fmt::Display for CampaignState {
     }
 }
 
-/// A finished campaign's retained verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoredOutcome {
-    /// The deterministic result matrix.
-    pub result: CampaignResult,
-    /// Jobs skipped by cancellation (`stop_on_first_fail` or a wire
-    /// cancel).
-    pub cancelled: usize,
-}
-
-/// An in-memory store of finished campaign verdicts, keyed by
-/// [`CampaignId`] — what makes verdicts retrievable after the
-/// submitting client disconnected. Thread-safe; the service keeps one
-/// for its whole lifetime.
-#[derive(Debug, Default)]
-pub struct ResultStore {
-    results: Mutex<BTreeMap<CampaignId, StoredOutcome>>,
-}
-
-impl ResultStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Retains `outcome` under `id`, replacing any previous entry.
-    pub fn insert(&self, id: CampaignId, outcome: StoredOutcome) {
-        self.results
-            .lock()
-            .expect("result store lock")
-            .insert(id, outcome);
-    }
-
-    /// The stored outcome for `id`, if that campaign has finished.
-    pub fn get(&self, id: CampaignId) -> Option<StoredOutcome> {
-        self.results
-            .lock()
-            .expect("result store lock")
-            .get(&id)
-            .cloned()
-    }
-
-    /// Number of stored verdicts.
-    pub fn len(&self) -> usize {
-        self.results.lock().expect("result store lock").len()
-    }
-
-    /// True when no verdict is stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,19 +114,5 @@ mod tests {
         assert!(CampaignState::Cancelled.is_terminal());
         assert!(CampaignState::Failed("boom".into()).is_terminal());
         assert_eq!(CampaignState::Failed("boom".into()).to_string(), "failed");
-    }
-
-    #[test]
-    fn result_store_retains_and_replays() {
-        let store = ResultStore::new();
-        assert!(store.is_empty());
-        assert_eq!(store.get(CampaignId(1)), None);
-        let outcome = StoredOutcome {
-            result: CampaignResult::default(),
-            cancelled: 3,
-        };
-        store.insert(CampaignId(1), outcome.clone());
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.get(CampaignId(1)), Some(outcome));
     }
 }

@@ -634,13 +634,17 @@ impl CacheRuntime {
                     }
                     _ => None,
                 };
-                memo_hits += u64::from(memo.is_some());
                 let memoised = memo.as_ref().and_then(|record| record.footprint.as_ref());
                 let (footprint, clean) = match memoised.filter(|_| !verify) {
-                    Some(memoised) => (
-                        obs.time_phase(Phase::Hash, || footprint_from_memo(memoised, device())),
-                        true,
-                    ),
+                    // A hit is a key taken from the memo: under
+                    // `cache_verify` the memo is only audited.
+                    Some(memoised) => {
+                        memo_hits += 1;
+                        (
+                            obs.time_phase(Phase::Hash, || footprint_from_memo(memoised, device())),
+                            true,
+                        )
+                    }
                     None => {
                         let scripts = scripts(e)?;
                         let (fp, clean) = obs.time_phase(Phase::Hash, || {

@@ -209,6 +209,10 @@
 //! exactly the [`MetricsSnapshot::to_json`] shape documented above —
 //! `{"counters": {"jobs_planned": 10, "jobs_executed": 10, ...}}` — and the
 //! counter glossary and invariants apply per campaign, not per daemon.
+//! When a campaign finishes, its recorder is frozen into that final
+//! snapshot (span buffer and registry released) and its verdict is kept
+//! as the rendered `result` frame, not as a result matrix, so the daemon
+//! does not grow with the traces of every campaign it served.
 //!
 //! # Example
 //!

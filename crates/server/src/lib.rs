@@ -24,10 +24,13 @@
 //!   misses anything.
 //! - **Disconnect survival.** Dropping a connection only drops its
 //!   subscription; the campaign keeps running and `fetch {id}` returns
-//!   the verdict afterwards, from any connection.
+//!   the verdict afterwards, from any connection — the very `result`
+//!   frame its watchers received, which is all a finished campaign keeps
+//!   of its verdict.
 //! - **Per-tenant observability.** `status` lists every campaign's
 //!   lifecycle state; `metrics {id}` returns that campaign's own
-//!   counter/gauge/phase snapshot.
+//!   counter/gauge/phase snapshot, frozen once the campaign finishes (the
+//!   recorder's span buffer is released then).
 //! - **Graceful shutdown.** `shutdown` (or SIGINT/SIGTERM, see
 //!   [`signals`]) stops admissions, cancels queued campaigns, trips
 //!   running ones and drains before exit.
@@ -76,4 +79,4 @@ pub use client::{Client, Fetched};
 pub use protocol::{CampaignSpec, ExecutorChoice, Frame, ResultFrame, StatusRow};
 pub use server::{EventHub, HubMsg, ServeConfig, Server};
 
-pub use comptest_core::service::{CampaignId, CampaignState, ResultStore, StoredOutcome};
+pub use comptest_core::service::{CampaignId, CampaignState};

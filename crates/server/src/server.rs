@@ -13,12 +13,19 @@
 //!
 //! Lifecycle: `submit` enqueues (`Queued`); a scheduler thread launches
 //! up to `max_active` campaigns at once (`Running`, each on its own
-//! runner thread); the runner joins into the [`ResultStore`] (`Done`) or
-//! records the error (`Failed`). A cancel on a queued tenant resolves it
-//! to `Cancelled` without ever launching; on a running tenant it trips
-//! the token and the verdict (with its cancelled-job count) still lands
-//! in the store. Clients are entirely decoupled from this: a dropped
-//! watch connection only drops a hub subscriber, never the campaign.
+//! runner thread); the runner joins and renders the verdict frame
+//! (`Done`) or the error frame (`Failed`). A cancel on a queued tenant
+//! resolves it to `Cancelled` without ever launching; on a running tenant
+//! it trips the token and the verdict still carries its cancelled-job
+//! count. Clients are entirely decoupled from this: a dropped watch
+//! connection only drops a hub subscriber, never the campaign.
+//!
+//! A terminal tenant keeps only what the wire can still ask for: its
+//! hub's history and terminal [`ResultFrame`] (which `fetch` serves too)
+//! and its recorder frozen into a [`MetricsSnapshot`] (which `metrics`
+//! serves). The result matrix, test traces and the recorder's span
+//! buffer are released when the campaign finishes, so a long-lived
+//! daemon does not grow with the traces of every campaign it ran.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
@@ -30,12 +37,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use comptest_core::campaign::CampaignEntry;
-use comptest_core::service::{CampaignId, CampaignState, ResultStore, StoredOutcome};
+use comptest_core::service::{CampaignId, CampaignState};
 use comptest_dut::ecus;
 use comptest_engine::codec::{self, Value};
 use comptest_engine::{
     AsyncExecutor, Campaign, CampaignCache, CampaignOutcome, CancelToken, DirCache, EngineEvent,
-    Recorder, WorkerPool,
+    MetricsSnapshot, Recorder, WorkerPool,
 };
 use comptest_model::TestSuite;
 use comptest_sheets::Workbook;
@@ -143,6 +150,11 @@ impl EventHub {
         }
         inner.done = Some(frame);
     }
+
+    /// The terminal verdict, once the campaign finished.
+    fn verdict(&self) -> Option<ResultFrame> {
+        self.inner.lock().expect("event hub lock").done.clone()
+    }
 }
 
 /// A validated submission, detached from the wire spec: stands are
@@ -165,8 +177,47 @@ struct Tenant {
     /// Present while `Queued`; taken by the scheduler at launch.
     job: Option<Submission>,
     cancel: CancelToken,
-    obs: Recorder,
+    obs: TenantMetrics,
+    /// Holds the terminal frame once `state` is terminal; both are set
+    /// under the service state lock, so they never disagree.
     hub: Arc<EventHub>,
+}
+
+impl Tenant {
+    /// Moves the tenant to terminal `state` with its verdict `frame`:
+    /// the hub gets the frame (subscribers, replay and `fetch` all serve
+    /// it) and the recorder is frozen. Called under the service state
+    /// lock.
+    fn finish(&mut self, state: CampaignState, frame: ResultFrame) {
+        self.state = state;
+        self.job = None;
+        self.obs.freeze();
+        self.hub.finish(frame);
+    }
+}
+
+/// A tenant's metrics: a live recorder while the campaign can still
+/// record, its final snapshot once the campaign is terminal.
+#[derive(Debug)]
+enum TenantMetrics {
+    Live(Recorder),
+    Frozen(MetricsSnapshot),
+}
+
+impl TenantMetrics {
+    fn snapshot(&self) -> MetricsSnapshot {
+        match self {
+            TenantMetrics::Live(obs) => obs.metrics().expect("tenant recorders are enabled"),
+            TenantMetrics::Frozen(snapshot) => snapshot.clone(),
+        }
+    }
+
+    /// Replaces the recorder (registry and span buffer) with its
+    /// snapshot. The runner joined before this, so nothing records into
+    /// it any more.
+    fn freeze(&mut self) {
+        *self = TenantMetrics::Frozen(self.snapshot());
+    }
 }
 
 #[derive(Debug, Default)]
@@ -187,7 +238,6 @@ struct Inner {
     pool: WorkerPool,
     async_exec: AsyncExecutor,
     cache: Option<Arc<DirCache>>,
-    store: ResultStore,
     state: Mutex<ServiceState>,
     sched: Condvar,
     /// Connection frames currently being handled (request dispatched, or
@@ -247,7 +297,6 @@ impl Server {
             suites,
             suite_names,
             cache,
-            store: ResultStore::new(),
             state: Mutex::new(ServiceState {
                 next_id: 1,
                 ..ServiceState::default()
@@ -330,7 +379,7 @@ impl Server {
                 state: CampaignState::Queued,
                 job: Some(job),
                 cancel: CancelToken::new(),
-                obs: Recorder::enabled(),
+                obs: TenantMetrics::Live(Recorder::enabled()),
                 hub: Arc::new(EventHub::new()),
             },
         );
@@ -358,66 +407,55 @@ impl Server {
     }
 
     /// Cancels a campaign. Queued: it resolves to `Cancelled` and never
-    /// launches. Running: its token trips and the drained verdict lands
-    /// in the store as usual. Terminal states ignore the cancel
-    /// (idempotent).
+    /// launches. Running: its token trips and the drained verdict
+    /// carries the cancelled-job count as usual. Terminal states ignore
+    /// the cancel (idempotent).
     ///
     /// # Errors
     ///
     /// Returns a rendered error for an unknown id.
     pub fn cancel(&self, id: CampaignId) -> Result<(), String> {
-        let finish = {
-            let mut st = self.inner.state.lock().expect("service state lock");
-            let tenant = st
-                .tenants
-                .get_mut(&id)
-                .ok_or_else(|| format!("unknown campaign id {id}"))?;
-            let mut finish = None;
-            match tenant.state {
-                CampaignState::Queued => {
-                    tenant.state = CampaignState::Cancelled;
-                    tenant.job = None;
-                    finish = Some(tenant.hub.clone());
-                }
-                CampaignState::Running => tenant.cancel.cancel(),
-                _ => {}
-            }
-            if finish.is_some() {
+        let mut st = self.inner.state.lock().expect("service state lock");
+        let tenant = st
+            .tenants
+            .get_mut(&id)
+            .ok_or_else(|| format!("unknown campaign id {id}"))?;
+        match tenant.state {
+            CampaignState::Queued => {
+                tenant.finish(CampaignState::Cancelled, cancelled_frame(id));
                 st.queue.retain(|queued| *queued != id);
             }
-            self.inner.sched.notify_all();
-            finish
-        };
-        if let Some(hub) = finish {
-            hub.finish(cancelled_frame(id));
+            CampaignState::Running => tenant.cancel.cancel(),
+            _ => {}
         }
+        self.inner.sched.notify_all();
         Ok(())
     }
 
-    /// The verdict for `id` as a wire frame: `result` when terminal,
-    /// `pending` while queued/running, `error` for an unknown id. This
-    /// is what makes verdicts survive client disconnects — any client
-    /// can fetch by id for the rest of the server's life.
+    /// The verdict for `id` as a wire frame: `result` when terminal (the
+    /// very frame its watchers received), `pending` while
+    /// queued/running, `error` for an unknown id. This is what makes
+    /// verdicts survive client disconnects — any client can fetch by id
+    /// for the rest of the server's life.
     pub fn fetch(&self, id: CampaignId) -> Frame {
-        let state = {
+        let (hub, state) = {
             let st = self.inner.state.lock().expect("service state lock");
-            st.tenants.get(&id).map(|tenant| tenant.state.clone())
+            match st.tenants.get(&id) {
+                Some(tenant) => (tenant.hub.clone(), tenant.state.name()),
+                None => {
+                    return Frame::Error {
+                        message: format!("unknown campaign id {id}"),
+                    }
+                }
+            }
         };
-        match state {
-            None => Frame::Error {
-                message: format!("unknown campaign id {id}"),
-            },
-            Some(CampaignState::Done) => match self.inner.store.get(id) {
-                Some(stored) => Frame::Result(done_frame(id, &stored)),
-                None => Frame::Error {
-                    message: format!("campaign {id} finished but stored no verdict"),
-                },
-            },
-            Some(CampaignState::Cancelled) => Frame::Result(cancelled_frame(id)),
-            Some(CampaignState::Failed(error)) => Frame::Result(failed_frame(id, error)),
-            Some(live) => Frame::Pending {
+        // A tenant's frame is set with its terminal state, so a missing
+        // frame means the state read above was live.
+        match hub.verdict() {
+            Some(frame) => Frame::Result(frame),
+            None => Frame::Pending {
                 id,
-                state: live.name().to_owned(),
+                state: state.to_owned(),
             },
         }
     }
@@ -437,23 +475,22 @@ impl Server {
 
     /// One campaign's metrics snapshot (counters, gauges, phase timers,
     /// histograms) as a JSON value — each tenant has its own recorder,
-    /// so the numbers are per-campaign even under concurrency.
+    /// so the numbers are per-campaign even under concurrency. A
+    /// terminal campaign answers with the snapshot its recorder was
+    /// frozen into when it finished.
     ///
     /// # Errors
     ///
     /// Returns a rendered error for an unknown id.
     pub fn metrics(&self, id: CampaignId) -> Result<Value, String> {
-        let obs = {
+        let snapshot = {
             let st = self.inner.state.lock().expect("service state lock");
             st.tenants
                 .get(&id)
                 .ok_or_else(|| format!("unknown campaign id {id}"))?
                 .obs
-                .clone()
+                .snapshot()
         };
-        let snapshot = obs
-            .metrics()
-            .ok_or_else(|| format!("campaign {id} has no enabled recorder"))?;
         codec::parse(&snapshot.to_json()).map_err(|e| e.0)
     }
 
@@ -470,36 +507,27 @@ impl Server {
     /// queued campaign to `Cancelled`, trips every running campaign's
     /// token. Does not wait — pair with [`drain`](Server::drain).
     pub fn begin_shutdown(&self) {
-        let cancelled = {
-            let mut st = self.inner.state.lock().expect("service state lock");
-            st.draining = true;
-            let mut cancelled = Vec::new();
-            while let Some(id) = st.queue.pop_front() {
-                if let Some(tenant) = st.tenants.get_mut(&id) {
-                    if tenant.state == CampaignState::Queued {
-                        tenant.state = CampaignState::Cancelled;
-                        tenant.job = None;
-                        cancelled.push((id, tenant.hub.clone()));
-                    }
+        let mut st = self.inner.state.lock().expect("service state lock");
+        st.draining = true;
+        while let Some(id) = st.queue.pop_front() {
+            if let Some(tenant) = st.tenants.get_mut(&id) {
+                if tenant.state == CampaignState::Queued {
+                    tenant.finish(CampaignState::Cancelled, cancelled_frame(id));
                 }
             }
-            for tenant in st.tenants.values() {
-                if tenant.state == CampaignState::Running {
-                    tenant.cancel.cancel();
-                }
-            }
-            self.inner.sched.notify_all();
-            cancelled
-        };
-        for (id, hub) in cancelled {
-            hub.finish(cancelled_frame(id));
         }
+        for tenant in st.tenants.values() {
+            if tenant.state == CampaignState::Running {
+                tenant.cancel.cancel();
+            }
+        }
+        self.inner.sched.notify_all();
     }
 
     /// Waits for the scheduler and every runner thread to finish. Call
     /// after [`begin_shutdown`](Server::begin_shutdown); in-flight
-    /// campaigns drain cooperatively (their verdicts, with cancelled-job
-    /// counts, still land in the store).
+    /// campaigns drain cooperatively (their verdicts still carry their
+    /// cancelled-job counts).
     pub fn drain(&self) {
         if let Some(handle) = self.scheduler.lock().expect("scheduler handle lock").take() {
             let _ = handle.join();
@@ -633,11 +661,14 @@ fn scheduler_loop(inner: Arc<Inner>) {
                         }
                         tenant.state = CampaignState::Running;
                         let job = tenant.job.take().expect("queued tenant keeps its job");
+                        let TenantMetrics::Live(obs) = &tenant.obs else {
+                            unreachable!("a queued tenant's recorder is live")
+                        };
                         let ctx = (
                             id,
                             job,
                             tenant.cancel.clone(),
-                            tenant.obs.clone(),
+                            obs.clone(),
                             tenant.hub.clone(),
                         );
                         st.active += 1;
@@ -671,30 +702,19 @@ fn run_campaign(
     obs: Recorder,
     hub: Arc<EventHub>,
 ) {
-    let outcome = execute_submission(&inner, id, &job, cancel, obs, &hub);
-    let (state, frame) = match outcome {
-        Ok(outcome) => {
-            let stored = StoredOutcome {
-                result: outcome.result,
-                cancelled: outcome.cancelled,
-            };
-            inner.store.insert(id, stored.clone());
-            (CampaignState::Done, done_frame(id, &stored))
-        }
+    let (state, frame) = match execute_submission(&inner, id, &job, cancel, obs, &hub) {
+        Ok(outcome) => (CampaignState::Done, done_frame(id, &outcome)),
         Err(message) => (
             CampaignState::Failed(message.clone()),
             failed_frame(id, message),
         ),
     };
-    {
-        let mut st = inner.state.lock().expect("service state lock");
-        if let Some(tenant) = st.tenants.get_mut(&id) {
-            tenant.state = state;
-        }
-        st.active -= 1;
-        inner.sched.notify_all();
+    let mut st = inner.state.lock().expect("service state lock");
+    if let Some(tenant) = st.tenants.get_mut(&id) {
+        tenant.finish(state, frame);
     }
-    hub.finish(frame);
+    st.active -= 1;
+    inner.sched.notify_all();
 }
 
 fn execute_submission(
@@ -743,15 +763,15 @@ fn execute_submission(
     handle.join().map_err(|e| e.to_string())
 }
 
-fn done_frame(id: CampaignId, stored: &StoredOutcome) -> ResultFrame {
-    let (passed, failed, errored, not_runnable) = stored.result.totals();
+fn done_frame(id: CampaignId, outcome: &CampaignOutcome) -> ResultFrame {
+    let (passed, failed, errored, not_runnable) = outcome.result.totals();
     ResultFrame {
         id,
         state: CampaignState::Done.name().to_owned(),
         error: None,
-        cancelled: stored.cancelled as u64,
-        all_green: stored.result.all_green(),
-        report: stored.result.to_string(),
+        cancelled: outcome.cancelled as u64,
+        all_green: outcome.result.all_green(),
+        report: outcome.result.to_string(),
         passed: passed as u64,
         failed: failed as u64,
         errored: errored as u64,
@@ -962,6 +982,100 @@ mod tests {
             held <= 4,
             "{held} runner handles held after {CAMPAIGNS} sequential campaigns"
         );
+        server.shutdown();
+    }
+
+    /// A finished tenant keeps its verdict frame and a frozen metrics
+    /// snapshot, not its result matrix or recorder: `fetch` answers with
+    /// the very frame the campaign streamed, `metrics` with a snapshot
+    /// that no longer moves, for every terminal state.
+    #[test]
+    fn finished_tenants_keep_their_verdict_frame() {
+        let assets = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../assets");
+        let server = Server::new(ServeConfig {
+            workers: 1,
+            max_active: 1,
+            ..ServeConfig::new(assets.clone())
+        })
+        .unwrap();
+        let stand = |name: &str| assets.join(name).display().to_string();
+        let spec = CampaignSpec {
+            stands: vec![stand("stand_b.stand")],
+            suites: vec!["interior_light".into()],
+            cache: false,
+            ..CampaignSpec::default()
+        };
+        // The first campaign runs the whole bundled matrix, so a
+        // submission made while it runs is still queued when cancelled.
+        let wide = CampaignSpec {
+            stands: vec![stand("stand_a.stand"), stand("stand_b.stand")],
+            suites: Vec::new(),
+            ..spec.clone()
+        };
+        let done = |rx: Receiver<HubMsg>| match rx.into_iter().last() {
+            Some(HubMsg::Done(frame)) => frame,
+            other => panic!("no terminal frame, got {other:?}"),
+        };
+        const CAMPAIGNS: usize = 24;
+        let mut streamed: Vec<(CampaignId, ResultFrame)> = Vec::new();
+        for i in 0..CAMPAIGNS {
+            let id = server.submit(if i == 0 { &wide } else { &spec }).unwrap();
+            let live = server.subscribe(id).unwrap();
+            if i == 0 {
+                let queued = server.submit(&spec).unwrap();
+                server.cancel(queued).unwrap();
+                streamed.push((queued, done(server.subscribe(queued).unwrap())));
+            }
+            streamed.push((id, done(live)));
+        }
+        assert_eq!(streamed[0].1.state, "cancelled", "cancelled while queued");
+        assert!(streamed[1..].iter().all(|(_, frame)| frame.state == "done"));
+
+        let counter = |metrics: &Value, name: &str| {
+            metrics
+                .field("counters")
+                .unwrap()
+                .as_object()
+                .unwrap()
+                .get(name)
+                .map_or(0, |n| n.as_u64().unwrap())
+        };
+        for (id, frame) in &streamed {
+            assert_eq!(
+                server.fetch(*id).encode(),
+                Frame::Result(frame.clone()).encode(),
+                "{id}: fetch must serve the streamed frame"
+            );
+            let metrics = server.metrics(*id).unwrap();
+            assert_eq!(server.metrics(*id).unwrap(), metrics, "{id}");
+            assert_eq!(
+                counter(&metrics, "jobs_planned") > 0,
+                frame.state == "done",
+                "{id}: a launched campaign's snapshot counts its jobs"
+            );
+            assert_eq!(
+                counter(&metrics, "jobs_executed")
+                    + counter(&metrics, "jobs_cached")
+                    + counter(&metrics, "jobs_cancelled"),
+                counter(&metrics, "jobs_planned"),
+                "{id}"
+            );
+            assert_eq!(
+                counter(&metrics, "spans_opened"),
+                counter(&metrics, "spans_closed"),
+                "{id}"
+            );
+        }
+        let st = server.inner.state.lock().unwrap();
+        assert_eq!(st.tenants.len(), CAMPAIGNS + 1);
+        for (id, tenant) in &st.tenants {
+            assert!(tenant.state.is_terminal(), "{id}");
+            assert!(
+                matches!(tenant.obs, TenantMetrics::Frozen(_)),
+                "{id} still holds a live recorder"
+            );
+        }
+        drop(st);
         server.shutdown();
     }
 }

@@ -14,7 +14,8 @@
 //! * a corrupt alias warns, counts, re-plans and heals, and a record
 //!   rotten in place (its alias with it) warns once for its cell;
 //! * cells that cannot be generated or planned get no alias;
-//! * `cache_verify` audits the memo against fresh plans.
+//! * `cache_verify` audits the memo against fresh plans, and a memo it
+//!   audits counts as a miss, not a hit.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -570,5 +571,37 @@ fn cache_verify_audits_the_memo_and_re_aliases_it() {
         assert_eq!(warm.unwrap().result, reference, "{backend}");
         assert_eq!(metrics.counter("plan_memo_hits"), entries.len() as u64);
         assert_eq!(metrics.counter("jobs_cached"), entries.len() as u64);
+    }
+}
+
+#[test]
+fn a_warm_cache_verify_launch_counts_no_memo_hits() {
+    let scratch = TempDir::new("verify-hits");
+    let suites = comptest::load_bundled_suites().unwrap();
+    let entries = comptest::bundled_entries(&suites);
+    let stand = load_stand("stand_b");
+    let stands = [&stand];
+    let cells = entries.len();
+    for (backend, cache) in backends(&scratch) {
+        let _ = Campaign::new(&entries, &stands)
+            .cache(Arc::clone(&cache))
+            .run(&SerialExecutor)
+            .unwrap();
+        // Every memo is warm and sound, yet the audit generates and
+        // plans every cell: none of its keys came from a memo.
+        let (audit, _, metrics) = observed(
+            Campaign::new(&entries, &stands)
+                .cache(Arc::clone(&cache))
+                .cache_verify(true),
+        );
+        assert!(audit.is_ok(), "{backend}: {audit:?}");
+        assert_eq!(metrics.counter("plan_memo_hits"), 0, "{backend}");
+        assert_eq!(
+            metrics.counter("plan_memo_misses"),
+            cells as u64,
+            "{backend}"
+        );
+        assert!(phase_calls(&metrics, "codegen") > 0, "{backend}");
+        assert!(phase_calls(&metrics, "plan") > 0, "{backend}");
     }
 }
