@@ -11,6 +11,7 @@
 //! curve is a scheduler regression, visible even on one core.
 
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use comptest::core::campaign::CampaignEntry;
 use comptest::prelude::*;
@@ -147,8 +148,7 @@ fn linearity(_c: &mut Criterion) {
             .collect();
         let campaign = Campaign::new(&entries, &stands).granularity(Granularity::Test);
         let executor = PooledExecutor::new(4);
-        let median =
-            comptest_bench::summary::time_median(5, || black_box(campaign.run(&executor).unwrap()));
+        let median = time_median(5, || black_box(campaign.run(&executor).unwrap()));
         median.as_secs_f64() / n as f64
     };
     let small = per_cell(SMALL);
@@ -164,6 +164,19 @@ fn linearity(_c: &mut Criterion) {
         "per-cell cost must scale linearly: {ratio:.2}× outside the 0.2–5.0 band \
          ({small:.6}s @{SMALL} cells vs {large:.6}s @{LARGE} cells)"
     );
+}
+
+/// Runs `f` `iters` times and returns the median wall-clock duration.
+fn time_median<T>(iters: usize, mut f: impl FnMut() -> T) -> Duration {
+    let mut samples: Vec<Duration> = (0..iters)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(f());
+            start.elapsed()
+        })
+        .collect();
+    samples.sort();
+    samples[samples.len() / 2]
 }
 
 criterion_group!(benches, cell_count_scaling, pool_reuse, linearity);

@@ -5,7 +5,7 @@
 //! cargo run -p comptest-bench --bin repro -- t1   # one experiment
 //! ```
 //!
-//! Experiments (DESIGN.md §4): `t1` test sheet, `t2` status table,
+//! Experiments: `t1` test sheet, `t2` status table,
 //! `t3` resource table, `t4` connection matrix / allocation, `f1` test
 //! circuit execution trace, `l1` XML listing, `s5` campaign + portability +
 //! fault coverage.

@@ -1,8 +1,8 @@
 //! Shared fixtures for the benchmarks and the `repro` harness.
 //!
-//! Every experiment of DESIGN.md §4 loads its inputs through this crate so
-//! the criterion benches and the table-printing harness measure exactly the
-//! same artifacts.
+//! The criterion benches and the table-printing harness load their inputs
+//! through this crate, so both measure exactly the same artifacts. Gated
+//! performance numbers come from the separate `perfbench` workspace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -216,138 +216,9 @@ pub fn fault_set(ecu: &str) -> Vec<FaultKind> {
     }
 }
 
-pub mod summary {
-    //! Machine-readable bench summaries.
-    //!
-    //! Criterion's console output is for humans; CI and the repro harness
-    //! want one flat file per experiment they can diff without scraping.
-    //! The `s8_cache` and `s11_invalidate` benches measure their arms with
-    //! [`time_median`] and write `BENCH_<name>.json` at the workspace root
-    //! (the workspace carries no JSON dependency, so the writer is
-    //! hand-rolled — flat objects of numbers only).
-
-    use std::fmt::Write as _;
-    use std::path::PathBuf;
-    use std::time::{Duration, Instant};
-
-    /// Runs `f` `iters` times and returns the median wall-clock duration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `iters` is zero.
-    pub fn time_median<T>(iters: usize, mut f: impl FnMut() -> T) -> Duration {
-        assert!(iters > 0, "time_median needs at least one iteration");
-        let mut samples: Vec<Duration> = (0..iters)
-            .map(|_| {
-                let start = Instant::now();
-                std::hint::black_box(f());
-                start.elapsed()
-            })
-            .collect();
-        samples.sort();
-        samples[samples.len() / 2]
-    }
-
-    /// Per-arm medians (plus free-form numeric notes) for one bench.
-    #[derive(Debug, Clone)]
-    pub struct BenchSummary {
-        bench: String,
-        tests: usize,
-        arms: Vec<(String, Duration)>,
-        notes: Vec<(String, f64)>,
-    }
-
-    impl BenchSummary {
-        /// Starts a summary for bench `bench` over `tests` tests.
-        pub fn new(bench: &str, tests: usize) -> Self {
-            Self {
-                bench: bench.to_owned(),
-                tests,
-                arms: Vec::new(),
-                notes: Vec::new(),
-            }
-        }
-
-        /// Records one arm's median.
-        pub fn record(&mut self, arm: &str, median: Duration) {
-            self.arms.push((arm.to_owned(), median));
-        }
-
-        /// Records a free-form numeric fact (cell counts, speedups, …).
-        pub fn note(&mut self, key: &str, value: f64) {
-            self.notes.push((key.to_owned(), value));
-        }
-
-        /// A recorded arm's median in milliseconds.
-        pub fn median_ms(&self, arm: &str) -> Option<f64> {
-            self.arms
-                .iter()
-                .find(|(a, _)| a == arm)
-                .map(|(_, d)| d.as_secs_f64() * 1e3)
-        }
-
-        /// The flat JSON object:
-        /// `{"bench":"s8","tests":10000,"medians_ms":{…},"notes":{…}}`.
-        pub fn to_json(&self) -> String {
-            let mut out = format!(
-                "{{\"bench\":\"{}\",\"tests\":{},\"medians_ms\":{{",
-                self.bench, self.tests
-            );
-            for (i, (arm, median)) in self.arms.iter().enumerate() {
-                let sep = if i == 0 { "" } else { "," };
-                let ms = median.as_secs_f64() * 1e3;
-                let _ = write!(out, "{sep}\"{arm}\":{ms:.3}");
-            }
-            out.push_str("},\"notes\":{");
-            for (i, (key, value)) in self.notes.iter().enumerate() {
-                let sep = if i == 0 { "" } else { "," };
-                let _ = write!(out, "{sep}\"{key}\":{value}");
-            }
-            out.push_str("}}\n");
-            out
-        }
-
-        /// Writes `BENCH_<bench>.json` at the workspace root and returns
-        /// the path.
-        ///
-        /// # Errors
-        ///
-        /// Propagates the filesystem error when the root is not writable.
-        pub fn write_at_workspace_root(&self) -> std::io::Result<PathBuf> {
-            let root = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-            let path = root.join(format!("BENCH_{}.json", self.bench));
-            std::fs::write(&path, self.to_json())?;
-            Ok(path)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_json_is_flat_and_stable() {
-        use std::time::Duration;
-        let mut s = summary::BenchSummary::new("s8", 10_000);
-        s.record("cold", Duration::from_millis(1500));
-        s.record("warm_memory", Duration::from_micros(250));
-        s.note("speedup", 6.0);
-        assert_eq!(
-            s.to_json(),
-            "{\"bench\":\"s8\",\"tests\":10000,\"medians_ms\":{\"cold\":1500.000,\
-             \"warm_memory\":0.250},\"notes\":{\"speedup\":6}}\n"
-        );
-        assert_eq!(s.median_ms("cold"), Some(1500.0));
-        assert_eq!(s.median_ms("absent"), None);
-    }
-
-    #[test]
-    fn time_median_measures_something() {
-        use std::time::Duration;
-        let d = summary::time_median(3, || std::thread::sleep(Duration::from_millis(1)));
-        assert!(d >= Duration::from_millis(1));
-    }
 
     #[test]
     fn fixtures_load() {

@@ -3,7 +3,7 @@
 //! [`Client`] wraps one TCP connection with typed request/reply helpers
 //! over the [`protocol`](crate::protocol) frames. It is deliberately
 //! synchronous — the CLI subcommands, the conformance tests and the
-//! `s10_serve` load generator all drive it from plain threads.
+//! `serve_open` benchmark workload all drive it from plain threads.
 //!
 //! Errors are rendered `String`s throughout: transport failures and
 //! server-side `error` frames arrive through the same channel, so call

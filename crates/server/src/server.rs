@@ -254,7 +254,7 @@ struct Inner {
 /// [`Server::new`], serve sockets with [`Server::run`] or drive it
 /// in-process through [`submit`](Server::submit) /
 /// [`subscribe`](Server::subscribe) / [`fetch`](Server::fetch) — the
-/// conformance tests and the `s10_serve` bench do both.
+/// conformance tests do both.
 #[derive(Debug, Clone)]
 pub struct Server {
     inner: Arc<Inner>,

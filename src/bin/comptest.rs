@@ -10,7 +10,7 @@
 //!                   [--granularity cell|test]
 //!                   [--sample end-of-step|continuous:<interval_s>]
 //!                   [--stop-on-first-fail] [--junit out.xml]
-//!                   [--cache <dir>|memory|off] [--cache-verify]
+//!                   [--cache <dir>|off] [--cache-verify]
 //!                   [--cache-salt <salt>]
 //!                   [--trace-out trace.json] [--metrics]
 //!                   [--metrics-out metrics.json]
@@ -63,7 +63,7 @@
 //!
 //! `--cache <dir>` keys every suite×stand×DUT cell by stable structural
 //! hashes and skips byte-identical re-executions across campaign runs
-//! (`memory` caches within this process only; `off` is the default). The
+//! (`off` is the default). The
 //! summary reports how many results came from the cache, and the exit
 //! code is identical to a cold run — a cached failure still fails the
 //! campaign. `--cache-verify` is the audit mode: cached cells re-execute
@@ -400,9 +400,6 @@ enum CacheMode {
     /// No caching (the default).
     #[default]
     Off,
-    /// In-process cache: useless across CLI invocations, but keeps the
-    /// flag surface symmetric with the library API.
-    Memory,
     /// On-disk cache directory shared across runs.
     Dir(String),
 }
@@ -410,21 +407,18 @@ enum CacheMode {
 impl std::str::FromStr for CacheMode {
     type Err = String;
 
-    /// `off`, `memory`, or a directory path. To keep a typo like
+    /// `off` or a directory path. To keep a typo like
     /// `--cache of` from silently becoming a cache directory, a bare word
     /// without any path separator or dot is rejected — spell a relative
     /// directory `./name`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "off" => return Ok(CacheMode::Off),
-            "memory" => return Ok(CacheMode::Memory),
-            _ => {}
-        }
-        if s.contains(['/', '\\', '.']) {
+        if s.eq_ignore_ascii_case("off") {
+            Ok(CacheMode::Off)
+        } else if s.contains(['/', '\\', '.']) {
             Ok(CacheMode::Dir(s.to_owned()))
         } else {
             Err(format!(
-                "unknown cache mode {s:?}: expected off, memory, or a directory path \
+                "unknown cache mode {s:?}: expected off or a directory path \
                  (spell a relative directory {:?})",
                 format!("./{s}")
             ))
@@ -512,7 +506,7 @@ fn cmd_campaign(args: &[&str]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             "--stop-on-first-fail" => stop_on_first_fail = true,
             "--junit" => junit = Some(need(it.next().copied(), "--junit path")?),
             "--cache" => {
-                let c = need(it.next().copied(), "--cache (<dir>|memory|off)")?;
+                let c = need(it.next().copied(), "--cache (<dir>|off)")?;
                 cache_mode = c.parse()?;
             }
             "--cache-verify" => cache_verify = true,
@@ -563,18 +557,11 @@ fn cmd_campaign(args: &[&str]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     if remote_workers.is_some() && executor_kind != ExecutorKind::Remote {
         return Err("--remote-workers only applies to --executor remote".into());
     }
-    // A memory cache is born empty in every CLI invocation, so there is
-    // nothing to audit — the run would trivially "pass" verification and
-    // hand out false confidence.
-    if cache_verify && matches!(cache_mode, CacheMode::Off | CacheMode::Memory) {
-        return Err(
-            "--cache-verify needs a persistent cache to audit (pass --cache <dir>; \
-             a memory cache starts empty every invocation)"
-                .into(),
-        );
+    if cache_verify && cache_mode == CacheMode::Off {
+        return Err("--cache-verify needs a persistent cache to audit (pass --cache <dir>)".into());
     }
     if cache_salt.is_some() && cache_mode == CacheMode::Off {
-        return Err("--cache-salt needs a cache to salt (pass --cache <dir> or memory)".into());
+        return Err("--cache-salt needs a cache to salt (pass --cache <dir>)".into());
     }
     let workers = workers.unwrap_or(1);
     let concurrency = concurrency.unwrap_or(1024);
@@ -614,9 +601,6 @@ fn cmd_campaign(args: &[&str]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         .recorder(obs.clone());
     campaign = match &cache_mode {
         CacheMode::Off => campaign,
-        CacheMode::Memory => {
-            campaign.cache(std::sync::Arc::new(comptest::engine::MemoryCache::new()))
-        }
         CacheMode::Dir(dir) => {
             campaign.cache(std::sync::Arc::new(comptest::engine::DirCache::open(dir)?))
         }

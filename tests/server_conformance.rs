@@ -332,29 +332,45 @@ fn campaign_survives_client_disconnect_and_is_fetchable_by_id() {
 // Cancel over the wire
 // ---------------------------------------------------------------------------
 
+/// Test-granularity jobs in the running campaign of the cancel test: one
+/// job per bundled test per cloned stand. Its one worker must still have
+/// jobs left when the cancel lands, four round trips after submission; a
+/// release build on two shared vCPUs had run at most ~190 of them by then.
+const CANCEL_CAMPAIGN_JOBS: usize = 3_000;
+
 #[test]
 fn wire_cancel_hits_queued_and_running_campaigns() {
-    // max_active = 1 serialises campaigns, so the second submission is
-    // deterministically still queued when the cancel arrives.
     let scratch = TempDir::new("cancel");
-    // A wide stand axis makes the running campaign long (hundreds of
-    // jobs on one worker), so the mid-run cancel lands with plenty of
-    // jobs still pending.
-    let paths = cloned_stand_paths(&scratch, 24);
+    let tests_per_stand: usize = comptest::load_bundled_suites()
+        .expect("bundled suites")
+        .iter()
+        .map(|suite| suite.tests.len())
+        .sum();
+    let paths = cloned_stand_paths(&scratch, CANCEL_CAMPAIGN_JOBS.div_ceil(tests_per_stand));
+    // max_active = 1 serialises campaigns in submission order, so the
+    // second submission is queued behind the first.
     let mut cfg = ServeConfig::new(comptest::assets_dir());
     cfg.workers = 1;
     cfg.max_active = 1;
     let ts = TestServer::start(cfg);
 
-    let mut client = ts.client();
-    let running = client
-        .submit(&spec_for(&paths, Granularity::Test, false))
+    // The running campaign streams on its own connection from submission
+    // on, so the events it yields are live, not replayed history.
+    let mut watcher = ts.client();
+    let mut watch_spec = spec_for(&paths, Granularity::Test, false);
+    watch_spec.watch = true;
+    watcher
+        .send(&Frame::Submit(watch_spec))
         .expect("submit running");
+    let Frame::Submitted { id: running } = watcher.recv().expect("submitted") else {
+        panic!("expected submitted frame");
+    };
+
+    // Queued cancel: resolves terminal without ever launching.
+    let mut client = ts.client();
     let queued = client
         .submit(&spec_for(&paths, Granularity::Test, false))
         .expect("submit queued");
-
-    // Queued cancel: resolves terminal without ever launching.
     client.cancel(queued).expect("cancel queued");
     let Fetched::Ready(verdict) = client.fetch(queued).expect("fetch cancelled") else {
         panic!("cancelled campaign must be terminal immediately");
@@ -362,11 +378,9 @@ fn wire_cancel_hits_queued_and_running_campaigns() {
     assert_eq!(verdict.state, "cancelled");
     assert!(verdict.report.is_empty(), "never launched, no report");
 
-    // Running cancel: wait until the campaign demonstrably streams, then
-    // trip it; the drained verdict keeps the deterministic finished
-    // prefix and accounts for the skipped jobs.
-    let mut watcher = ts.client();
-    watcher.send(&Frame::Watch { id: running }).expect("watch");
+    // Running cancel: trip it on its first streamed event; the drained
+    // verdict keeps the deterministic finished prefix and accounts for
+    // the skipped jobs.
     assert!(
         matches!(watcher.recv().expect("first event"), Frame::Event { .. }),
         "campaign should be streaming before the cancel"
