@@ -62,8 +62,9 @@ fn fault_campaign(c: &mut Criterion) {
 /// timed closure, matching the per-call thread start-up the PR-1 engine
 /// paid (the s6 `pool_reuse` bench isolates that cost).
 ///
-/// Cells run under continuous sampling (DESIGN.md §7's monitoring mode,
-/// ~100× the samples of end-of-step checking) — the soak regime where a
+/// Cells run under continuous sampling (the monitoring mode of the
+/// `comptest_core::exec` module docs, ~100× the samples of end-of-step
+/// checking) — the soak regime where a
 /// campaign actually hurts and sharding pays. End-of-step cells finish in
 /// ~100 µs each, which a thread pool cannot amortise.
 ///

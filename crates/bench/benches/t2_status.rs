@@ -38,7 +38,8 @@ fn expression_ablation(c: &mut Criterion) {
         b.iter(|| black_box(&compiled).eval(&env).unwrap())
     });
 
-    // Re-parse per evaluation: the naive alternative DESIGN.md §7 rejects.
+    // Re-parse per evaluation: the naive alternative to the interpreter's
+    // parse-once path above.
     c.bench_function("t2/expr_reparse_eval", |b| {
         b.iter(|| Expr::parse(black_box(source)).unwrap().eval(&env).unwrap())
     });

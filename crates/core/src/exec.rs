@@ -1,12 +1,19 @@
 //! Executing a planned script against a simulated DUT.
 //!
-//! Timing semantics (DESIGN.md): all stimuli of a step are applied atomically
-//! at step start; the DUT then advances event-driven to step end; checks are
-//! sampled **at step end** ([`SampleMode::EndOfStep`], the default).
-//! [`SampleMode::Continuous`] additionally samples the whole step window —
-//! the stricter ablation discussed in DESIGN.md §7 (it catches glitch/delay
-//! faults that a single end-of-step sample misses, but rejects steps that
-//! legitimately contain a transition, like the paper's step 8).
+//! # Timing semantics
+//!
+//! All stimuli of a step are applied atomically at step start; the DUT then
+//! advances event-driven to step end; checks are sampled **at step end**
+//! ([`SampleMode::EndOfStep`], the default). This is the paper's reading of
+//! a test sheet row: the row sets inputs, and its expected outputs describe
+//! the state the DUT has settled into by the end of the step.
+//!
+//! [`SampleMode::Continuous`] additionally samples the whole step window, a
+//! stricter ablation with a trade-off. It catches glitch and delay faults
+//! that a single end-of-step sample misses, so it suits soak runs. But it
+//! rejects steps that legitimately contain a transition, like the paper's
+//! step 8 (the light goes out mid-step at its 300 s timeout), so it is
+//! sound only for tests whose expected outputs hold for the whole step.
 //!
 //! Execution itself is a resumable state machine: [`TestRun`] advances one
 //! planned step per [`TestRun::step`] call, which lets an event-loop

@@ -499,11 +499,6 @@ impl Footprint {
             exec_hash,
         }
     }
-
-    /// Whether the footprint names this ECU (behaviour name).
-    pub fn touches_ecu(&self, name: &str) -> bool {
-        self.ecus.iter().any(|e| e == name)
-    }
 }
 
 fn write_time(h: &mut StableHasher, t: SimTime) {

@@ -82,7 +82,8 @@ pub use trace::{Trace, TraceEvent};
 pub use verdict::{CheckResult, Measured, StepResult, SuiteResult, TestResult, Verdict};
 
 /// The paper's stand A description (Section 4's resource and matrix tables,
-/// with the normalisations documented in DESIGN.md). Also available on disk
+/// with the normalisations listed in the [`comptest_model::status`] module
+/// docs). Also available on disk
 /// as `assets/stand_a.stand`; embedded here so doctests and benches need no
 /// file I/O.
 pub const PAPER_STAND_A: &str = "\

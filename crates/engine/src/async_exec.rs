@@ -245,7 +245,7 @@ fn drive_shard(
         // cancelled, keeping parity with the blocking executors' jobs,
         // which either finish or never start.
         if ctx.cancel.is_cancelled() {
-            entry.payload.job.abandon(ctx, results);
+            entry.payload.job.abandon(ctx, results, JobMsg::Cancelled);
             continue;
         }
         let mut active = entry.payload;

@@ -428,8 +428,8 @@ fn outcome_status(outcome: &TestJobOutcome) -> (String, bool) {
 /// One admitted job while its tests run: the events, spans, gauges and
 /// counters of a job, kept identical on every executor. The blocking
 /// executors drive it in one loop ([`execute`]), the async executor one
-/// step at a time, and the remote executor replays a worker's results
-/// through it.
+/// step at a time, and the remote executor starts it when it ships the
+/// job and ends it when the worker's outcomes come back.
 pub(crate) struct JobRun {
     job: usize,
     cell: usize,
@@ -597,15 +597,22 @@ impl JobRun {
         let _ = results.send(JobMsg::Done(self.job, self.outcomes));
     }
 
-    /// Abandons the job at a step boundary (the async executor's
-    /// cancellation): open spans close as cancelled, finished tests are
-    /// discarded, and the join counts the job cancelled.
-    pub(crate) fn abandon(self, ctx: &JobCtx, results: &Sender<JobMsg>) {
+    /// Abandons the job unfinished: open spans close, finished tests are
+    /// discarded, and `msg` tells the join why. The async executor sends
+    /// [`JobMsg::Cancelled`] when it cancels a job at a step boundary (the
+    /// join counts it cancelled); the remote executor sends
+    /// [`JobMsg::Lost`] for a job whose retries ran out. Either way the
+    /// job's started event has no finished event.
+    pub(crate) fn abandon(self, ctx: &JobCtx, results: &Sender<JobMsg>, msg: JobMsg) {
+        let status = match msg {
+            JobMsg::Lost(_) => "lost",
+            _ => "cancelled",
+        };
         for span in [self.test_span, self.span].into_iter().flatten() {
-            ctx.obs.span_end(span, || Some("cancelled".into()));
+            ctx.obs.span_end(span, || Some(status.into()));
         }
         ctx.obs.gauge_add(Gauge::InflightJobs, -1);
-        let _ = results.send(JobMsg::Cancelled);
+        let _ = results.send(msg);
     }
 }
 

@@ -151,15 +151,17 @@
 //! [`RemoteExecutor`] (CLI `--executor remote --remote-workers N`) runs
 //! jobs in spawned **worker processes** (`comptest worker`) instead of
 //! threads. The parent keeps everything stateful — planning, cache
-//! admission (only misses ship), event ordering, result merging — and
-//! sends each cache-missing job to a worker as a few length-prefixed
-//! binary frames: stand and script text interned once per worker, then
-//! one run request per job carrying the device *recipe*
+//! admission (only misses ship), events, result merging — and sends each
+//! cache-missing job to a worker as a few length-prefixed binary frames:
+//! stand and script text interned once per worker, then one run request
+//! per job carrying the device *recipe*
 //! ([`DeviceSpec`](comptest_dut::DeviceSpec)). Workers execute through
-//! the same planning/execution path as every local executor and stream
-//! progress events plus one result record (the cache's binary codec) back,
-//! so merged results stay byte-identical to serial at both granularities
-//! and under every cache mode.
+//! the same planning/execution path as every local executor and send back
+//! only one result record per job (the cache's binary codec), so merged
+//! results stay byte-identical to serial at both granularities and under
+//! every cache mode. The parent emits each remote job's events exactly
+//! once: the started event when it ships the job, the finished event when
+//! the record arrives, however many times a worker death made it re-ship.
 //!
 //! Failure handling is part of the contract: a worker death
 //! ([`EngineEvent::WorkerLost`]) retries the in-flight job on another

@@ -19,7 +19,6 @@
 //! an unbounded allocation.
 
 use std::io::{self, Read, Write};
-use std::time::Duration;
 
 use comptest_core::exec::{ExecOptions, SampleMode};
 use comptest_dut::DeviceSpec;
@@ -28,7 +27,6 @@ use comptest_model::{CanFrameId, SimTime};
 
 use crate::cache::binary::{put_f64, put_str, put_varint, DecodeError, Reader};
 use crate::campaign::Granularity;
-use crate::events::EngineEvent;
 
 /// Protocol magic carried by the `Hello` handshake frame.
 pub(crate) const MAGIC: [u8; 3] = *b"CWP";
@@ -36,7 +34,7 @@ pub(crate) const MAGIC: [u8; 3] = *b"CWP";
 /// Protocol version; bumped on any wire-layout change. A worker that sees
 /// a different version refuses the handshake with an `Error` frame, so a
 /// mixed-version parent/worker pair fails loudly instead of corrupting.
-pub(crate) const VERSION: u8 = 2;
+pub(crate) const VERSION: u8 = 3;
 
 /// Upper bound on one frame's payload, validated before allocating. Real
 /// frames are a few KiB (a stand text, a script XML, a result record); a
@@ -175,16 +173,17 @@ fn read_spec(r: &mut Reader<'_>) -> Result<DeviceSpec, FrameError> {
 
 /// One job for a worker: the scripts in suite order, each run against its
 /// own fresh device realized from `spec`, stopping after the first
-/// planning error.
+/// planning error. The worker rebuilds a real packaged job from it for the
+/// shared job runner, so it carries the job's identity fields too.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RunRequest {
     /// Job index, echoed back in `Done`.
     pub(crate) job: usize,
-    /// Deterministic cell index (event payloads).
+    /// Deterministic cell index.
     pub(crate) cell: usize,
-    /// Suite index of the job's first test (event payloads).
+    /// Suite index of the job's first test.
     pub(crate) first: usize,
-    /// Suite name (event payloads).
+    /// Suite name.
     pub(crate) suite: String,
     /// Interned script ids in suite order.
     pub(crate) scripts: Vec<u64>,
@@ -202,8 +201,8 @@ pub(crate) enum ToWorker {
     Hello {
         /// The campaign's execution options, applied to every job.
         exec: ExecOptions,
-        /// The campaign's granularity: decides which progress events the
-        /// worker streams (per cell or per test).
+        /// The campaign's granularity, so the worker's job context
+        /// matches the parent's.
         granularity: Granularity,
     },
     /// Interns one test stand under `id`; later `Run` frames reference it
@@ -373,7 +372,9 @@ impl ToWorker {
 // Worker → parent frames
 // ---------------------------------------------------------------------------
 
-/// Frames a worker child sends to the parent over its stdout.
+/// Frames a worker child sends to the parent over its stdout. A worker
+/// reports no events: the parent emits every event of a remote job
+/// itself, when it ships the job and when its `Done` frame arrives.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum FromWorker {
     /// Handshake acknowledgement (version echoed for diagnostics).
@@ -381,9 +382,6 @@ pub(crate) enum FromWorker {
         /// The worker's protocol version.
         version: u8,
     },
-    /// A live progress event from the job currently executing; the parent
-    /// forwards it verbatim into the campaign's event stream.
-    Event(EngineEvent),
     /// Outcome of a `Run` frame: the job's per-test outcomes (possibly a
     /// prefix ending in a planning error, exactly like local execution)
     /// as an encoded cache record (`cache::binary` layout, so the result
@@ -403,20 +401,16 @@ pub(crate) enum FromWorker {
     },
 }
 
-/// Event tags the protocol can carry — the per-job progress variants. The
-/// worker never emits the others (`CellCached` needs a cache, worker
-/// events come from the parent).
+/// Tag 1 carried the version 2 event stream and is retired. `Error` keeps
+/// tag 3 across versions, so a parent still decodes the refusal of a
+/// worker that speaks another version and can print its message.
 impl FromWorker {
-    pub(crate) fn encode(&self) -> Result<Vec<u8>, FrameError> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         match self {
             FromWorker::Ready { version } => {
                 out.push(0);
                 out.push(*version);
-            }
-            FromWorker::Event(event) => {
-                out.push(1);
-                put_event(&mut out, event)?;
             }
             FromWorker::Done { job, record } => {
                 out.push(2);
@@ -428,14 +422,13 @@ impl FromWorker {
                 put_str(&mut out, message);
             }
         }
-        Ok(out)
+        out
     }
 
     pub(crate) fn decode(bytes: &[u8]) -> Result<Self, FrameError> {
         let mut r = Reader::new(bytes);
         let frame = match r.u8()? {
             0 => FromWorker::Ready { version: r.u8()? },
-            1 => FromWorker::Event(read_event(&mut r)?),
             2 => FromWorker::Done {
                 job: read_usize(&mut r)?,
                 record: r.bytes()?.to_vec(),
@@ -448,107 +441,6 @@ impl FromWorker {
         r.done()?;
         Ok(frame)
     }
-}
-
-fn put_event(out: &mut Vec<u8>, event: &EngineEvent) -> Result<(), FrameError> {
-    match event {
-        EngineEvent::JobStarted { cell, suite, stand } => {
-            out.push(0);
-            put_varint(out, *cell as u64);
-            put_str(out, suite);
-            put_str(out, stand);
-        }
-        EngineEvent::JobFinished {
-            cell,
-            suite,
-            stand,
-            status,
-            failed,
-        } => {
-            out.push(1);
-            put_varint(out, *cell as u64);
-            put_str(out, suite);
-            put_str(out, stand);
-            put_str(out, status);
-            put_bool(out, *failed);
-        }
-        EngineEvent::TestStarted {
-            cell,
-            test,
-            suite,
-            stand,
-            name,
-        } => {
-            out.push(2);
-            put_varint(out, *cell as u64);
-            put_varint(out, *test as u64);
-            put_str(out, suite);
-            put_str(out, stand);
-            put_str(out, name);
-        }
-        EngineEvent::TestFinished {
-            cell,
-            test,
-            suite,
-            stand,
-            name,
-            status,
-            failed,
-            duration,
-        } => {
-            out.push(3);
-            put_varint(out, *cell as u64);
-            put_varint(out, *test as u64);
-            put_str(out, suite);
-            put_str(out, stand);
-            put_str(out, name);
-            put_str(out, status);
-            put_bool(out, *failed);
-            let micros = u64::try_from(duration.as_micros()).unwrap_or(u64::MAX);
-            put_varint(out, micros);
-        }
-        other => {
-            return err(format!(
-                "event {other:?} is not representable on the worker protocol"
-            ))
-        }
-    }
-    Ok(())
-}
-
-fn read_event(r: &mut Reader<'_>) -> Result<EngineEvent, FrameError> {
-    Ok(match r.u8()? {
-        0 => EngineEvent::JobStarted {
-            cell: read_usize(r)?,
-            suite: r.str()?.to_owned(),
-            stand: r.str()?.to_owned(),
-        },
-        1 => EngineEvent::JobFinished {
-            cell: read_usize(r)?,
-            suite: r.str()?.to_owned(),
-            stand: r.str()?.to_owned(),
-            status: r.str()?.to_owned(),
-            failed: r.bool()?,
-        },
-        2 => EngineEvent::TestStarted {
-            cell: read_usize(r)?,
-            test: read_usize(r)?,
-            suite: r.str()?.to_owned(),
-            stand: r.str()?.to_owned(),
-            name: r.str()?.to_owned(),
-        },
-        3 => EngineEvent::TestFinished {
-            cell: read_usize(r)?,
-            test: read_usize(r)?,
-            suite: r.str()?.to_owned(),
-            stand: r.str()?.to_owned(),
-            name: r.str()?.to_owned(),
-            status: r.str()?.to_owned(),
-            failed: r.bool()?,
-            duration: Duration::from_micros(r.varint()?),
-        },
-        other => return err(format!("bad event tag {other}")),
-    })
 }
 
 #[cfg(test)]
@@ -614,35 +506,6 @@ mod tests {
     fn from_worker_frames_round_trip() {
         let frames = vec![
             FromWorker::Ready { version: VERSION },
-            FromWorker::Event(EngineEvent::TestStarted {
-                cell: 1,
-                test: 0,
-                suite: "lamp".into(),
-                stand: "HIL-A".into(),
-                name: "night_on".into(),
-            }),
-            FromWorker::Event(EngineEvent::TestFinished {
-                cell: 1,
-                test: 0,
-                suite: "lamp".into(),
-                stand: "HIL-A".into(),
-                name: "night_on".into(),
-                status: "PASS".into(),
-                failed: false,
-                duration: Duration::from_micros(420),
-            }),
-            FromWorker::Event(EngineEvent::JobStarted {
-                cell: 0,
-                suite: "lamp".into(),
-                stand: "HIL-A".into(),
-            }),
-            FromWorker::Event(EngineEvent::JobFinished {
-                cell: 0,
-                suite: "lamp".into(),
-                stand: "HIL-A".into(),
-                status: "PASS (2P/0F/0E)".into(),
-                failed: false,
-            }),
             FromWorker::Done {
                 job: 5,
                 record: vec![1, 2, 3],
@@ -656,7 +519,7 @@ mod tests {
             },
         ];
         for frame in frames {
-            let bytes = frame.encode().unwrap();
+            let bytes = frame.encode();
             assert_eq!(FromWorker::decode(&bytes).unwrap(), frame, "{frame:?}");
         }
     }

@@ -8,29 +8,46 @@
 //!
 //! * the **parent** plans, packages (deciding every cache hit), admits
 //!   (only misses are shipped), dispatches in plan order with a window of
-//!   one in-flight job per worker, forwards worker progress events into
-//!   the campaign's event stream, feeds results back into the cache, and
-//!   merges outcomes byte-identical to every local executor;
+//!   one in-flight job per worker, feeds results back into the cache, and
+//!   merges outcomes byte-identical to every local executor. It is the
+//!   only place a remote job is observed: it starts the job's run (events,
+//!   spans, in-flight claim, cache miss) when the job ships, keeps that
+//!   run open across retries, and ends it when the outcomes come back;
 //! * each **worker** ([`worker_main`]) interns stands and scripts once,
 //!   realizes a fresh device per test from the shipped [`DeviceSpec`],
-//!   and runs the job through the same job runner as local execution.
+//!   runs the job through the same job runner as local execution, and
+//!   returns only its outcomes.
 //!
-//! A job travels as one `Run` frame (its cell, first test, script ids,
-//! stand id and device recipe) and comes back as one `Done` frame
-//! carrying its outcomes; the campaign's granularity rides once in the
-//! `Hello` handshake and decides the event shape the worker streams.
+//! The parent sends `Hello` first (protocol magic and version, execution
+//! options, granularity), then per job the `Stand` and `Script` frames the
+//! worker has not seen (each interned once per campaign under an id) and
+//! one `Run` frame (cell, first test, script ids, stand id, device
+//! recipe), and `Shutdown` at the end. The worker answers `Ready`, then
+//! one `Done` frame per job carrying its outcomes as a cache record, or
+//! one `Error` frame before it exits.
+//!
+//! # Events
+//!
+//! `JobStarted`, or `TestStarted` at test granularity, is emitted right
+//! after a job's frames are written, so progress stays live; the finished
+//! event follows when its `Done` frame arrives. A retried job's events
+//! appear once. `TestFinished.duration` is the dispatch-to-receipt wall
+//! time of the one-test job; at cell granularity each test is charged an
+//! equal share of its job's wall time. A lost job shows its started event
+//! and no finished event, like a job the async executor abandons.
 //!
 //! # Robustness
 //!
 //! * **Worker death** (EOF, decode error, non-zero exit) is detected per
-//!   worker process; the in-flight job is retried on a surviving or
-//!   respawned worker with exponential backoff, counted by the
-//!   `jobs_retried` metric. Reader threads tag every report with the
-//!   process's generation, so a late death report from a slot's earlier
-//!   occupant never retires the healthy worker that replaced it. A job whose retries are exhausted is reported in
-//!   [`CoreError::JobsLost`] **with its label**, keeping
-//!   `jobs_executed + jobs_cached + jobs_cancelled == jobs_planned`
-//!   balanced (retries add attempts, not planned jobs).
+//!   worker process; the in-flight job is re-shipped, from the interned
+//!   frames, to a surviving or respawned worker with exponential backoff,
+//!   counted by the `jobs_retried` metric. Reader threads tag every report
+//!   with the process's generation, so a late death report from a slot's
+//!   earlier occupant never retires the healthy worker that replaced it.
+//!   A job whose retries are exhausted, or whose retry finds no worker
+//!   left to take it, is reported in [`CoreError::JobsLost`] **with its
+//!   label**, keeping `jobs_executed + jobs_cached + jobs_cancelled ==
+//!   jobs_planned` balanced (retries add attempts, not planned jobs).
 //! * **Graceful degradation**: jobs whose devices have no registry spec
 //!   (custom behaviours, fault-wrapped devices) and campaigns whose
 //!   workers cannot spawn at all run **in-process** instead, inside a
@@ -43,7 +60,7 @@
 pub(crate) mod frame;
 mod worker;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -56,7 +73,7 @@ use comptest_dut::{Device, DeviceSpec};
 use crate::campaign::{Campaign, Granularity};
 use crate::events::{emit, EngineEvent};
 use crate::executor::{
-    execute, launch_jobs, CampaignExecutor, JobCtx, JobMsg, JobRun, PackagedJob,
+    execute, launch_jobs, CampaignExecutor, JobCtx, JobMsg, JobRun, JobTest, PackagedJob,
 };
 use crate::handle::CampaignHandle;
 use crate::obs::{Counter, Gauge};
@@ -251,92 +268,23 @@ fn device_spec(job: &PackagedJob) -> Option<DeviceSpec> {
         .then_some(first)
 }
 
-/// Frames that ship `job` to `conn`: the stand and every script the worker
-/// has not seen yet, then the one run request.
-fn ship(
-    job: &PackagedJob,
-    spec: DeviceSpec,
-    interner: &mut Interner,
-    conn: &mut WorkerConn,
-) -> Vec<ToWorker> {
-    let mut frames = Vec::new();
-    let stand = interner.stand(&job.stand_name, || comptest_stand::write_stand(&job.stand));
-    if conn.sent_stands.insert(stand.id) {
-        frames.push(ToWorker::Stand {
-            id: stand.id,
-            text: stand.payload,
-        });
-    }
-    let mut scripts = Vec::with_capacity(job.tests.len());
-    for test in &job.tests {
-        let script = interner.script(&job.suite, &test.name, || test.script.to_xml());
-        if conn.sent_scripts.insert(script.id) {
-            frames.push(ToWorker::Script {
-                id: script.id,
-                xml: script.payload,
-                names: signal_spellings(&test.script),
-            });
-        }
-        scripts.push(script.id);
-    }
-    frames.push(ToWorker::Run(RunRequest {
-        job: job.job,
-        cell: job.cell,
-        first: job.first,
-        suite: job.suite.clone(),
-        scripts,
-        stand: stand.id,
-        spec,
-    }));
-    frames
-}
-
-/// Decodes a worker's result record for `job` and checks it is something
-/// the job can produce: its tests in order, stopping early only after a
-/// planning error. Anything else means the worker is lying or corrupt.
-fn decode_result(job: &PackagedJob, record: &[u8]) -> Result<Vec<TestJobOutcome>, String> {
+/// Decodes a worker's result record for a job of `tests` tests and checks
+/// it is something the job can produce: its tests in order, stopping early
+/// only after a planning error. Anything else means the worker is lying or
+/// corrupt.
+fn decode_result(tests: usize, record: &[u8]) -> Result<Vec<TestJobOutcome>, String> {
     let outcomes = worker::decode_outcomes(record)?;
     let expected = outcomes
         .iter()
         .position(Result::is_err)
-        .map_or(job.tests.len(), |stop| stop + 1);
-    if outcomes.len() != expected || expected > job.tests.len() {
+        .map_or(tests, |stop| stop + 1);
+    if outcomes.len() != expected || expected > tests {
         return Err(format!(
-            "result record holds {} outcomes for a job of {} tests",
-            outcomes.len(),
-            job.tests.len()
+            "result record holds {} outcomes for a job of {tests} tests",
+            outcomes.len()
         ));
     }
     Ok(outcomes)
-}
-
-/// Replays a worker's outcomes through the shared job bookkeeping: cache
-/// store and verify, counters, spans (opened and closed at receipt — the
-/// remote wall time is real, but the parent's trace timeline must stay
-/// self-consistent), the stop latch and the join message. The worker
-/// already streamed the job's events, so the replay's go nowhere. The
-/// worker reports one wall time per job; each test is charged an equal
-/// share of it.
-fn finish_remote(
-    job: PackagedJob,
-    outcomes: Vec<TestJobOutcome>,
-    wall: Duration,
-    ctx: &JobCtx,
-    results: &Sender<JobMsg>,
-) {
-    let share = wall / u32::try_from(outcomes.len().max(1)).unwrap_or(u32::MAX);
-    // Steps ran in the worker, whose recorder dies with it; the step
-    // results in the record are the parent's source of truth.
-    ctx.obs.add(Counter::StepsExecuted, count_steps(&outcomes));
-    let (replayed, _) = mpsc::channel();
-    let mut run = JobRun::start(job, ctx, &replayed);
-    for outcome in outcomes {
-        let Some((test, _device)) = run.begin_test(ctx, &replayed) else {
-            break;
-        };
-        run.end_test(&test, outcome, share, ctx, &replayed);
-    }
-    run.finish(ctx, &replayed, results);
 }
 
 /// Executed steps carried home in a result record — the parent-side
@@ -350,36 +298,58 @@ fn count_steps(outcomes: &[TestJobOutcome]) -> u64 {
         .sum()
 }
 
-/// A parent-assigned intern id plus the payload to ship when a worker has
-/// not seen it yet.
-struct Interned {
-    id: u64,
-    payload: String,
-}
-
 /// Campaign-wide intern table: stable ids for stands (by name — campaign
 /// validation guarantees uniqueness) and scripts (by suite × test name),
-/// with payload text rendered once and reused for every worker.
+/// each with its encoded `Stand` or `Script` frame, rendered once and
+/// re-sent to every worker that has not seen it — retries included.
 #[derive(Default)]
 struct Interner {
     ids: HashMap<String, u64>,
-    payloads: HashMap<u64, String>,
+    /// Encoded frames, indexed by id.
+    frames: Vec<Vec<u8>>,
 }
 
 impl Interner {
-    fn intern(&mut self, key: String, render: impl FnOnce() -> String) -> Interned {
-        let next = self.ids.len() as u64;
+    fn intern(&mut self, key: String, frame: impl FnOnce(u64) -> ToWorker) -> u64 {
+        let next = self.frames.len() as u64;
         let id = *self.ids.entry(key).or_insert(next);
-        let payload = self.payloads.entry(id).or_insert_with(render).clone();
-        Interned { id, payload }
+        if id == next {
+            self.frames.push(frame(id).encode());
+        }
+        id
     }
 
-    fn stand(&mut self, name: &str, render: impl FnOnce() -> String) -> Interned {
-        self.intern(format!("stand\u{0}{name}"), render)
-    }
-
-    fn script(&mut self, suite: &str, test: &str, render: impl FnOnce() -> String) -> Interned {
-        self.intern(format!("script\u{0}{suite}\u{0}{test}"), render)
+    /// The run request for `job`, interning its stand and scripts.
+    fn request(&mut self, job: &PackagedJob, spec: DeviceSpec) -> RunRequest {
+        let stand = self.intern(format!("stand\u{0}{}", job.stand_name), |id| {
+            ToWorker::Stand {
+                id,
+                text: comptest_stand::write_stand(&job.stand),
+            }
+        });
+        let scripts = job
+            .tests
+            .iter()
+            .map(|test| {
+                self.intern(
+                    format!("script\u{0}{}\u{0}{}", job.suite, test.name),
+                    |id| ToWorker::Script {
+                        id,
+                        xml: test.script.to_xml(),
+                        names: signal_spellings(&test.script),
+                    },
+                )
+            })
+            .collect();
+        RunRequest {
+            job: job.job,
+            cell: job.cell,
+            first: job.first,
+            suite: job.suite.clone(),
+            scripts,
+            stand,
+            spec,
+        }
     }
 }
 
@@ -398,39 +368,55 @@ enum WorkerMsg {
     Dead { slot: usize, generation: usize },
 }
 
-/// One live worker process: the child, its stdin, its generation and what
-/// it has been sent so far.
+/// One live worker process: the child, its stdin, its generation and the
+/// interned ids it has been sent so far.
 struct WorkerConn {
     child: Child,
     stdin: Option<ChildStdin>,
     pid: u32,
     generation: usize,
-    sent_stands: std::collections::HashSet<u64>,
-    sent_scripts: std::collections::HashSet<u64>,
+    sent: HashSet<u64>,
 }
 
 impl WorkerConn {
-    fn write_frames(&mut self, frames: &[ToWorker]) -> std::io::Result<()> {
+    fn write_frames<'f>(
+        &mut self,
+        payloads: impl IntoIterator<Item = &'f [u8]>,
+    ) -> std::io::Result<()> {
         let stdin = self
             .stdin
             .as_mut()
             .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::BrokenPipe, "stdin closed"))?;
-        for frame in frames {
-            write_frame(stdin, &frame.encode())?;
-        }
-        Ok(())
+        payloads
+            .into_iter()
+            .try_for_each(|payload| write_frame(stdin, payload))
     }
 }
 
-/// One in-flight dispatch: the job (kept for retry), its attempt count
-/// and the dispatch instant (wall-clock metrics at receipt).
+/// One shipped job: the parent's run of it, open from its first dispatch
+/// until its outcomes arrive or it is lost, and what a retry re-ships.
 struct InFlight {
-    job: PackagedJob,
+    run: JobRun,
+    /// The job's first test, begun when the job first shipped.
+    test: JobTest,
+    request: RunRequest,
+    /// How [`CoreError::JobsLost`] names the job.
+    label: String,
     attempts: usize,
+    /// The latest dispatch: its wall time is charged at receipt.
     dispatched: Instant,
 }
 
-/// The scheduling loop. Owns the queue, the worker slots and the
+/// Where [`Orchestrator::place`] put a run request.
+enum Placement {
+    Shipped(usize),
+    /// Every live worker holds a job.
+    Busy,
+    /// No worker is live and none can spawn.
+    NoWorkers,
+}
+
+/// The scheduling loop. Owns the queues, the worker slots and the
 /// channels; runs on its own thread so `launch` returns a live handle
 /// immediately.
 struct Orchestrator {
@@ -439,6 +425,11 @@ struct Orchestrator {
     events: Sender<EngineEvent>,
     results: Sender<JobMsg>,
     interner: Interner,
+    /// Jobs not yet admitted, in plan order.
+    queue: VecDeque<PackagedJob>,
+    /// Started jobs whose worker died, in the order the deaths were seen;
+    /// they ship before any new job.
+    retries: VecDeque<InFlight>,
     /// Worker slots: `None` until first spawn or after a death.
     slots: Vec<Option<WorkerConn>>,
     inflight: Vec<Option<InFlight>>,
@@ -464,6 +455,8 @@ impl Orchestrator {
             events,
             results,
             interner: Interner::default(),
+            queue: VecDeque::new(),
+            retries: VecDeque::new(),
             slots: (0..workers).map(|_| None).collect(),
             inflight: (0..workers).map(|_| None).collect(),
             msg_tx,
@@ -479,10 +472,13 @@ impl Orchestrator {
     }
 
     fn run(mut self, jobs: Vec<PackagedJob>) {
-        let mut queue: VecDeque<(PackagedJob, usize)> = jobs.into_iter().map(|j| (j, 0)).collect();
+        self.queue = jobs.into();
         loop {
-            self.dispatch_ready(&mut queue);
-            if queue.is_empty() && self.inflight.iter().all(Option::is_none) {
+            self.dispatch_ready();
+            if self.queue.is_empty()
+                && self.retries.is_empty()
+                && self.inflight.iter().all(Option::is_none)
+            {
                 break;
             }
             // The orchestrator holds a sender itself, so the channel never
@@ -496,9 +492,9 @@ impl Orchestrator {
                     slot,
                     generation,
                     frame,
-                } if self.is_current(slot, generation) => self.on_frame(slot, frame, &mut queue),
+                } if self.is_current(slot, generation) => self.on_frame(slot, frame),
                 WorkerMsg::Dead { slot, generation } if self.is_current(slot, generation) => {
-                    self.on_death(slot, &mut queue)
+                    self.on_death(slot)
                 }
                 WorkerMsg::Frame { .. } | WorkerMsg::Dead { .. } => {}
             }
@@ -513,54 +509,139 @@ impl Orchestrator {
             .is_some_and(|conn| conn.generation == generation)
     }
 
-    /// Fills every idle worker in plan order. Admission (cancellation,
-    /// serving cache hits) happens here — at dispatch time — so a stop
-    /// latch tripped by an earlier result truncates exactly like the
-    /// local executors. Retries were admitted on their first dispatch.
-    fn dispatch_ready(&mut self, queue: &mut VecDeque<(PackagedJob, usize)>) {
-        while let Some((job, attempts)) = queue.pop_front() {
-            let job = match attempts {
-                0 => match self.ctx.admit(job, &self.events, &self.results) {
-                    Some(job) => job,
-                    None => continue,
-                },
-                _ => job,
+    /// Fills every idle worker: retries first, then new jobs in plan
+    /// order. Admission (cancellation, serving cache hits) happens here —
+    /// at dispatch time — so a stop latch tripped by an earlier result
+    /// truncates exactly like the local executors. Retries were admitted
+    /// and started on their first dispatch.
+    fn dispatch_ready(&mut self) {
+        while let Some(retry) = self.retries.pop_front() {
+            match self.place(&retry.request) {
+                Placement::Shipped(slot) => {
+                    self.inflight[slot] = Some(InFlight {
+                        dispatched: Instant::now(),
+                        ..retry
+                    });
+                }
+                Placement::Busy => {
+                    self.retries.push_front(retry);
+                    return;
+                }
+                // A started job has handed its first device out, so it
+                // cannot fall back in-process.
+                Placement::NoWorkers => self.lose(retry),
+            }
+        }
+        while let Some(job) = self.queue.pop_front() {
+            let Some(job) = self.ctx.admit(job, &self.events, &self.results) else {
+                continue;
             };
             let Some(spec) = device_spec(&job) else {
                 self.run_local_caught(job);
                 continue;
             };
-            match self.idle_worker() {
-                Some(slot) => {
-                    let conn = self.slots[slot].as_mut().expect("idle worker slot is live");
-                    let frames = ship(&job, spec, &mut self.interner, conn);
-                    if conn.write_frames(&frames).is_err() {
-                        // The write failed: the worker is dead. Requeue the
-                        // job and retire the worker now; its reader's own
-                        // `Dead` report arrives stale and is dropped.
-                        queue.push_front((job, attempts));
-                        self.on_death(slot, queue);
-                        continue;
-                    }
-                    self.inflight[slot] = Some(InFlight {
-                        job,
-                        attempts,
-                        dispatched: Instant::now(),
-                    });
-                }
-                None if self.live_workers() == 0 => {
-                    // Zero workers and none can spawn: degrade the whole
-                    // queue to in-process execution.
-                    self.run_local_caught(job);
-                }
-                None => {
-                    // All live workers busy: put the job back and wait for
-                    // a result.
-                    queue.push_front((job, attempts));
+            let request = self.interner.request(&job, spec);
+            match self.place(&request) {
+                Placement::Shipped(slot) => self.start(slot, job, request),
+                Placement::Busy => {
+                    // Put the job back and wait for a result; it is
+                    // admitted again then.
+                    self.queue.push_front(job);
                     return;
                 }
+                // Zero workers and none can spawn: degrade to in-process
+                // execution.
+                Placement::NoWorkers => self.run_local_caught(job),
             }
         }
+    }
+
+    /// Ships `request` to an idle worker, spawning one if the target count
+    /// and the spawn budget allow. A worker whose write fails is retired
+    /// and the next one tried.
+    fn place(&mut self, request: &RunRequest) -> Placement {
+        loop {
+            match self.idle_worker() {
+                Some(slot) if self.ship(slot, request) => return Placement::Shipped(slot),
+                Some(_) => {}
+                None if self.live_workers() == 0 => return Placement::NoWorkers,
+                None => return Placement::Busy,
+            }
+        }
+    }
+
+    /// Writes to the worker in `slot` every interned frame `request` names
+    /// that it has not been sent, then the request. A failed write means
+    /// the worker is dead: it is retired now, and its reader's own `Dead`
+    /// report arrives stale and is dropped.
+    fn ship(&mut self, slot: usize, request: &RunRequest) -> bool {
+        let conn = self.slots[slot].as_mut().expect("idle worker slot is live");
+        let unseen: Vec<u64> = std::iter::once(request.stand)
+            .chain(request.scripts.iter().copied())
+            .filter(|&id| conn.sent.insert(id))
+            .collect();
+        let run = ToWorker::Run(request.clone()).encode();
+        let interned = unseen
+            .iter()
+            .map(|&id| self.interner.frames[id as usize].as_slice());
+        if conn
+            .write_frames(interned.chain(std::iter::once(run.as_slice())))
+            .is_ok()
+        {
+            return true;
+        }
+        self.on_death(slot);
+        false
+    }
+
+    /// Starts the parent's run of a job just shipped to `slot`: its cache
+    /// miss, its in-flight claim, its spans and `JobStarted` (cell
+    /// granularity) or `TestStarted` (test granularity).
+    fn start(&mut self, slot: usize, job: PackagedJob, request: RunRequest) {
+        let label = label(&job, self.ctx.granularity);
+        let mut run = JobRun::start(job, &self.ctx, &self.events);
+        let (test, _device) = run
+            .begin_test(&self.ctx, &self.events)
+            .expect("a shipped job has a test");
+        self.inflight[slot] = Some(InFlight {
+            run,
+            test,
+            request,
+            label,
+            attempts: 0,
+            dispatched: Instant::now(),
+        });
+    }
+
+    /// Ends a shipped job with the outcomes its worker returned, through
+    /// the shared job bookkeeping: cache store and verify, counters, the
+    /// finished events and spans, the stop latch and the join message. The
+    /// parent sees one wall time per job, from its latest dispatch to
+    /// receipt; each test is charged an equal share of it.
+    fn finish(&self, job: InFlight, outcomes: Vec<TestJobOutcome>) {
+        let (ctx, events) = (&self.ctx, &self.events);
+        let share = job.dispatched.elapsed() / u32::try_from(outcomes.len()).unwrap_or(u32::MAX);
+        // Steps ran in the worker, whose recorder dies with it; the step
+        // results in the record are the parent's source of truth.
+        ctx.obs.add(Counter::StepsExecuted, count_steps(&outcomes));
+        let (mut run, mut test) = (job.run, Some(job.test));
+        for outcome in outcomes {
+            let Some(test) = test
+                .take()
+                .or_else(|| run.begin_test(ctx, events).map(|(test, _device)| test))
+            else {
+                break;
+            };
+            run.end_test(&test, outcome, share, ctx, events);
+        }
+        run.finish(ctx, events, &self.results);
+    }
+
+    /// Gives a started job up: its spans and in-flight claim close, and
+    /// the join hears [`JobMsg::Lost`] with its label.
+    fn lose(&self, job: InFlight) {
+        job.run
+            .abandon(&self.ctx, &self.results, JobMsg::Lost(job.label));
     }
 
     fn live_workers(&self) -> usize {
@@ -637,60 +718,47 @@ impl Orchestrator {
             stdin: Some(stdin),
             pid,
             generation,
-            sent_stands: Default::default(),
-            sent_scripts: Default::default(),
+            sent: HashSet::new(),
         });
         Ok(())
     }
 
-    fn on_frame(
-        &mut self,
-        slot: usize,
-        frame: FromWorker,
-        queue: &mut VecDeque<(PackagedJob, usize)>,
-    ) {
+    fn on_frame(&mut self, slot: usize, frame: FromWorker) {
         match frame {
             FromWorker::Ready { .. } => {}
-            FromWorker::Event(event) => emit(&self.events, event),
             FromWorker::Done { job, record } => {
                 let Some(inflight) = self.inflight[slot].take() else {
                     // A result with nothing in flight: protocol breach.
-                    self.on_death(slot, queue);
+                    self.on_death(slot);
                     return;
                 };
-                let outcomes = match inflight.job.job == job {
-                    true => decode_result(&inflight.job, &record),
+                let outcomes = match inflight.request.job == job {
+                    true => decode_result(inflight.request.scripts.len(), &record),
                     false => Err(format!(
                         "result for job {job}, expected {}",
-                        inflight.job.job
+                        inflight.request.job
                     )),
                 };
                 match outcomes {
-                    Ok(outcomes) => finish_remote(
-                        inflight.job,
-                        outcomes,
-                        inflight.dispatched.elapsed(),
-                        &self.ctx,
-                        &self.results,
-                    ),
+                    Ok(outcomes) => self.finish(inflight, outcomes),
                     Err(_) => {
                         // The worker is lying or corrupt. Retry the job
                         // elsewhere.
                         self.inflight[slot] = Some(inflight);
-                        self.on_death(slot, queue);
+                        self.on_death(slot);
                     }
                 }
             }
             FromWorker::Error { message } => {
                 eprintln!("comptest worker {slot}: {message}");
-                self.on_death(slot, queue);
+                self.on_death(slot);
             }
         }
     }
 
     /// Retires the worker in `slot`: reap the child, surface `WorkerLost`,
-    /// and retry (with backoff) or report the in-flight job lost.
-    fn on_death(&mut self, slot: usize, queue: &mut VecDeque<(PackagedJob, usize)>) {
+    /// and queue the in-flight job's retry (after a backoff) or lose it.
+    fn on_death(&mut self, slot: usize) {
         let Some(mut conn) = self.slots[slot].take() else {
             return;
         };
@@ -704,20 +772,19 @@ impl Orchestrator {
                 pid: conn.pid,
             },
         );
-        if let Some(inflight) = self.inflight[slot].take() {
-            let attempts = inflight.attempts + 1;
-            if attempts <= self.cfg.retry_limit {
-                self.ctx.obs.inc(Counter::JobsRetried);
-                // Exponential backoff before the retry lands on a
-                // surviving (or respawned) worker.
-                let exp = u32::try_from(attempts.saturating_sub(1)).unwrap_or(u32::MAX);
-                std::thread::sleep(self.cfg.backoff.saturating_mul(1 << exp.min(8)));
-                queue.push_front((inflight.job, attempts));
-            } else {
-                let label = label(&inflight.job, self.ctx.granularity);
-                let _ = self.results.send(JobMsg::Lost(label));
-            }
+        let Some(mut inflight) = self.inflight[slot].take() else {
+            return;
+        };
+        inflight.attempts += 1;
+        if inflight.attempts > self.cfg.retry_limit {
+            return self.lose(inflight);
         }
+        self.ctx.obs.inc(Counter::JobsRetried);
+        // Exponential backoff before the retry lands on a surviving (or
+        // respawned) worker.
+        let exp = u32::try_from(inflight.attempts - 1).unwrap_or(u32::MAX);
+        std::thread::sleep(self.cfg.backoff.saturating_mul(1 << exp.min(8)));
+        self.retries.push_back(inflight);
     }
 
     /// In-process degradation inside a panic catch: a panicking DUT model
@@ -737,7 +804,7 @@ impl Orchestrator {
     /// frame, close stdin, grace window, SIGTERM, hard kill.
     fn shutdown(mut self) {
         for conn in self.slots.iter_mut().filter_map(Option::as_mut) {
-            let _ = conn.write_frames(&[ToWorker::Shutdown]);
+            let _ = conn.write_frames([ToWorker::Shutdown.encode().as_slice()]);
             drop(conn.stdin.take());
         }
         let deadline = Instant::now() + GRACE;

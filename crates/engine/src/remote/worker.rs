@@ -3,9 +3,10 @@
 //! A worker is a plain stdio filter: it reads [`ToWorker`] frames from
 //! stdin, runs each job through the exact same
 //! [`execute`](crate::executor::execute) runner every local executor uses
-//! (so outcomes are byte-identical by construction), and writes
-//! [`FromWorker`] frames — live progress events followed by the result
-//! record — to stdout. Stands and scripts arrive once per worker as
+//! (so outcomes are byte-identical by construction), and writes one
+//! [`FromWorker::Done`] frame per job — its result record — to stdout.
+//! The worker reports no events: the parent emits a remote job's events
+//! itself. Stands and scripts arrive once per worker as
 //! interning frames; execution plans are resolved at most once per
 //! (script, stand) pair, mirroring the parent's shared
 //! [`PlanSlot`](crate::executor::PlanSlot)s.
@@ -121,7 +122,7 @@ impl WorkerState {
 
 /// The worker protocol loop over arbitrary streams (tests drive it with
 /// in-memory pipes).
-pub(crate) fn serve(mut input: impl Read, mut output: impl Write + Send) -> Result<(), String> {
+pub(crate) fn serve(mut input: impl Read, mut output: impl Write) -> Result<(), String> {
     // Handshake: the first frame must be a version-matched Hello.
     let first = read_frame(&mut input).map_err(|e| e.to_string())?;
     let Some(first) = first else {
@@ -175,25 +176,24 @@ pub(crate) fn serve(mut input: impl Read, mut output: impl Write + Send) -> Resu
 
 /// Sends one `Error` frame (best effort) and fails the loop.
 fn refuse(output: &mut impl Write, message: String) -> Result<(), String> {
-    let _ = FromWorker::Error {
-        message: message.clone(),
-    }
-    .encode()
-    .map(|payload| write_frame(output, &payload));
+    let _ = send(
+        output,
+        &FromWorker::Error {
+            message: message.clone(),
+        },
+    );
     Err(message)
 }
 
 fn send(output: &mut impl Write, frame: &FromWorker) -> Result<(), String> {
-    let payload = frame.encode().map_err(|e| e.to_string())?;
-    write_frame(output, &payload).map_err(|e| e.to_string())
+    write_frame(output, &frame.encode()).map_err(|e| e.to_string())
 }
 
-/// Runs one job through the shared runner while a scoped forwarder thread
-/// streams its progress events to `output` live, then sends the result
-/// record.
+/// Runs one job through the shared runner and sends its result record.
+/// The runner's events go nowhere: the parent emits the job's events.
 fn run_job(
     state: &mut WorkerState,
-    output: &mut (impl Write + Send),
+    output: &mut impl Write,
     request: RunRequest,
 ) -> Result<(), String> {
     if let Some(hold) = state.hold {
@@ -224,21 +224,9 @@ fn run_job(
         devices,
         cached: None,
     };
-    let (events_tx, events_rx) = mpsc::channel();
+    let (events, _) = mpsc::channel();
     let (results_tx, results_rx) = mpsc::channel();
-    let ctx = &state.ctx;
-    std::thread::scope(|scope| {
-        let forwarder = scope.spawn(|| {
-            events_rx
-                .into_iter()
-                .try_for_each(|event| send(output, &FromWorker::Event(event)))
-        });
-        execute(job, ctx, &events_tx, &results_tx);
-        drop(events_tx);
-        forwarder
-            .join()
-            .unwrap_or_else(|_| Err("event forwarder panicked".into()))
-    })?;
+    execute(job, &state.ctx, &events, &results_tx);
     let Ok(JobMsg::Done(job, outcomes)) = results_rx.try_recv() else {
         return Err("job produced no result".into());
     };

@@ -2,8 +2,41 @@
 //!
 //! Every status used in the signal or test sheets is defined here: which
 //! method realises it, the method attribute, an optional scaling variable
-//! (e.g. `UBATT`) and nominal/min/max values.  See DESIGN.md §2 for the exact
-//! column semantics (the paper leaves them partly implicit).
+//! (e.g. `UBATT`) and nominal/min/max values.
+//!
+//! # Column semantics
+//!
+//! The paper leaves these partly implicit; this crate reads them as follows.
+//!
+//! * `nom` is the value a `put_*` status applies; for a `get_*` status it
+//!   is informational only. A bit-pattern status (`data` attribute) gives
+//!   its pattern (`0001B`) in `nom` and leaves `min`/`max` empty.
+//! * `min`/`max` bound the value: the window a stand resource must be able
+//!   to realise for a `put_*` status, and the acceptance limits of a
+//!   measurement for a `get_*` status. An empty cell is unbounded; `INF`
+//!   is infinity.
+//! * With `var` set, `nom`, `min` and `max` are multipliers of the stand's
+//!   value of that variable, resolved only when the stand is known: `Ho`
+//!   (`get_u`, `UBATT`, 1, 0.7, 1.1) accepts 0.7·UBATT to 1.1·UBATT.
+//! * `D1` is a settle time before the status counts as applied (`put_*`)
+//!   or before sampling may start (`get_*`); `D2` and `D3` are read but
+//!   reserved.
+//!
+//! # Normalisations of the paper's tables
+//!
+//! The bundled workbooks and stands reproduce the paper's tables with
+//! these changes:
+//!
+//! * The door switches' statuses are resistances the stand imposes:
+//!   `Open` (the switch shorts the pin) is `put_r` with 0 Ω nominal and a
+//!   0..2 Ω window, `Closed` (an open circuit) is `put_r` with nominal
+//!   `INF` and at least 5 kΩ, unbounded above.
+//! * Stand A's decade resistors are `put_r` resources where the paper's
+//!   resource table writes `get_r`: allocation matches a status's method
+//!   to a resource's method, and the statuses above put a resistance.
+//! * Stand A gains a CAN interface (`Can1`, switched to pin `CAN0` through
+//!   point `Port1`), because the signal sheet drives `IGN_ST` and `NIGHT`
+//!   over CAN.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -421,7 +454,8 @@ mod tests {
         StatusDef::numeric(name("Ho"), method("get_u"), "u", 1.0, 0.7, 1.1).with_var("UBATT")
     }
 
-    /// The paper's `Open` row, normalised per DESIGN.md: 0 Ω nominal, 0..2 Ω.
+    /// The paper's `Open` row, normalised as the module docs list: 0 Ω
+    /// nominal, 0..2 Ω.
     fn open() -> StatusDef {
         StatusDef::numeric(name("Open"), method("put_r"), "r", 0.0, 0.0, 2.0).with_settle(0.01)
     }
@@ -467,7 +501,8 @@ mod tests {
 
     #[test]
     fn resolve_infinite_bounds() {
-        // `Closed` per DESIGN.md: nominal INF, at least 5 kΩ.
+        // `Closed` as normalised in the module docs: nominal INF, at least
+        // 5 kΩ.
         let closed = StatusDef {
             min: Some(5000.0),
             max: None,

@@ -33,7 +33,8 @@ impl fmt::Display for Assignment {
 /// One row of a test definition sheet.
 ///
 /// Stimuli of the step are applied atomically at step start; expected-output
-/// statuses are checked at step end (see DESIGN.md "Timing semantics").
+/// statuses are checked at step end (see the timing semantics in the
+/// `comptest_core::exec` module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TestStep {
     /// Step number as written in the sheet.

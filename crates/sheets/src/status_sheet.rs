@@ -152,7 +152,8 @@ mod tests {
         Table::from_records("t.cts", "status", recs).unwrap()
     }
 
-    /// The paper's status table, normalised per DESIGN.md.
+    /// The paper's status table, normalised as the `comptest_model::status`
+    /// module docs list.
     fn paper_table() -> Table {
         table(
             "status, method, attribut, var, nom, min, max, d1\n\

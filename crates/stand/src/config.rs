@@ -285,7 +285,8 @@ pub(crate) mod tests {
     use super::*;
 
     /// The paper's stand A, verbatim from Section 4 (with the get_r → put_r
-    /// normalisation and the CAN interface documented in DESIGN.md).
+    /// normalisation and the CAN interface listed in the
+    /// `comptest_model::status` module docs).
     pub(crate) const STAND_A: &str = "\
 [stand]
 name = HIL-A

@@ -55,11 +55,12 @@
 //! streamed per test, and a large workbook no longer bounds wall-clock.
 //! `--sample` selects when expected-output checks are measured:
 //! `end-of-step` (default, paper semantics) or `continuous:<interval_s>`
-//! (sample the whole step window every interval — the stricter DESIGN.md
-//! §7 ablation). `--stop-on-first-fail` cancels the remaining jobs as
-//! soon as one fails, keeping the deterministic finished prefix in the
-//! report (on the async executor cancellation cuts in at *step*
-//! granularity: in-flight runs stop at their next step boundary).
+//! (sample the whole step window every interval — the stricter ablation
+//! the `comptest_core::exec` module docs describe). `--stop-on-first-fail`
+//! cancels the remaining jobs as soon as one fails, keeping the
+//! deterministic finished prefix in the report (on the async executor
+//! cancellation cuts in at *step* granularity: in-flight runs stop at
+//! their next step boundary).
 //!
 //! `--cache <dir>` keys every suite×stand×DUT cell by stable structural
 //! hashes and skips byte-identical re-executions across campaign runs

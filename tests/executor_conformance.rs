@@ -279,6 +279,70 @@ fn conformance_determinism_vs_serial_cold_and_warm() {
 }
 
 // ---------------------------------------------------------------------------
+// Event streams: every subject streams the serial executor's events, each
+// exactly once — the remote executor's included, which its parent emits.
+// ---------------------------------------------------------------------------
+
+/// A launch's streamed events as a sorted multiset, without what may
+/// differ between executors: test wall times (`TestFinished.duration` is
+/// zeroed) and the remote executor's worker lifecycle events.
+fn event_multiset(campaign: &Campaign<'_, '_>, executor: &dyn CampaignExecutor) -> Vec<String> {
+    let mut handle = campaign.launch(executor).unwrap();
+    let mut events: Vec<String> = handle
+        .events()
+        .filter(|event| {
+            !matches!(
+                event,
+                EngineEvent::WorkerSpawned { .. } | EngineEvent::WorkerLost { .. }
+            )
+        })
+        .map(|mut event| {
+            if let EngineEvent::TestFinished { duration, .. } = &mut event {
+                *duration = std::time::Duration::ZERO;
+            }
+            format!("{event:?}")
+        })
+        .collect();
+    handle.join().unwrap();
+    events.sort();
+    events
+}
+
+#[test]
+fn conformance_cold_event_streams_match_serial() {
+    let scratch = TempDir::new("events");
+    let suites = load_suites();
+    let entries = entries(&suites);
+    let stand_a = load_stand("stand_a.stand");
+    let stand_b = load_stand("stand_b.stand");
+    let stands = [&stand_a, &stand_b];
+
+    for granularity in [Granularity::Cell, Granularity::Test] {
+        for setup in [CacheSetup::Off, CacheSetup::Dir] {
+            let campaign = || {
+                let campaign = Campaign::new(&entries, &stands).granularity(granularity);
+                match setup.build(&scratch) {
+                    Some(cache) => campaign.cache(cache),
+                    None => campaign,
+                }
+            };
+            let reference = event_multiset(&campaign(), &SerialExecutor);
+            assert!(!reference.is_empty());
+            for subject in subjects() {
+                let executor = (subject.build)();
+                assert_eq!(
+                    event_multiset(&campaign(), executor.as_ref()),
+                    reference,
+                    "{granularity}/{}/{}: cold event stream diverged from serial",
+                    subject.name,
+                    setup.label()
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Warm equals cold: a fully warm run serves every job from the cache and
 // is byte-identical to a cold one, on every executor × granularity × cache
 // backend.

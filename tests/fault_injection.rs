@@ -167,7 +167,7 @@ fn continuous_sampling_strictly_increases_detection() {
     // sampling is only sound for tests whose expected outputs are stable
     // for the whole step, so `auto_relock` (which legitimately transitions
     // mid-step at t = 60.5 s) is excluded — exactly the semantic trade-off
-    // DESIGN.md §7 documents.
+    // the `comptest_core::exec` module docs describe.
     let mut wb = Workbook::load(comptest::asset("central_lock.cts")).unwrap();
     wb.suite.tests.retain(|t| t.name != "auto_relock");
     let stand = TestStand::load(comptest::asset("stand_b.stand")).unwrap();

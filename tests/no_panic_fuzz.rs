@@ -202,12 +202,12 @@ fn frame(payload: &[u8]) -> Vec<u8> {
     bytes
 }
 
-/// A valid `Hello` frame (tag 0, magic `CWP`, version 2, end-of-step
+/// A valid `Hello` frame (tag 0, magic `CWP`, version 3, end-of-step
 /// sampling, stop-on-failure off, test granularity) — hand-assembled so
 /// the hostile bytes *after* the handshake exercise the post-handshake
 /// decode path.
 fn hello_frame() -> Vec<u8> {
-    frame(&[0x00, b'C', b'W', b'P', 0x02, 0x00, 0x00, 0x01])
+    frame(&[0x00, b'C', b'W', b'P', 0x03, 0x00, 0x00, 0x01])
 }
 
 /// The hostile framings random junk almost never produces: oversized and
@@ -240,11 +240,11 @@ fn worker_hostile_framings_are_refused_not_panicked() {
         ),
         (
             "previous protocol version",
-            frame(&[0x00, b'C', b'W', b'P', 0x01, 0x00, 0x00]),
+            frame(&[0x00, b'C', b'W', b'P', 0x02, 0x00, 0x00, 0x01]),
         ),
         (
             "unknown granularity in the handshake",
-            frame(&[0x00, b'C', b'W', b'P', 0x02, 0x00, 0x00, 0x07]),
+            frame(&[0x00, b'C', b'W', b'P', 0x03, 0x00, 0x00, 0x07]),
         ),
         ("garbage after a valid handshake", {
             let mut bytes = hello_frame();
@@ -273,6 +273,11 @@ fn worker_hostile_framings_are_refused_not_panicked() {
             bytes
         }),
     ];
+    // The hand-built handshake must still be accepted, or every case
+    // after it would only test the version check: EOF right after it is a
+    // clean shutdown.
+    let (code, stderr) = run_worker(&hello_frame());
+    assert_eq!(code, Some(0), "valid handshake refused: {stderr}");
     for (label, input) in cases {
         let (code, stderr) = run_worker(&input);
         assert!(

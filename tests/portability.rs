@@ -79,7 +79,8 @@ fn stand_b_resolves_bounds_with_its_own_supply() {
 
 #[test]
 fn greedy_allocation_is_strictly_weaker() {
-    // Ablation (DESIGN.md §7): on the paper stand, a workload needing the
+    // Ablation (`AllocOptions::reroute`, see the `comptest_stand::alloc`
+    // module docs): on the paper stand, a workload needing the
     // big decade later fails under greedy allocation but succeeds with
     // rerouting.
     use comptest::stand::{plan_with, AllocOptions};

@@ -17,7 +17,8 @@
 //!
 //! The kill tests stage their failure without timing: a wrapper script
 //! makes one worker process hold its job (`COMPTEST_WORKER_HOLD_MS`) until
-//! it is killed, and the kill waits for proof that the job was shipped.
+//! it is killed, and the kill waits for proof that the job was shipped
+//! and the holding process exists.
 //! The stale-report test stages its failure with a wrapper script too.
 
 use std::path::{Path, PathBuf};
@@ -74,37 +75,58 @@ fn held_worker(marker: &Path) -> Vec<String> {
     ]
 }
 
+/// What [`kill_held_worker`]'s watcher saw on the event stream.
+#[derive(Debug, Default)]
+struct Watched {
+    /// The SIGKILLed worker's pid.
+    killed: Option<u32>,
+    /// `WorkerLost` events.
+    lost: usize,
+    /// `JobStarted` and `TestStarted` events.
+    started: usize,
+    /// `JobFinished` and `TestFinished` events.
+    finished: usize,
+}
+
 /// Drains the event stream on a thread and SIGKILLs the held worker of
-/// [`held_worker`] once it provably holds a job. The orchestrator ships a
-/// job to every worker it spawns before it handles any worker message, and
-/// the held worker reports nothing before its hold ends: so the first job
-/// progress event (from a plain worker) proves that every spawned worker,
-/// the held one included, has its job in flight. Needs two workers and at
-/// least two jobs. Returns (killed pid, observed `WorkerLost` count).
+/// [`held_worker`] once it provably holds a job. The parent emits a job's
+/// started event right after it ships the job, and it spawns a worker
+/// only to ship it a job; a campaign with at least `workers` jobs ships
+/// one to each of its first `workers` processes before it handles any
+/// worker message. So after `workers` started events every spawned worker
+/// has its job in flight. The watcher then polls the marker link until
+/// one of those processes has claimed the hold, and kills that one.
 fn kill_held_worker(
     stream: EventStream,
     marker: PathBuf,
-) -> std::thread::JoinHandle<(Option<u32>, usize)> {
+    workers: usize,
+) -> std::thread::JoinHandle<Watched> {
     std::thread::spawn(move || {
-        let mut killed = None;
-        let mut lost = 0usize;
+        let mut seen = Watched::default();
         for event in stream {
             match event {
-                EngineEvent::JobStarted { .. } | EngineEvent::TestStarted { .. }
-                    if killed.is_none() =>
-                {
-                    let pid = std::fs::read_link(&marker)
-                        .ok()
-                        .and_then(|pid| pid.to_str()?.parse().ok())
-                        .expect("a spawned worker claimed the hold");
-                    kill_nine(pid);
-                    killed = Some(pid);
+                EngineEvent::JobStarted { .. } | EngineEvent::TestStarted { .. } => {
+                    seen.started += 1;
+                    if seen.started == workers {
+                        let pid = loop {
+                            let claim = std::fs::read_link(&marker).ok();
+                            match claim.and_then(|pid| pid.to_str()?.parse().ok()) {
+                                Some(pid) => break pid,
+                                None => std::thread::yield_now(),
+                            }
+                        };
+                        kill_nine(pid);
+                        seen.killed = Some(pid);
+                    }
                 }
-                EngineEvent::WorkerLost { .. } => lost += 1,
+                EngineEvent::JobFinished { .. } | EngineEvent::TestFinished { .. } => {
+                    seen.finished += 1
+                }
+                EngineEvent::WorkerLost { .. } => seen.lost += 1,
                 _ => {}
             }
         }
-        (killed, lost)
+        seen
     })
 }
 
@@ -129,17 +151,17 @@ fn killed_worker_jobs_are_retried_byte_identically() {
         .recorder(obs.clone())
         .launch(&executor)
         .unwrap();
-    let watcher = kill_held_worker(handle.events(), marker.clone());
+    let watcher = kill_held_worker(handle.events(), marker.clone(), executor.workers());
     let outcome = handle.join().expect("retries must recover the campaign");
-    let (killed, lost_events) = watcher.join().expect("watcher thread");
+    let seen = watcher.join().expect("watcher thread");
     let _ = std::fs::remove_file(&marker);
 
     assert!(
-        killed.is_some(),
+        seen.killed.is_some(),
         "fixture must have spawned a worker to kill"
     );
     assert!(
-        lost_events >= 1,
+        seen.lost >= 1,
         "the murdered worker must surface as WorkerLost"
     );
     assert_eq!(
@@ -162,6 +184,13 @@ fn killed_worker_jobs_are_retried_byte_identically() {
         "job accounting must balance after a retry ({:?})",
         metrics.counters
     );
+    // The parent emits a job's events once, however often it ships it.
+    let planned = metrics.counter("jobs_planned") as usize;
+    assert_eq!(
+        (seen.started, seen.finished),
+        (planned, planned),
+        "one started and one finished event per planned job after a retry ({seen:?})"
+    );
 }
 
 #[test]
@@ -180,20 +209,25 @@ fn retry_limit_zero_reports_the_exact_lost_jobs() {
         .command(held_worker(&marker))
         .retry_limit(0);
     let mut handle = Campaign::new(&entries, &stands).launch(&executor).unwrap();
-    let watcher = kill_held_worker(handle.events(), marker.clone());
+    let watcher = kill_held_worker(handle.events(), marker.clone(), executor.workers());
     let err = handle
         .join()
         .expect_err("a lost job with retries disabled must fail the join");
-    let (killed, _) = watcher.join().expect("watcher thread");
+    let seen = watcher.join().expect("watcher thread");
     let _ = std::fs::remove_file(&marker);
     assert!(
-        killed.is_some(),
+        seen.killed.is_some(),
         "fixture must have spawned a worker to kill"
     );
 
     match err {
         CoreError::JobsLost { lost, jobs } => {
             assert_eq!(lost, jobs.len(), "count and label list must agree");
+            assert_eq!(
+                seen.started - seen.finished,
+                lost,
+                "a lost job shows its started event and no finished event ({seen:?})"
+            );
             assert!(!jobs.is_empty(), "the lost set must name the lost jobs");
             for job in &jobs {
                 assert!(

@@ -201,6 +201,14 @@ fn served_verdicts_are_byte_identical_to_local_execution() {
 // Fairness
 // ---------------------------------------------------------------------------
 
+/// Cell jobs in each campaign of the burst test: five bundled suites per
+/// cloned stand, about three tests per cell. The first campaign must not
+/// finish before the last one is submitted, three round trips later, or
+/// that one would rightly have run nothing. A release build on two shared
+/// vCPUs ran at most ~190 test jobs in four round trips (see
+/// [`CANCEL_CAMPAIGN_JOBS`]); 400 cells hold about 1,200 tests.
+const BURST_CAMPAIGN_JOBS: usize = 400;
+
 #[test]
 fn burst_of_campaigns_progresses_on_every_campaign() {
     // One shared worker, four concurrently active campaigns: only lane
@@ -208,7 +216,10 @@ fn burst_of_campaigns_progresses_on_every_campaign() {
     // every other campaign must already have executed jobs — under a
     // starving FIFO the later submissions would still be at zero.
     let scratch = TempDir::new("fairness");
-    let paths = cloned_stand_paths(&scratch, 6);
+    let suites = comptest::load_bundled_suites()
+        .expect("bundled suites")
+        .len();
+    let paths = cloned_stand_paths(&scratch, BURST_CAMPAIGN_JOBS.div_ceil(suites));
     let mut cfg = ServeConfig::new(comptest::assets_dir());
     cfg.workers = 1;
     cfg.max_active = 4;
