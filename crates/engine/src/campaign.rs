@@ -138,11 +138,12 @@ pub struct Campaign<'a, 'b> {
     /// via [`Campaign::recorder`]. See [`crate::obs`] for the metrics and
     /// tracing it collects.
     pub obs: Recorder,
-    /// Fairness lane on a shared [`WorkerPool`](crate::WorkerPool)
-    /// (default `0`). Campaigns launched concurrently on one pool with
+    /// Fairness lane on a shared [`AsyncExecutor`](crate::AsyncExecutor)
+    /// or [`PooledExecutor`](crate::PooledExecutor) (default `0`).
+    /// Campaigns launched concurrently on one executor value with
     /// *distinct* lanes interleave round-robin instead of queueing behind
     /// each other — the `comptest serve` daemon assigns one lane per
-    /// submitted campaign. Serial and async executors ignore it.
+    /// submitted campaign. The serial and remote executors ignore it.
     pub lane: u64,
 }
 
@@ -232,8 +233,8 @@ impl<'a, 'b> Campaign<'a, 'b> {
     }
 
     /// Sets the fairness lane used when this campaign launches on a
-    /// shared [`WorkerPool`](crate::WorkerPool) (builder style). Workers
-    /// drain non-empty lanes round-robin, so concurrent campaigns on
+    /// shared local parallel executor (builder style). Its shards pull
+    /// from non-empty lanes round-robin, so concurrent campaigns on
     /// distinct lanes each make progress — a burst of tenants never
     /// starves the last one submitted. The default lane `0` reproduces
     /// plain FIFO behaviour for single-campaign use.
@@ -245,7 +246,8 @@ impl<'a, 'b> Campaign<'a, 'b> {
     /// Number of schedulable jobs at the configured granularity: whole
     /// suite×stand cells at [`Granularity::Cell`], single (entry, stand,
     /// test) triples at [`Granularity::Test`]. This is what a fresh
-    /// per-campaign pool should be sized to (`workers.min(job_count)`) —
+    /// per-campaign executor's threads should be sized to
+    /// (`workers.min(job_count)`) —
     /// one home for the computation, so callers and executors cannot
     /// drift.
     pub fn job_count(&self) -> usize {

@@ -1,13 +1,14 @@
-//! Pluggable campaign executors: the [`CampaignExecutor`] trait, the
-//! in-order [`SerialExecutor`] reference and the [`PooledExecutor`] backed
-//! by a persistent [`WorkerPool`].
+//! Pluggable campaign executors: the [`CampaignExecutor`] trait and the
+//! in-order [`SerialExecutor`] reference. The local parallel executor
+//! lives in `async_exec`, the multi-process one in [`remote`](crate::remote).
 //!
-//! Every executor — serial, pooled, async and remote — runs one unit of
-//! work, the [`PackagedJob`]: a run of consecutive tests of one cell.
-//! [`Granularity`] is its batch size. `Test` packages batches of one
-//! test, `Cell` one batch holding the whole cell. A job runs its tests in
-//! order, each against a fresh power-cycled device, and stops after the
-//! first planning error — for a batch of one test that changes nothing.
+//! Every executor — serial, async (pooled is one of its shapes) and
+//! remote — runs one unit of work, the [`PackagedJob`]: a run of
+//! consecutive tests of one cell. [`Granularity`] is its batch size.
+//! `Test` packages batches of one test, `Cell` one batch holding the
+//! whole cell. A job runs its tests in order, each against a fresh
+//! power-cycled device, and stops after the first planning error — for a
+//! batch of one test that changes nothing.
 //!
 //! Jobs come from [`package`]: scripts generated at most once per entry,
 //! stands cloned once, execution plans resolved lazily **once per (entry,
@@ -52,7 +53,6 @@ use crate::campaign::{Campaign, Granularity};
 use crate::events::{emit, EngineEvent};
 use crate::handle::{CampaignHandle, CampaignOutcome, EventStream, RunCancel};
 use crate::obs::{Counter, Gauge, Phase, Recorder, SpanCat, SpanHandle};
-use crate::pool::WorkerPool;
 
 /// A strategy for executing an already-validated [`Campaign`].
 ///
@@ -68,11 +68,13 @@ use crate::pool::WorkerPool;
 /// * cancellation is cooperative: the campaign's [`CancelToken`]
 ///   (`campaign.cancel`) and the per-run latch behind
 ///   `stop_on_first_fail` are checked before each job starts, and skipped
-///   jobs count into [`CampaignOutcome::cancelled`]. The blocking
-///   executors finish every job they started; the async executor also
-///   checks between steps and abandons a started job there, discarding
-///   its finished tests and counting it cancelled. Either way a cut cell
-///   merges to a prefix of its tests, at every worker count;
+///   jobs count into [`CampaignOutcome::cancelled`]. The serial and remote
+///   executors finish every job they started; the local parallel executor
+///   ([`AsyncExecutor`](crate::AsyncExecutor), and so
+///   [`PooledExecutor`](crate::PooledExecutor)) also checks between steps
+///   and abandons a started job there, discarding its finished tests and
+///   counting it cancelled. Either way a cut cell merges to a prefix of
+///   its tests, at every worker count;
 /// * events stream per cell at [`Granularity::Cell`] and per test at
 ///   [`Granularity::Test`], and the stream ends when the last job reports;
 /// * a configured campaign cache decides each hit when the job is
@@ -269,7 +271,7 @@ fn batches(granularity: Granularity, tests: usize) -> Vec<Range<usize>> {
 }
 
 /// One packaged job — a run of consecutive tests of one cell — with
-/// everything a worker (pool thread, async shard, remote process) needs,
+/// everything a worker (async shard, remote process) needs,
 /// owned. Packaging decided whether it is a cache hit: a hit holds its
 /// cached outcomes and no tests; any other job holds its tests, each with
 /// its script and a fresh device.
@@ -426,10 +428,10 @@ fn outcome_status(outcome: &TestJobOutcome) -> (String, bool) {
 }
 
 /// One admitted job while its tests run: the events, spans, gauges and
-/// counters of a job, kept identical on every executor. The blocking
-/// executors drive it in one loop ([`execute`]), the async executor one
-/// step at a time, and the remote executor starts it when it ships the
-/// job and ends it when the worker's outcomes come back.
+/// counters of a job, kept identical on every executor. The serial
+/// executor and worker processes drive it in one loop ([`execute`]), the
+/// async executor one step at a time, and the remote executor starts it
+/// when it ships the job and ends it when the worker's outcomes come back.
 pub(crate) struct JobRun {
     job: usize,
     cell: usize,
@@ -619,8 +621,8 @@ impl JobRun {
 /// Runs an admitted job to completion on the calling thread: its tests in
 /// order, each planned through its slot and executed against its
 /// own device, stopping after the first planning error. Every blocking
-/// path — the serial loop, pool workers, the remote fallback and the
-/// worker process — goes through here.
+/// path — the serial loop, the remote fallback and the worker process —
+/// goes through here.
 pub(crate) fn execute(
     job: PackagedJob,
     ctx: &JobCtx,
@@ -643,18 +645,6 @@ pub(crate) fn execute(
         }
     }
     run.finish(ctx, events, results);
-}
-
-/// Admits one job and, unless admission resolved it, executes it.
-pub(crate) fn run_job(
-    job: PackagedJob,
-    ctx: &JobCtx,
-    events: &Sender<EngineEvent>,
-    results: &Sender<JobMsg>,
-) {
-    if let Some(job) = ctx.admit(job, events, results) {
-        execute(job, ctx, events, results);
-    }
 }
 
 /// What a job reports to the join — exactly one message per job.
@@ -707,7 +697,7 @@ pub(crate) fn launch_jobs<'a>(
 /// The join every executor shares. Takes exactly one message per job,
 /// drops each job's outcomes into its `layout` range of the flat (cell, test) order and folds them with
 /// [`merge_test_outcomes`]. A job that neither reported nor acknowledged
-/// cancellation died mid-job (a panic caught by the pool): that surfaces
+/// cancellation died mid-job (a panic caught by a shard): that surfaces
 /// as [`CoreError::JobsLost`], never as a silently truncated — possibly
 /// all-green — result.
 fn join_jobs(
@@ -792,99 +782,11 @@ impl CampaignExecutor for SerialExecutor {
             // other; the join releases the claim.
             ctx.obs.gauge_add(Gauge::Workers, 1);
             for job in jobs {
-                run_job(job, ctx, &events, &results);
+                if let Some(job) = ctx.admit(job, &events, &results) {
+                    execute(job, ctx, &events, &results);
+                }
             }
             1
-        })
-    }
-}
-
-/// Executes campaigns on an owned persistent [`WorkerPool`]: jobs are
-/// packaged (`'static`) and drained by the pool's threads, events stream
-/// live, and the same executor is reusable across successive campaigns
-/// (replay / watch mode pays thread start-up once).
-///
-/// A bare [`WorkerPool`] is also a [`CampaignExecutor`]; this wrapper owns
-/// its pool so the common case needs no extra plumbing.
-#[derive(Debug)]
-pub struct PooledExecutor {
-    pool: WorkerPool,
-}
-
-impl PooledExecutor {
-    /// An executor with a fresh pool of `workers` threads.
-    ///
-    /// `workers` must be at least `1` — the same rule the CLI enforces for
-    /// `--workers`. Passing `0` is a caller bug: debug builds assert on it,
-    /// release builds clamp to `1` (a zero-thread pool would deadlock every
-    /// campaign, which is strictly worse than running serially).
-    ///
-    /// Exactly `workers` threads are spawned for the executor's lifetime —
-    /// a persistent executor serving many campaigns is sized by its owner.
-    /// When building a fresh executor for one campaign, size it to
-    /// [`Campaign::job_count`] (`workers.min(campaign.job_count())`, as
-    /// the CLI does) so excess threads are not constructed only to park on
-    /// the queue.
-    ///
-    /// # Panics
-    ///
-    /// Debug builds panic on `workers == 0`.
-    pub fn new(workers: usize) -> Self {
-        debug_assert!(
-            workers > 0,
-            "PooledExecutor::new(0): a pool needs at least one worker \
-             (release builds clamp to 1; the CLI rejects --workers 0 outright)"
-        );
-        Self {
-            pool: WorkerPool::new(workers),
-        }
-    }
-
-    /// Wraps an existing pool.
-    pub fn with_pool(pool: WorkerPool) -> Self {
-        Self { pool }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.pool.workers()
-    }
-
-    /// The backing pool.
-    pub fn pool(&self) -> &WorkerPool {
-        &self.pool
-    }
-}
-
-impl CampaignExecutor for PooledExecutor {
-    fn launch<'a>(&self, campaign: &Campaign<'a, '_>) -> Result<CampaignHandle<'a>, CoreError> {
-        self.pool.launch(campaign)
-    }
-}
-
-impl CampaignExecutor for WorkerPool {
-    fn launch<'a>(&self, campaign: &Campaign<'a, '_>) -> Result<CampaignHandle<'a>, CoreError> {
-        let lane = campaign.lane;
-        launch_jobs(campaign, |jobs, ctx, events, results| {
-            // Additive claim (not `gauge_set`): concurrent campaigns
-            // sharing one recorder on one pool sum their claims and the
-            // gauge returns to zero once every one of them joins.
-            let claimed_workers = self.workers() as i64;
-            ctx.obs.gauge_add(Gauge::Workers, claimed_workers);
-            for job in jobs {
-                let ctx = ctx.clone();
-                let events = events.clone();
-                let results = results.clone();
-                ctx.obs.gauge_add(Gauge::QueueDepth, 1);
-                self.submit_task(
-                    lane,
-                    Box::new(move || {
-                        ctx.obs.gauge_add(Gauge::QueueDepth, -1);
-                        run_job(job, &ctx, &events, &results);
-                    }),
-                );
-            }
-            claimed_workers
         })
     }
 }

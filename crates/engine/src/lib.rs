@@ -13,24 +13,23 @@
 //!   [`Granularity`], `stop_on_first_fail` and an optional external
 //!   [`CancelToken`] — which owns validation (empty matrices and
 //!   duplicate stand names are rejected before anything runs);
-//! * a [`CampaignExecutor`] trait with four implementations —
+//! * a [`CampaignExecutor`] trait with three executors —
 //!   [`SerialExecutor`] (in-order on the calling thread, the determinism
-//!   reference), [`PooledExecutor`] (a persistent [`WorkerPool`] that
-//!   outlives campaigns and amortises thread start-up across replays),
-//!   [`AsyncExecutor`] (an event loop of resumable
-//!   [`TestRun`](comptest_core::TestRun)s: thousands of concurrent
-//!   simulated stands interleave per OS thread on a sim-time wheel,
-//!   optionally sharded across several) and [`RemoteExecutor`] (packaged
-//!   jobs shipped to spawned `comptest worker` *processes* over a
-//!   length-prefixed stdio frame protocol — see [`remote`]). The trait
-//!   contract all four
+//!   reference), [`AsyncExecutor`] (the local parallel executor: an event
+//!   loop of resumable [`TestRun`](comptest_core::TestRun)s on persistent
+//!   shard threads fed from one lane-fair queue, where thousands of
+//!   concurrent simulated stands interleave per thread on a sim-time
+//!   wheel; [`PooledExecutor`] is its thread-pool shape, one in-flight
+//!   run per shard) and [`RemoteExecutor`] (packaged jobs shipped to
+//!   spawned `comptest worker` *processes* over a length-prefixed stdio
+//!   frame protocol — see [`remote`]). The trait contract all of them
 //!   keep: outcomes merge back in the deterministic plan order (so every
 //!   executor, at every worker count / concurrency limit, is
 //!   byte-identical to serial), launch surfaces the first codegen error
-//!   before any job runs, and cancellation is cooperative — between jobs
-//!   on the blocking executors, between *steps* on the async one (a
-//!   cancelled campaign abandons in-flight runs at the next step boundary
-//!   and counts them into `cancelled`);
+//!   before any job runs, and cancellation is cooperative — serial and
+//!   remote finish the jobs they started, the local parallel executor
+//!   abandons in-flight runs at the next *step* boundary and counts them
+//!   into `cancelled`;
 //! * a [`CampaignHandle`] returned by [`Campaign::launch`]: a typed
 //!   [`EventStream`] of [`EngineEvent`]s, cooperative cancellation via
 //!   [`CancelToken`], and a [`CampaignHandle::join`] folding every
@@ -177,20 +176,22 @@
 //!
 //! Everything above is per-process; the `comptest-server` crate (re-exported
 //! by the facade as `comptest::server`, CLI `comptest serve`) keeps one
-//! engine resident and multiplexes many tenants onto it: a single shared
-//! [`WorkerPool`] + [`AsyncExecutor`] + [`DirCache`], one [`Campaign`] per
-//! submission. Three engine properties make that multiplexing sound, and
+//! engine resident and multiplexes many tenants onto it: two shared local
+//! parallel executors (a [`PooledExecutor`] and a sharded
+//! [`AsyncExecutor`], one per wire executor choice) + one [`DirCache`],
+//! one [`Campaign`] per submission. Three engine properties make that multiplexing sound, and
 //! they are the reason the daemon needs no protocol-level result plumbing:
 //!
 //! * **byte-identity** — merged results depend only on the campaign value,
 //!   never on worker count, interleaving or cache temperature, so a served
 //!   verdict equals a local `SerialExecutor` run byte for byte;
 //! * **lane fairness** — [`Campaign::lane`] tags a campaign's jobs so the
-//!   shared pool round-robins *between* campaigns (the daemon uses the
-//!   campaign id as the lane): a 500-cell tenant cannot starve a 5-cell one;
+//!   shared shards pull round-robin *between* campaigns (the daemon uses
+//!   the campaign id as the lane): a 500-cell tenant cannot starve a
+//!   5-cell one;
 //! * **cooperative cancellation** — an external [`CancelToken`] held per
-//!   tenant turns a wire `cancel` frame into the same job-boundary drain a
-//!   local Ctrl-C performs, with skipped work counted in
+//!   tenant turns a wire `cancel` frame into the same step-boundary drain
+//!   a local Ctrl-C performs, with skipped work counted in
 //!   [`CampaignOutcome`]`::cancelled`.
 //!
 //! The wire protocol is newline-delimited JSON frames (the [`codec`]
@@ -279,17 +280,15 @@ mod events;
 mod executor;
 mod handle;
 pub mod obs;
-mod pool;
 pub mod remote;
 
-pub use async_exec::AsyncExecutor;
+pub use async_exec::{AsyncExecutor, PooledExecutor};
 pub use cache::{CacheLookup, CampaignCache, CellRecord, DirCache, LookupInfo, MemoryCache};
 pub use campaign::{Campaign, Granularity};
 pub use events::EngineEvent;
-pub use executor::{CampaignExecutor, PooledExecutor, SerialExecutor};
+pub use executor::{CampaignExecutor, SerialExecutor};
 pub use handle::{CampaignHandle, CampaignOutcome, CancelToken, EventStream};
 pub use obs::{GaugeSnapshot, HistogramSnapshot, MetricsSnapshot, PhaseSnapshot, Recorder};
-pub use pool::WorkerPool;
 pub use remote::{worker_main, RemoteExecutor, HOLD_MS_ENV};
 
 pub use comptest_core::hash::{CellKey, Footprint};
@@ -300,7 +299,6 @@ mod tests {
     use comptest_core::campaign::CampaignEntry;
     use comptest_sheets::Workbook;
     use comptest_stand::TestStand;
-    use std::sync::mpsc;
 
     const WB_PASS: &str = "\
 [suite]
@@ -677,8 +675,22 @@ step, dt,  DS_FL, NIGHT, INT_ILL
 
     #[test]
     fn zero_workers_is_clamped_in_the_option_layers() {
-        // A zero-thread pool must not deadlock the engine.
-        assert_eq!(WorkerPool::new(0).workers(), 1);
+        // More shards than in-flight runs would leave shards with a zero
+        // limit that never admit; only as many start as the budget has
+        // runs for, and the campaign completes.
+        let suites = vec![Workbook::parse_str("a.cts", WB_PASS).unwrap().suite];
+        let entries = entries(&suites);
+        let stand = stand();
+        let stands = [&stand];
+        let obs = Recorder::enabled();
+        let campaign = Campaign::new(&entries, &stands)
+            .granularity(Granularity::Test)
+            .recorder(obs.clone());
+        assert!(campaign
+            .run(&AsyncExecutor::new(1).sharded(4))
+            .unwrap()
+            .all_green());
+        assert_eq!(obs.metrics().unwrap().gauges["workers"].max, 1);
     }
 
     /// `PooledExecutor::new(0)` is a caller bug, flagged the same way the
@@ -812,9 +824,12 @@ step, dt,  DS_FL, NIGHT, INT_ILL
         let entries = entries(&suites);
         let stand = stand();
         let stands = [&stand];
+        // Bound, not a temporary: dropping the executor waits for its
+        // queued jobs, which would finish the campaign before the cancel.
+        let executor = AsyncExecutor::new(8);
         let handle = Campaign::new(&entries, &stands)
             .granularity(Granularity::Test)
-            .launch(&AsyncExecutor::new(8))
+            .launch(&executor)
             .unwrap();
         handle.cancel();
         let outcome = handle.join().unwrap();
@@ -846,20 +861,6 @@ step, dt,  DS_FL, NIGHT, INT_ILL
     }
 
     #[test]
-    fn pool_survives_a_panicking_task() {
-        let pool = WorkerPool::new(1);
-        pool.submit(Box::new(|| panic!("task bug")));
-        // The single worker must still be alive to run the next task.
-        let (tx, rx) = mpsc::channel();
-        pool.submit(Box::new(move || tx.send(42u8).expect("receiver alive")));
-        assert_eq!(
-            rx.recv_timeout(std::time::Duration::from_secs(5)),
-            Ok(42),
-            "worker thread died on the panicking task"
-        );
-    }
-
-    #[test]
     fn executors_are_reusable_across_campaigns() {
         let suites = vec![Workbook::parse_str("a.cts", WB_PASS).unwrap().suite];
         let entries = entries(&suites);
@@ -867,16 +868,12 @@ step, dt,  DS_FL, NIGHT, INT_ILL
         let stands = [&stand];
         let campaign = Campaign::new(&entries, &stands).granularity(Granularity::Test);
         let serial = campaign.run(&SerialExecutor).unwrap();
-        // Successive campaigns on the same threads (replay mode) — both on
-        // the owning executor and on a bare pool.
-        let executor = PooledExecutor::with_pool(WorkerPool::new(3));
+        // Successive campaigns on the same threads (replay mode).
+        let executor = PooledExecutor::new(3);
         assert_eq!(executor.workers(), 3);
-        assert_eq!(executor.pool().workers(), 3);
         for round in 0..2 {
             assert_eq!(campaign.run(&executor).unwrap(), serial, "round {round}");
         }
-        let pool = WorkerPool::new(2);
-        assert_eq!(campaign.run(&pool).unwrap(), serial, "bare pool");
     }
 
     #[test]
@@ -921,40 +918,28 @@ step, dt,  DS_FL, NIGHT, INT_ILL
         );
     }
 
-    /// Multi-tenant behaviour: the lane-fair pool queue and the additive
+    /// Multi-tenant behaviour: the lane-fair shard queue and the additive
     /// gauges that the `comptest serve` daemon relies on when many
-    /// campaigns share one [`WorkerPool`] and one [`Recorder`].
+    /// campaigns share one executor and one [`Recorder`].
     mod multi_tenant {
         use super::*;
-        use std::sync::{Arc, Mutex};
+        use crate::async_exec::LaneQueues;
 
-        /// With every task queued up front on one worker, the drain order
-        /// alternates strictly between the two lanes — no lane waits for
-        /// the other to finish.
+        /// With every job queued up front, the drain order alternates
+        /// strictly between the two lanes — no lane waits for the other
+        /// to finish — and keeps queue order within each lane.
         #[test]
         fn pool_lanes_interleave_round_robin() {
-            let pool = WorkerPool::new(1);
-            let (gate_tx, gate_rx) = mpsc::channel::<()>();
-            // Park the only worker so the lane queues fill before any
-            // task runs.
-            pool.submit(move || {
-                let _ = gate_rx.recv();
-            });
-            let order = Arc::new(Mutex::new(Vec::new()));
-            for lane in [1u64, 1, 1, 2, 2, 2] {
-                let order = Arc::clone(&order);
-                pool.submit_to_lane(lane, move || {
-                    order.lock().unwrap().push(lane);
-                });
-            }
-            gate_tx.send(()).unwrap();
-            // Dropping the pool drains the queue and joins the worker.
-            drop(pool);
-            assert_eq!(*order.lock().unwrap(), vec![1, 2, 1, 2, 1, 2]);
+            let mut queues = LaneQueues::default();
+            queues.push(1, ["a1", "a2", "a3"].into_iter());
+            queues.push(2, ["b1", "b2", "b3"].into_iter());
+            queues.push(3, std::iter::empty());
+            let order: Vec<_> = std::iter::from_fn(|| queues.steal()).collect();
+            assert_eq!(order, ["a1", "b1", "a2", "b2", "a3", "b3"]);
         }
 
-        /// Two campaigns launched concurrently on one shared pool and one
-        /// shared recorder: the job counters balance *summed* across both
+        /// Two campaigns launched concurrently on one shared executor and
+        /// one shared recorder: the job counters balance *summed* across both
         /// and every gauge returns to zero after both join — the
         /// counter-balance contract a multi-campaign `ObsCore` keeps.
         #[test]
@@ -968,7 +953,7 @@ step, dt,  DS_FL, NIGHT, INT_ILL
             let stands_a = [&stand_a];
             let stands_b = [&stand_b];
 
-            let pool = WorkerPool::new(2);
+            let pool = PooledExecutor::new(2);
             let obs = Recorder::enabled();
             let c1 = Campaign::new(&entries_a, &stands_a)
                 .granularity(Granularity::Test)

@@ -60,14 +60,19 @@ fn err<T>(msg: impl Into<String>) -> Result<T, FrameError> {
 }
 
 /// Writes one `[u32 LE length][payload]` frame and flushes, so a child
-/// blocked on its next frame always sees complete bytes.
+/// blocked on its next frame always sees complete bytes. The frame goes
+/// out as one buffer in one `write_all`: on an unbuffered pipe a small
+/// frame (below `PIPE_BUF`, as `Shutdown` is) is then one atomic write,
+/// so a peer that exits mid-way cannot leave a header without its payload.
 pub(crate) fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .ok()
         .filter(|&l| l <= MAX_FRAME)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -564,6 +569,36 @@ mod tests {
         let mut padded = ToWorker::Shutdown.encode();
         padded.push(0);
         assert!(ToWorker::decode(&padded).is_err());
+    }
+
+    /// A writer that accepts every byte and counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_written_in_one_call() {
+        for payload in [ToWorker::Shutdown.encode(), vec![7u8; 1000]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.writes, 1, "header and payload must go out together");
+            let mut read: &[u8] = &w.bytes;
+            assert_eq!(read_frame(&mut read).unwrap(), Some(payload));
+        }
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! The batch CLI pays campaign startup (suite parsing, executor
 //! construction, cold caches) on every invocation. This crate keeps all
 //! of that **resident**: a [`Server`] daemon loads the bundled suites
-//! once, owns one shared lane-fair worker pool, one async-executor
-//! configuration and one on-disk cell cache, and multiplexes any number
-//! of concurrently submitted campaigns onto them — each tenant isolated
-//! by its own [`CampaignId`], [`CancelToken`](comptest_engine::CancelToken),
-//! metrics [`Recorder`](comptest_engine::Recorder) and event hub.
+//! once, owns two shared lane-fair executors (pooled and async, each on
+//! a fixed set of threads) and one on-disk cell cache, and multiplexes
+//! any number of concurrently submitted campaigns onto them — each tenant
+//! isolated by its own [`CampaignId`],
+//! [`CancelToken`](comptest_engine::CancelToken), metrics
+//! [`Recorder`](comptest_engine::Recorder) and event hub.
 //!
 //! # Protocol
 //!

@@ -42,11 +42,13 @@ use comptest_engine::{EngineEvent, Granularity};
 /// Which shared executor a submission runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutorChoice {
-    /// The daemon's shared lane-fair [`WorkerPool`](comptest_engine::WorkerPool).
+    /// The daemon's shared [`PooledExecutor`](comptest_engine::PooledExecutor):
+    /// `workers` threads, one in-flight run each.
     #[default]
     Pooled,
-    /// The daemon's shared [`AsyncExecutor`](comptest_engine::AsyncExecutor)
-    /// configuration (sim-time event loop).
+    /// The daemon's shared [`AsyncExecutor`](comptest_engine::AsyncExecutor):
+    /// up to `concurrency` in-flight runs on a sim-time event loop sharded
+    /// over `workers` threads. Both choices are lane-fair across tenants.
     Async,
 }
 

@@ -2,14 +2,15 @@
 //! per-tenant event hubs, graceful drain.
 //!
 //! One [`Server`] owns everything expensive exactly once — the bundled
-//! suites, a lane-fair [`WorkerPool`], an [`AsyncExecutor`] configuration
-//! and (optionally) a shared [`DirCache`] — and multiplexes every
-//! submitted campaign onto them. Each submission becomes a *tenant*: a
+//! suites, two lane-fair local parallel executors (a [`PooledExecutor`]
+//! and a sharded [`AsyncExecutor`], one per [`ExecutorChoice`]) and
+//! (optionally) a shared [`DirCache`] — and multiplexes every submitted
+//! campaign onto them. Each submission becomes a *tenant*: a
 //! stable [`CampaignId`], a private [`CancelToken`], a private enabled
 //! [`Recorder`] (so `metrics` answers per tenant, not per process) and an
 //! [`EventHub`] that replays history to late subscribers. A campaign's
-//! pool lane is its id, so concurrently running tenants interleave
-//! round-robin on the shared workers instead of convoying.
+//! lane is its id, so concurrently running tenants interleave
+//! round-robin on the shared threads instead of convoying.
 //!
 //! Lifecycle: `submit` enqueues (`Queued`); a scheduler thread launches
 //! up to `max_active` campaigns at once (`Running`, each on its own
@@ -42,7 +43,7 @@ use comptest_dut::ecus;
 use comptest_engine::codec::{self, Value};
 use comptest_engine::{
     AsyncExecutor, Campaign, CampaignCache, CampaignOutcome, CancelToken, DirCache, EngineEvent,
-    MetricsSnapshot, Recorder, WorkerPool,
+    MetricsSnapshot, PooledExecutor, Recorder,
 };
 use comptest_model::TestSuite;
 use comptest_sheets::Workbook;
@@ -58,9 +59,11 @@ pub struct ServeConfig {
     /// Directory holding the bundled `<ecu>.cts` workbooks (the facade's
     /// `assets/` in the stock layout).
     pub assets_dir: PathBuf,
-    /// OS threads in the shared lane-fair worker pool.
+    /// OS threads of each shared executor: the pooled one runs one job
+    /// per thread, the async one shards its event loop over as many.
     pub workers: usize,
-    /// In-flight run limit of the shared event-loop executor.
+    /// In-flight run limit of the shared async executor, split over its
+    /// `workers` shards.
     pub concurrency: usize,
     /// Campaigns allowed to run simultaneously; further submissions wait
     /// in the admission queue. `1` serialises campaigns (and makes
@@ -235,7 +238,7 @@ struct Inner {
     cfg: ServeConfig,
     suites: Vec<TestSuite>,
     suite_names: Vec<String>,
-    pool: WorkerPool,
+    pooled: PooledExecutor,
     async_exec: AsyncExecutor,
     cache: Option<Arc<DirCache>>,
     state: Mutex<ServiceState>,
@@ -291,8 +294,8 @@ impl Server {
             None => None,
         };
         let inner = Arc::new(Inner {
-            pool: WorkerPool::new(cfg.workers),
-            async_exec: AsyncExecutor::new(cfg.concurrency),
+            pooled: PooledExecutor::new(cfg.workers),
+            async_exec: AsyncExecutor::new(cfg.concurrency).sharded(cfg.workers),
             cfg,
             suites,
             suite_names,
@@ -744,8 +747,8 @@ fn execute_submission(
         .stop_on_first_fail(job.stop_on_first_fail)
         .cancel_token(cancel)
         .recorder(obs)
-        // The pool lane is the campaign id: concurrent tenants
-        // round-robin on the shared workers.
+        // The lane is the campaign id: concurrent tenants round-robin on
+        // the shared threads.
         .lane(id.0);
     if job.use_cache {
         if let Some(cache) = &inner.cache {
@@ -753,7 +756,7 @@ fn execute_submission(
         }
     }
     let mut handle = match job.executor {
-        ExecutorChoice::Pooled => campaign.launch(&inner.pool),
+        ExecutorChoice::Pooled => campaign.launch(&inner.pooled),
         ExecutorChoice::Async => campaign.launch(&inner.async_exec),
     }
     .map_err(|e| e.to_string())?;

@@ -32,13 +32,18 @@
 //! the campaign handle and optionally writing a campaign JUnit report.
 //! Every executor produces the byte-identical result matrix:
 //!
-//! * `--executor pooled` (default): a worker pool; `--workers N` shards
-//!   the matrix over N OS threads (default 1 = serial reference order).
+//! * `--executor pooled` (default): `--workers N` OS threads (default
+//!   1 = serial reference order), each running one job at a time. It is
+//!   an alias for the async executor with `--concurrency` equal to
+//!   `--workers`: one in-flight run per thread.
 //! * `--executor serial`: the in-order reference executor.
 //! * `--executor async`: the event loop — up to `--concurrency N`
 //!   (default 1024) test runs in flight *simultaneously*, interleaved
 //!   step by step on `--workers` shard threads (default 1), so
 //!   concurrency is no longer capped by thread count.
+//!
+//! Both local parallel shapes start at most one thread per job
+//! (`--workers` is capped at the campaign's job count).
 //! * `--executor remote`: multi-process — packaged jobs ship over stdio
 //!   frames to `--remote-workers N` (default 2) spawned `comptest worker`
 //!   children; a killed worker's jobs are retried on survivors (the
@@ -58,9 +63,9 @@
 //! (sample the whole step window every interval — the stricter ablation
 //! the `comptest_core::exec` module docs describe). `--stop-on-first-fail`
 //! cancels the remaining jobs as soon as one fails, keeping the
-//! deterministic finished prefix in the report (on the async executor
-//! cancellation cuts in at *step* granularity: in-flight runs stop at
-//! their next step boundary).
+//! deterministic finished prefix in the report (on the pooled and async
+//! executors cancellation cuts in at *step* granularity: in-flight runs
+//! stop at their next step boundary).
 //!
 //! `--cache <dir>` keys every suite×stand×DUT cell by stable structural
 //! hashes and skips byte-identical re-executions across campaign runs
@@ -90,13 +95,16 @@
 //!
 //! `serve` runs the resident multi-tenant campaign daemon (see the
 //! `comptest_server` crate docs for the wire protocol): suites load
-//! once, submitted campaigns share one lane-fair worker pool and one
-//! on-disk cache, events stream live with replay, verdicts stay
-//! fetchable by id after the submitting client disconnects, and
-//! SIGINT/SIGTERM (or a `shutdown` frame) drains gracefully. `submit`,
-//! `watch`, `cancel` and `status` are thin wire clients. The one-shot
-//! `campaign` also handles Ctrl-C cooperatively: in-flight jobs drain
-//! at the next boundary and the partial matrix still reports.
+//! once, submitted campaigns share two lane-fair executors (pooled and
+//! async) and one on-disk cache, events stream live with replay,
+//! verdicts stay fetchable by id after the submitting client
+//! disconnects, and SIGINT/SIGTERM (or a `shutdown` frame) drains
+//! gracefully. `submit`, `watch`, `cancel` and `status` are thin wire
+//! clients. The one-shot
+//! `campaign` also handles Ctrl-C cooperatively: queued jobs are
+//! skipped, in-flight ones stop at their next step boundary (or, on the
+//! serial and remote executors, finish), and the partial matrix still
+//! reports.
 
 use std::process::ExitCode;
 
@@ -606,12 +614,13 @@ fn cmd_campaign(args: &[&str]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             campaign.cache(std::sync::Arc::new(comptest::engine::DirCache::open(dir)?))
         }
     };
+    // One sizing rule for both local parallel shapes: the threads are
+    // persistent, so none is started beyond the campaign's job count.
+    let threads = workers.min(campaign.job_count().max(1));
     let executor: Box<dyn CampaignExecutor> = match executor_kind {
         ExecutorKind::Serial => Box::new(SerialExecutor),
-        ExecutorKind::Pooled => Box::new(PooledExecutor::new(
-            workers.min(campaign.job_count().max(1)),
-        )),
-        ExecutorKind::Async => Box::new(AsyncExecutor::new(concurrency).sharded(workers)),
+        ExecutorKind::Pooled => Box::new(PooledExecutor::new(threads)),
+        ExecutorKind::Async => Box::new(AsyncExecutor::new(concurrency).sharded(threads)),
         // The worker command defaults to this very binary re-invoked as
         // `comptest worker` (RemoteExecutor::resolve_command), so the CLI
         // needs no extra plumbing here.
@@ -621,7 +630,8 @@ fn cmd_campaign(args: &[&str]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     };
     let mut handle = campaign.launch(executor.as_ref())?;
     // Cooperative Ctrl-C: trip the handle's token instead of dying
-    // mid-write — the campaign drains at the next job boundary and the
+    // mid-write — queued jobs are skipped, pooled and async runs stop at
+    // their next step boundary, serial and remote jobs finish, and the
     // partial matrix still reports through the normal path below.
     comptest::server::signals::install();
     comptest::server::signals::cancel_on_signal(handle.cancel_token());

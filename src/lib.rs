@@ -50,7 +50,8 @@
 //! [`Campaign`](prelude::Campaign) describes the suites × stands matrix
 //! once and launches on any executor — [`SerialExecutor`](prelude::SerialExecutor)
 //! for the deterministic reference, [`PooledExecutor`](prelude::PooledExecutor)
-//! for wall-clock speedup; the results are byte-identical. The returned
+//! (the local parallel executor with one in-flight run per thread) for
+//! wall-clock speedup; the results are byte-identical. The returned
 //! [`CampaignHandle`](prelude::CampaignHandle) streams typed events and
 //! supports cooperative cancellation ([`CancelToken`](prelude::CancelToken)
 //! or `stop_on_first_fail`).
@@ -97,7 +98,8 @@
 //! the event-loop [`AsyncExecutor`](prelude::AsyncExecutor) keeps up to
 //! `concurrency` runs open *simultaneously on one OS thread*, interleaving
 //! them step by step in simulated-time order — and still merges the exact
-//! bytes the serial executor produces.
+//! bytes the serial executor produces. Its threads start on the first
+//! launch and serve every later launch of the same executor value.
 //!
 //! ```
 //! use comptest::prelude::*;
@@ -300,8 +302,8 @@
 //! # Quickstart — serving campaigns
 //!
 //! `comptest serve` keeps everything expensive **resident**: one daemon
-//! loads the bundled suites once, owns one lane-fair worker pool, one
-//! async-executor configuration and one shared on-disk cache, and
+//! loads the bundled suites once, owns two lane-fair executors (pooled and
+//! async, each on a fixed set of threads) and one shared on-disk cache, and
 //! multiplexes any number of concurrently submitted campaigns onto them
 //! over a newline-delimited JSON TCP protocol. Campaigns get stable ids
 //! (`c-000001`), stream typed events to any number of watchers (late
@@ -351,7 +353,7 @@ pub mod prelude {
     pub use comptest_engine::{
         AsyncExecutor, Campaign, CampaignExecutor, CampaignHandle, CampaignOutcome, CancelToken,
         EngineEvent, EventStream, Granularity, MetricsSnapshot, PooledExecutor, Recorder,
-        RemoteExecutor, SerialExecutor, WorkerPool,
+        RemoteExecutor, SerialExecutor,
     };
     pub use comptest_model::{Env, MethodRegistry, TestSuite};
     pub use comptest_script::{generate, generate_all, TestScript};

@@ -1,7 +1,8 @@
 //! Engine behaviours *around* the executor contract: event-stream
-//! coverage, report generation from campaign results, executor reuse, and
-//! the serial reference `comptest_core::reference::run_campaign` that
-//! anchors the builder API byte for byte.
+//! coverage, report generation from campaign results, executor reuse
+//! (also after a panicking DUT), and the serial reference
+//! `comptest_core::reference::run_campaign` that anchors the builder API
+//! byte for byte.
 //!
 //! The executor contract itself — byte-identity to the serial reference,
 //! cancellation prefix-truncation, stop-on-first-fail, empty-matrix
@@ -10,6 +11,8 @@
 //! Serial / Pooled / Async × cache off / memory / dir.
 
 use comptest::core::campaign::CampaignEntry;
+use comptest::dut::{Behavior, PortValue};
+use comptest::model::SimTime;
 use comptest::prelude::*;
 
 fn load_suites() -> Vec<TestSuite> {
@@ -169,13 +172,82 @@ fn serial_run_campaign_anchors_the_builder_api() {
             "pooled at {granularity}"
         );
     }
-    let pool = WorkerPool::new(4);
-    let on_pool = Campaign::new(&entries_vec, &stands).granularity(Granularity::Test);
-    for round in 0..2 {
-        assert_eq!(
-            on_pool.run(&pool).unwrap(),
-            anchor,
-            "bare pool, round {round}"
-        );
+}
+
+/// A behaviour that panics as soon as simulation time advances: a DUT
+/// model bug surfacing mid-run, on a shard thread.
+#[derive(Debug)]
+struct ExplodingBehavior;
+
+impl Behavior for ExplodingBehavior {
+    fn name(&self) -> &str {
+        "exploding"
+    }
+    fn inputs(&self) -> &[&'static str] {
+        &[]
+    }
+    fn outputs(&self) -> &[&'static str] {
+        &[]
+    }
+    fn reset(&mut self, _now: SimTime) {}
+    fn set_input(&mut self, _port: &str, _value: PortValue, _now: SimTime) {}
+    fn advance(&mut self, now: SimTime) {
+        assert!(now.is_zero(), "DUT model bug: boom at {now}");
+    }
+    fn next_event(&self) -> Option<SimTime> {
+        None
+    }
+    fn output(&self, _port: &str) -> PortValue {
+        PortValue::Bool(false)
+    }
+}
+
+/// The local parallel executor's threads are persistent, so a DUT that
+/// panics must cost only its own job: the campaign joins to `JobsLost`,
+/// and the same executor value then still runs a healthy campaign
+/// byte-identical to the reference, twice.
+#[test]
+fn persistent_executors_survive_a_panicking_dut() {
+    use comptest::core::reference::run_campaign;
+    use comptest::core::CoreError;
+
+    let suites = load_suites();
+    let healthy = entries(&suites);
+    let exploding: Vec<CampaignEntry<'_>> = suites[..1]
+        .iter()
+        .map(|suite| CampaignEntry {
+            suite,
+            device_factory: Box::new(|| Device::builder(Box::new(ExplodingBehavior)).build()),
+        })
+        .collect();
+    let stand_b = load_stand("stand_b.stand");
+    let stands = [&stand_b];
+    let anchor = run_campaign(&healthy, &stands, &ExecOptions::default()).unwrap();
+
+    let executors: [(&str, Box<dyn CampaignExecutor>); 2] = [
+        ("pooled(1)", Box::new(PooledExecutor::new(1))),
+        ("async(4x2)", Box::new(AsyncExecutor::new(4).sharded(2))),
+    ];
+    for (label, executor) in executors {
+        for granularity in [Granularity::Cell, Granularity::Test] {
+            let err = Campaign::new(&exploding, &stands)
+                .granularity(granularity)
+                .launch(executor.as_ref())
+                .unwrap()
+                .join()
+                .unwrap_err();
+            assert!(
+                matches!(err, CoreError::JobsLost { lost, .. } if lost > 0),
+                "{label}/{granularity}: expected JobsLost, got {err:?}"
+            );
+        }
+        let campaign = Campaign::new(&healthy, &stands);
+        for round in 0..2 {
+            assert_eq!(
+                campaign.run(executor.as_ref()).unwrap(),
+                anchor,
+                "{label}, round {round} after the panics"
+            );
+        }
     }
 }

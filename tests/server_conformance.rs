@@ -9,9 +9,9 @@
 //!   the same matrix, per granularity × cache off/cold/warm, and on the
 //!   shared async executor;
 //! * **fairness** — a burst of campaigns multiplexed onto one shared
-//!   single-worker pool makes progress on *every* campaign (lane
-//!   round-robin, no starvation): when the first verdict lands, every
-//!   other campaign has already executed work;
+//!   single-thread executor, pooled or async, makes progress on *every*
+//!   campaign (lane round-robin, no starvation): when the first verdict
+//!   lands, every other campaign has already executed work;
 //! * **disconnect survival** — dropping a watching connection mid-stream
 //!   neither kills nor stalls the campaign; any later connection fetches
 //!   the verdict by id;
@@ -211,11 +211,18 @@ const BURST_CAMPAIGN_JOBS: usize = 400;
 
 #[test]
 fn burst_of_campaigns_progresses_on_every_campaign() {
-    // One shared worker, four concurrently active campaigns: only lane
+    burst_progresses_on(ExecutorChoice::Pooled);
+    burst_progresses_on(ExecutorChoice::Async);
+}
+
+fn burst_progresses_on(executor: ExecutorChoice) {
+    // One shared thread, four concurrently active campaigns: only lane
     // round-robin can interleave them. When the first verdict lands,
     // every other campaign must already have executed jobs — under a
-    // starving FIFO the later submissions would still be at zero.
-    let scratch = TempDir::new("fairness");
+    // starving FIFO the later submissions would still be at zero. The
+    // async executor's one shard holds many runs at once, but it pulls
+    // them from the same lane-fair queue.
+    let scratch = TempDir::new(&format!("fairness-{executor:?}"));
     let suites = comptest::load_bundled_suites()
         .expect("bundled suites")
         .len();
@@ -225,13 +232,11 @@ fn burst_of_campaigns_progresses_on_every_campaign() {
     cfg.max_active = 4;
     let ts = TestServer::start(cfg);
 
+    let mut spec = spec_for(&paths, Granularity::Cell, false);
+    spec.executor = executor;
     let mut submitter = ts.client();
     let ids: Vec<_> = (0..4)
-        .map(|_| {
-            submitter
-                .submit(&spec_for(&paths, Granularity::Cell, false))
-                .expect("submit")
-        })
+        .map(|_| submitter.submit(&spec).expect("submit"))
         .collect();
 
     // Wait for the first campaign (any of them) to finish.
@@ -264,7 +269,7 @@ fn burst_of_campaigns_progresses_on_every_campaign() {
             .unwrap_or(0);
         assert!(
             executed >= 1,
-            "campaign {id} starved: 0 jobs executed when {first_done} already finished"
+            "{executor:?}: campaign {id} starved: 0 jobs executed when {first_done} already finished"
         );
     }
 
@@ -272,8 +277,8 @@ fn burst_of_campaigns_progresses_on_every_campaign() {
     let (want_report, ..) = reference(Granularity::Cell, &paths);
     for &id in &ids {
         let verdict = wait_ready(&mut probe, id);
-        assert_eq!(verdict.state, "done");
-        assert_eq!(verdict.report, want_report);
+        assert_eq!(verdict.state, "done", "{executor:?}");
+        assert_eq!(verdict.report, want_report, "{executor:?}");
     }
 }
 
