@@ -176,10 +176,10 @@
 //!
 //! Everything above is per-process; the `comptest-server` crate (re-exported
 //! by the facade as `comptest::server`, CLI `comptest serve`) keeps one
-//! engine resident and multiplexes many tenants onto it: two shared local
-//! parallel executors (a [`PooledExecutor`] and a sharded
-//! [`AsyncExecutor`], one per wire executor choice) + one [`DirCache`],
-//! one [`Campaign`] per submission. Three engine properties make that multiplexing sound, and
+//! engine resident and multiplexes many tenants onto it: one shared,
+//! sharded [`AsyncExecutor`] (both wire executor choices run on it) + one
+//! [`DirCache`], one [`Campaign`] per submission, and a runner thread per
+//! running campaign that takes the next queued one when it finishes. Three engine properties make that multiplexing sound, and
 //! they are the reason the daemon needs no protocol-level result plumbing:
 //!
 //! * **byte-identity** — merged results depend only on the campaign value,

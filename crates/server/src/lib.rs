@@ -3,12 +3,19 @@
 //! The batch CLI pays campaign startup (suite parsing, executor
 //! construction, cold caches) on every invocation. This crate keeps all
 //! of that **resident**: a [`Server`] daemon loads the bundled suites
-//! once, owns two shared lane-fair executors (pooled and async, each on
-//! a fixed set of threads) and one on-disk cell cache, and multiplexes
-//! any number of concurrently submitted campaigns onto them — each tenant
-//! isolated by its own [`CampaignId`],
-//! [`CancelToken`](comptest_engine::CancelToken), metrics
+//! once, owns one shared lane-fair
+//! [`AsyncExecutor`](comptest_engine::AsyncExecutor) (a fixed set of
+//! `workers` shard threads, whichever [`ExecutorChoice`] a client names)
+//! and one on-disk cell cache, and multiplexes any number of concurrently
+//! submitted campaigns onto them — each tenant isolated by its own
+//! [`CampaignId`], [`CancelToken`](comptest_engine::CancelToken), metrics
 //! [`Recorder`](comptest_engine::Recorder) and event hub.
+//!
+//! There is no scheduler thread: `submit` starts a runner thread while
+//! fewer than `max_active` campaigns run, and each runner takes the next
+//! queued campaign when its own finishes, exiting once the queue is
+//! empty. An idle daemon runs its accept loop and the executor's shard
+//! threads, nothing else.
 //!
 //! # Protocol
 //!
@@ -34,7 +41,8 @@
 //!   recorder's span buffer is released then).
 //! - **Graceful shutdown.** `shutdown` (or SIGINT/SIGTERM, see
 //!   [`signals`]) stops admissions, cancels queued campaigns, trips
-//!   running ones and drains before exit.
+//!   running ones and waits until no runner is left, so every campaign
+//!   has a terminal verdict before exit.
 //!
 //! # Quickstart (in-process)
 //!

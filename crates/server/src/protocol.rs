@@ -13,7 +13,7 @@
 //!
 //! | frame | fields | reply |
 //! |---|---|---|
-//! | `submit` | `stands` (paths), optional `suites` (bundled names, default all), `granularity` (`cell`\|`test`), `stop_on_first_fail`, `cache` (use the shared store, default `true`), `executor` (`pooled`\|`async`), `watch` | `submitted`, then (with `watch`) `event`… and a final `result` |
+//! | `submit` | `stands` (paths), optional `suites` (bundled names, default all), `granularity` (`cell`\|`test`), `stop_on_first_fail`, `cache` (use the shared store, default `true`), `executor` (`pooled`\|`async`, both run on the daemon's one shared executor), `watch` | `submitted`, then (with `watch`) `event`… and a final `result` |
 //! | `watch` | `id` | replayed + live `event` frames, then `result` |
 //! | `fetch` | `id` | `result` if terminal, else `pending` |
 //! | `cancel` | `id` | `ok` |
@@ -39,16 +39,19 @@ use comptest_core::service::CampaignId;
 use comptest_engine::codec::{parse, JsonError, Value};
 use comptest_engine::{EngineEvent, Granularity};
 
-/// Which shared executor a submission runs on.
+/// The executor a submission names. Both values are accepted on the
+/// wire and both run on the daemon's one lane-fair
+/// [`AsyncExecutor`](comptest_engine::AsyncExecutor): up to `concurrency`
+/// in-flight runs on a sim-time event loop sharded over `workers`
+/// threads, shared by every tenant. Every executor merges byte-identical
+/// verdicts, so the choice changes no verdict; `pooled` is kept as an
+/// alias, like `comptest campaign --executor pooled`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutorChoice {
-    /// The daemon's shared [`PooledExecutor`](comptest_engine::PooledExecutor):
-    /// `workers` threads, one in-flight run each.
+    /// The default; an alias for [`Async`](ExecutorChoice::Async).
     #[default]
     Pooled,
-    /// The daemon's shared [`AsyncExecutor`](comptest_engine::AsyncExecutor):
-    /// up to `concurrency` in-flight runs on a sim-time event loop sharded
-    /// over `workers` threads. Both choices are lane-fair across tenants.
+    /// The daemon's shared async executor.
     Async,
 }
 
@@ -88,7 +91,8 @@ pub struct CampaignSpec {
     pub stop_on_first_fail: bool,
     /// Consult/fill the daemon's shared cache (if one is configured).
     pub cache: bool,
-    /// Which shared executor runs the campaign.
+    /// The executor the client names; accepted for compatibility, since
+    /// every campaign runs on the daemon's one shared executor.
     pub executor: ExecutorChoice,
     /// Stream events back on the submitting connection.
     pub watch: bool,

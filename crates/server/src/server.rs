@@ -1,25 +1,29 @@
-//! The resident campaign service: admission queue, shared executors,
+//! The resident campaign service: admission queue, one shared executor,
 //! per-tenant event hubs, graceful drain.
 //!
 //! One [`Server`] owns everything expensive exactly once — the bundled
-//! suites, two lane-fair local parallel executors (a [`PooledExecutor`]
-//! and a sharded [`AsyncExecutor`], one per [`ExecutorChoice`]) and
-//! (optionally) a shared [`DirCache`] — and multiplexes every submitted
-//! campaign onto them. Each submission becomes a *tenant*: a
+//! suites, one lane-fair sharded [`AsyncExecutor`] (`workers` threads,
+//! whatever [`ExecutorChoice`](crate::ExecutorChoice) a submission
+//! names) and (optionally) a shared [`DirCache`] — and multiplexes every
+//! submitted campaign onto them. Each submission becomes a *tenant*: a
 //! stable [`CampaignId`], a private [`CancelToken`], a private enabled
 //! [`Recorder`] (so `metrics` answers per tenant, not per process) and an
 //! [`EventHub`] that replays history to late subscribers. A campaign's
 //! lane is its id, so concurrently running tenants interleave
 //! round-robin on the shared threads instead of convoying.
 //!
-//! Lifecycle: `submit` enqueues (`Queued`); a scheduler thread launches
-//! up to `max_active` campaigns at once (`Running`, each on its own
-//! runner thread); the runner joins and renders the verdict frame
-//! (`Done`) or the error frame (`Failed`). A cancel on a queued tenant
-//! resolves it to `Cancelled` without ever launching; on a running tenant
-//! it trips the token and the verdict still carries its cancelled-job
-//! count. Clients are entirely decoupled from this: a dropped watch
-//! connection only drops a hub subscriber, never the campaign.
+//! Lifecycle: `submit` enqueues (`Queued`) and, while fewer than
+//! `max_active` campaigns run, starts a runner thread on the next queued
+//! one (`Running`). A runner launches its campaign, joins it, renders the
+//! verdict frame (`Done`) or the error frame (`Failed`), then takes the
+//! next queued campaign; when the queue is empty it releases its slot and
+//! exits. There is no scheduler thread, so an idle daemon runs only its
+//! accept loop and the executor's shard threads. A cancel on a queued
+//! tenant resolves it to `Cancelled` without ever launching; on a running
+//! tenant it trips the token and the verdict still carries its
+//! cancelled-job count. Clients are entirely decoupled from this: a
+//! dropped watch connection only drops a hub subscriber, never the
+//! campaign.
 //!
 //! A terminal tenant keeps only what the wire can still ask for: its
 //! hub's history and terminal [`ResultFrame`] (which `fetch` serves too)
@@ -31,10 +35,10 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use comptest_core::campaign::CampaignEntry;
@@ -43,13 +47,13 @@ use comptest_dut::ecus;
 use comptest_engine::codec::{self, Value};
 use comptest_engine::{
     AsyncExecutor, Campaign, CampaignCache, CampaignOutcome, CancelToken, DirCache, EngineEvent,
-    MetricsSnapshot, PooledExecutor, Recorder,
+    MetricsSnapshot, Recorder,
 };
 use comptest_model::TestSuite;
 use comptest_sheets::Workbook;
 use comptest_stand::TestStand;
 
-use crate::protocol::{CampaignSpec, ExecutorChoice, Frame, ResultFrame, StatusRow};
+use crate::protocol::{CampaignSpec, Frame, ResultFrame, StatusRow};
 use crate::signals;
 
 /// How a [`Server`] is provisioned. Everything here is shared by all
@@ -59,11 +63,12 @@ pub struct ServeConfig {
     /// Directory holding the bundled `<ecu>.cts` workbooks (the facade's
     /// `assets/` in the stock layout).
     pub assets_dir: PathBuf,
-    /// OS threads of each shared executor: the pooled one runs one job
-    /// per thread, the async one shards its event loop over as many.
+    /// OS threads of the shared executor: its event loop is sharded over
+    /// as many, and they serve every tenant.
     pub workers: usize,
-    /// In-flight run limit of the shared async executor, split over its
-    /// `workers` shards.
+    /// In-flight run limit of the shared executor, split over its
+    /// `workers` shards and shared by every running tenant, whichever
+    /// executor choice it submitted.
     pub concurrency: usize,
     /// Campaigns allowed to run simultaneously; further submissions wait
     /// in the admission queue. `1` serialises campaigns (and makes
@@ -171,13 +176,12 @@ struct Submission {
     granularity: comptest_engine::Granularity,
     stop_on_first_fail: bool,
     use_cache: bool,
-    executor: ExecutorChoice,
 }
 
 #[derive(Debug)]
 struct Tenant {
     state: CampaignState,
-    /// Present while `Queued`; taken by the scheduler at launch.
+    /// Present while `Queued`; taken by the runner that launches it.
     job: Option<Submission>,
     cancel: CancelToken,
     obs: TenantMetrics,
@@ -227,9 +231,10 @@ impl TenantMetrics {
 struct ServiceState {
     tenants: BTreeMap<CampaignId, Tenant>,
     queue: VecDeque<CampaignId>,
+    /// Runner threads alive: each runs one campaign at a time, at most
+    /// `max_active` of them.
     active: usize,
     next_id: u64,
-    runners: Vec<JoinHandle<()>>,
     draining: bool,
 }
 
@@ -238,11 +243,12 @@ struct Inner {
     cfg: ServeConfig,
     suites: Vec<TestSuite>,
     suite_names: Vec<String>,
-    pooled: PooledExecutor,
-    async_exec: AsyncExecutor,
+    executor: AsyncExecutor,
     cache: Option<Arc<DirCache>>,
     state: Mutex<ServiceState>,
-    sched: Condvar,
+    /// Notified when a runner releases its slot; [`Server::drain`] waits
+    /// on it for `active == 0`.
+    idle: Condvar,
     /// Connection frames currently being handled (request dispatched, or
     /// response not yet flushed). [`Server::run`] waits for this to reach
     /// zero before draining on SIGTERM/SIGINT, so a submission accepted
@@ -261,12 +267,13 @@ struct Inner {
 #[derive(Debug, Clone)]
 pub struct Server {
     inner: Arc<Inner>,
-    scheduler: Arc<Mutex<Option<JoinHandle<()>>>>,
 }
 
 impl Server {
     /// Builds the service: loads every bundled suite once, opens the
-    /// shared cache (if configured) and starts the scheduler thread.
+    /// shared cache (if configured) and sets up the one shared executor,
+    /// whose `workers` threads start on the first launch. No thread runs
+    /// until a campaign is submitted.
     ///
     /// # Errors
     ///
@@ -294,8 +301,7 @@ impl Server {
             None => None,
         };
         let inner = Arc::new(Inner {
-            pooled: PooledExecutor::new(cfg.workers),
-            async_exec: AsyncExecutor::new(cfg.concurrency).sharded(cfg.workers),
+            executor: AsyncExecutor::new(cfg.concurrency).sharded(cfg.workers),
             cfg,
             suites,
             suite_names,
@@ -304,16 +310,11 @@ impl Server {
                 next_id: 1,
                 ..ServiceState::default()
             }),
-            sched: Condvar::new(),
+            idle: Condvar::new(),
             admissions: Mutex::new(0),
             admissions_cv: Condvar::new(),
         });
-        let sched_inner = inner.clone();
-        let scheduler = std::thread::spawn(move || scheduler_loop(sched_inner));
-        Ok(Self {
-            inner,
-            scheduler: Arc::new(Mutex::new(Some(scheduler))),
-        })
+        Ok(Self { inner })
     }
 
     /// The config the server was built with (sizes normalised to ≥ 1).
@@ -327,14 +328,26 @@ impl Server {
     }
 
     /// Validates and enqueues a submission, returning its stable id.
-    /// Stand files load now (errors surface here); execution starts when
-    /// the scheduler has a free active slot.
+    /// Stand files load now (errors surface here); execution starts at
+    /// once if fewer than `max_active` campaigns run, else when a runner
+    /// finishes the campaigns queued before it.
     ///
     /// # Errors
     ///
     /// Returns a rendered error for an empty stand list, an unknown
     /// suite name, an unloadable stand file, or a draining server.
     pub fn submit(&self, spec: &CampaignSpec) -> Result<CampaignId, String> {
+        let id = self.enqueue(spec)?;
+        self.start_runners();
+        Ok(id)
+    }
+
+    /// [`submit`](Server::submit) without starting a runner: the
+    /// connection handler replies `submitted` first and then calls
+    /// [`start_runners`](Server::start_runners), so the launch's planning
+    /// does not compete with the reply (a burst of submissions would
+    /// otherwise reach the daemon spread out by the launches it causes).
+    fn enqueue(&self, spec: &CampaignSpec) -> Result<CampaignId, String> {
         if spec.stands.is_empty() {
             return Err("a submission needs at least one stand path".to_owned());
         }
@@ -368,7 +381,6 @@ impl Server {
             granularity: spec.granularity,
             stop_on_first_fail: spec.stop_on_first_fail,
             use_cache: spec.cache,
-            executor: spec.executor,
         };
         let mut st = self.inner.state.lock().expect("service state lock");
         if st.draining {
@@ -387,8 +399,23 @@ impl Server {
             },
         );
         st.queue.push_back(id);
-        self.inner.sched.notify_all();
         Ok(id)
+    }
+
+    /// Starts a runner on the next queued campaign while fewer than
+    /// `max_active` run. A runner that finishes its campaign takes the
+    /// next one itself (see [`run_queue`]), so only a submission can find
+    /// a free slot.
+    fn start_runners(&self) {
+        let mut st = self.inner.state.lock().expect("service state lock");
+        while st.active < self.inner.cfg.max_active {
+            let Some(launch) = next_launch(&mut st) else {
+                return;
+            };
+            st.active += 1;
+            let inner = self.inner.clone();
+            std::thread::spawn(move || run_queue(inner, launch));
+        }
     }
 
     /// Subscribes to a campaign's events: full replay, then live, then
@@ -431,7 +458,6 @@ impl Server {
             CampaignState::Running => tenant.cancel.cancel(),
             _ => {}
         }
-        self.inner.sched.notify_all();
         Ok(())
     }
 
@@ -524,21 +550,17 @@ impl Server {
                 tenant.cancel.cancel();
             }
         }
-        self.inner.sched.notify_all();
     }
 
-    /// Waits for the scheduler and every runner thread to finish. Call
-    /// after [`begin_shutdown`](Server::begin_shutdown); in-flight
-    /// campaigns drain cooperatively (their verdicts still carry their
-    /// cancelled-job counts).
+    /// Waits until no runner is left, so every campaign that was running
+    /// has its terminal verdict. Call after
+    /// [`begin_shutdown`](Server::begin_shutdown): the queue is then
+    /// empty, and in-flight campaigns drain cooperatively (their verdicts
+    /// still carry their cancelled-job counts).
     pub fn drain(&self) {
-        if let Some(handle) = self.scheduler.lock().expect("scheduler handle lock").take() {
-            let _ = handle.join();
-        }
-        let runners =
-            std::mem::take(&mut self.inner.state.lock().expect("service state lock").runners);
-        for runner in runners {
-            let _ = runner.join();
+        let mut st = self.inner.state.lock().expect("service state lock");
+        while st.active > 0 {
+            st = self.inner.idle.wait(st).expect("service state lock");
         }
     }
 
@@ -559,20 +581,12 @@ impl Server {
     /// Waits (bounded) for every in-flight connection frame to finish.
     /// The bound keeps a wedged client from holding shutdown hostage.
     fn await_admissions(&self, timeout: Duration) {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut pending = self.inner.admissions.lock().expect("admissions lock");
-        while *pending > 0 {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return;
-            }
-            pending = self
-                .inner
-                .admissions_cv
-                .wait_timeout(pending, deadline - now)
-                .expect("admissions lock")
-                .0;
-        }
+        let pending = self.inner.admissions.lock().expect("admissions lock");
+        let _ = self
+            .inner
+            .admissions_cv
+            .wait_timeout_while(pending, timeout, |pending| *pending > 0)
+            .expect("admissions lock");
     }
 
     /// Serves connections on `listener` until a `shutdown` frame arrives
@@ -647,87 +661,71 @@ impl Drop for AdmissionGuard<'_> {
     }
 }
 
-fn scheduler_loop(inner: Arc<Inner>) {
-    loop {
-        let next = {
-            let mut st = inner.state.lock().expect("service state lock");
-            loop {
-                if st.draining && st.queue.is_empty() {
-                    return;
-                }
-                if st.active < inner.cfg.max_active {
-                    if let Some(id) = st.queue.pop_front() {
-                        let tenant = st.tenants.get_mut(&id).expect("queued id has a tenant");
-                        if tenant.state != CampaignState::Queued {
-                            // Cancelled while waiting; already resolved.
-                            continue;
-                        }
-                        tenant.state = CampaignState::Running;
-                        let job = tenant.job.take().expect("queued tenant keeps its job");
-                        let TenantMetrics::Live(obs) = &tenant.obs else {
-                            unreachable!("a queued tenant's recorder is live")
-                        };
-                        let ctx = (
-                            id,
-                            job,
-                            tenant.cancel.clone(),
-                            obs.clone(),
-                            tenant.hub.clone(),
-                        );
-                        st.active += 1;
-                        break ctx;
-                    }
-                }
-                st = inner
-                    .sched
-                    .wait_timeout(st, Duration::from_millis(100))
-                    .expect("service state lock")
-                    .0;
-            }
-        };
-        let (id, job, cancel, obs, hub) = next;
-        let runner_inner = inner.clone();
-        let handle =
-            std::thread::spawn(move || run_campaign(runner_inner, id, job, cancel, obs, hub));
-        let mut st = inner.state.lock().expect("service state lock");
-        // Dropping a finished runner's handle releases its thread (stack
-        // included); only live runners are left for `drain` to join.
-        st.runners.retain(|runner| !runner.is_finished());
-        st.runners.push(handle);
-    }
-}
-
-fn run_campaign(
-    inner: Arc<Inner>,
+/// A campaign taken off the queue, with what its runner needs.
+struct Launch {
     id: CampaignId,
     job: Submission,
     cancel: CancelToken,
     obs: Recorder,
     hub: Arc<EventHub>,
-) {
-    let (state, frame) = match execute_submission(&inner, id, &job, cancel, obs, &hub) {
-        Ok(outcome) => (CampaignState::Done, done_frame(id, &outcome)),
-        Err(message) => (
-            CampaignState::Failed(message.clone()),
-            failed_frame(id, message),
-        ),
-    };
-    let mut st = inner.state.lock().expect("service state lock");
-    if let Some(tenant) = st.tenants.get_mut(&id) {
-        tenant.finish(state, frame);
-    }
-    st.active -= 1;
-    inner.sched.notify_all();
 }
 
-fn execute_submission(
-    inner: &Inner,
-    id: CampaignId,
-    job: &Submission,
-    cancel: CancelToken,
-    obs: Recorder,
-    hub: &EventHub,
-) -> Result<CampaignOutcome, String> {
+/// Marks the next queued tenant `Running` and hands out its launch.
+/// Called under the service state lock, by `start_runners` (which then
+/// starts a runner) and by a runner that finished its campaign (which
+/// keeps its slot for it). The queue holds only `Queued` tenants: a
+/// cancel removes its tenant.
+fn next_launch(st: &mut ServiceState) -> Option<Launch> {
+    let id = st.queue.pop_front()?;
+    let tenant = st.tenants.get_mut(&id).expect("queued id has a tenant");
+    tenant.state = CampaignState::Running;
+    let job = tenant.job.take().expect("queued tenant keeps its job");
+    let TenantMetrics::Live(obs) = &tenant.obs else {
+        unreachable!("a queued tenant's recorder is live")
+    };
+    Some(Launch {
+        id,
+        job,
+        cancel: tenant.cancel.clone(),
+        obs: obs.clone(),
+        hub: tenant.hub.clone(),
+    })
+}
+
+/// A runner: runs `launch`, finishes its tenant, and goes on with the
+/// next queued campaign until the queue is empty; then it releases its
+/// slot and wakes [`Server::drain`].
+fn run_queue(inner: Arc<Inner>, mut launch: Launch) {
+    loop {
+        let id = launch.id;
+        // A panic must not leak the slot, or `drain` would wait forever.
+        let outcome =
+            std::panic::catch_unwind(AssertUnwindSafe(|| execute_submission(&inner, &launch)))
+                .unwrap_or_else(|_| Err("campaign runner panicked".to_owned()));
+        let (state, frame) = match outcome {
+            Ok(outcome) => (CampaignState::Done, done_frame(id, &outcome)),
+            Err(message) => (
+                CampaignState::Failed(message.clone()),
+                failed_frame(id, message),
+            ),
+        };
+        let mut st = inner.state.lock().expect("service state lock");
+        if let Some(tenant) = st.tenants.get_mut(&id) {
+            tenant.finish(state, frame);
+        }
+        match next_launch(&mut st) {
+            Some(next) => launch = next,
+            None => {
+                st.active -= 1;
+                inner.idle.notify_all();
+                return;
+            }
+        }
+    }
+}
+
+fn execute_submission(inner: &Inner, launch: &Launch) -> Result<CampaignOutcome, String> {
+    let job = &launch.job;
     let entries: Vec<CampaignEntry<'_>> = job
         .suite_indices
         .iter()
@@ -745,23 +743,21 @@ fn execute_submission(
     let mut campaign = Campaign::new(&entries, &stand_refs)
         .granularity(job.granularity)
         .stop_on_first_fail(job.stop_on_first_fail)
-        .cancel_token(cancel)
-        .recorder(obs)
+        .cancel_token(launch.cancel.clone())
+        .recorder(launch.obs.clone())
         // The lane is the campaign id: concurrent tenants round-robin on
         // the shared threads.
-        .lane(id.0);
+        .lane(launch.id.0);
     if job.use_cache {
         if let Some(cache) = &inner.cache {
             campaign = campaign.cache(cache.clone() as Arc<dyn CampaignCache>);
         }
     }
-    let mut handle = match job.executor {
-        ExecutorChoice::Pooled => campaign.launch(&inner.pooled),
-        ExecutorChoice::Async => campaign.launch(&inner.async_exec),
-    }
-    .map_err(|e| e.to_string())?;
+    let mut handle = campaign
+        .launch(&inner.executor)
+        .map_err(|e| e.to_string())?;
     for event in handle.events() {
-        hub.publish(event);
+        launch.hub.publish(event);
     }
     handle.join().map_err(|e| e.to_string())
 }
@@ -799,16 +795,9 @@ fn cancelled_frame(id: CampaignId) -> ResultFrame {
 
 fn failed_frame(id: CampaignId, error: String) -> ResultFrame {
     ResultFrame {
-        id,
         state: CampaignState::Failed(String::new()).name().to_owned(),
         error: Some(error),
-        cancelled: 0,
-        all_green: false,
-        report: String::new(),
-        passed: 0,
-        failed: 0,
-        errored: 0,
-        not_runnable: 0,
+        ..cancelled_frame(id)
     }
 }
 
@@ -845,10 +834,11 @@ fn handle_connection(server: Server, stream: TcpStream) {
         // mid-dispatch waits for the reply instead of racing it.
         let _admission = server.begin_admission();
         let keep = match frame {
-            Frame::Submit(spec) => match server.submit(&spec) {
+            Frame::Submit(spec) => match server.enqueue(&spec) {
                 Ok(id) => {
-                    write_frame(&mut writer, &Frame::Submitted { id }).is_ok()
-                        && (!spec.watch || stream_campaign(&server, &mut writer, id))
+                    let replied = write_frame(&mut writer, &Frame::Submitted { id }).is_ok();
+                    server.start_runners();
+                    replied && (!spec.watch || stream_campaign(&server, &mut writer, id))
                 }
                 Err(message) => write_frame(&mut writer, &Frame::Error { message }).is_ok(),
             },
@@ -921,7 +911,7 @@ mod tests {
 
     // Socket-level coverage lives in tests/server_conformance.rs (its
     // own process, away from the signal-flag unit test). These cover
-    // the hub's replay contract in isolation.
+    // the hub's replay contract and the tenant lifecycle in process.
 
     #[test]
     fn hub_replays_history_and_verdict_to_late_subscribers() {
@@ -956,11 +946,12 @@ mod tests {
         assert_eq!(hub.inner.lock().unwrap().history.len(), 1);
     }
 
-    /// Finished runner threads are released as new campaigns start, so a
-    /// long-lived daemon holds a bounded number of runner handles — not
-    /// one per campaign it ever ran, each pinning a dead thread's stack.
+    /// `shutdown` drains to terminal verdicts: the running campaign's
+    /// token trips and it still joins a `done` verdict that counts its
+    /// cancelled jobs, the queued one resolves to `cancelled` without
+    /// launching, and no runner is left behind.
     #[test]
-    fn finished_runners_are_released() {
+    fn shutdown_drains_running_and_queued_campaigns() {
         let assets = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../assets");
         let server = Server::new(ServeConfig {
             workers: 1,
@@ -968,24 +959,47 @@ mod tests {
             ..ServeConfig::new(assets.clone())
         })
         .unwrap();
-        let spec = CampaignSpec {
-            stands: vec![assets.join("stand_b.stand").display().to_string()],
-            suites: vec!["interior_light".into()],
+        let stand = |name: &str| assets.join(name).display().to_string();
+        let wide = CampaignSpec {
+            stands: vec![stand("stand_a.stand"), stand("stand_b.stand")],
+            granularity: comptest_engine::Granularity::Test,
             cache: false,
             ..CampaignSpec::default()
         };
-        const CAMPAIGNS: usize = 24;
-        for _ in 0..CAMPAIGNS {
-            let id = server.submit(&spec).unwrap();
-            let last = server.subscribe(id).unwrap().into_iter().last();
-            assert!(matches!(last, Some(HubMsg::Done(_))));
-        }
-        let held = server.inner.state.lock().unwrap().runners.len();
-        assert!(
-            held <= 4,
-            "{held} runner handles held after {CAMPAIGNS} sequential campaigns"
-        );
+        let running = server.submit(&wide).unwrap();
+        let queued = server.submit(&wide).unwrap();
+        assert_eq!(server.fetch(running).encode(), pending(running, "running"));
+        assert_eq!(server.fetch(queued).encode(), pending(queued, "queued"));
         server.shutdown();
+
+        let Frame::Result(verdict) = server.fetch(running) else {
+            panic!("a drained campaign must be terminal");
+        };
+        assert_eq!(verdict.state, "done");
+        assert!(verdict.cancelled > 0, "the tripped token skips jobs");
+        let Frame::Result(verdict) = server.fetch(queued) else {
+            panic!("a queued campaign must resolve at shutdown");
+        };
+        assert_eq!(verdict.state, "cancelled");
+        assert!(verdict.report.is_empty(), "never launched, no report");
+        for row in server.status_rows() {
+            assert!(
+                matches!(row.state.as_str(), "done" | "cancelled"),
+                "{}: {}",
+                row.id,
+                row.state
+            );
+        }
+        assert_eq!(server.inner.state.lock().unwrap().active, 0);
+        assert_eq!(server.submit(&wide).unwrap_err(), "server is shutting down");
+    }
+
+    fn pending(id: CampaignId, state: &str) -> String {
+        Frame::Pending {
+            id,
+            state: state.to_owned(),
+        }
+        .encode()
     }
 
     /// A finished tenant keeps its verdict frame and a frozen metrics

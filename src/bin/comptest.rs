@@ -41,9 +41,6 @@
 //!   (default 1024) test runs in flight *simultaneously*, interleaved
 //!   step by step on `--workers` shard threads (default 1), so
 //!   concurrency is no longer capped by thread count.
-//!
-//! Both local parallel shapes start at most one thread per job
-//! (`--workers` is capped at the campaign's job count).
 //! * `--executor remote`: multi-process — packaged jobs ship over stdio
 //!   frames to `--remote-workers N` (default 2) spawned `comptest worker`
 //!   children; a killed worker's jobs are retried on survivors (the
@@ -53,7 +50,9 @@
 //! A sizing flag the selected executor would ignore (`--concurrency`
 //! without `--executor async`, `--workers` with `--executor serial` or
 //! `remote`, `--remote-workers` without `--executor remote`) is
-//! rejected rather than silently dropped.
+//! rejected rather than silently dropped. Both local parallel shapes
+//! (`pooled` and `async`) start at most one thread per job (`--workers`
+//! is capped at the campaign's job count).
 //!
 //! `--granularity cell` (default) schedules one job per suite×stand cell;
 //! `--granularity test` shards down to single tests — progress is then
@@ -95,8 +94,13 @@
 //!
 //! `serve` runs the resident multi-tenant campaign daemon (see the
 //! `comptest_server` crate docs for the wire protocol): suites load
-//! once, submitted campaigns share two lane-fair executors (pooled and
-//! async) and one on-disk cache, events stream live with replay,
+//! once, submitted campaigns share one lane-fair async executor
+//! (`--workers` shard threads, `--concurrency` in-flight runs) and one
+//! on-disk cache, `--max-active` campaigns run at once (the rest queue),
+//! and an idle daemon runs only its accept loop and those shard
+//! threads. `submit --executor
+//! pooled|async` is accepted for compatibility: both run on that one
+//! executor, with the same verdicts. Events stream live with replay,
 //! verdicts stay fetchable by id after the submitting client
 //! disconnects, and SIGINT/SIGTERM (or a `shutdown` frame) drains
 //! gracefully. `submit`, `watch`, `cancel` and `status` are thin wire
@@ -750,7 +754,18 @@ fn cmd_serve(args: &[&str]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn verdict_exit(verdict: &comptest::server::ResultFrame) -> ExitCode {
+/// Prints a served verdict the same way for `submit --watch` and
+/// `watch`: its state and any failure reason on stderr, the report on
+/// stdout. Exits 0 only for a green, completed campaign.
+fn print_verdict(
+    id: comptest::server::CampaignId,
+    verdict: &comptest::server::ResultFrame,
+) -> ExitCode {
+    eprintln!("{id}: {}", verdict.state);
+    if let Some(error) = &verdict.error {
+        eprintln!("error: {error}");
+    }
+    print!("{}", verdict.report);
     if verdict.state == "done" && verdict.all_green {
         ExitCode::SUCCESS
     } else {
@@ -794,9 +809,7 @@ fn cmd_submit(args: &[&str]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         let (id, verdict) = client.submit_and_watch(&spec, |event| {
             eprintln!("{}", comptest::report::progress_line(event));
         })?;
-        eprintln!("{id}: {}", verdict.state);
-        print!("{}", verdict.report);
-        Ok(verdict_exit(&verdict))
+        Ok(print_verdict(id, &verdict))
     } else {
         let id = client.submit(&spec)?;
         println!("{id}");
@@ -815,12 +828,7 @@ fn cmd_watch(args: &[&str]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let verdict = client.watch(id, |event| {
         eprintln!("{}", comptest::report::progress_line(event));
     })?;
-    eprintln!("{id}: {}", verdict.state);
-    if let Some(error) = &verdict.error {
-        eprintln!("error: {error}");
-    }
-    print!("{}", verdict.report);
-    Ok(verdict_exit(&verdict))
+    Ok(print_verdict(id, &verdict))
 }
 
 fn cmd_cancel(args: &[&str]) -> Result<ExitCode, Box<dyn std::error::Error>> {

@@ -302,8 +302,9 @@
 //! # Quickstart — serving campaigns
 //!
 //! `comptest serve` keeps everything expensive **resident**: one daemon
-//! loads the bundled suites once, owns two lane-fair executors (pooled and
-//! async, each on a fixed set of threads) and one shared on-disk cache, and
+//! loads the bundled suites once, owns one lane-fair async executor (a
+//! fixed set of shard threads that serves every tenant, whichever
+//! executor a submission names) and one shared on-disk cache, and
 //! multiplexes any number of concurrently submitted campaigns onto them
 //! over a newline-delimited JSON TCP protocol. Campaigns get stable ids
 //! (`c-000001`), stream typed events to any number of watchers (late
